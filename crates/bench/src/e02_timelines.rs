@@ -8,8 +8,9 @@
 use crate::Report;
 use std::fmt::Write as _;
 use vds_analytic::Params;
-use vds_core::abstract_vds::{run_recorded, AbstractConfig};
+use vds_core::abstract_vds::{run_with_recorder, AbstractConfig};
 use vds_core::{FaultModel, Scheme, Victim};
+use vds_obs::Recorder;
 
 /// Produce both timelines with a fault at round `fault_round`.
 pub fn report(fault_round: u32, rounds: u64, width: usize) -> Report {
@@ -31,7 +32,7 @@ pub fn report(fault_round: u32, rounds: u64, width: usize) -> Report {
     ] {
         let mut cfg = AbstractConfig::new(params, scheme);
         cfg.record_timeline = true;
-        let (r, rec) = run_recorded(&cfg, fm, rounds, 1);
+        let (r, rec) = run_with_recorder(&cfg, fm, rounds, 1, Recorder::new());
         let (reg, _trace, sp) = rec.into_parts();
         metrics.merge(&reg.prefixed(scheme.name()));
         spans.extend_from(&sp);

@@ -12,12 +12,12 @@ use crate::Report;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use std::fmt::Write as _;
-use vds_core::micro_vds::{run_micro_with_state, MicroConfig, MicroFault};
+use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds_core::workload;
 use vds_core::{Scheme, Victim};
 use vds_fault::campaign::{run_campaign, run_campaign_recorded_as, CampaignReport, TrialResult};
 use vds_fault::model::{sample_fu_fault, sample_transient_site, FaultKind};
-use vds_obs::Recorder;
+use vds_obs::{NoopRecorder, Recorder};
 
 /// One randomized trial.
 fn trial(seed: u64, diversity: bool, target_rounds: u64) -> TrialResult {
@@ -43,7 +43,7 @@ fn trial(seed: u64, diversity: bool, target_rounds: u64) -> TrialResult {
         victim,
         kind,
     };
-    let (r, img) = run_micro_with_state(&cfg, Some(fault), target_rounds);
+    let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), target_rounds, NoopRecorder);
     let kind_tag = match kind {
         FaultKind::Transient(_) => "transient",
         FaultKind::PermanentFu(_) => "permanent",

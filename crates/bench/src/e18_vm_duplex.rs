@@ -22,7 +22,7 @@ use crate::Report;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use vds_core::vm_vds::{run_vm_duplex, run_vm_duplex_with_state, VmConfig, VmFault};
+use vds_core::vm_vds::{run_vm_duplex, VmConfig, VmFault};
 use vds_core::{Scheme, Victim};
 use vds_fault::vm::sample_vm_site;
 
@@ -106,7 +106,7 @@ pub fn report(trials: u64, seed: u64) -> Report {
                 victim: if rng.gen() { Victim::V1 } else { Victim::V2 },
                 site: sample_vm_site(&mut rng, vds_vm::DMEM_WORDS as u32, lit_words),
             };
-            let (r, _) = run_vm_duplex_with_state(&cfg, Some(fault), GAIN_ROUNDS);
+            let r = run_vm_duplex(&cfg, Some(fault), GAIN_ROUNDS);
             detected += r.faults_detected;
             masked += r.faults_masked;
             escaped += r.faults_escaped;

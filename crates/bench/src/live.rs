@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
-use vds_core::micro_vds::{run_micro_recorded, run_micro_with_recorder, MicroConfig, MicroFault};
+use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds_core::workload;
 use vds_core::{Scheme, Victim};
 use vds_fault::campaign::TrialResult;
@@ -67,17 +67,8 @@ pub fn campaign_trial_for(
         victim,
         kind: FaultKind::Transient(site),
     };
-    let (report, run_rec) = if rec.journal_enabled() {
-        let mut run_rec = Recorder::new();
-        if let Some(h) = rec.journal().header() {
-            run_rec.enable_journal(h.clone());
-        }
-        let (report, _, run_rec) =
-            run_micro_with_recorder(&cfg, Some(fault), target_rounds, run_rec);
-        (report, run_rec)
-    } else {
-        run_micro_recorded(&cfg, Some(fault), target_rounds)
-    };
+    let (report, _, run_rec) =
+        run_micro_with_recorder(&cfg, Some(fault), target_rounds, trial_recorder(rec));
     rec.merge_registry(run_rec.registry());
     rec.adopt_journal(run_rec.journal(), index);
     TrialResult::with_value(trial_label(&report), report.detections as f64)
@@ -97,9 +88,7 @@ pub fn vm_campaign_trial_for(
     target_rounds: u64,
     rec: &mut Recorder,
 ) -> TrialResult {
-    use vds_core::vm_vds::{
-        run_vm_duplex_recorded, run_vm_duplex_with_recorder, VmConfig, VmFault,
-    };
+    use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
     let mut rng = SmallRng::seed_from_u64(
         index
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -118,21 +107,23 @@ pub fn vm_campaign_trial_for(
         victim,
         site,
     };
-    let (report, run_rec) = if rec.journal_enabled() {
-        let mut run_rec = Recorder::new();
-        if let Some(h) = rec.journal().header() {
-            run_rec.enable_journal(h.clone());
-        }
-        let (report, _, run_rec) =
-            run_vm_duplex_with_recorder(&cfg, Some(fault), target_rounds, run_rec);
-        (report, run_rec)
-    } else {
-        let (report, run_rec) = run_vm_duplex_recorded(&cfg, Some(fault), target_rounds);
-        (report, run_rec)
-    };
+    let (report, _, run_rec) =
+        run_vm_duplex_with_recorder(&cfg, Some(fault), target_rounds, trial_recorder(rec));
     rec.merge_registry(run_rec.registry());
     rec.adopt_journal(run_rec.journal(), index);
     TrialResult::with_value(trial_label(&report), report.detections as f64)
+}
+
+/// A fresh recorder for one trial, journaling under the campaign's
+/// header when the campaign recorder journals.
+fn trial_recorder(rec: &Recorder) -> Recorder {
+    let mut run_rec = Recorder::new();
+    if rec.journal_enabled() {
+        if let Some(h) = rec.journal().header() {
+            run_rec.enable_journal(h.clone());
+        }
+    }
+    run_rec
 }
 
 /// Classify a trial's run report into its campaign outcome label.
@@ -290,6 +281,19 @@ mod tests {
     }
 
     #[test]
+    fn halting_versions_are_trap_evidence_not_panics() {
+        // serve trials 865 and 997 (seed 1, 40 rounds) flip a bit that
+        // sends a version off its round loop into `halt`; that used to
+        // panic the engine and kill `vds serve`
+        for index in [865, 997] {
+            let mut rec = Recorder::new();
+            let r = campaign_trial_for(Scheme::SmtProbabilistic, index, 1, 40, &mut rec);
+            assert_eq!(r.label, "recovered", "trial {index}");
+            assert_eq!(rec.registry().counter("vds.committed_rounds"), 40);
+        }
+    }
+
+    #[test]
     fn masked_faults_are_not_conflated_with_detected_or_escaped() {
         use vds_core::report::RunReport;
         // a masked register-boundary fault: injected, never detected,
@@ -300,7 +304,7 @@ mod tests {
             victim: Victim::V1,
             kind: FaultKind::Transient(vds_fault::model::FaultSite::Register { reg: 5, bit: 3 }),
         };
-        let (report, _) = run_micro_recorded(&cfg, Some(fault), 15);
+        let (report, _, _) = run_micro_with_recorder(&cfg, Some(fault), 15, Recorder::new());
         assert_eq!(report.faults_masked, 1);
         assert_eq!(report.faults_detected, 0);
         assert_eq!(trial_label(&report), "masked");
@@ -310,7 +314,7 @@ mod tests {
             victim: Victim::V2,
             kind: FaultKind::Transient(vds_fault::model::FaultSite::Memory { addr: 4, bit: 7 }),
         };
-        let (report, _) = run_micro_recorded(&cfg, Some(detected), 15);
+        let (report, _, _) = run_micro_with_recorder(&cfg, Some(detected), 15, Recorder::new());
         assert_eq!(report.faults_detected, 1);
         assert_eq!(trial_label(&report), "recovered");
         // escaped outranks masked in the label split (silent corruption

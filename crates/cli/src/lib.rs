@@ -481,9 +481,7 @@ enum DuplexMode {
 /// run with the metric registry and event trace printed) and `vds report`
 /// (the same run with folded profiler stacks printed).
 fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
-    use vds_core::micro_vds::{
-        run_micro_with_recorder, run_micro_with_state, MicroConfig, MicroFault,
-    };
+    use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
     use vds_core::{workload, Victim};
     use vds_fault::model::{FaultKind, FaultSite};
     let spec = match mode {
@@ -557,7 +555,7 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
         let (r, img, rec) = run_micro_with_recorder(&cfg, fault, rounds, recorder);
         (r, img, Some(rec))
     } else {
-        let (r, img) = run_micro_with_state(&cfg, fault, rounds);
+        let (r, img, _) = run_micro_with_recorder(&cfg, fault, rounds, vds_obs::NoopRecorder);
         (r, img, None)
     };
     let (_, want) = workload::oracle(r.committed_rounds as u32);

@@ -16,7 +16,7 @@
 
 use crate::{args, parse_num, write_atomic, write_metrics, CliError, Flags};
 use std::fmt::Write as _;
-use vds_core::vm_vds::{run_vm_duplex_with_recorder, run_vm_duplex_with_state, VmConfig, VmFault};
+use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
 use vds_core::Victim;
 use vds_fault::vm::VmFaultSite;
 use vds_vm::{run_round, seed_program, Outcome, SeedProgram, Vm};
@@ -269,7 +269,7 @@ fn run_vm_duplex_cli(
         let (r, img, rec) = run_vm_duplex_with_recorder(&cfg, fault, rounds, recorder);
         (r, img, Some(rec))
     } else {
-        let (r, img) = run_vm_duplex_with_state(&cfg, fault, rounds);
+        let (r, img, _) = run_vm_duplex_with_recorder(&cfg, fault, rounds, vds_obs::NoopRecorder);
         (r, img, None)
     };
     let want = sp.oracle(cfg.seed, r.committed_rounds as u32);

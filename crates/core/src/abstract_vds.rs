@@ -14,6 +14,7 @@
 //! that i/2 may not be an integer"); validation tests account for it.
 
 use crate::config::{FaultModel, Scheme, Victim};
+use crate::duplex::{rollforward_window, Backend, Duplex, Ledger, Recovery, Round, StopRule};
 use crate::report::RunReport;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
@@ -21,8 +22,8 @@ use vds_analytic::multithread::alpha_k;
 use vds_analytic::Params;
 use vds_desim::time::SimTime;
 use vds_desim::trace::{SpanKind, Timeline};
-use vds_obs::journal::{Action as JournalAction, RoundEntry, Verdict as JournalVerdict};
-use vds_obs::{digest_words128, obs_event, NoopRecorder, Record, Recorder};
+use vds_obs::journal::Verdict;
+use vds_obs::{digest_words128, obs_event, Digest128, NoopRecorder, Record};
 use vds_predictor::{FaultPredictor, Suspect};
 
 /// Configuration of an abstract VDS run.
@@ -78,108 +79,39 @@ pub struct Incident {
     pub vote_ok: bool,
 }
 
-struct Engine<'a, R> {
+/// The abstract timing model as a duplex backend.
+struct Abstract<'a, 'p> {
     cfg: &'a AbstractConfig,
+    fm: FaultModel,
+    predictor: Option<&'p mut dyn FaultPredictor>,
     rng: SmallRng,
     clock: f64,
-    /// Confirmed rounds since the last checkpoint (the paper's `i − 1`
-    /// at detection time).
-    round_in_interval: u32,
     corrupt: [bool; 2],
     crash: Option<Victim>,
-    consecutive_rollbacks: u32,
     oneshot_fired: bool,
     timeline: Timeline,
-    report: RunReport,
-    rec: R,
-    /// Flight-recorder entry for the round in flight (see the micro
-    /// engine's equivalent): finalised by [`Engine::journal_finish`].
-    pending: Option<RoundEntry>,
-    /// Lane-local ordinal of the next fault-bearing journal entry — the
-    /// forensics `fault_id` (stable across reruns because entries are
-    /// journalled in execution order).
-    next_fault_id: u64,
+    /// Facts of the latest recovery incident.
+    incident: Option<Incident>,
 }
 
-impl<'a, R: Record> Engine<'a, R> {
-    fn with_recorder(cfg: &'a AbstractConfig, seed: u64, rec: R) -> Self {
-        Engine {
+impl<'a, 'p> Abstract<'a, 'p> {
+    fn new(
+        cfg: &'a AbstractConfig,
+        fm: FaultModel,
+        seed: u64,
+        predictor: Option<&'p mut dyn FaultPredictor>,
+    ) -> Self {
+        Abstract {
             cfg,
+            fm,
+            predictor,
             rng: SmallRng::seed_from_u64(seed),
             clock: 0.0,
-            round_in_interval: 0,
             corrupt: [false, false],
             crash: None,
-            consecutive_rollbacks: 0,
             oneshot_fired: false,
             timeline: Timeline::new(),
-            report: RunReport::default(),
-            rec,
-            pending: None,
-            next_fault_id: 0,
-        }
-    }
-
-    /// Stash the flight-recorder entry for round `i`. The abstract engine
-    /// has no architectural state to hash, so per-version digests are
-    /// synthesised from the versions' logical round state (round,
-    /// committed count, corruption) — fault-free versions agree, a
-    /// corrupted version diverges, exactly like the micro digests.
-    fn journal_stash(&mut self, i: u32, verdict: JournalVerdict, fault: Option<String>) {
-        if !self.rec.journal_enabled() {
-            return;
-        }
-        let committed = self.report.committed_rounds;
-        let dig = |slot: u32, corrupt: bool| {
-            digest_words128(&[
-                i,
-                committed as u32,
-                (committed >> 32) as u32,
-                if corrupt { slot + 1 } else { 0 },
-            ])
-        };
-        let sched = if self.is_smt() {
-            "coschedule[v1,v2]"
-        } else {
-            "alternate[v1,v2]"
-        };
-        let fault_id = fault.as_ref().map(|_| {
-            let id = self.next_fault_id;
-            self.next_fault_id += 1;
-            id
-        });
-        self.pending = Some(RoundEntry {
-            seq: 0,
-            lane: 0,
-            round: u64::from(i),
-            committed: 0,
-            sim_time: self.clock,
-            d1: dig(0, self.corrupt[0]),
-            d2: dig(1, self.corrupt[1]),
-            verdict,
-            sched: sched.to_string(),
-            action: JournalAction::Commit,
-            rollforward: 0,
-            fault,
-            fault_id,
-            fault_outcome: None,
-        });
-    }
-
-    /// Upgrade the pending journal entry's action.
-    fn journal_action(&mut self, action: JournalAction, rollforward: u32) {
-        if let Some(p) = self.pending.as_mut() {
-            p.action = action;
-            p.rollforward = rollforward;
-        }
-    }
-
-    /// Finalise and push the pending journal entry with the post-action
-    /// committed-round count.
-    fn journal_finish(&mut self) {
-        if let Some(mut p) = self.pending.take() {
-            p.committed = self.report.committed_rounds;
-            self.rec.journal_push(p);
+            incident: None,
         }
     }
 
@@ -202,54 +134,25 @@ impl<'a, R: Record> Engine<'a, R> {
         self.cfg.scheme != Scheme::Conventional
     }
 
-    /// Debit rolled-back rounds from the committed count. An underflow
-    /// here means the recovery paths double-billed a rollback; clamping
-    /// would silently corrupt every downstream aggregate (journal
-    /// committed counts, sweep cells, campaign summaries), so it is
-    /// logged as an error and asserted in debug builds.
-    fn debit_committed(&mut self, lost: u64, cause: &str) {
-        match self.report.committed_rounds.checked_sub(lost) {
-            Some(v) => self.report.committed_rounds = v,
-            None => {
-                debug_assert!(
-                    false,
-                    "committed_rounds underflow: {} - {lost} during {cause}",
-                    self.report.committed_rounds
-                );
-                vds_obs::log_error!(
-                    "core.abstract",
-                    "committed_rounds underflow: {} - {} during {}",
-                    self.report.committed_rounds,
-                    lost,
-                    cause
-                );
-                self.report.committed_rounds = 0;
-            }
-        }
-    }
-
     /// Per-version-round corruption draw under the configured model.
-    fn draw_fault(&mut self, fm: &FaultModel, victim: Victim, round_1based: u32) -> bool {
-        match *fm {
+    fn draw_fault(&mut self, victim: Victim, round_1based: u32) -> bool {
+        match self.fm {
             FaultModel::None => false,
             FaultModel::OneShot { round, victim: v } => {
-                if !self.oneshot_fired && round == round_1based && v == victim {
-                    self.oneshot_fired = true;
-                    true
-                } else {
-                    false
-                }
+                let fire = !self.oneshot_fired && round == round_1based && v == victim;
+                self.oneshot_fired |= fire;
+                fire
             }
-            FaultModel::PerRound { q } => self.rng.gen::<f64>() < q,
-            FaultModel::PerRoundWithCrashes { q, .. } => self.rng.gen::<f64>() < q,
-            FaultModel::Mission { q, .. } => self.rng.gen::<f64>() < q,
+            FaultModel::PerRound { q }
+            | FaultModel::PerRoundWithCrashes { q, .. }
+            | FaultModel::Mission { q, .. } => self.rng.gen::<f64>() < q,
         }
     }
 
     /// Classify a drawn corruption: silent, crash (detected with
-    /// evidence) or whole-processor stop.
-    fn classify_corruption(&mut self, fm: &FaultModel, victim: Victim) -> bool {
-        match *fm {
+    /// evidence) or whole-processor stop (returns `true`).
+    fn classify_corruption(&mut self, victim: Victim) -> bool {
+        match self.fm {
             FaultModel::PerRoundWithCrashes { crash_fraction, .. } => {
                 if self.rng.gen::<f64>() < crash_fraction {
                     self.crash = Some(victim);
@@ -263,7 +166,7 @@ impl<'a, R: Record> Engine<'a, R> {
             } => {
                 let r = self.rng.gen::<f64>();
                 if r < stop_fraction {
-                    true // processor stop
+                    true
                 } else {
                     if r < stop_fraction + crash_fraction {
                         self.crash = Some(victim);
@@ -277,8 +180,8 @@ impl<'a, R: Record> Engine<'a, R> {
 
     /// Corruption probability over `n` executed rounds of one version
     /// during recovery phases.
-    fn recovery_corruption(&mut self, fm: &FaultModel, rounds: u32) -> bool {
-        let q = match *fm {
+    fn recovery_corruption(&mut self, rounds: u32) -> bool {
+        let q = match self.fm {
             FaultModel::PerRound { q }
             | FaultModel::PerRoundWithCrashes { q, .. }
             | FaultModel::Mission { q, .. } => q,
@@ -289,139 +192,6 @@ impl<'a, R: Record> Engine<'a, R> {
         }
         let p_any = 1.0 - (1.0 - q).powi(rounds as i32);
         self.rng.gen::<f64>() < p_any
-    }
-
-    /// Execute one normal-processing round pair plus comparison.
-    /// Returns `Some(i)` when a mismatch (or crash) is detected at round
-    /// `i`, `None` on success.
-    fn normal_round(&mut self, fm: &FaultModel) -> Option<u32> {
-        let p = &self.cfg.params;
-        let i = self.round_in_interval + 1;
-        let start = self.clock;
-        if self.is_smt() {
-            let dur = 2.0 * p.alpha * p.t;
-            self.span(0, dur, SpanKind::Round, || format!("V1 R{i}"));
-            self.span(1, dur, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += dur;
-        } else {
-            self.span(0, p.t, SpanKind::Round, || format!("V1 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
-            self.span(0, p.t, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
-        }
-        // fault draws: each version-round is exposed independently
-        let mut stopped = false;
-        let mut drawn: Vec<Victim> = Vec::new();
-        for v in [Victim::V1, Victim::V2] {
-            if self.draw_fault(fm, v, i) {
-                self.report.faults_injected += 1;
-                self.corrupt[v.index()] = true;
-                stopped |= self.classify_corruption(fm, v);
-                drawn.push(v);
-            }
-        }
-        self.span(0, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
-        self.clock += p.t_cmp;
-        self.report.time_normal += self.clock - start;
-
-        // canonical fault note for the flight recorder, e.g.
-        // `corrupt@v1`, `crash@v2`, `stop@v1+v2`
-        let fault_note = if drawn.is_empty() || !self.rec.journal_enabled() {
-            None
-        } else {
-            let kind = if stopped {
-                "stop"
-            } else if self.crash.is_some() {
-                "crash"
-            } else {
-                "corrupt"
-            };
-            let victims: Vec<String> = drawn
-                .iter()
-                .map(|v| format!("v{}", v.index() + 1))
-                .collect();
-            Some(format!("{kind}@{}", victims.join("+")))
-        };
-
-        // every corruption drawn in a normal round is caught by this
-        // round's own comparison (or the stop watchdog): zero-latency
-        // detection in both the round and sim-time denominations
-        self.report.faults_detected += drawn.len() as u64;
-
-        if stopped {
-            self.journal_stash(i, JournalVerdict::Hang, fault_note);
-            // the whole processor stopped: all volatile state is gone;
-            // only the stable-storage checkpoint survives
-            self.report.processor_stops += 1;
-            self.report.detections += 1;
-            self.report.rollbacks += 1;
-            let lost = u64::from(self.round_in_interval);
-            self.debit_committed(lost, "processor stop");
-            self.round_in_interval = 0;
-            self.corrupt = [false, false];
-            self.crash = None;
-            self.clock += self.cfg.restore_cost;
-            self.consecutive_rollbacks += 1;
-            obs_event!(
-                self.rec, self.clock, "vds", "processor_stop",
-                "round" => u64::from(i), "rounds_lost" => lost,
-            );
-            if self.consecutive_rollbacks > self.cfg.max_consecutive_rollbacks {
-                self.report.shutdown = true;
-                obs_event!(self.rec, self.clock, "vds", "shutdown");
-                self.journal_action(JournalAction::Shutdown, 0);
-            } else {
-                self.journal_action(JournalAction::Rollback, 0);
-            }
-            return None;
-        }
-
-        if self.corrupt[0] || self.corrupt[1] || self.crash.is_some() {
-            self.report.detections += 1;
-            let verdict = if self.crash.is_some() {
-                JournalVerdict::Trap
-            } else {
-                JournalVerdict::Mismatch
-            };
-            self.journal_stash(i, verdict, fault_note);
-            obs_event!(
-                self.rec, self.clock, "vds", "detect",
-                "round" => u64::from(i),
-                "v1_corrupt" => self.corrupt[0],
-                "v2_corrupt" => self.corrupt[1],
-                "crash_evidence" => self.crash.is_some(),
-            );
-            Some(i)
-        } else {
-            self.round_in_interval = i;
-            self.report.committed_rounds += 1;
-            self.consecutive_rollbacks = 0;
-            self.journal_stash(i, JournalVerdict::Match, fault_note);
-            obs_event!(
-                self.rec, self.clock, "vds", "round",
-                "round" => u64::from(i), "comparison" => "match",
-            );
-            None
-        }
-    }
-
-    fn take_checkpoint(&mut self) {
-        let start = self.clock;
-        self.span(0, self.cfg.checkpoint_cost, SpanKind::Checkpoint, || {
-            "ckpt".to_string()
-        });
-        self.clock += self.cfg.checkpoint_cost;
-        self.report.time_checkpoint += self.clock - start;
-        self.report.checkpoints += 1;
-        self.round_in_interval = 0;
-        obs_event!(
-            self.rec, self.clock, "vds", "checkpoint",
-            "number" => self.report.checkpoints,
-        );
     }
 
     /// Recovery wall time of the configured scheme for a fault at round
@@ -441,22 +211,17 @@ impl<'a, R: Record> Engine<'a, R> {
 
     /// Integral roll-forward progress attempted for a fault at round `i`.
     fn rollforward_rounds(&self, i: u32) -> u32 {
-        let intent = self.cfg.scheme.rollforward_intent(i).floor() as u32;
-        intent.min(self.cfg.params.s - i)
+        rollforward_window(self.cfg.scheme, i, self.cfg.params.s)
     }
 
     /// Decide whether the pick hits the fault-free state. Crash evidence
     /// wins; otherwise an attached predictor, otherwise Bernoulli(p).
-    fn pick_correct(
-        &mut self,
-        faulty: Victim,
-        predictor: &mut Option<&mut dyn FaultPredictor>,
-    ) -> bool {
+    fn pick_correct(&mut self, faulty: Victim) -> bool {
         if let Some(crashed) = self.crash {
             // evidence: the crashed version is the faulty one
             return crashed == faulty;
         }
-        if let Some(pred) = predictor {
+        if let Some(pred) = self.predictor.as_mut() {
             let guess = pred.predict();
             let actual = match faulty {
                 Victim::V1 => Suspect::V1,
@@ -468,18 +233,217 @@ impl<'a, R: Record> Engine<'a, R> {
         self.rng.gen::<f64>() < self.cfg.p_correct
     }
 
-    /// Run the recovery for a detection at round `i`. Returns the
-    /// incident record.
-    fn recover(
-        &mut self,
-        i: u32,
-        fm: &FaultModel,
-        predictor: &mut Option<&mut dyn FaultPredictor>,
-    ) -> Incident {
+    /// Resolve the roll-forward of a successful vote: returns the
+    /// progress that survives.
+    fn roll_forward<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> u32 {
+        let x = self.rollforward_rounds(i);
+        if x == 0 {
+            return 0;
+        }
+        // the faulty version (exactly one corrupt flag set)
+        let faulty = if self.corrupt[0] {
+            Victim::V1
+        } else {
+            Victim::V2
+        };
+        let scheme = self.cfg.scheme;
+        let rf_exec_rounds = match scheme {
+            Scheme::SmtDeterministic | Scheme::SmtBoosted5 => 4 * x,
+            Scheme::SmtProbabilistic | Scheme::SmtBoosted3 => 2 * x,
+            Scheme::SmtPredictive => x,
+            Scheme::Conventional => 0,
+        };
+        let rf_corrupt = self.recovery_corruption(rf_exec_rounds);
+        let hit = scheme.progress_guaranteed() || self.pick_correct(faulty);
+        let r = &mut l.report;
+        if rf_corrupt {
+            r.faults_injected += 1;
+        }
+        if scheme.detects_during_rollforward() {
+            if rf_corrupt {
+                // the roll-forward comparison caught it
+                r.rollforward_discards += 1;
+                r.faults_detected += 1;
+            } else if hit {
+                r.rollforward_hits += 1;
+                return x;
+            } else {
+                r.rollforward_misses += 1;
+            }
+            return 0;
+        }
+        // predictive: no comparisons during roll-forward
+        if hit {
+            r.rollforward_hits += 1;
+            if rf_corrupt {
+                // adopted, and nothing will ever detect it
+                r.silent_corruptions += 1;
+                r.faults_escaped += 1;
+            }
+            x
+        } else {
+            r.rollforward_misses += 1;
+            if rf_corrupt {
+                // the corrupted state was discarded unseen: the
+                // corruption never entered the system
+                r.faults_masked += 1;
+            }
+            0
+        }
+    }
+}
+
+impl Backend for Abstract<'_, '_> {
+    const COMPONENT: &'static str = "vds";
+    const SPANS: bool = false;
+    type State = ();
+
+    fn interval(&self) -> u32 {
+        self.cfg.params.s
+    }
+
+    fn stop_rule(&self) -> StopRule {
+        StopRule::Attempts {
+            max_consecutive_rollbacks: self.cfg.max_consecutive_rollbacks,
+        }
+    }
+
+    fn now(&self) -> f64 {
+        self.clock
+    }
+
+    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
+        let p = self.cfg.params;
         let start = self.clock;
+        if self.is_smt() {
+            let dur = 2.0 * p.alpha * p.t;
+            self.span(0, dur, SpanKind::Round, || format!("V1 R{i}"));
+            self.span(1, dur, SpanKind::Round, || format!("V2 R{i}"));
+            self.clock += dur;
+        } else {
+            self.span(0, p.t, SpanKind::Round, || format!("V1 R{i}"));
+            self.clock += p.t;
+            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
+            self.clock += p.c;
+            self.span(0, p.t, SpanKind::Round, || format!("V2 R{i}"));
+            self.clock += p.t;
+            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
+            self.clock += p.c;
+        }
+        // fault draws: each version-round is exposed independently
+        let mut stopped = false;
+        let mut hit = [false, false];
+        for v in [Victim::V1, Victim::V2] {
+            if self.draw_fault(v, i) {
+                self.corrupt[v.index()] = true;
+                stopped |= self.classify_corruption(v);
+                hit[v.index()] = true;
+            }
+        }
+        self.span(0, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
+        self.clock += p.t_cmp;
+        l.report.time_normal += self.clock - start;
+
+        let drawn = u64::from(hit[0]) + u64::from(hit[1]);
+        if drawn > 0 {
+            // canonical fault note, e.g. `corrupt@v1`, `crash@v2`, `stop@v1+v2`
+            let crash = self.crash.is_some();
+            l.inject(drawn, || {
+                let kind = if stopped {
+                    "stop"
+                } else if crash {
+                    "crash"
+                } else {
+                    "corrupt"
+                };
+                let victims = match hit {
+                    [true, true] => "v1+v2",
+                    [true, false] => "v1",
+                    _ => "v2",
+                };
+                format!("{kind}@{victims}")
+            });
+            // every corruption drawn in a normal round is caught by this
+            // round's own comparison (or the stop watchdog): zero-latency
+            // detection in both the round and sim-time denominations
+            l.report.faults_detected += drawn;
+        }
+
+        let verdict = if stopped {
+            Verdict::Hang
+        } else if self.crash.is_some() {
+            Verdict::Trap
+        } else if self.corrupt[0] || self.corrupt[1] {
+            Verdict::Mismatch
+        } else {
+            Verdict::Match
+        };
+        match verdict {
+            Verdict::Match => {
+                obs_event!(
+                    l.rec, self.clock, "vds", "round",
+                    "round" => u64::from(i), "comparison" => "match",
+                );
+            }
+            Verdict::Trap | Verdict::Mismatch => {
+                obs_event!(
+                    l.rec, self.clock, "vds", "detect",
+                    "round" => u64::from(i),
+                    "v1_corrupt" => self.corrupt[0],
+                    "v2_corrupt" => self.corrupt[1],
+                    "crash_evidence" => self.crash.is_some(),
+                );
+            }
+            Verdict::Hang => {}
+        }
+        Round {
+            verdict,
+            time: self.clock,
+            digests: None,
+            stopped,
+        }
+    }
+
+    /// The abstract engine has no architectural state to hash, so
+    /// per-version digests are synthesised from the versions' logical
+    /// round state (round, committed count, corruption) — fault-free
+    /// versions agree, a corrupted version diverges, exactly like the
+    /// micro digests.
+    fn digests<R: Record>(&self, l: &Ledger<R>, i: u32) -> (Digest128, Digest128) {
+        let committed = l.report.committed_rounds;
+        let dig = |slot: u32, corrupt: bool| {
+            digest_words128(&[
+                i,
+                committed as u32,
+                (committed >> 32) as u32,
+                if corrupt { slot + 1 } else { 0 },
+            ])
+        };
+        (dig(0, self.corrupt[0]), dig(1, self.corrupt[1]))
+    }
+
+    fn sched(&self) -> String {
+        let kind = if self.is_smt() {
+            "coschedule"
+        } else {
+            "alternate"
+        };
+        format!("{kind}[v1,v2]")
+    }
+
+    fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
+        let start = self.clock;
+        self.span(0, self.cfg.checkpoint_cost, SpanKind::Checkpoint, || {
+            "ckpt".to_string()
+        });
+        self.clock += self.cfg.checkpoint_cost;
+        l.report.time_checkpoint += self.clock - start;
+    }
+
+    fn recover<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Recovery {
         let rec_time = self.recovery_time(i);
         self.span(0, rec_time, SpanKind::Retry, || format!("V3 R1..R{i}"));
-        if self.is_smt() && self.rollforward_rounds(i) > 0 {
+        if self.rollforward_rounds(i) > 0 {
             // A zero-length window (⌊i/4⌋ = 0 for i < 4, or i = s) is pure
             // stop-and-retry: the second hardware thread has nothing to
             // execute, so no roll-forward appears on the timeline.
@@ -488,135 +452,72 @@ impl<'a, R: Record> Engine<'a, R> {
             });
         }
         self.clock += rec_time;
+        // (vote time is part of rec_time's 2t'; span is illustrative)
         self.span(0, self.cfg.params.t_cmp, SpanKind::Vote, || {
             "vote".to_string()
         });
-        // (vote time is part of rec_time's 2t'; span is illustrative)
 
         // does a further fault hit the retry (V3 executes i rounds)?
-        let retry_corrupt = self.recovery_corruption(fm, i);
+        let retry_corrupt = self.recovery_corruption(i);
         if retry_corrupt {
-            self.report.faults_injected += 1;
             // a corrupted retry always fails the majority vote below —
             // the fault is detected by the vote itself
-            self.report.faults_detected += 1;
+            l.report.faults_injected += 1;
+            l.report.faults_detected += 1;
         }
-
-        let both_corrupt = self.corrupt[0] && self.corrupt[1];
-        let vote_ok = !retry_corrupt && !both_corrupt;
-
-        let mut progress = 0u32;
-        if vote_ok {
-            self.report.recoveries_ok += 1;
-            // the faulty version (exactly one corrupt flag set)
-            let faulty = if self.corrupt[0] {
-                Victim::V1
-            } else {
-                Victim::V2
-            };
-
-            // round i itself is now confirmed (the vote produced a good
-            // state at round i)
-            self.round_in_interval = i;
-            self.report.committed_rounds += 1;
-
-            // roll-forward resolution
-            let x = self.rollforward_rounds(i);
-            if x > 0 && self.cfg.scheme != Scheme::Conventional {
-                let rf_exec_rounds = match self.cfg.scheme {
-                    Scheme::SmtDeterministic => 4 * x,
-                    Scheme::SmtProbabilistic => 2 * x,
-                    Scheme::SmtPredictive => x,
-                    Scheme::SmtBoosted3 => 2 * x,
-                    Scheme::SmtBoosted5 => 4 * x,
-                    Scheme::Conventional => 0,
-                };
-                let rf_corrupt = self.recovery_corruption(fm, rf_exec_rounds);
-                if rf_corrupt {
-                    self.report.faults_injected += 1;
-                }
-                let hit = if self.cfg.scheme.progress_guaranteed() {
-                    true
-                } else {
-                    self.pick_correct(faulty, predictor)
-                };
-                if self.cfg.scheme.detects_during_rollforward() {
-                    if rf_corrupt {
-                        self.report.rollforward_discards += 1;
-                        // the roll-forward comparison caught it
-                        self.report.faults_detected += 1;
-                    } else if hit {
-                        self.report.rollforward_hits += 1;
-                        progress = x;
-                    } else {
-                        self.report.rollforward_misses += 1;
-                    }
-                } else {
-                    // predictive: no comparisons during roll-forward
-                    if hit {
-                        self.report.rollforward_hits += 1;
-                        progress = x;
-                        if rf_corrupt {
-                            // adopted, and nothing will ever detect it
-                            self.report.silent_corruptions += 1;
-                            self.report.faults_escaped += 1;
-                        }
-                    } else {
-                        self.report.rollforward_misses += 1;
-                        if rf_corrupt {
-                            // the corrupted state was discarded unseen:
-                            // the corruption never entered the system
-                            self.report.faults_masked += 1;
-                        }
-                    }
-                }
-            }
-            self.round_in_interval += progress;
-            self.report.committed_rounds += u64::from(progress);
+        // three different states (or two corrupt versions): no majority
+        let vote_ok = !(retry_corrupt || (self.corrupt[0] && self.corrupt[1]));
+        let progress = if vote_ok {
+            let progress = self.roll_forward(l, i);
             self.corrupt = [false, false];
             self.crash = None;
-            self.consecutive_rollbacks = 0;
-            self.journal_action(JournalAction::Recover, progress);
             obs_event!(
-                self.rec, self.clock, "vds", "recovery",
+                l.rec, self.clock, "vds", "recovery",
                 "round" => u64::from(i),
                 "scheme" => self.cfg.scheme.name(),
                 "rollforward_progress" => u64::from(progress),
             );
-            if self.round_in_interval >= self.cfg.params.s {
-                self.take_checkpoint();
-            }
+            progress
         } else {
-            // three different states (or two corrupt versions): resort to
-            // rollback — every round since the checkpoint is lost.
-            self.report.rollbacks += 1;
-            self.debit_committed(u64::from(i - 1), "rollback");
-            self.round_in_interval = 0;
-            self.corrupt = [false, false];
-            self.crash = None;
-            self.clock += self.cfg.restore_cost;
-            self.consecutive_rollbacks += 1;
-            obs_event!(
-                self.rec, self.clock, "vds", "rollback",
-                "round" => u64::from(i),
-                "rounds_lost" => u64::from(i - 1),
-                "consecutive" => u64::from(self.consecutive_rollbacks),
-            );
-            if self.consecutive_rollbacks > self.cfg.max_consecutive_rollbacks {
-                self.report.shutdown = true;
-                obs_event!(self.rec, self.clock, "vds", "shutdown");
-                self.journal_action(JournalAction::Shutdown, 0);
-            } else {
-                self.journal_action(JournalAction::Rollback, 0);
-            }
-        }
-        self.report.time_recovery += self.clock - start;
-        Incident {
+            0
+        };
+        self.incident = Some(Incident {
             i,
             recovery_time: rec_time,
             progress,
             vote_ok,
+        });
+        if vote_ok {
+            Recovery::Recovered { progress }
+        } else {
+            Recovery::Rollback
         }
+    }
+
+    /// Volatile state is lost; only the stable-storage checkpoint
+    /// survives.
+    fn restore(&mut self) {
+        self.corrupt = [false, false];
+        self.crash = None;
+        self.clock += self.cfg.restore_cost;
+    }
+
+    fn state(&self) {}
+
+    /// Abstract faults are all caught or classified where they strike;
+    /// none is ever left outstanding for the oracle.
+    fn output_correct(&self, _: &(), _: u64) -> bool {
+        true
+    }
+
+    fn export<R: Record>(&mut self, report: &mut RunReport, rec: &mut R) {
+        if self.cfg.record_timeline {
+            if rec.is_active() {
+                self.timeline.export_spans(rec, self.cfg.scheme.name());
+            }
+            report.timeline = Some(std::mem::take(&mut self.timeline));
+        }
+        crate::conformance::export_metrics(rec, "vds", self.cfg, report);
     }
 }
 
@@ -631,29 +532,18 @@ pub fn run(
     run_with_predictor(cfg, fault_model, target_rounds, seed, None)
 }
 
-/// [`run`], recording metrics and a bounded event trace into a fresh
-/// [`Recorder`]: per-round / detection / checkpoint / recovery /
-/// rollback events at simulated time, plus the report mirrored under
-/// `vds.*` and per-phase simulated-time gauges.
-pub fn run_recorded(
+/// [`run`], recording into `rec`: per-round / detection / checkpoint /
+/// recovery / rollback events at simulated time, the report mirrored
+/// under `vds.*` with per-phase simulated-time gauges, and — when the
+/// recorder's flight-recorder journal is enabled — one journal entry per
+/// executed round with synthetic per-version digests.
+pub fn run_with_recorder<R: Record>(
     cfg: &AbstractConfig,
     fault_model: FaultModel,
     target_rounds: u64,
     seed: u64,
-) -> (RunReport, Recorder) {
-    run_engine(cfg, fault_model, target_rounds, seed, None, Recorder::new())
-}
-
-/// [`run`], with a caller-supplied [`Recorder`] (which may have the
-/// flight-recorder journal enabled — every executed round is then
-/// journalled with synthetic per-version digests).
-pub fn run_with_recorder(
-    cfg: &AbstractConfig,
-    fault_model: FaultModel,
-    target_rounds: u64,
-    seed: u64,
-    rec: Recorder,
-) -> (RunReport, Recorder) {
+    rec: R,
+) -> (RunReport, R) {
     run_engine(cfg, fault_model, target_rounds, seed, None, rec)
 }
 
@@ -667,16 +557,9 @@ pub fn run_with_predictor(
     predictor: Option<&mut dyn FaultPredictor>,
 ) -> RunReport {
     // Monomorphized against the zero-sized sink: the uninstrumented
-    // entry points pay nothing for the instrumentation below.
-    run_engine(
-        cfg,
-        fault_model,
-        target_rounds,
-        seed,
-        predictor,
-        NoopRecorder,
-    )
-    .0
+    // entry points pay nothing for the instrumentation.
+    let rec = NoopRecorder;
+    run_engine(cfg, fault_model, target_rounds, seed, predictor, rec).0
 }
 
 fn run_engine<R: Record>(
@@ -684,50 +567,14 @@ fn run_engine<R: Record>(
     fault_model: FaultModel,
     target_rounds: u64,
     seed: u64,
-    mut predictor: Option<&mut dyn FaultPredictor>,
+    predictor: Option<&mut dyn FaultPredictor>,
     rec: R,
 ) -> (RunReport, R) {
     cfg.params.validate();
     assert!((0.0..=1.0).contains(&cfg.p_correct));
-    let mut e = Engine::with_recorder(cfg, seed, rec);
-    // Livelock guard: at high fault rates with a long checkpoint interval,
-    // late-interval recoveries are almost always corrupted themselves and
-    // the system thrashes between roll-backs without ever completing an
-    // interval. A real system's watchdog would declare the mission lost;
-    // we bound the attempts and report a fail-safe shutdown.
-    let max_attempts = 64 * target_rounds + 100_000;
-    let mut attempts = 0u64;
-    while e.report.committed_rounds < target_rounds && !e.report.shutdown {
-        attempts += 1;
-        if attempts > max_attempts {
-            e.report.shutdown = true;
-            break;
-        }
-        match e.normal_round(&fault_model) {
-            None => {
-                if e.round_in_interval >= cfg.params.s {
-                    e.take_checkpoint();
-                    e.journal_action(JournalAction::Checkpoint, 0);
-                }
-            }
-            Some(i) => {
-                e.recover(i, &fault_model, &mut predictor);
-            }
-        }
-        e.journal_finish();
-    }
-    e.report.total_time = e.clock;
-    let mut rec = e.rec;
-    if cfg.record_timeline {
-        if rec.is_active() {
-            e.timeline.export_spans(&mut rec, cfg.scheme.name());
-        }
-        e.report.timeline = Some(e.timeline);
-    }
-    e.report.export_metrics(&mut rec, "vds");
-    crate::conformance::export_metrics(&mut rec, "vds", cfg, &e.report);
-    rec.rollup_spans();
-    (e.report, rec)
+    let backend = Abstract::new(cfg, fault_model, seed, predictor);
+    let (report, (), rec) = Duplex::new(backend, rec).run(target_rounds);
+    (report, rec)
 }
 
 /// Simulate exactly one recovery incident at round `i` (victim fixed,
@@ -745,20 +592,13 @@ pub fn simulate_incident(
         cfg.p_correct = if hit { 1.0 } else { 0.0 };
     }
     let fm = FaultModel::OneShot { round: i, victim };
-    let mut e = Engine::with_recorder(&cfg, 1, NoopRecorder);
-    // advance through the fault-free prefix
+    let mut d = Duplex::new(Abstract::new(&cfg, fm, 1, None), NoopRecorder);
+    // advance through the fault-free prefix up to the incident
     loop {
-        match e.normal_round(&fm) {
-            None => {
-                if e.round_in_interval >= cfg.params.s {
-                    e.take_checkpoint();
-                }
-            }
-            Some(at) => {
-                assert_eq!(at, i, "one-shot fault must be detected at round i");
-                let mut none: Option<&mut dyn FaultPredictor> = None;
-                return e.recover(at, &fm, &mut none);
-            }
+        d.step();
+        if let Some(inc) = d.backend().incident {
+            assert_eq!(inc.i, i, "one-shot fault must be detected at round i");
+            return inc;
         }
     }
 }
@@ -767,6 +607,9 @@ pub fn simulate_incident(
 mod tests {
     use super::*;
     use vds_analytic::timing;
+    use vds_obs::journal::Action as JournalAction;
+    use vds_obs::journal::Verdict as JournalVerdict;
+    use vds_obs::Recorder;
 
     fn cfg(scheme: Scheme) -> AbstractConfig {
         AbstractConfig::new(Params::paper_default(), scheme)
@@ -1148,7 +991,7 @@ mod tests {
     fn recorded_run_mirrors_report_and_traces_events() {
         let c = cfg(Scheme::SmtProbabilistic);
         let fm = FaultModel::PerRound { q: 0.05 };
-        let (r, rec) = run_recorded(&c, fm, 200, 5);
+        let (r, rec) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
         let reg = rec.registry();
         assert_eq!(reg.counter("vds.committed_rounds"), r.committed_rounds);
         assert_eq!(reg.counter("vds.detections"), r.detections);
@@ -1168,7 +1011,7 @@ mod tests {
         assert_eq!(plain.total_time, r.total_time);
         assert_eq!(plain.committed_rounds, r.committed_rounds);
         // and two recorded runs export byte-identical metrics
-        let (_, rec2) = run_recorded(&c, fm, 200, 5);
+        let (_, rec2) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
         assert_eq!(rec.registry().to_csv(), rec2.registry().to_csv());
         assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
     }
@@ -1260,7 +1103,7 @@ mod tests {
         assert_eq!(&parsed, j);
         assert!(parsed.first_divergence(rec2.journal()).is_none());
         // disabled journal stays empty
-        let (_, plain) = run_recorded(&c, fm, 200, 5);
+        let (_, plain) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
         assert!(plain.journal().is_empty());
     }
 }

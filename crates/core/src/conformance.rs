@@ -134,7 +134,7 @@ pub fn export_metrics<R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstract_vds::{run, run_recorded};
+    use crate::abstract_vds::run;
     use crate::config::{FaultModel, Scheme, Victim};
     use vds_analytic::Params;
 
@@ -209,7 +209,9 @@ mod tests {
     #[test]
     fn run_recorded_exports_gauges_and_histogram_but_no_counters() {
         let c = cfg(Scheme::SmtDeterministic);
-        let (_report, rec) = run_recorded(&c, FaultModel::None, 100, 3);
+        let rec = vds_obs::Recorder::new();
+        let (_report, rec) =
+            crate::abstract_vds::run_with_recorder(&c, FaultModel::None, 100, 3, rec);
         let reg = rec.registry();
         assert!(reg.gauge_value("vds.conformance.predicted_g").is_some());
         assert!(reg.gauge_value("vds.conformance.measured_g").is_some());

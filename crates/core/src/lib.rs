@@ -14,7 +14,9 @@
 //! while the first replays — the paper's §3–§4 schemes, all implemented
 //! here, plus the §5 boosted multi-thread variants.
 //!
-//! Two interchangeable execution backends:
+//! Three execution backends, driven by one implementation of the Figures
+//! 2–3 protocol (the crate-private `duplex` module: round, compare,
+//! checkpoint, recover, journal):
 //!
 //! * [`abstract_vds`] — the paper's abstract timing model (`t`, `c`, `t'`,
 //!   `α`, `s`) driven by stochastic fault processes. Fast enough for 10⁶
@@ -40,6 +42,7 @@
 pub mod abstract_vds;
 pub mod config;
 pub mod conformance;
+mod duplex;
 pub mod flowchart;
 pub mod gain;
 pub mod micro_vds;

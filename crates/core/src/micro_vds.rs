@@ -30,15 +30,16 @@
 //! defined comparison-and-exchange states of real virtual duplex systems.
 
 use crate::config::{Scheme, Victim};
+use crate::duplex::{rollforward_window, Backend, Duplex, Ledger, Recovery, Round, StopRule};
 use crate::report::RunReport;
 use crate::workload;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
-use vds_checkpoint::digest::digest_words;
+use vds_checkpoint::digest::{digest_words, StateDigest};
 use vds_fault::model::FaultKind;
-use vds_obs::journal::{Action as JournalAction, RoundEntry, Verdict as JournalVerdict};
+use vds_obs::journal::Verdict;
 use vds_obs::{obs_end_span, obs_event, obs_span, obs_span_on};
-use vds_obs::{NoopRecorder, Record, Recorder};
+use vds_obs::{NoopRecorder, Record};
 use vds_sched::{Machine, ProcId, ProcOutcome};
 use vds_smtsim::core::{CoreConfig, SavedContext, ThreadId, ThreadState};
 use vds_smtsim::program::Program;
@@ -124,7 +125,8 @@ pub struct MicroFault {
 /// Per-round cycle budget guard.
 const ROUND_BUDGET: u64 = 5_000_000;
 
-struct Micro<R> {
+/// The cycle-level SMT platform as a duplex backend.
+struct Micro {
     cfg: MicroConfig,
     m: Machine,
     progs: [Program; 3],
@@ -134,43 +136,11 @@ struct Micro<R> {
     active: [usize; 2],
     spare: usize,
     ckpt_img: Vec<u32>,
-    rounds_since: u32,
     rng: SmallRng,
     fault: Option<MicroFault>,
     fault_pending: bool,
     /// Trap evidence observed in the current round, by active-slot index.
     trap_evidence: Option<usize>,
-    report: RunReport,
-    rec: R,
-    /// Flight-recorder entry for the round in flight; the action and
-    /// committed count are finalised by [`Micro::journal_finish`] once the
-    /// engine loop has decided what to do with the round.
-    pending: Option<RoundEntry>,
-    /// Canonical spec of the fault injected this round, if any.
-    injected_spec: Option<String>,
-    /// Lifecycle state of the injected one-shot fault while no comparison
-    /// has caught it yet; cleared on detection, classified masked/escaped
-    /// at end of run if still set.
-    outstanding: Option<OutstandingFault>,
-    /// Monotonic count of executed normal rounds (never reset by
-    /// checkpoints or rollbacks) — the round-denominated clock that
-    /// detection latency is measured on. Matches the journal's lane-local
-    /// entry ordinals, since every executed round journals one entry.
-    rounds_executed: u64,
-}
-
-/// The injected fault's lifecycle bookkeeping between injection and
-/// detection (or end of run).
-#[derive(Debug, Clone, Copy)]
-struct OutstandingFault {
-    /// [`Micro::rounds_executed`] at injection time.
-    injected_at_exec: u64,
-    /// Machine cycle time at injection.
-    injected_time: f64,
-    /// The injector reported the flip architecturally masked (r0 /
-    /// out-of-range site): no state changed, so the fault can never be
-    /// detected nor corrupt the output.
-    masked_on_arrival: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -180,39 +150,21 @@ struct Seg {
     rounds: u32,
 }
 
-impl Micro<Recorder> {
-    #[cfg(test)]
-    fn new(cfg: MicroConfig, fault: Option<MicroFault>) -> Self {
-        Self::with_recorder(cfg, fault, Recorder::disabled())
-    }
-}
-
-impl<R: Record> Micro<R> {
-    fn with_recorder(cfg: MicroConfig, fault: Option<MicroFault>, rec: R) -> Self {
+impl Micro {
+    fn new(cfg: MicroConfig, fault: Option<MicroFault>, record_windows: bool) -> Self {
         let base = workload::build(cfg.workload_rounds);
-        let progs = if cfg.diversity {
-            [
-                vds_diversity::diversify(&base, 1, cfg.seed),
-                vds_diversity::diversify(&base, 2, cfg.seed),
-                vds_diversity::diversify(&base, 3, cfg.seed),
-            ]
-        } else {
-            [base.clone(), base.clone(), base.clone()]
-        };
-        let entries = [
-            workload::round_entry(&progs[0]),
-            workload::round_entry(&progs[1]),
-            workload::round_entry(&progs[2]),
-        ];
+        let progs = [1, 2, 3].map(|k| {
+            if cfg.diversity {
+                vds_diversity::diversify(&base, k, cfg.seed)
+            } else {
+                base.clone()
+            }
+        });
+        let entries = progs.each_ref().map(workload::round_entry);
         let mut m = Machine::new(cfg.core.clone(), cfg.ctx_switch_cycles);
-        if R::ENABLED && rec.is_active() {
-            m.core_mut().set_window_recording(true);
-        }
-        let procs = [
-            m.spawn("v1", &progs[0], workload::DMEM_WORDS),
-            m.spawn("v2", &progs[1], workload::DMEM_WORDS),
-            m.spawn("v3", &progs[2], workload::DMEM_WORDS),
-        ];
+        m.core_mut().set_window_recording(record_windows);
+        let procs =
+            [0, 1, 2].map(|k| m.spawn(format!("v{}", k + 1), &progs[k], workload::DMEM_WORDS));
         let ckpt_img = progs[0].data.clone();
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0xD1CE);
         Micro {
@@ -224,37 +176,35 @@ impl<R: Record> Micro<R> {
             active: [0, 1],
             spare: 2,
             ckpt_img,
-            rounds_since: 0,
             rng,
             fault,
             fault_pending: fault.is_some(),
             trap_evidence: None,
-            report: RunReport::default(),
-            rec,
-            pending: None,
-            injected_spec: None,
-            outstanding: None,
-            rounds_executed: 0,
         }
     }
 
-    fn canonical(&self, version: usize, img: &[u32]) -> SavedContext {
+    /// Restart `version` from state image `img` via its canonical
+    /// context: zeroed registers, `pc` at the round entry, the image as
+    /// data memory.
+    fn transplant(&mut self, version: usize, img: &[u32]) {
         let mut dmem = img.to_vec();
         dmem.resize(workload::DMEM_WORDS, 0);
-        SavedContext {
+        let ctx = SavedContext {
             regs: [0; 16],
             pc: self.entries[version],
             prog: self.progs[version].clone(),
             dmem,
             state: ThreadState::Ready,
-        }
+        };
+        self.m.preempt(self.procs[version]);
+        self.m.replace_context(self.procs[version], ctx);
     }
 
     fn dmem_of(&self, version: usize) -> Vec<u32> {
         self.m.with_state(self.procs[version], |_, _, d| d.to_vec())
     }
 
-    fn window_digest(img: &[u32]) -> vds_checkpoint::digest::StateDigest {
+    fn window_digest(img: &[u32]) -> StateDigest {
         let w = workload::STATE_WINDOW;
         digest_words(&img[w.start as usize..w.end as usize])
     }
@@ -264,11 +214,9 @@ impl<R: Record> Micro<R> {
     /// the whole mission, so copying the full data memory (as
     /// [`Self::dmem_of`] does) just to hash a small window dominated the
     /// simulation profile at sweep/campaign scale.
-    fn window_digest_of(&self, version: usize) -> vds_checkpoint::digest::StateDigest {
-        let w = workload::STATE_WINDOW;
-        self.m.with_state(self.procs[version], |_, _, d| {
-            digest_words(&d[w.start as usize..w.end as usize])
-        })
+    fn window_digest_of(&self, version: usize) -> StateDigest {
+        self.m
+            .with_state(self.procs[version], |_, _, d| Self::window_digest(d))
     }
 
     /// Charge flat overhead cycles (comparison, checkpoint, vote).
@@ -279,242 +227,48 @@ impl<R: Record> Micro<R> {
     }
 
     /// Inject the pending one-shot fault if this is its round.
-    fn maybe_inject(&mut self, i: u32) {
-        if !self.fault_pending {
-            return;
-        }
-        let Some(f) = self.fault else { return };
-        if f.at_round != i {
-            return;
-        }
+    fn maybe_inject<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) {
+        let f = match self.fault {
+            Some(f) if self.fault_pending && f.at_round == i => f,
+            _ => return,
+        };
         self.fault_pending = false;
-        self.report.faults_injected += 1;
         let version = self.active[f.victim.index()];
-        if self.rec.journal_enabled() {
-            self.injected_spec = Some(format!(
-                "{}@v{}",
-                f.kind.spec_string(),
-                f.victim.index() + 1
-            ));
-        }
+        l.inject(1, || {
+            format!("{}@v{}", f.kind.spec_string(), f.victim.index() + 1)
+        });
         let effect = vds_fault::inject::inject(&mut self.m, self.procs[version], &f.kind);
         let t = self.m.cycles() as f64;
-        self.outstanding = Some(OutstandingFault {
-            injected_at_exec: self.rounds_executed,
-            injected_time: t,
-            masked_on_arrival: effect == vds_fault::inject::InjectionEffect::Masked,
-        });
+        // a masked flip (r0 / out-of-range site) changed no state: it can
+        // never be detected nor corrupt the output
+        l.track_fault(t, effect == vds_fault::inject::InjectionEffect::Masked);
         obs_event!(
-            self.rec, t, "micro", "fault_injected",
+            l.rec, t, "micro", "fault_injected",
             "round" => i, "version" => version,
         );
     }
 
-    /// Stash the flight-recorder entry for round `i`: digests of both
-    /// active versions at the comparison point, the comparator verdict and
-    /// the scheduler decision. The action defaults to `commit`; the engine
-    /// loop (or recovery) upgrades it before [`Micro::journal_finish`].
-    ///
-    /// `digests` lets the comparator hand over the window digests it
-    /// already computed this round; `None` (trap/hang paths, where no
-    /// comparison ran) digests both versions here.
-    fn journal_stash(
-        &mut self,
-        i: u32,
-        sim_time: f64,
-        verdict: JournalVerdict,
-        digests: Option<(vds_obs::Digest128, vds_obs::Digest128)>,
-    ) {
-        if !self.rec.journal_enabled() {
-            return;
-        }
-        let (a, b) = (self.active[0], self.active[1]);
-        let (d1, d2) = match digests {
-            Some(pair) => pair,
-            None => (self.window_digest_of(a), self.window_digest_of(b)),
-        };
-        let sched = if self.cfg.scheme == Scheme::Conventional {
-            format!("alternate[v{},v{}]", a + 1, b + 1)
-        } else {
-            format!("coschedule[v{},v{}]", a + 1, b + 1)
-        };
-        let fault = self.injected_spec.take();
-        // micro runs inject at most one fault, so its lane-local fault id
-        // is always 0
-        let fault_id = fault.as_ref().map(|_| 0);
-        self.pending = Some(RoundEntry {
-            seq: 0,
-            lane: 0,
-            round: u64::from(i),
-            committed: 0,
-            sim_time,
-            d1,
-            d2,
-            verdict,
-            sched,
-            action: JournalAction::Commit,
-            rollforward: 0,
-            fault,
-            fault_id,
-            fault_outcome: None,
-        });
-    }
-
-    /// Credit a comparison/trap detection at time `t` to the outstanding
-    /// injected fault, closing its latency window.
-    fn note_detection(&mut self, t: f64) {
-        if let Some(o) = self.outstanding.take() {
-            self.report.faults_detected += 1;
-            self.report.detect_latency_rounds_sum += self.rounds_executed - o.injected_at_exec;
-            self.report.detect_latency_time_sum += t - o.injected_time;
-        }
-    }
-
-    /// Upgrade the pending journal entry's action (checkpoint, recovery,
-    /// rollback, shutdown).
-    fn journal_action(&mut self, action: JournalAction, rollforward: u32) {
-        if let Some(p) = self.pending.as_mut() {
-            p.action = action;
-            p.rollforward = rollforward;
-        }
-    }
-
-    /// Finalise and push the pending journal entry with the post-action
-    /// committed-round count.
-    fn journal_finish(&mut self) {
-        if let Some(mut p) = self.pending.take() {
-            p.committed = self.report.committed_rounds;
-            self.rec.journal_push(p);
-        }
-    }
-
-    /// Run one normal round of the active pair. Returns `Some(i)` on a
-    /// detection (mismatch or trap) at round `i`.
-    fn normal_round(&mut self) -> Option<u32> {
-        let i = self.rounds_since + 1;
-        self.rounds_executed += 1;
-        self.trap_evidence = None;
-        let start_cycles = self.m.cycles();
-        let round_g = obs_span!(self.rec, "micro", "round", start_cycles as f64);
-        let (a, b) = (self.active[0], self.active[1]);
-
-        // the injected fault lands "during" the round: before execution,
-        // so crashes and text corruption manifest in this round
-        self.maybe_inject(i);
-
-        // A version that exhausts the round cycle budget has hung (e.g. a
-        // program-memory fault turned its loop infinite); a real VDS
-        // detects this with a watchdog timer. Treat it like a crash:
-        // detection with evidence, and preempt the hung process so
-        // recovery can rebuild it.
-        let mut hung: Vec<usize> = Vec::new();
-        if self.cfg.scheme == Scheme::Conventional {
-            // both versions complete their round even if the other
-            // trapped, so the vote compares states at a common round
-            for (slot, v) in [(0usize, a), (1usize, b)] {
-                if self.trap_evidence == Some(slot) {
-                    continue;
-                }
-                let g = obs_span!(self.rec, "micro", "compute", self.m.cycles() as f64);
-                self.m.dispatch(self.procs[v], ThreadId(0));
-                match self.m.run_hw_until_block(ThreadId(0), ROUND_BUDGET) {
-                    ProcOutcome::Yielded => {}
-                    ProcOutcome::Trapped(_) => {
-                        self.trap_evidence = Some(slot);
-                    }
-                    ProcOutcome::Budget => {
-                        hung.push(slot);
-                        self.m.preempt(self.procs[v]);
-                    }
-                    other => panic!("normal round: unexpected {other:?}"),
-                }
-                obs_end_span!(self.rec, g, self.m.cycles() as f64, "version" => v);
-            }
-        } else {
-            let g0 = obs_span_on!(self.rec, 0, "micro", "compute", self.m.cycles() as f64);
-            let g1 = obs_span_on!(self.rec, 1, "micro", "compute", self.m.cycles() as f64);
-            self.m.dispatch(self.procs[a], ThreadId(0));
-            self.m.dispatch(self.procs[b], ThreadId(1));
-            let outs = self.m.run_all_until_block(ROUND_BUDGET);
-            let t_done = self.m.cycles() as f64;
-            obs_end_span!(self.rec, g0, t_done, "version" => a);
-            obs_end_span!(self.rec, g1, t_done, "version" => b);
-            for (slot, hw) in [(0usize, 0usize), (1, 1)] {
-                match outs[hw] {
-                    Some(ProcOutcome::Yielded) => {}
-                    Some(ProcOutcome::Trapped(_)) => {
-                        self.trap_evidence = Some(slot);
-                    }
-                    Some(ProcOutcome::Budget) | None => {
-                        hung.push(slot);
-                        self.m.preempt(self.procs[self.active[slot]]);
-                    }
-                    other => panic!("normal round: unexpected {other:?}"),
-                }
+    /// Book one active version's round outcome: trap evidence, or a hang
+    /// (preempted so recovery can rebuild it).
+    fn book_outcome(&mut self, slot: usize, out: Option<ProcOutcome>, hung: &mut Vec<usize>) {
+        match out {
+            Some(ProcOutcome::Yielded) => {}
+            Some(ProcOutcome::Trapped(_) | ProcOutcome::Halted) => self.trap_evidence = Some(slot),
+            Some(ProcOutcome::Budget) | None => {
+                hung.push(slot);
+                self.m.preempt(self.procs[self.active[slot]]);
             }
         }
-        if hung.len() == 1 && self.trap_evidence.is_none() {
-            self.trap_evidence = Some(hung[0]);
-        }
-        self.report.time_normal += (self.m.cycles() - start_cycles) as f64;
-
-        // comparison
-        let cmp_g = obs_span!(self.rec, "micro", "compare", self.m.cycles() as f64);
-        self.burn(self.cfg.cmp_cycles);
-        self.report.time_normal += f64::from(self.cfg.cmp_cycles);
-        let t = self.m.cycles() as f64;
-        obs_end_span!(self.rec, cmp_g, t);
-        if self.trap_evidence.is_some() || !hung.is_empty() {
-            self.report.detections += 1;
-            let verdict = if hung.is_empty() {
-                JournalVerdict::Trap
-            } else {
-                JournalVerdict::Hang
-            };
-            self.note_detection(t);
-            self.journal_stash(i, t, verdict, None);
-            obs_event!(self.rec, t, "micro", "detect", "round" => i, "evidence" => "trap");
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "detect");
-            return Some(i);
-        }
-        let da = self.window_digest_of(a);
-        let db = self.window_digest_of(b);
-        if da != db {
-            self.report.detections += 1;
-            self.note_detection(t);
-            self.journal_stash(i, t, JournalVerdict::Mismatch, Some((da, db)));
-            obs_event!(self.rec, t, "micro", "detect", "round" => i, "evidence" => "mismatch");
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "detect");
-            Some(i)
-        } else {
-            self.rounds_since = i;
-            self.report.committed_rounds += 1;
-            self.journal_stash(i, t, JournalVerdict::Match, Some((da, db)));
-            obs_event!(self.rec, t, "micro", "round", "round" => i, "comparison" => "match");
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "commit");
-            None
-        }
-    }
-
-    fn take_checkpoint(&mut self) {
-        let g = obs_span!(self.rec, "micro", "checkpoint", self.m.cycles() as f64);
-        self.burn(self.cfg.ckpt_cycles);
-        obs_end_span!(self.rec, g, self.m.cycles() as f64);
-        self.report.time_checkpoint += f64::from(self.cfg.ckpt_cycles);
-        self.ckpt_img = self.dmem_of(self.active[0]);
-        self.rounds_since = 0;
-        self.report.checkpoints += 1;
-        let t = self.m.cycles() as f64;
-        obs_event!(self.rec, t, "micro", "checkpoint", "number" => self.report.checkpoints);
     }
 
     /// Run a list of named segments plans, one per hardware thread,
-    /// collecting each segment's end image. `Err(())` on a trap. Each
-    /// plan is recorded as a span (`"retry"` / `"rollforward"`) on its
-    /// hardware thread's lane.
+    /// collecting each segment's end image. `Err(())` on a trap, halt or
+    /// hang. Each plan is recorded as a span (`"retry"` /
+    /// `"rollforward"`) on its hardware thread's lane.
     #[allow(clippy::type_complexity)]
-    fn run_segments_parallel(
+    fn run_segments_parallel<R: Record>(
         &mut self,
+        rec: &mut R,
         plans: Vec<(ThreadId, &'static str, Vec<Seg>)>,
     ) -> Vec<Result<Vec<Vec<u32>>, ()>> {
         struct PlanState {
@@ -533,7 +287,7 @@ impl<R: Record> Micro<R> {
                     None
                 } else {
                     Some(obs_span_on!(
-                        self.rec,
+                        rec,
                         hw.0 as u32,
                         "micro",
                         name,
@@ -555,9 +309,7 @@ impl<R: Record> Micro<R> {
         // start the first segment of every plan
         for st in &mut states {
             if let Some(seg) = st.segs.first() {
-                let ctx = self.canonical(seg.version, &seg.start_img);
-                self.m.preempt(self.procs[seg.version]);
-                self.m.replace_context(self.procs[seg.version], ctx);
+                self.transplant(seg.version, &seg.start_img);
                 self.m.dispatch(self.procs[seg.version], st.hw);
             }
         }
@@ -583,19 +335,19 @@ impl<R: Record> Micro<R> {
                             st.idx += 1;
                             st.done_rounds = 0;
                             if let Some(next) = st.segs.get(st.idx) {
-                                let ctx = self.canonical(next.version, &next.start_img);
-                                self.m.preempt(self.procs[next.version]);
-                                self.m.replace_context(self.procs[next.version], ctx);
+                                self.transplant(next.version, &next.start_img);
                                 self.m.dispatch(self.procs[next.version], st.hw);
                             } else if let Some(g) = st.guard.take() {
-                                obs_end_span!(self.rec, g, self.m.cycles() as f64);
+                                obs_end_span!(rec, g, self.m.cycles() as f64);
                             }
                         } else {
                             // next round of the same segment
                             self.m.dispatch(self.procs[seg_version], st.hw);
                         }
                     }
-                    Some(ProcOutcome::Trapped(_)) => {
+                    // a version that halts (a corrupted branch ran off
+                    // its round loop) fails its plan like a trap
+                    Some(ProcOutcome::Trapped(_) | ProcOutcome::Halted) => {
                         st.failed = true;
                     }
                     Some(ProcOutcome::Budget) => {
@@ -605,11 +357,10 @@ impl<R: Record> Micro<R> {
                         st.failed = true;
                     }
                     None => {} // nothing resident on this hw anymore
-                    other => panic!("segment run: unexpected {other:?}"),
                 }
                 if st.failed {
                     if let Some(g) = st.guard.take() {
-                        obs_end_span!(self.rec, g, self.m.cycles() as f64, "outcome" => "failed");
+                        obs_end_span!(rec, g, self.m.cycles() as f64, "outcome" => "failed");
                     }
                 }
             }
@@ -617,7 +368,7 @@ impl<R: Record> Micro<R> {
         let end = self.m.cycles() as f64;
         for st in &mut states {
             if let Some(g) = st.guard.take() {
-                obs_end_span!(self.rec, g, end);
+                obs_end_span!(rec, g, end);
             }
         }
         states
@@ -645,16 +396,241 @@ impl<R: Record> Micro<R> {
         }
     }
 
-    /// Recovery for a detection at round `i`.
-    fn recover(&mut self, i: u32) {
+    /// The scheme's roll-forward plans for a detection with window `x`,
+    /// starting from the pre-detection states `p_img` / `q_img` of the
+    /// active pair and the picked state `guess_img`.
+    fn rollforward_plans(
+        &self,
+        x: u32,
+        p_img: &[u32],
+        q_img: &[u32],
+        guess_slot: usize,
+    ) -> Vec<(ThreadId, &'static str, Vec<Seg>)> {
+        let (a, b) = (self.active[0], self.active[1]);
+        let guess_img = if guess_slot == 0 { p_img } else { q_img };
+        let seg = |version: usize, img: &[u32]| Seg {
+            version,
+            start_img: img.to_vec(),
+            rounds: x,
+        };
+        let rf = |hw: usize, segs: Vec<Seg>| (ThreadId(hw), "rollforward", segs);
+        match self.cfg.scheme {
+            Scheme::SmtProbabilistic => {
+                vec![rf(1, vec![seg(b, guess_img), seg(a, guess_img)])]
+            }
+            Scheme::SmtDeterministic => vec![rf(
+                1,
+                vec![seg(b, p_img), seg(a, p_img), seg(a, q_img), seg(b, q_img)],
+            )],
+            Scheme::SmtPredictive => vec![rf(1, vec![seg(self.active[guess_slot], guess_img)])],
+            // §5: versions 1 and 2 roll forward a full i rounds each, in
+            // their own hardware threads, from the picked state —
+            // detection retained via T = U
+            Scheme::SmtBoosted3 => vec![
+                rf(1, vec![seg(a, guess_img)]),
+                rf(2, vec![seg(b, guess_img)]),
+            ],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Resolve the roll-forward plans' end images against the vote:
+    /// returns the adopted state, if any, booking hits, misses and
+    /// discards.
+    fn resolve_rollforward(
+        &self,
+        r: &mut RunReport,
+        rf: &[Result<Vec<Vec<u32>>, ()>],
+        good_slot: usize,
+        guess_slot: usize,
+    ) -> Option<Vec<u32>> {
+        let picked_good = guess_slot == good_slot;
+        // two versions that rolled forward from the same start agree (T =
+        // U): adopt on a good pick, else a miss; disagreement discards
+        let agree = |r: &mut RunReport, t: &Vec<u32>, u: &Vec<u32>, picked_good: bool| {
+            if Self::window_digest(t) != Self::window_digest(u) {
+                r.rollforward_discards += 1;
+                None
+            } else if picked_good {
+                r.rollforward_hits += 1;
+                Some(t.clone())
+            } else {
+                r.rollforward_misses += 1;
+                None
+            }
+        };
+        match (self.cfg.scheme, rf) {
+            // two parallel single-segment plans: T from thread 1, U from 2
+            (Scheme::SmtBoosted3, [Ok(t), Ok(u)]) if t.len() == 1 && u.len() == 1 => {
+                agree(r, &t[0], &u[0], picked_good)
+            }
+            (Scheme::SmtProbabilistic, [Ok(im)]) if im.len() == 2 => {
+                agree(r, &im[0], &im[1], picked_good)
+            }
+            // images: T (v2 from P), U (v1 from P), V (v1 from Q), W (v2
+            // from Q); the pair started from the good state decides
+            (Scheme::SmtDeterministic, [Ok(im)]) if im.len() == 4 => {
+                let k = 2 * good_slot;
+                agree(r, &im[k], &im[k + 1], true)
+            }
+            (Scheme::SmtPredictive, [Ok(im)]) if im.len() == 1 => {
+                if picked_good {
+                    r.rollforward_hits += 1;
+                    Some(im[0].clone())
+                } else {
+                    r.rollforward_misses += 1;
+                    None
+                }
+            }
+            // a trap/hang in a roll-forward thread discards it
+            (Scheme::SmtBoosted3, _) | (_, [Err(())]) => {
+                r.rollforward_discards += 1;
+                None
+            }
+            _ => None,
+        }
+    }
+}
+
+impl Backend for Micro {
+    const COMPONENT: &'static str = "micro";
+    const SPANS: bool = true;
+    type State = Vec<u32>;
+
+    fn interval(&self) -> u32 {
+        self.cfg.s
+    }
+
+    /// Fail-safe watchdog: a *permanent* fault in a shared functional
+    /// unit corrupts every round of every version — detectable
+    /// (diversity!) but not tolerable on a single processor. When the
+    /// system stops making forward progress it shuts down fail-safe,
+    /// exactly as the paper's flow charts terminate.
+    fn stop_rule(&self) -> StopRule {
+        StopRule::Stall
+    }
+
+    fn now(&self) -> f64 {
+        self.m.cycles() as f64
+    }
+
+    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
+        self.trap_evidence = None;
         let start_cycles = self.m.cycles();
-        let recovery_g = obs_span!(self.rec, "micro", "recovery", start_cycles as f64);
+        let round_g = obs_span!(l.rec, "micro", "round", start_cycles as f64);
+        let (a, b) = (self.active[0], self.active[1]);
+
+        // the injected fault lands "during" the round: before execution,
+        // so crashes and text corruption manifest in this round
+        self.maybe_inject(l, i);
+
+        // A version that exhausts the round cycle budget has hung (e.g. a
+        // program-memory fault turned its loop infinite); a real VDS
+        // detects this with a watchdog timer. Treat it like a crash:
+        // detection with evidence. A version that halts instead of
+        // yielding (a corrupted branch ran off its round loop) is trap
+        // evidence too.
+        let mut hung: Vec<usize> = Vec::new();
+        if self.cfg.scheme == Scheme::Conventional {
+            // both versions complete their round even if the other
+            // trapped, so the vote compares states at a common round
+            for (slot, v) in [(0usize, a), (1usize, b)] {
+                if self.trap_evidence == Some(slot) {
+                    continue;
+                }
+                let g = obs_span!(l.rec, "micro", "compute", self.m.cycles() as f64);
+                self.m.dispatch(self.procs[v], ThreadId(0));
+                let out = self.m.run_hw_until_block(ThreadId(0), ROUND_BUDGET);
+                self.book_outcome(slot, Some(out), &mut hung);
+                obs_end_span!(l.rec, g, self.m.cycles() as f64, "version" => v);
+            }
+        } else {
+            let g0 = obs_span_on!(l.rec, 0, "micro", "compute", self.m.cycles() as f64);
+            let g1 = obs_span_on!(l.rec, 1, "micro", "compute", self.m.cycles() as f64);
+            self.m.dispatch(self.procs[a], ThreadId(0));
+            self.m.dispatch(self.procs[b], ThreadId(1));
+            let outs = self.m.run_all_until_block(ROUND_BUDGET);
+            let t_done = self.m.cycles() as f64;
+            obs_end_span!(l.rec, g0, t_done, "version" => a);
+            obs_end_span!(l.rec, g1, t_done, "version" => b);
+            for slot in [0usize, 1] {
+                self.book_outcome(slot, outs[slot], &mut hung);
+            }
+        }
+        if hung.len() == 1 && self.trap_evidence.is_none() {
+            self.trap_evidence = Some(hung[0]);
+        }
+        l.report.time_normal += (self.m.cycles() - start_cycles) as f64;
+
+        // comparison
+        let cmp_g = obs_span!(l.rec, "micro", "compare", self.m.cycles() as f64);
+        self.burn(self.cfg.cmp_cycles);
+        l.report.time_normal += f64::from(self.cfg.cmp_cycles);
+        let t = self.m.cycles() as f64;
+        obs_end_span!(l.rec, cmp_g, t);
+        let (verdict, digests) = if self.trap_evidence.is_some() || !hung.is_empty() {
+            obs_event!(l.rec, t, "micro", "detect", "round" => i, "evidence" => "trap");
+            let v = if hung.is_empty() {
+                Verdict::Trap
+            } else {
+                Verdict::Hang
+            };
+            (v, None)
+        } else {
+            let (da, db) = (self.window_digest_of(a), self.window_digest_of(b));
+            if da != db {
+                obs_event!(l.rec, t, "micro", "detect", "round" => i, "evidence" => "mismatch");
+                (Verdict::Mismatch, Some((da, db)))
+            } else {
+                obs_event!(l.rec, t, "micro", "round", "round" => i, "comparison" => "match");
+                (Verdict::Match, Some((da, db)))
+            }
+        };
+        let outcome = if verdict == Verdict::Match {
+            "commit"
+        } else {
+            "detect"
+        };
+        obs_end_span!(l.rec, round_g, t, "round" => i, "outcome" => outcome);
+        Round {
+            verdict,
+            time: t,
+            digests,
+            stopped: false,
+        }
+    }
+
+    fn digests<R: Record>(&self, _: &Ledger<R>, _: u32) -> (StateDigest, StateDigest) {
+        (
+            self.window_digest_of(self.active[0]),
+            self.window_digest_of(self.active[1]),
+        )
+    }
+
+    fn sched(&self) -> String {
+        let kind = if self.cfg.scheme == Scheme::Conventional {
+            "alternate"
+        } else {
+            "coschedule"
+        };
+        format!("{kind}[v{},v{}]", self.active[0] + 1, self.active[1] + 1)
+    }
+
+    fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
+        let g = obs_span!(l.rec, "micro", "checkpoint", self.m.cycles() as f64);
+        self.burn(self.cfg.ckpt_cycles);
+        obs_end_span!(l.rec, g, self.m.cycles() as f64);
+        l.report.time_checkpoint += f64::from(self.cfg.ckpt_cycles);
+        self.ckpt_img = self.dmem_of(self.active[0]);
+    }
+
+    fn recover<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Recovery {
         let (a, b) = (self.active[0], self.active[1]);
         self.m.preempt(self.procs[a]);
         self.m.preempt(self.procs[b]);
         let p_img = self.dmem_of(a);
         let q_img = self.dmem_of(b);
-        let x = (self.cfg.scheme.rollforward_intent(i).floor() as u32).min(self.cfg.s - i);
+        let x = rollforward_window(self.cfg.scheme, i, self.cfg.s);
         // Only schemes that actually gamble on a state draw a pick, and
         // only for a non-zero window: a zero-length roll-forward
         // (⌊i/4⌋ = 0 at i < 4, or i = s) is pure stop-and-retry and must
@@ -671,402 +647,122 @@ impl<R: Record> Micro<R> {
         } else {
             0
         };
-        let guess_img = if guess_slot == 0 { &p_img } else { &q_img };
 
-        let retry_plan = vec![Seg {
+        let retry = Seg {
             version: self.spare,
             start_img: self.ckpt_img.clone(),
             rounds: i,
-        }];
-
-        let mut plans = vec![(ThreadId(0), "retry", retry_plan)];
-        if self.cfg.scheme != Scheme::Conventional && x > 0 {
-            match self.cfg.scheme {
-                Scheme::SmtProbabilistic => plans.push((
-                    ThreadId(1),
-                    "rollforward",
-                    vec![
-                        Seg {
-                            version: b,
-                            start_img: guess_img.clone(),
-                            rounds: x,
-                        },
-                        Seg {
-                            version: a,
-                            start_img: guess_img.clone(),
-                            rounds: x,
-                        },
-                    ],
-                )),
-                Scheme::SmtDeterministic => plans.push((
-                    ThreadId(1),
-                    "rollforward",
-                    vec![
-                        Seg {
-                            version: b,
-                            start_img: p_img.clone(),
-                            rounds: x,
-                        },
-                        Seg {
-                            version: a,
-                            start_img: p_img.clone(),
-                            rounds: x,
-                        },
-                        Seg {
-                            version: a,
-                            start_img: q_img.clone(),
-                            rounds: x,
-                        },
-                        Seg {
-                            version: b,
-                            start_img: q_img.clone(),
-                            rounds: x,
-                        },
-                    ],
-                )),
-                Scheme::SmtPredictive => plans.push((
-                    ThreadId(1),
-                    "rollforward",
-                    vec![Seg {
-                        version: self.active[guess_slot],
-                        start_img: guess_img.clone(),
-                        rounds: x,
-                    }],
-                )),
-                Scheme::SmtBoosted3 => {
-                    // §5: versions 1 and 2 roll forward a full i rounds
-                    // each, in their own hardware threads, from the
-                    // picked state — detection retained via T = U
-                    plans.push((
-                        ThreadId(1),
-                        "rollforward",
-                        vec![Seg {
-                            version: a,
-                            start_img: guess_img.clone(),
-                            rounds: x,
-                        }],
-                    ));
-                    plans.push((
-                        ThreadId(2),
-                        "rollforward",
-                        vec![Seg {
-                            version: b,
-                            start_img: guess_img.clone(),
-                            rounds: x,
-                        }],
-                    ));
-                }
-                _ => unreachable!(),
-            }
+        };
+        let mut plans = vec![(ThreadId(0), "retry", vec![retry])];
+        if x > 0 {
+            plans.extend(self.rollforward_plans(x, &p_img, &q_img, guess_slot));
         }
-
-        let mut results = self.run_segments_parallel(plans);
+        let mut results = self.run_segments_parallel(&mut l.rec, plans);
         let retry_result = results.remove(0);
-        let rf_results = results; // 0, 1 or 2 roll-forward plans
 
         // majority vote
-        let vote_g = obs_span!(self.rec, "micro", "vote", self.m.cycles() as f64);
+        let vote_g = obs_span!(l.rec, "micro", "vote", self.m.cycles() as f64);
         self.burn(2 * self.cfg.cmp_cycles);
-        obs_end_span!(self.rec, vote_g, self.m.cycles() as f64);
-
-        let vote = match &retry_result {
-            Err(()) => None, // fault (trap) during retry
-            Ok(images) => {
-                let s_img = images.last().expect("retry end image");
-                let ds = Self::window_digest(s_img);
-                if ds == Self::window_digest(&p_img) {
-                    Some((1usize, s_img.clone())) // V2 (slot 1) faulty
-                } else if ds == Self::window_digest(&q_img) {
-                    Some((0usize, s_img.clone()))
-                } else {
-                    None
-                }
+        obs_end_span!(l.rec, vote_g, self.m.cycles() as f64);
+        let vote = retry_result.ok().and_then(|images| {
+            let s_img = images.into_iter().last().expect("retry end image");
+            let ds = Self::window_digest(&s_img);
+            if ds == Self::window_digest(&p_img) {
+                Some((1usize, s_img)) // V2 (slot 1) faulty
+            } else if ds == Self::window_digest(&q_img) {
+                Some((0usize, s_img))
+            } else {
+                None // three differing states (or a trap during retry)
             }
+        });
+        let Some((faulty_slot, s_img)) = vote else {
+            return Recovery::Rollback;
         };
+        let good_slot = 1 - faulty_slot;
+        let adopted = if x > 0 {
+            self.resolve_rollforward(&mut l.report, &results, good_slot, guess_slot)
+        } else {
+            None
+        };
+        let progress = if adopted.is_some() { x } else { 0 };
+        // the replay state S and the good state agree: without adopted
+        // roll-forward progress, resume from S
+        let resume_img = adopted.unwrap_or(s_img);
 
-        match vote {
-            Some((faulty_slot, s_img)) => {
-                self.report.recoveries_ok += 1;
-                let good_slot = 1 - faulty_slot;
-                let good_version = self.active[good_slot];
-                let faulty_version = self.active[faulty_slot];
-                let good_img = if good_slot == 0 { &p_img } else { &q_img };
-
-                // resolve the roll-forward
-                let mut progress = 0u32;
-                let mut adopted: Option<Vec<u32>> = None;
-                if x > 0 && self.cfg.scheme == Scheme::SmtBoosted3 {
-                    // two parallel single-segment plans: T from thread 1,
-                    // U from thread 2
-                    match (rf_results.first(), rf_results.get(1)) {
-                        (Some(Ok(ia)), Some(Ok(ib))) if ia.len() == 1 && ib.len() == 1 => {
-                            let (t, u) = (&ia[0], &ib[0]);
-                            let picked_good = guess_slot == good_slot;
-                            if Self::window_digest(t) != Self::window_digest(u) {
-                                self.report.rollforward_discards += 1;
-                            } else if picked_good {
-                                self.report.rollforward_hits += 1;
-                                progress = x;
-                                adopted = Some(t.clone());
-                            } else {
-                                self.report.rollforward_misses += 1;
-                            }
-                        }
-                        _ => {
-                            // a trap/hang in either roll-forward thread
-                            self.report.rollforward_discards += 1;
-                        }
-                    }
-                } else if x > 0 && self.cfg.scheme != Scheme::Conventional {
-                    let rf_result = rf_results.into_iter().next();
-                    match (self.cfg.scheme, rf_result) {
-                        (Scheme::SmtProbabilistic, Some(Ok(images))) if images.len() == 2 => {
-                            let t = &images[0];
-                            let u = &images[1];
-                            let picked_good = guess_slot == good_slot;
-                            if Self::window_digest(t) != Self::window_digest(u) {
-                                self.report.rollforward_discards += 1;
-                            } else if picked_good {
-                                self.report.rollforward_hits += 1;
-                                progress = x;
-                                adopted = Some(t.clone());
-                            } else {
-                                self.report.rollforward_misses += 1;
-                            }
-                        }
-                        (Scheme::SmtDeterministic, Some(Ok(images))) if images.len() == 4 => {
-                            // images: T (v2 from P), U (v1 from P),
-                            //         V (v1 from Q), W (v2 from Q)
-                            let (first, second) = if good_slot == 0 {
-                                (&images[0], &images[1]) // pair from P
-                            } else {
-                                (&images[2], &images[3]) // pair from Q
-                            };
-                            if Self::window_digest(first) == Self::window_digest(second) {
-                                self.report.rollforward_hits += 1;
-                                progress = x;
-                                adopted = Some(first.clone());
-                            } else {
-                                self.report.rollforward_discards += 1;
-                            }
-                        }
-                        (Scheme::SmtPredictive, Some(Ok(images))) if images.len() == 1 => {
-                            if guess_slot == good_slot {
-                                self.report.rollforward_hits += 1;
-                                progress = x;
-                                adopted = Some(images[0].clone());
-                            } else {
-                                self.report.rollforward_misses += 1;
-                            }
-                        }
-                        (_, Some(Err(()))) => {
-                            // trap during roll-forward: discard it
-                            self.report.rollforward_discards += 1;
-                        }
-                        _ => {}
-                    }
-                }
-
-                // form the new VDS: the fault-free version plus the spare
-                let resume_img = adopted.unwrap_or_else(|| {
-                    if progress > 0 {
-                        unreachable!()
-                    }
-                    // the replay state and the good state agree; use S
-                    let _ = good_img;
-                    s_img
-                });
-                let old_spare = self.spare;
-                self.spare = faulty_version;
-                self.active = [good_version, old_spare];
-                for v in self.active {
-                    let ctx = self.canonical(v, &resume_img);
-                    self.m.preempt(self.procs[v]);
-                    self.m.replace_context(self.procs[v], ctx);
-                }
-                self.rounds_since = i + progress;
-                self.report.committed_rounds += 1 + u64::from(progress);
-                self.journal_action(JournalAction::Recover, progress);
-                let t = self.m.cycles() as f64;
-                obs_event!(
-                    self.rec, t, "micro", "recovery",
-                    "round" => i,
-                    "scheme" => self.cfg.scheme.name(),
-                    "rollforward_progress" => progress,
-                );
-                if self.rounds_since >= self.cfg.s {
-                    self.take_checkpoint();
-                }
-            }
-            None => {
-                // three differing states: resort to rollback
-                self.journal_action(JournalAction::Rollback, 0);
-                self.report.rollbacks += 1;
-                // An underflow here would mean a double-billed rollback;
-                // refuse to clamp it silently (see the abstract engine).
-                match self.report.committed_rounds.checked_sub(u64::from(i - 1)) {
-                    Some(v) => self.report.committed_rounds = v,
-                    None => {
-                        debug_assert!(
-                            false,
-                            "committed_rounds underflow: {} - {} during rollback",
-                            self.report.committed_rounds,
-                            i - 1
-                        );
-                        vds_obs::log_error!(
-                            "core.micro",
-                            "committed_rounds underflow: {} - {} during rollback",
-                            self.report.committed_rounds,
-                            i - 1
-                        );
-                        self.report.committed_rounds = 0;
-                    }
-                }
-                self.rounds_since = 0;
-                let t = self.m.cycles() as f64;
-                obs_event!(
-                    self.rec, t, "micro", "rollback",
-                    "round" => i, "rounds_lost" => i - 1,
-                );
-                let img = self.ckpt_img.clone();
-                for slot in [0usize, 1] {
-                    let v = self.active[slot];
-                    let ctx = self.canonical(v, &img);
-                    self.m.preempt(self.procs[v]);
-                    self.m.replace_context(self.procs[v], ctx);
-                }
-            }
+        // form the new VDS: the fault-free version plus the spare
+        let good_version = self.active[good_slot];
+        let old_spare = self.spare;
+        self.spare = self.active[faulty_slot];
+        self.active = [good_version, old_spare];
+        for v in self.active {
+            self.transplant(v, &resume_img);
         }
-        self.trap_evidence = None;
-        self.report.time_recovery += (self.m.cycles() - start_cycles) as f64;
-        obs_end_span!(self.rec, recovery_g, self.m.cycles() as f64, "round" => i);
+        obs_event!(
+            l.rec, self.m.cycles() as f64, "micro", "recovery",
+            "round" => i,
+            "scheme" => self.cfg.scheme.name(),
+            "rollforward_progress" => progress,
+        );
+        Recovery::Recovered { progress }
+    }
+
+    fn restore(&mut self) {
+        let img = self.ckpt_img.clone();
+        for slot in [0usize, 1] {
+            self.transplant(self.active[slot], &img);
+        }
+    }
+
+    fn state(&self) -> Vec<u32> {
+        self.dmem_of(self.active[0])
+    }
+
+    /// Output correct (corruption overwritten or architecturally masked)
+    /// → masked; wrong and undetected → escaped (silent data corruption).
+    fn output_correct(&self, img: &Vec<u32>, committed: u64) -> bool {
+        let (k, state) = workload::oracle(committed as u32);
+        let window = &img[workload::ADDR_STATE as usize
+            ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize];
+        img[workload::ADDR_ROUND as usize] == k && window == &state[..]
+    }
+
+    fn export<R: Record>(&mut self, _: &mut RunReport, rec: &mut R) {
+        self.m.core().export_metrics(rec);
+        self.m.core().export_spans(rec);
     }
 }
 
 /// Run a micro VDS until `target_rounds` rounds are committed.
 pub fn run_micro(cfg: &MicroConfig, fault: Option<MicroFault>, target_rounds: u64) -> RunReport {
-    run_micro_with_state(cfg, fault, target_rounds).0
-}
-
-/// [`run_micro`], additionally returning the final data-memory image of
-/// the first active version (for output-correctness audits against
-/// [`crate::workload::oracle`]).
-pub fn run_micro_with_state(
-    cfg: &MicroConfig,
-    fault: Option<MicroFault>,
-    target_rounds: u64,
-) -> (RunReport, Vec<u32>) {
     // Monomorphized against the zero-sized sink: the uninstrumented
-    // entry point pays nothing for the instrumentation below.
-    let (report, img, _) = run_micro_engine(cfg, fault, target_rounds, NoopRecorder);
-    (report, img)
+    // entry point pays nothing for the instrumentation.
+    run_micro_with_recorder(cfg, fault, target_rounds, NoopRecorder).0
 }
 
-/// [`run_micro`], recording metrics and a bounded event trace: round /
-/// detection / checkpoint / recovery / rollback events at cycle time, the
-/// report mirrored under `vds.*`, and the SMT core's cycle-level counters
-/// (per-thread stalls, cache hits/misses) under `smt.*`.
-pub fn run_micro_recorded(
-    cfg: &MicroConfig,
-    fault: Option<MicroFault>,
-    target_rounds: u64,
-) -> (RunReport, Recorder) {
-    let (report, _, rec) = run_micro_engine(cfg, fault, target_rounds, Recorder::new());
-    (report, rec)
-}
-
-/// [`run_micro_recorded`] plus the final data-memory image, for callers
-/// (e.g. the CLI) that want both metrics and an oracle verdict.
-pub fn run_micro_recorded_with_state(
-    cfg: &MicroConfig,
-    fault: Option<MicroFault>,
-    target_rounds: u64,
-) -> (RunReport, Vec<u32>, Recorder) {
-    run_micro_engine(cfg, fault, target_rounds, Recorder::new())
-}
-
-/// [`run_micro_recorded_with_state`] with a caller-supplied recorder, so
-/// the CLI can honour `--trace-capacity` and other ring-size overrides.
-pub fn run_micro_with_recorder(
-    cfg: &MicroConfig,
-    fault: Option<MicroFault>,
-    target_rounds: u64,
-    rec: Recorder,
-) -> (RunReport, Vec<u32>, Recorder) {
-    run_micro_engine(cfg, fault, target_rounds, rec)
-}
-
-fn run_micro_engine<R: Record>(
+/// [`run_micro`], recording into `rec` — round / detection / checkpoint
+/// / recovery / rollback events at cycle time, the report mirrored under
+/// `vds.*`, the SMT core's cycle-level counters (per-thread stalls,
+/// cache hits/misses) under `smt.*`, and the flight-recorder journal when
+/// enabled — and returning the final data-memory image of the first
+/// active version (for output-correctness audits against
+/// [`crate::workload::oracle`]).
+pub fn run_micro_with_recorder<R: Record>(
     cfg: &MicroConfig,
     fault: Option<MicroFault>,
     target_rounds: u64,
     rec: R,
 ) -> (RunReport, Vec<u32>, R) {
-    let mut e = Micro::with_recorder(cfg.clone(), fault, rec);
-    // Fail-safe watchdog: a *permanent* fault in a shared functional unit
-    // corrupts every round of every version — detectable (diversity!) but
-    // not tolerable on a single processor. When the system stops making
-    // forward progress it shuts down fail-safe, exactly as the paper's
-    // flow charts terminate.
-    let mut last_committed = 0u64;
-    let mut stalled_iterations = 0u32;
-    while e.report.committed_rounds < target_rounds {
-        match e.normal_round() {
-            None => {
-                if e.rounds_since >= cfg.s {
-                    e.take_checkpoint();
-                    e.journal_action(JournalAction::Checkpoint, 0);
-                }
-            }
-            Some(i) => e.recover(i),
-        }
-        if e.report.committed_rounds > last_committed {
-            last_committed = e.report.committed_rounds;
-            stalled_iterations = 0;
-        } else {
-            stalled_iterations += 1;
-            if stalled_iterations > 64 {
-                e.report.shutdown = true;
-                let t = e.m.cycles() as f64;
-                obs_event!(e.rec, t, "micro", "shutdown");
-                e.journal_action(JournalAction::Shutdown, 0);
-                e.journal_finish();
-                break;
-            }
-        }
-        e.journal_finish();
-    }
-    e.report.total_time = e.m.cycles() as f64;
-    let img = e.dmem_of(e.active[0]);
-    // classify a fault no comparison ever caught: output still correct
-    // (corruption overwritten or architecturally masked) → masked;
-    // output wrong and undetected → escaped (silent data corruption)
-    if let Some(o) = e.outstanding.take() {
-        let (k, state) = workload::oracle(e.report.committed_rounds as u32);
-        let window = &img[workload::ADDR_STATE as usize
-            ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize];
-        let correct = img[workload::ADDR_ROUND as usize] == k && window == &state[..];
-        let outcome = if o.masked_on_arrival || correct {
-            e.report.faults_masked += 1;
-            "masked"
-        } else {
-            e.report.faults_escaped += 1;
-            "escaped"
-        };
-        e.rec.journal_resolve_fault(0, outcome);
-    }
-    let mut rec = e.rec;
-    e.report.export_metrics(&mut rec, "vds");
-    e.m.core().export_metrics(&mut rec);
-    e.m.core().export_spans(&mut rec);
-    rec.rollup_spans();
-    (e.report, img, rec)
+    let backend = Micro::new(cfg.clone(), fault, R::ENABLED && rec.is_active());
+    Duplex::new(backend, rec).run(target_rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vds_fault::model::FaultSite;
+    use vds_obs::journal::Action as JournalAction;
+    use vds_obs::journal::Verdict as JournalVerdict;
+    use vds_obs::Recorder;
 
     fn fault_mem(at_round: u32, victim: Victim) -> MicroFault {
         MicroFault {
@@ -1087,24 +783,31 @@ mod tests {
         assert!(r.total_time > 0.0);
     }
 
-    #[test]
-    fn final_state_matches_oracle_fault_free() {
-        let cfg = MicroConfig::new(Scheme::SmtProbabilistic, 5);
-        let mut e = Micro::new(cfg.clone(), None);
-        for _ in 0..7 {
-            assert_eq!(e.normal_round(), None);
-            if e.rounds_since >= cfg.s {
-                e.take_checkpoint();
-            }
-        }
-        let (k, state) = workload::oracle(7);
-        let img = e.dmem_of(e.active[0]);
+    /// Final data-memory image of a run (no recording).
+    fn final_image(
+        cfg: &MicroConfig,
+        fault: Option<MicroFault>,
+        rounds: u64,
+    ) -> (RunReport, Vec<u32>) {
+        let (r, img, _) = run_micro_with_recorder(cfg, fault, rounds, NoopRecorder);
+        (r, img)
+    }
+
+    fn assert_oracle_state(img: &[u32], committed: u32) {
+        let (k, state) = workload::oracle(committed);
         assert_eq!(img[workload::ADDR_ROUND as usize], k);
         assert_eq!(
             &img[workload::ADDR_STATE as usize
                 ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize],
             &state[..]
         );
+    }
+
+    #[test]
+    fn final_state_matches_oracle_fault_free() {
+        let (r, img) = final_image(&MicroConfig::new(Scheme::SmtProbabilistic, 5), None, 7);
+        assert_eq!(r.detections, 0);
+        assert_oracle_state(&img, 7);
     }
 
     #[test]
@@ -1146,28 +849,9 @@ mod tests {
         // After recovery the computation must continue *correctly*: final
         // state equals the oracle despite the mid-run corruption.
         let cfg = MicroConfig::new(Scheme::SmtDeterministic, 8);
-        let mut e = Micro::new(cfg.clone(), Some(fault_mem(3, Victim::V1)));
-        let target = 14u64;
-        while e.report.committed_rounds < target {
-            match e.normal_round() {
-                None => {
-                    if e.rounds_since >= cfg.s {
-                        e.take_checkpoint();
-                    }
-                }
-                Some(i) => e.recover(i),
-            }
-        }
-        let committed = e.report.committed_rounds as u32;
-        let (_, state) = workload::oracle(committed);
-        let img = e.dmem_of(e.active[0]);
-        assert_eq!(img[workload::ADDR_ROUND as usize], committed);
-        assert_eq!(
-            &img[workload::ADDR_STATE as usize
-                ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize],
-            &state[..],
-            "post-recovery state wrong"
-        );
+        let (r, img) = final_image(&cfg, Some(fault_mem(3, Victim::V1)), 14);
+        assert_eq!(r.detections, 1, "{r}");
+        assert_oracle_state(&img, r.committed_rounds as u32);
     }
 
     #[test]
@@ -1249,7 +933,7 @@ mod tests {
     #[test]
     fn boosted3_final_state_correct() {
         let cfg = MicroConfig::new(Scheme::SmtBoosted3, 8);
-        let (r, img) = run_micro_with_state(&cfg, Some(fault_mem(4, Victim::V2)), 18);
+        let (r, img) = final_image(&cfg, Some(fault_mem(4, Victim::V2)), 18);
         assert_eq!(r.committed_rounds, 18);
         let (_, want) = workload::oracle(18);
         assert_eq!(
@@ -1354,14 +1038,16 @@ mod tests {
     #[test]
     fn recorded_micro_run_exports_metrics_and_trace() {
         let cfg = MicroConfig::new(Scheme::SmtDeterministic, 10);
-        let (r, rec) = run_micro_recorded(&cfg, Some(fault_mem(4, Victim::V2)), 15);
+        let (r, _, rec) =
+            run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, Recorder::new());
         let reg = rec.registry();
         assert_eq!(reg.counter("vds.committed_rounds"), r.committed_rounds);
         assert_eq!(reg.counter("vds.detections"), 1);
         assert_eq!(reg.counter("smt.cycles"), r.total_time as u64);
         assert!(reg.counter("smt.thread0.retired") > 0);
         // byte-identical exports across two runs (fixed seed)
-        let (_, rec2) = run_micro_recorded(&cfg, Some(fault_mem(4, Victim::V2)), 15);
+        let (_, _, rec2) =
+            run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, Recorder::new());
         assert_eq!(rec.registry().to_csv(), rec2.registry().to_csv());
         assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
         assert_eq!(rec.spans().to_chrome_json(), rec2.spans().to_chrome_json());
@@ -1444,7 +1130,8 @@ mod tests {
         let back = Journal::from_jsonl(&j.to_jsonl()).expect("parse");
         assert_eq!(back.entries(), j.entries());
         // disabled journal keeps the run journal-free
-        let (_, plain) = run_micro_recorded(&cfg, Some(fault_mem(4, Victim::V2)), 15);
+        let (_, _, plain) =
+            run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, Recorder::new());
         assert!(plain.journal().is_empty());
     }
 

@@ -27,13 +27,14 @@
 //! consume VM journals unchanged.
 
 use crate::config::{Scheme, Victim};
+use crate::duplex::{Backend, Duplex, Ledger, Recovery, Round, StopRule};
 use crate::report::RunReport;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_fault::vm::VmFaultSite;
-use vds_obs::journal::{Action as JournalAction, RoundEntry, Verdict as JournalVerdict};
+use vds_obs::journal::Verdict;
 use vds_obs::{obs_end_span, obs_event, obs_span};
-use vds_obs::{Digest128, Digester128, NoopRecorder, Record, Recorder};
+use vds_obs::{Digest128, Digester128, NoopRecorder, Record};
 use vds_vm::{run_round, FaultPlan, Outcome, Program, SeedProgram, StateFlip, Vm};
 
 /// Configuration of a VM duplex run.
@@ -90,27 +91,14 @@ pub struct VmFault {
     pub site: VmFaultSite,
 }
 
-/// The injected fault's lifecycle bookkeeping between injection and
-/// detection (or end of run).
-#[derive(Debug, Clone, Copy)]
-struct OutstandingFault {
-    /// [`VmDuplex::rounds_executed`] at injection time.
-    injected_at_exec: u64,
-    /// Simulated time (VM steps) at injection.
-    injected_time: f64,
-    /// The flip never fired (the victim halted before the scheduled
-    /// step) or hit state the program had already retired: no live
-    /// state changed, so the fault can never be detected.
-    masked_on_arrival: bool,
-}
-
 /// What [`VmDuplex::maybe_inject`] hands back for one round: an
 /// in-flight flip as (victim slot, plan), and/or a literal-pool flip
-/// as (victim slot, lit index, bit) that the caller applies to text
-/// and reverts after the round.
+/// as (victim slot, lit index, bit) that the caller reverts after the
+/// round.
 type PendingInjection = (Option<(usize, FaultPlan)>, Option<(usize, usize, u8)>);
 
-struct VmDuplex<R> {
+/// The bytecode VM as a duplex backend.
+struct VmDuplex {
     cfg: VmConfig,
     sp: &'static SeedProgram,
     progs: [Program; 2],
@@ -119,39 +107,24 @@ struct VmDuplex<R> {
     /// Global round number at the checkpoint (re-execution re-derives
     /// rounds `ckpt_round + 1 ..= ckpt_round + i`).
     ckpt_round: u64,
-    rounds_since: u32,
     sim_time: f64,
     rng: SmallRng,
     fault: Option<VmFault>,
     fault_pending: bool,
-    /// Trap/hang evidence observed in the current round, by slot.
-    trap_evidence: Option<usize>,
-    report: RunReport,
-    rec: R,
-    /// Flight-recorder entry for the round in flight (see
-    /// [`crate::micro_vds`] — identical conventions).
-    pending: Option<RoundEntry>,
-    /// Canonical spec of the fault injected this round, if any.
-    injected_spec: Option<String>,
-    outstanding: Option<OutstandingFault>,
-    /// Monotonic count of executed normal rounds; the round-denominated
-    /// clock detection latency is measured on.
-    rounds_executed: u64,
 }
 
-impl<R: Record> VmDuplex<R> {
-    fn with_recorder(cfg: VmConfig, fault: Option<VmFault>, rec: R) -> Self {
+impl VmDuplex {
+    fn new(cfg: VmConfig, fault: Option<VmFault>) -> Self {
         let sp = vds_vm::seed_program(&cfg.program)
             .unwrap_or_else(|| panic!("unknown seed program {:?}", cfg.program));
         let base = sp.assembled();
-        let progs = if cfg.diversity {
-            [
-                vds_diversity::vm::diversify_vm(&base, 1, cfg.seed),
-                vds_diversity::vm::diversify_vm(&base, 2, cfg.seed),
-            ]
-        } else {
-            [base.clone(), base]
-        };
+        let progs = [1, 2].map(|k| {
+            if cfg.diversity {
+                vds_diversity::vm::diversify_vm(&base, k, cfg.seed)
+            } else {
+                base.clone()
+            }
+        });
         let dmem = sp.initial_dmem(cfg.seed);
         let vms = [Vm::with_mem(dmem.clone()), Vm::with_mem(dmem.clone())];
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0xD1CE);
@@ -162,18 +135,10 @@ impl<R: Record> VmDuplex<R> {
             vms,
             ckpt_img: dmem,
             ckpt_round: 0,
-            rounds_since: 0,
             sim_time: 0.0,
             rng,
             fault,
             fault_pending: fault.is_some(),
-            trap_evidence: None,
-            report: RunReport::default(),
-            rec,
-            pending: None,
-            injected_spec: None,
-            outstanding: None,
-            rounds_executed: 0,
         }
     }
 
@@ -189,8 +154,8 @@ impl<R: Record> VmDuplex<R> {
     }
 
     /// Execute global round `g` on both variants; the victim slot (if
-    /// any) gets the fault plan. Returns per-slot outcomes and the
-    /// round's co-scheduled cost in steps.
+    /// any) gets the fault plan. Returns per-slot outcomes, the round's
+    /// cost in steps, and whether the planned flip fired.
     fn exec_round(
         &mut self,
         g: u64,
@@ -200,10 +165,7 @@ impl<R: Record> VmDuplex<R> {
         let mut fired = false;
         let mut steps = [0u64; 2];
         for slot in [0usize, 1] {
-            let f = match &plan {
-                Some((victim, p)) if *victim == slot => Some(*p),
-                _ => None,
-            };
+            let f = plan.filter(|&(victim, _)| victim == slot).map(|(_, p)| p);
             let r = run_round(&mut self.vms[slot], &self.progs[slot], g as u32, f.as_ref());
             outcomes[slot] = r.outcome;
             steps[slot] = r.steps;
@@ -228,141 +190,67 @@ impl<R: Record> VmDuplex<R> {
     /// flips mutate the victim's program text directly (the caller
     /// reverts after the round — the pool is text, protected by EDC in
     /// a real system, so the flip does not persist).
-    fn maybe_inject(&mut self, i: u32) -> PendingInjection {
-        if !self.fault_pending {
-            return (None, None);
-        }
-        let Some(f) = self.fault else {
-            return (None, None);
+    fn maybe_inject<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> PendingInjection {
+        let f = match self.fault {
+            Some(f) if self.fault_pending && f.at_round == i => f,
+            _ => return (None, None),
         };
-        if f.at_round != i {
-            return (None, None);
-        }
         self.fault_pending = false;
-        self.report.faults_injected += 1;
         let slot = f.victim.index();
-        if self.rec.journal_enabled() {
-            self.injected_spec = Some(format!("{}@v{}", f.site.spec_string(), slot + 1));
-        }
+        l.inject(1, || format!("{}@v{}", f.site.spec_string(), slot + 1));
         let t = self.sim_time;
         obs_event!(
-            self.rec, t, "vm", "fault_injected",
+            l.rec, t, "vm", "fault_injected",
             "round" => i, "version" => slot,
         );
         // Mid-execution step: early enough to land inside every seed
         // program's main loop, late enough to hit post-reset live state.
         let at_step = self.rng.gen_range(1..150u64);
-        match f.site {
-            VmFaultSite::Reg { index, bit } => (
-                Some((
-                    slot,
-                    FaultPlan {
-                        at_step,
-                        flip: StateFlip::Reg { index, bit },
-                    },
-                )),
-                None,
-            ),
-            VmFaultSite::Pc { bit } => (
-                Some((
-                    slot,
-                    FaultPlan {
-                        at_step,
-                        flip: StateFlip::Pc { bit },
-                    },
-                )),
-                None,
-            ),
-            VmFaultSite::Mem { addr, bit } => (
-                Some((
-                    slot,
-                    FaultPlan {
-                        at_step,
-                        flip: StateFlip::Mem { addr, bit },
-                    },
-                )),
-                None,
-            ),
+        let flip = match f.site {
+            VmFaultSite::Reg { index, bit } => StateFlip::Reg { index, bit },
+            VmFaultSite::Pc { bit } => StateFlip::Pc { bit },
+            VmFaultSite::Mem { addr, bit } => StateFlip::Mem { addr, bit },
             VmFaultSite::Lit { index, bit } => {
                 let pool = &mut self.progs[slot].lits;
                 if pool.is_empty() {
-                    self.outstanding = Some(OutstandingFault {
-                        injected_at_exec: self.rounds_executed,
-                        injected_time: t,
-                        masked_on_arrival: true,
-                    });
-                    (None, None)
-                } else {
-                    let idx = usize::from(index) % pool.len();
-                    pool[idx] ^= 1u32 << (bit % 32);
-                    (None, Some((slot, idx, bit % 32)))
+                    // nothing to flip: no live state can ever change
+                    l.track_fault(t, true);
+                    return (None, None);
                 }
+                let idx = usize::from(index) % pool.len();
+                let bit = bit % 32;
+                pool[idx] ^= 1u32 << bit;
+                return (None, Some((slot, idx, bit)));
             }
-        }
+        };
+        (Some((slot, FaultPlan { at_step, flip })), None)
+    }
+}
+
+impl Backend for VmDuplex {
+    const COMPONENT: &'static str = "vm";
+    const SPANS: bool = true;
+    type State = Vec<u32>;
+
+    fn interval(&self) -> u32 {
+        self.cfg.s
     }
 
-    /// Stash the flight-recorder entry for round `i` (same conventions
-    /// as the micro engine: action defaults to `commit`, upgraded by the
-    /// engine loop before [`VmDuplex::journal_finish`]).
-    fn journal_stash(&mut self, i: u32, verdict: JournalVerdict, d1: Digest128, d2: Digest128) {
-        if !self.rec.journal_enabled() {
-            return;
-        }
-        let fault = self.injected_spec.take();
-        // the VM duplex injects at most one fault, so its lane-local
-        // fault id is always 0
-        let fault_id = fault.as_ref().map(|_| 0);
-        self.pending = Some(RoundEntry {
-            seq: 0,
-            lane: 0,
-            round: u64::from(i),
-            committed: 0,
-            sim_time: self.sim_time,
-            d1,
-            d2,
-            verdict,
-            sched: "coschedule[v1,v2]".to_string(),
-            action: JournalAction::Commit,
-            rollforward: 0,
-            fault,
-            fault_id,
-            fault_outcome: None,
-        });
+    /// Fail-safe watchdog, exactly as the micro engine: no forward
+    /// progress for 64 engine iterations → fail-safe shutdown.
+    fn stop_rule(&self) -> StopRule {
+        StopRule::Stall
     }
 
-    /// Credit a detection at time `t` to the outstanding injected fault.
-    fn note_detection(&mut self, t: f64) {
-        if let Some(o) = self.outstanding.take() {
-            self.report.faults_detected += 1;
-            self.report.detect_latency_rounds_sum += self.rounds_executed - o.injected_at_exec;
-            self.report.detect_latency_time_sum += t - o.injected_time;
-        }
+    fn now(&self) -> f64 {
+        self.sim_time
     }
 
-    fn journal_action(&mut self, action: JournalAction, rollforward: u32) {
-        if let Some(p) = self.pending.as_mut() {
-            p.action = action;
-            p.rollforward = rollforward;
-        }
-    }
-
-    fn journal_finish(&mut self) {
-        if let Some(mut p) = self.pending.take() {
-            p.committed = self.report.committed_rounds;
-            self.rec.journal_push(p);
-        }
-    }
-
-    /// Run one normal round of the duplex. Returns `Some(i)` on a
-    /// detection (trap, hang or state mismatch) at interval round `i`.
-    fn normal_round(&mut self) -> Option<u32> {
-        let i = self.rounds_since + 1;
+    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
         let g = self.ckpt_round + u64::from(i);
-        self.rounds_executed += 1;
-        self.trap_evidence = None;
-        let round_g = obs_span!(self.rec, "vm", "round", self.sim_time);
+        let round_g = obs_span!(l.rec, "vm", "round", self.sim_time);
 
-        let (plan, lit_flip) = self.maybe_inject(i);
+        let (plan, lit_flip) = self.maybe_inject(l, i);
         let fault_scheduled = plan.is_some();
         let (outcomes, cost, fired) = self.exec_round(g, plan);
         // a literal flip is program text for exactly one round; revert
@@ -370,263 +258,143 @@ impl<R: Record> VmDuplex<R> {
             self.progs[slot].lits[idx] ^= 1u32 << bit;
         }
         if fault_scheduled || lit_flip.is_some() {
-            self.outstanding = Some(OutstandingFault {
-                injected_at_exec: self.rounds_executed,
-                injected_time: self.sim_time,
-                masked_on_arrival: fault_scheduled && !fired,
-            });
+            // the flip never fired (the victim halted before the
+            // scheduled step): no live state changed
+            l.track_fault(self.sim_time, fault_scheduled && !fired);
         }
         self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
-        self.report.time_normal += cost as f64 + self.cfg.cmp_cycles as f64;
+        l.report.time_normal += cost as f64 + self.cfg.cmp_cycles as f64;
 
-        for slot in [0usize, 1] {
-            match outcomes[slot] {
-                Outcome::Halted => {}
-                Outcome::Trapped { .. } | Outcome::Hung => {
-                    self.trap_evidence = Some(slot);
-                }
-            }
-        }
+        // trap/hang evidence, by slot (the later slot wins)
+        let trapped = [1usize, 0]
+            .into_iter()
+            .find(|&slot| !matches!(outcomes[slot], Outcome::Halted));
         let t = self.sim_time;
-        let d1 = self.digest_of(0);
-        let d2 = self.digest_of(1);
-        if let Some(slot) = self.trap_evidence {
-            self.report.detections += 1;
-            let verdict = if matches!(outcomes[slot], Outcome::Hung) {
-                JournalVerdict::Hang
-            } else {
-                JournalVerdict::Trap
-            };
-            self.note_detection(t);
-            self.journal_stash(i, verdict, d1, d2);
-            obs_event!(self.rec, t, "vm", "detect", "round" => i, "evidence" => "trap");
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "detect");
-            return Some(i);
-        }
-        if d1 != d2 {
-            self.report.detections += 1;
-            self.note_detection(t);
-            self.journal_stash(i, JournalVerdict::Mismatch, d1, d2);
-            obs_event!(self.rec, t, "vm", "detect", "round" => i, "evidence" => "mismatch");
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "detect");
-            Some(i)
-        } else {
-            self.rounds_since = i;
-            self.report.committed_rounds += 1;
-            self.journal_stash(i, JournalVerdict::Match, d1, d2);
-            obs_end_span!(self.rec, round_g, t, "round" => i, "outcome" => "commit");
-            None
-        }
-    }
-
-    fn take_checkpoint(&mut self) {
-        self.sim_time += self.cfg.ckpt_cycles as f64;
-        self.report.time_checkpoint += self.cfg.ckpt_cycles as f64;
-        self.ckpt_img = self.vms[0].mem.clone();
-        self.ckpt_round += u64::from(self.rounds_since);
-        self.rounds_since = 0;
-        self.report.checkpoints += 1;
-        let t = self.sim_time;
-        obs_event!(self.rec, t, "vm", "checkpoint", "number" => self.report.checkpoints);
-    }
-
-    /// Recovery for a detection at interval round `i`: stop-and-retry.
-    /// Both variants restart from the checkpoint image and re-derive
-    /// rounds `1..=i` cleanly; the re-derived states must agree (the
-    /// one-shot fault is gone), which commits round `i`. A disagreement
-    /// after a clean retry means the checkpoint itself was corrupted —
-    /// the duplex cannot make progress and rolls back, surrendering the
-    /// interval.
-    fn recover(&mut self, i: u32) {
-        let start = self.sim_time;
-        let recovery_g = obs_span!(self.rec, "vm", "recovery", start);
-        for slot in [0usize, 1] {
-            self.vms[slot].mem.copy_from_slice(&self.ckpt_img);
-        }
-        let mut cost = 0u64;
-        for r in 1..=i {
-            let g = self.ckpt_round + u64::from(r);
-            let (outcomes, c, _) = self.exec_round(g, None);
-            cost += c;
-            if outcomes.iter().any(|o| !matches!(o, Outcome::Halted)) {
-                // cannot happen with a one-shot fault (the retry is
-                // clean), but guard like the micro engine does
-                self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
-                self.rollback(i);
-                self.report.time_recovery += self.sim_time - start;
-                obs_end_span!(self.rec, recovery_g, self.sim_time, "round" => i);
-                return;
-            }
-        }
-        self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
         let (d1, d2) = (self.digest_of(0), self.digest_of(1));
-        if d1 == d2 {
-            self.report.recoveries_ok += 1;
-            self.rounds_since = i;
-            self.report.committed_rounds += 1;
-            self.journal_action(JournalAction::Recover, 0);
-            let t = self.sim_time;
-            obs_event!(
-                self.rec, t, "vm", "recovery",
-                "round" => i, "scheme" => self.cfg.scheme.name(),
-            );
-            if self.rounds_since >= self.cfg.s {
-                self.take_checkpoint();
+        let verdict = match trapped {
+            Some(slot) if matches!(outcomes[slot], Outcome::Hung) => Verdict::Hang,
+            Some(_) => Verdict::Trap,
+            None if d1 != d2 => Verdict::Mismatch,
+            None => Verdict::Match,
+        };
+        let outcome = match verdict {
+            Verdict::Match => "commit",
+            Verdict::Mismatch => {
+                obs_event!(l.rec, t, "vm", "detect", "round" => i, "evidence" => "mismatch");
+                "detect"
             }
-        } else {
-            self.rollback(i);
+            Verdict::Trap | Verdict::Hang => {
+                obs_event!(l.rec, t, "vm", "detect", "round" => i, "evidence" => "trap");
+                "detect"
+            }
+        };
+        obs_end_span!(l.rec, round_g, t, "round" => i, "outcome" => outcome);
+        Round {
+            verdict,
+            time: t,
+            digests: Some((d1, d2)),
+            stopped: false,
         }
-        self.trap_evidence = None;
-        self.report.time_recovery += self.sim_time - start;
-        obs_end_span!(self.rec, recovery_g, self.sim_time, "round" => i);
     }
 
-    /// Surrender the interval: restore the checkpoint image and uncommit
-    /// its rounds.
-    fn rollback(&mut self, i: u32) {
-        self.journal_action(JournalAction::Rollback, 0);
-        self.report.rollbacks += 1;
-        match self.report.committed_rounds.checked_sub(u64::from(i - 1)) {
-            Some(v) => self.report.committed_rounds = v,
-            None => {
-                debug_assert!(
-                    false,
-                    "committed_rounds underflow: {} - {} during rollback",
-                    self.report.committed_rounds,
-                    i - 1
-                );
-                vds_obs::log_error!(
-                    "core.vm",
-                    "committed_rounds underflow: {} - {} during rollback",
-                    self.report.committed_rounds,
-                    i - 1
-                );
-                self.report.committed_rounds = 0;
+    fn digests<R: Record>(&self, _: &Ledger<R>, _: u32) -> (Digest128, Digest128) {
+        (self.digest_of(0), self.digest_of(1))
+    }
+
+    /// Known quirk: every VM round is labelled co-scheduled, even under
+    /// the conventional scheme, where the variants run serially.
+    fn sched(&self) -> String {
+        "coschedule[v1,v2]".to_string()
+    }
+
+    fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
+        self.sim_time += self.cfg.ckpt_cycles as f64;
+        l.report.time_checkpoint += self.cfg.ckpt_cycles as f64;
+        self.ckpt_img = self.vms[0].mem.clone();
+        self.ckpt_round += u64::from(l.rounds_since);
+    }
+
+    /// Stop-and-retry: both variants restart from the checkpoint image
+    /// and re-derive rounds `1..=i` cleanly; the re-derived states must
+    /// agree (the one-shot fault is gone), which commits round `i`. A
+    /// disagreement after a clean retry means the checkpoint itself was
+    /// corrupted — the duplex cannot make progress and rolls back,
+    /// surrendering the interval.
+    fn recover<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Recovery {
+        self.restore();
+        let mut cost = 0u64;
+        let mut clean = true;
+        for r in 1..=i {
+            let (outcomes, c, _) = self.exec_round(self.ckpt_round + u64::from(r), None);
+            cost += c;
+            // cannot happen with a one-shot fault (the retry is clean),
+            // but guard like the micro engine does
+            if outcomes.iter().any(|o| !matches!(o, Outcome::Halted)) {
+                clean = false;
+                break;
             }
         }
-        self.rounds_since = 0;
-        for slot in [0usize, 1] {
-            self.vms[slot].mem.copy_from_slice(&self.ckpt_img);
+        self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
+        if !clean || self.digest_of(0) != self.digest_of(1) {
+            return Recovery::Rollback;
         }
-        let t = self.sim_time;
-        obs_event!(self.rec, t, "vm", "rollback", "round" => i, "rounds_lost" => i - 1);
+        obs_event!(
+            l.rec, self.sim_time, "vm", "recovery",
+            "round" => i, "scheme" => self.cfg.scheme.name(),
+        );
+        Recovery::Recovered { progress: 0 }
+    }
+
+    fn restore(&mut self) {
+        for vm in &mut self.vms {
+            vm.mem.copy_from_slice(&self.ckpt_img);
+        }
+    }
+
+    fn state(&self) -> Vec<u32> {
+        self.vms[0].mem.clone()
+    }
+
+    /// Variant 1's output state still matches the pure-Rust oracle
+    /// (corruption overwritten, confined to the other variant, or
+    /// architecturally masked) → masked; wrong and undetected → escaped
+    /// (silent data corruption).
+    fn output_correct(&self, img: &Vec<u32>, committed: u64) -> bool {
+        *img == self.sp.oracle(self.cfg.seed, committed as u32)
     }
 }
 
 /// Run a VM duplex until `target_rounds` rounds are committed.
 pub fn run_vm_duplex(cfg: &VmConfig, fault: Option<VmFault>, target_rounds: u64) -> RunReport {
-    run_vm_duplex_with_state(cfg, fault, target_rounds).0
+    run_vm_duplex_with_recorder(cfg, fault, target_rounds, NoopRecorder).0
 }
 
-/// [`run_vm_duplex`], additionally returning variant 1's final
-/// data-memory image (for output-correctness audits against
+/// [`run_vm_duplex`], recording into `rec` (metrics, event trace, spans
+/// and the flight-recorder journal when enabled) and returning variant
+/// 1's final data-memory image (for output-correctness audits against
 /// [`vds_vm::SeedProgram::oracle`]).
-pub fn run_vm_duplex_with_state(
-    cfg: &VmConfig,
-    fault: Option<VmFault>,
-    target_rounds: u64,
-) -> (RunReport, Vec<u32>) {
-    let (report, img, _) = run_vm_engine(cfg, fault, target_rounds, NoopRecorder);
-    (report, img)
-}
-
-/// [`run_vm_duplex`], recording metrics and a bounded event trace.
-pub fn run_vm_duplex_recorded(
-    cfg: &VmConfig,
-    fault: Option<VmFault>,
-    target_rounds: u64,
-) -> (RunReport, Recorder) {
-    let (report, _, rec) = run_vm_engine(cfg, fault, target_rounds, Recorder::new());
-    (report, rec)
-}
-
-/// [`run_vm_duplex_recorded`] plus the final data-memory image.
-pub fn run_vm_duplex_recorded_with_state(
-    cfg: &VmConfig,
-    fault: Option<VmFault>,
-    target_rounds: u64,
-) -> (RunReport, Vec<u32>, Recorder) {
-    run_vm_engine(cfg, fault, target_rounds, Recorder::new())
-}
-
-/// [`run_vm_duplex_recorded_with_state`] with a caller-supplied
-/// recorder, so the CLI can honour ring-size overrides and journals.
 pub fn run_vm_duplex_with_recorder<R: Record>(
     cfg: &VmConfig,
     fault: Option<VmFault>,
     target_rounds: u64,
     rec: R,
 ) -> (RunReport, Vec<u32>, R) {
-    run_vm_engine(cfg, fault, target_rounds, rec)
-}
-
-fn run_vm_engine<R: Record>(
-    cfg: &VmConfig,
-    fault: Option<VmFault>,
-    target_rounds: u64,
-    rec: R,
-) -> (RunReport, Vec<u32>, R) {
-    let mut e = VmDuplex::with_recorder(cfg.clone(), fault, rec);
-    // Fail-safe watchdog, exactly as the micro engine: no forward
-    // progress for 64 engine iterations → fail-safe shutdown.
-    let mut last_committed = 0u64;
-    let mut stalled_iterations = 0u32;
-    while e.report.committed_rounds < target_rounds {
-        match e.normal_round() {
-            None => {
-                if e.rounds_since >= e.cfg.s {
-                    e.take_checkpoint();
-                    e.journal_action(JournalAction::Checkpoint, 0);
-                }
-            }
-            Some(i) => e.recover(i),
-        }
-        if e.report.committed_rounds > last_committed {
-            last_committed = e.report.committed_rounds;
-            stalled_iterations = 0;
-        } else {
-            stalled_iterations += 1;
-            if stalled_iterations > 64 {
-                e.report.shutdown = true;
-                let t = e.sim_time;
-                obs_event!(e.rec, t, "vm", "shutdown");
-                e.journal_action(JournalAction::Shutdown, 0);
-                e.journal_finish();
-                break;
-            }
-        }
-        e.journal_finish();
-    }
-    e.report.total_time = e.sim_time;
-    let img = e.vms[0].mem.clone();
-    // classify a fault no comparison ever caught: variant 1's output
-    // state still matches the pure-Rust oracle (corruption overwritten,
-    // confined to the other variant, or architecturally masked) →
-    // masked; wrong and undetected → escaped (silent data corruption)
-    if let Some(o) = e.outstanding.take() {
-        let oracle = e.sp.oracle(e.cfg.seed, e.report.committed_rounds as u32);
-        let correct = img == oracle;
-        let outcome = if o.masked_on_arrival || correct {
-            e.report.faults_masked += 1;
-            "masked"
-        } else {
-            e.report.faults_escaped += 1;
-            "escaped"
-        };
-        e.rec.journal_resolve_fault(0, outcome);
-    }
-    let mut rec = e.rec;
-    e.report.export_metrics(&mut rec, "vds");
-    rec.rollup_spans();
-    (e.report, img, rec)
+    Duplex::new(VmDuplex::new(cfg.clone(), fault), rec).run(target_rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vds_obs::Recorder;
 
     fn cfg(program: &str) -> VmConfig {
         VmConfig::new(program)
+    }
+
+    /// Report and final image of a run (no recording).
+    fn final_image(cfg: &VmConfig, fault: Option<VmFault>, rounds: u64) -> (RunReport, Vec<u32>) {
+        let (r, img, _) = run_vm_duplex_with_recorder(cfg, fault, rounds, NoopRecorder);
+        (r, img)
     }
 
     #[test]
@@ -644,7 +412,7 @@ mod tests {
     fn final_state_matches_oracle_fault_free() {
         for sp in vds_vm::SEED_PROGRAMS {
             let c = cfg(sp.name);
-            let (r, img) = run_vm_duplex_with_state(&c, None, 13);
+            let (r, img) = final_image(&c, None, 13);
             assert_eq!(r.committed_rounds, 13);
             assert_eq!(img, sp.oracle(c.seed, 13), "{}", sp.name);
         }
@@ -654,7 +422,7 @@ mod tests {
     fn identical_copies_match_oracle_too() {
         let mut c = cfg("checksum");
         c.diversity = false;
-        let (r, img) = run_vm_duplex_with_state(&c, None, 9);
+        let (r, img) = final_image(&c, None, 9);
         assert_eq!(r.committed_rounds, 9);
         assert_eq!(
             img,
@@ -673,7 +441,7 @@ mod tests {
         };
         for sp in vds_vm::SEED_PROGRAMS {
             let c = cfg(sp.name);
-            let (r, img) = run_vm_duplex_with_state(&c, Some(f), 20);
+            let (r, img) = final_image(&c, Some(f), 20);
             assert_eq!(r.committed_rounds, 20, "{}", sp.name);
             assert_eq!(r.faults_injected, 1, "{}", sp.name);
             assert_eq!(
@@ -695,7 +463,7 @@ mod tests {
             site: VmFaultSite::Reg { index: 0, bit: 17 },
         };
         let c = cfg("sort");
-        let (r, img) = run_vm_duplex_with_state(&c, Some(f), 16);
+        let (r, img) = final_image(&c, Some(f), 16);
         assert_eq!(r.committed_rounds, 16);
         assert_eq!(r.faults_escaped, 0, "{r}");
         assert_eq!(
@@ -719,7 +487,7 @@ mod tests {
             },
         };
         let c = cfg("checksum");
-        let (r, img) = run_vm_duplex_with_state(&c, Some(f), 12);
+        let (r, img) = final_image(&c, Some(f), 12);
         assert_eq!(r.committed_rounds, 12);
         assert_eq!(r.faults_injected, 1);
         assert_eq!(
@@ -756,7 +524,7 @@ mod tests {
         };
         for sp in vds_vm::SEED_PROGRAMS {
             let c = cfg(sp.name);
-            let (r, img) = run_vm_duplex_with_state(&c, Some(f), 14);
+            let (r, img) = final_image(&c, Some(f), 14);
             assert_eq!(r.committed_rounds, 14, "{}", sp.name);
             assert_eq!(r.faults_escaped, 0, "{}: {r}", sp.name);
             assert_eq!(img, sp.oracle(c.seed, 14), "{}", sp.name);
@@ -840,8 +608,8 @@ mod tests {
             let smt = cfg(sp.name);
             let mut conv = cfg(sp.name);
             conv.scheme = Scheme::Conventional;
-            let (rs, is) = run_vm_duplex_with_state(&smt, None, 15);
-            let (rc, ic) = run_vm_duplex_with_state(&conv, None, 15);
+            let (rs, is) = final_image(&smt, None, 15);
+            let (rc, ic) = final_image(&conv, None, 15);
             assert_eq!(rs.committed_rounds, rc.committed_rounds, "{}", sp.name);
             assert_eq!(is, ic, "{}: final image differs by scheme", sp.name);
             assert!(
@@ -895,8 +663,8 @@ mod tests {
             site: VmFaultSite::Mem { addr: 20, bit: 9 },
         };
         let c = cfg("matmul");
-        let (r1, i1) = run_vm_duplex_with_state(&c, Some(f), 18);
-        let (r2, i2) = run_vm_duplex_with_state(&c, Some(f), 18);
+        let (r1, i1) = final_image(&c, Some(f), 18);
+        let (r2, i2) = final_image(&c, Some(f), 18);
         assert_eq!(r1.committed_rounds, r2.committed_rounds);
         assert_eq!(r1.total_time, r2.total_time);
         assert_eq!(r1.faults_detected, r2.faults_detected);

@@ -10,8 +10,8 @@
 //! sites too. Uninstrumented runs pay literally nothing.
 //!
 //! The concrete [`Recorder`] implements the same trait by delegating to
-//! its inherent methods, so instrumented entry points
-//! (`run_*_recorded`, journaled runs) keep their exact behaviour and
+//! its inherent methods, so instrumented entry points (the engines'
+//! `*_with_recorder`, journaled runs) keep their exact behaviour and
 //! byte-identical exports.
 //!
 //! **Determinism contract.** Whether a run is driven through

@@ -7,7 +7,7 @@
 //! cargo run --release --example fault_drill
 //! ```
 
-use vds::core::micro_vds::{run_micro_with_state, MicroConfig, MicroFault};
+use vds::core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds::core::{workload, Scheme, Victim};
 use vds::fault::model::{FaultKind, FaultSite};
 
@@ -20,7 +20,7 @@ fn drill(name: &str, scheme: Scheme, kind: FaultKind) {
         kind,
     };
     let target = 30;
-    let (r, img) = run_micro_with_state(&cfg, Some(fault), target);
+    let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), target, vds::obs::NoopRecorder);
     let (_, want) = workload::oracle(r.committed_rounds as u32);
     let got = &img
         [workload::ADDR_STATE as usize..(workload::ADDR_STATE + workload::STATE_WORDS) as usize];

@@ -6,7 +6,7 @@
 
 use vds::analytic::{predictive, rollforward, timing, Params};
 use vds::core::abstract_vds::{run, AbstractConfig};
-use vds::core::micro_vds::{run_micro_recorded, MicroConfig, MicroFault};
+use vds::core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds::core::{FaultModel, Scheme, Victim};
 use vds::fault::model::{FaultKind, FaultSite};
 
@@ -66,7 +66,8 @@ fn main() {
         victim: Victim::V2,
         kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
     };
-    let (report, rec) = run_micro_recorded(&cfg, Some(fault), 15);
+    let (report, _, rec) =
+        run_micro_with_recorder(&cfg, Some(fault), 15, vds::obs::Recorder::new());
     println!(
         "smt-det micro run: {} rounds committed, {} detection(s), {} recovery(ies)",
         report.committed_rounds, report.detections, report.recoveries_ok

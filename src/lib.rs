@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`core`] | `vds-core` | the VDS engines (abstract + micro), schemes, flow charts |
+//! | [`core`] | `vds-core` | the VDS engines (abstract, micro, vm) behind one duplex protocol, schemes, flow charts |
 //! | [`analytic`] | `vds-analytic` | the paper's closed-form model, Eqs. (1)–(14) |
 //! | [`smtsim`] | `vds-smtsim` | cycle-level SMT processor, ISA, assembler, kernels |
 //! | [`sched`] | `vds-sched` | OS processes, address spaces, context switching |

@@ -2,9 +2,10 @@
 //! cycle-level SMT machine, through the whole detection/vote/roll-forward
 //! protocol, audited against the pure-Rust oracle.
 
-use vds::core::micro_vds::{run_micro, run_micro_with_state, MicroConfig, MicroFault};
+use vds::core::micro_vds::{run_micro, run_micro_with_recorder, MicroConfig, MicroFault};
 use vds::core::{workload, Scheme, Victim};
 use vds::fault::model::{FaultKind, FaultSite};
+use vds::obs::NoopRecorder;
 
 fn audit_state(committed: u64, img: &[u32]) {
     let (_, want) = workload::oracle(committed as u32);
@@ -31,7 +32,7 @@ fn all_schemes_survive_a_state_corruption_with_correct_output() {
         Scheme::SmtPredictive,
     ] {
         let cfg = MicroConfig::new(scheme, 8);
-        let (r, img) = run_micro_with_state(&cfg, Some(fault), 20);
+        let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), 20, NoopRecorder);
         assert_eq!(r.committed_rounds, 20, "{scheme:?}");
         assert_eq!(r.detections, 1, "{scheme:?}");
         audit_state(r.committed_rounds, &img);
@@ -50,7 +51,7 @@ fn fault_at_every_round_of_the_interval_recovers() {
             victim: Victim::V2,
             kind: FaultKind::Transient(FaultSite::Memory { addr: 6, bit: 2 }),
         };
-        let (r, img) = run_micro_with_state(&cfg, Some(fault), 14);
+        let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), 14, NoopRecorder);
         assert_eq!(r.committed_rounds, 14, "i={i}");
         assert_eq!(r.recoveries_ok, 1, "i={i}: {r}");
         audit_state(r.committed_rounds, &img);
@@ -67,7 +68,7 @@ fn corrupted_round_counter_is_caught() {
         victim: Victim::V1,
         kind: FaultKind::Transient(FaultSite::Memory { addr: 0, bit: 0 }),
     };
-    let (r, img) = run_micro_with_state(&cfg, Some(fault), 15);
+    let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), 15, NoopRecorder);
     assert_eq!(r.detections, 1);
     audit_state(r.committed_rounds, &img);
 }
@@ -81,7 +82,7 @@ fn crash_faults_recover_via_trap_evidence() {
             victim: Victim::V1,
             kind: FaultKind::CrashVersion,
         };
-        let (r, img) = run_micro_with_state(&cfg, Some(fault), 18);
+        let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), 18, NoopRecorder);
         assert_eq!(r.committed_rounds, 18, "{scheme:?}");
         assert!(r.detections >= 1, "{scheme:?}");
         audit_state(r.committed_rounds, &img);
@@ -126,7 +127,7 @@ fn diversity_off_still_handles_transients() {
         victim: Victim::V2,
         kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 4 }),
     };
-    let (r, img) = run_micro_with_state(&cfg, Some(fault), 16);
+    let (r, img, _) = run_micro_with_recorder(&cfg, Some(fault), 16, NoopRecorder);
     assert_eq!(r.detections, 1);
     audit_state(r.committed_rounds, &img);
 }
