@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 use vds_analytic::Params;
 use vds_core::abstract_vds::{run_with_recorder, AbstractConfig};
 use vds_core::{FaultModel, Scheme, Victim};
+use vds_desim::trace::{render_ascii, to_tsv};
 use vds_obs::Recorder;
 
 /// Produce both timelines with a fault at round `fault_round`.
@@ -44,8 +45,8 @@ pub fn report(fault_round: u32, rounds: u64, width: usize) -> Report {
             r.committed_rounds,
             r.detections == 1
         );
-        let _ = writeln!(text, "{}", tl.render_ascii(width));
-        data.push((format!("timeline_{}.tsv", scheme.name()), tl.to_tsv()));
+        let _ = writeln!(text, "{}", render_ascii(&tl, width));
+        data.push((format!("timeline_{}.tsv", scheme.name()), to_tsv(&tl)));
     }
     Report {
         id: "E2",

@@ -25,7 +25,7 @@ pub fn report(rounds: u32) -> Report {
         let _ = write!(text, " {n:>7}");
     }
     let _ = writeln!(text);
-    let mut stats = vds_desim::stats::OnlineStats::new();
+    let mut stats = vds_obs::Summary::new();
     for a in &names {
         let _ = write!(text, "{a:>8} |");
         for b in &names {
@@ -35,7 +35,7 @@ pub fn report(rounds: u32) -> Report {
                 .map(|(_, _, m)| m)
                 .expect("matrix complete");
             let _ = write!(text, " {:>7.3}", m.alpha);
-            stats.push(m.alpha);
+            stats.observe(m.alpha);
             let _ = writeln!(csv, "{a},{b},{},{},{},{}", m.t_a, m.t_b, m.t_pair, m.alpha);
         }
         let _ = writeln!(text);

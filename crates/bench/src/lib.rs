@@ -4,8 +4,8 @@
 //! around a `report()` function that regenerates the corresponding paper
 //! artefact (equation curve, figure surface, timeline, flow chart) and
 //! returns it as printable text plus machine-readable CSV/TSV blocks.
-//! The `exp_*` binaries are thin wrappers; integration tests call the
-//! same functions with scaled-down parameters.
+//! `vds experiment <id|all>` runs them through the [`registry()`];
+//! integration tests call the same functions with scaled-down parameters.
 //!
 //! | module | paper artefact |
 //! |--------|----------------|

@@ -1,11 +1,11 @@
 //! The experiment registry: every paper artefact behind one uniform API.
 //!
 //! Each experiment module keeps its typed `report(...)` function; this
-//! module wraps them in the [`Experiment`] trait so callers (the `vds`
-//! CLI, `exp_all`, integration tests) can enumerate and run them without
-//! hard-coding the list. [`Params`] carries the shared size/seed/worker
-//! knobs; experiments map them onto their own arguments and fall back to
-//! their historical defaults when a knob is absent.
+//! module wraps them in the [`Experiment`] trait so callers (`vds
+//! experiment <id|all>`, `vds bench`, integration tests) can enumerate
+//! and run them without hard-coding the list. [`Params`] carries the
+//! shared size/seed/worker knobs; experiments map them onto their own
+//! arguments and fall back to their defaults when a knob is absent.
 
 use crate::Report;
 
@@ -13,7 +13,7 @@ use crate::Report;
 ///
 /// `rounds` is the generic size knob — rounds, trials or samples,
 /// whatever the experiment scales by. `None` selects each experiment's
-/// default (the sizes the CLI has always used).
+/// default: the size `vds experiment all` regenerates the paper at.
 #[derive(Debug, Clone)]
 pub struct Params {
     /// Size knob (rounds / trials / samples); `None` = experiment default.
@@ -137,7 +137,7 @@ experiment!(
     E10,
     "E10",
     "Fault-injection coverage on the micro platform",
-    |p| crate::e10_coverage::report(p.rounds_or(200), p.workers)
+    |p| crate::e10_coverage::report(p.rounds_or(400), p.workers)
 );
 experiment!(
     E11,
@@ -149,7 +149,7 @@ experiment!(
     E12,
     "E12",
     "Checkpoint-interval trade-off under faults",
-    |p| crate::e12_checkpoint::report(p.rounds_or(1_500))
+    |p| crate::e12_checkpoint::report(p.rounds_or(2_000))
 );
 experiment!(
     E13,
@@ -161,7 +161,7 @@ experiment!(
     E14,
     "E14",
     "Ablations — fetch policy, cache pressure, diversity transforms",
-    |p| crate::e14_ablation::report(p.rounds_or(40))
+    |p| crate::e14_ablation::report(p.rounds_or(60))
 );
 experiment!(
     E15,

@@ -20,10 +20,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_analytic::multithread::alpha_k;
 use vds_analytic::Params;
-use vds_desim::time::SimTime;
-use vds_desim::trace::{SpanKind, Timeline};
+use vds_desim::trace::SpanKind;
 use vds_obs::journal::Verdict;
-use vds_obs::{digest_words128, obs_event, Digest128, NoopRecorder, Record};
+use vds_obs::{digest_words128, obs_event, Digest128, NoopRecorder, Record, SpanRecord, Value};
 use vds_predictor::{FaultPredictor, Suspect};
 
 /// Configuration of an abstract VDS run.
@@ -42,7 +41,8 @@ pub struct AbstractConfig {
     pub checkpoint_cost: f64,
     /// Time to restore state from the checkpoint on rollback.
     pub restore_cost: f64,
-    /// Record a [`Timeline`] (Figure 1) — costs memory, off by default.
+    /// Record the Figure 1 spans into [`RunReport::timeline`] — costs
+    /// memory, off by default.
     pub record_timeline: bool,
     /// Fail-safe shutdown after this many consecutive rollbacks without
     /// progress (the flow charts' terminal state).
@@ -89,7 +89,8 @@ struct Abstract<'a, 'p> {
     corrupt: [bool; 2],
     crash: Option<Victim>,
     oneshot_fired: bool,
-    timeline: Timeline,
+    /// Figure 1 spans, kept only when `record_timeline` is set.
+    timeline: Vec<SpanRecord>,
     /// Facts of the latest recovery incident.
     incident: Option<Incident>,
 }
@@ -110,7 +111,7 @@ impl<'a, 'p> Abstract<'a, 'p> {
             corrupt: [false, false],
             crash: None,
             oneshot_fired: false,
-            timeline: Timeline::new(),
+            timeline: Vec::new(),
             incident: None,
         }
     }
@@ -118,15 +119,22 @@ impl<'a, 'p> Abstract<'a, 'p> {
     /// Record a timeline span. The label is a closure so hot call sites
     /// don't pay for `format!` allocations when no timeline is kept —
     /// it runs only when `record_timeline` is set.
-    fn span(&mut self, lane: usize, dur: f64, kind: SpanKind, label: impl FnOnce() -> String) {
+    fn span(&mut self, lane: u32, dur: f64, kind: SpanKind, label: impl FnOnce() -> String) {
         if self.cfg.record_timeline {
-            self.timeline.record(
-                lane,
-                SimTime::from_secs(self.clock),
-                SimTime::from_secs(self.clock + dur),
-                kind,
-                label(),
-            );
+            let label = label();
+            let fields = if label.is_empty() {
+                Vec::new()
+            } else {
+                vec![("label", Value::from(label))]
+            };
+            self.timeline.push(SpanRecord {
+                begin: self.clock,
+                end: self.clock + dur,
+                component: self.cfg.scheme.name(),
+                name: kind.name(),
+                tid: lane,
+                fields,
+            });
         }
     }
 
@@ -513,7 +521,9 @@ impl Backend for Abstract<'_, '_> {
     fn export<R: Record>(&mut self, report: &mut RunReport, rec: &mut R) {
         if self.cfg.record_timeline {
             if rec.is_active() {
-                self.timeline.export_spans(rec, self.cfg.scheme.name());
+                for s in &self.timeline {
+                    rec.record_span(s.clone());
+                }
             }
             report.timeline = Some(std::mem::take(&mut self.timeline));
         }
@@ -708,7 +718,7 @@ mod tests {
                 assert_eq!(r.recoveries_ok, 1, "{scheme:?} i={i}: {r}");
                 let tl = r.timeline.expect("timeline requested");
                 assert!(
-                    !tl.spans().iter().any(|s| s.kind == SpanKind::RollForward),
+                    !tl.iter().any(|s| s.name == SpanKind::RollForward.name()),
                     "{scheme:?} i={i}: zero-length window must not record a \
                      roll-forward span"
                 );
@@ -729,9 +739,8 @@ mod tests {
         assert!(r
             .timeline
             .unwrap()
-            .spans()
             .iter()
-            .any(|s| s.kind == SpanKind::RollForward));
+            .any(|s| s.name == SpanKind::RollForward.name()));
     }
 
     #[test]
@@ -940,15 +949,17 @@ mod tests {
             1,
         );
         let tl = r.timeline.expect("timeline requested");
-        assert_eq!(tl.lanes(), 2, "SMT timeline has two hardware threads");
-        let art = tl.render_ascii(80);
+        let lanes = |tl: &[SpanRecord]| tl.iter().map(|s| s.tid + 1).max();
+        assert_eq!(lanes(&tl), Some(2), "SMT timeline has two hardware threads");
+        assert!(tl.iter().all(|s| s.component == "smt-prob"));
+        let art = vds_desim::trace::render_ascii(&tl, 80);
         assert!(art.contains("T0"));
         assert!(art.contains("r"), "retry visible: \n{art}");
         // conventional: one lane
         let mut cc = cfg(Scheme::Conventional);
         cc.record_timeline = true;
         let rc = run(&cc, FaultModel::None, 5, 1);
-        assert_eq!(rc.timeline.unwrap().lanes(), 1);
+        assert_eq!(lanes(&rc.timeline.unwrap()), Some(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Run accounting.
 
-use vds_desim::trace::Timeline;
+use vds_obs::SpanRecord;
 
 /// Everything a VDS run reports.
 #[derive(Debug, Clone, Default)]
@@ -60,8 +60,11 @@ pub struct RunReport {
     pub time_checkpoint: f64,
     /// Whether the run ended in a fail-safe shutdown.
     pub shutdown: bool,
-    /// Execution timeline (only when recording was requested).
-    pub timeline: Option<Timeline>,
+    /// Figure 1 execution timeline, one span per activity (only when
+    /// recording was requested): component = scheme name, name =
+    /// `vds_desim::trace::SpanKind::name`, tid = lane, and a `label`
+    /// field when the activity has one.
+    pub timeline: Option<Vec<SpanRecord>>,
 }
 
 impl RunReport {

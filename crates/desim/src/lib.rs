@@ -1,58 +1,19 @@
 #![warn(missing_docs)]
 
-//! # vds-desim — discrete-event simulation substrate
+//! # vds-desim — seeds, spans and surfaces for the figure harness
 //!
-//! A small, deterministic discrete-event simulation (DES) engine plus the
-//! statistics and reporting toolkit used throughout the VDS-SMT
-//! reproduction of Fechner/Keller/Sobe, *"Performance Estimation of Virtual
-//! Duplex Systems on Simultaneous Multithreaded Processors"* (IPDPS 2004
-//! workshops).
+//! The reporting toolkit shared by the VDS-SMT reproduction of
+//! Fechner/Keller/Sobe, *"Performance Estimation of Virtual Duplex
+//! Systems on Simultaneous Multithreaded Processors"* (IPDPS 2004
+//! workshops):
 //!
-//! The paper's evaluation is analytical; this crate provides the machinery
-//! to *validate* the closed forms by execution:
-//!
-//! * [`engine::Sim`] — a closure-based event calendar with a virtual clock.
-//!   Events fire in `(time, insertion order)` order, so runs are
-//!   reproducible bit-for-bit.
-//! * [`time::SimTime`] — virtual time as a totally-ordered `f64` newtype.
 //! * [`rng`] — seed-derivation helpers so independent subsystems get
 //!   independent, reproducible random streams.
-//! * [`dist`] — the handful of distributions the experiments need
-//!   (deterministic, uniform, exponential, truncated normal, Bernoulli),
-//!   implemented directly so the only external dependency is `rand`.
-//! * [`stats`] — online mean/variance (Welford), confidence intervals,
-//!   histograms and counters.
-//! * [`trace`] — span-based timeline recording and the ASCII Gantt renderer
-//!   used to regenerate the paper's Figure 1 execution models.
-//! * [`series`] — tiny `(x, y)` series / 2-D surface containers with CSV
-//!   output for the figure-regeneration harness.
-//!
-//! ## Example
-//!
-//! ```
-//! use vds_desim::engine::Sim;
-//! use vds_desim::time::SimTime;
-//!
-//! // World state: a counter.
-//! let mut sim: Sim<u32> = Sim::new();
-//! sim.schedule_in(SimTime::from_secs(1.0), |sim, n| {
-//!     *n += 1;
-//!     // events may schedule follow-ups
-//!     sim.schedule_in(SimTime::from_secs(2.0), |_, n| *n += 10);
-//! });
-//! let mut world = 0u32;
-//! sim.run(&mut world);
-//! assert_eq!(world, 11);
-//! assert_eq!(sim.now().as_secs(), 3.0);
-//! ```
+//! * [`trace`] — the Figure 1 span vocabulary ([`trace::SpanKind`]) and
+//!   the ASCII Gantt / TSV renderers over `vds_obs::SpanRecord`s.
+//! * [`series`] — the 2-D surface container behind Figures 4 and 5, with
+//!   CSV/TSV and ASCII output.
 
-pub mod dist;
-pub mod engine;
 pub mod rng;
 pub mod series;
-pub mod stats;
-pub mod time;
 pub mod trace;
-
-pub use engine::Sim;
-pub use time::SimTime;

@@ -1,107 +1,7 @@
-//! Report containers: `(x, y)` series, labelled tables and 2-D surfaces,
-//! with CSV/TSV emission. The bench harness prints these; keeping them here
-//! lets integration tests assert on figure data without parsing text.
+//! The 2-D surface container behind Figures 4 and 5, with CSV/TSV and
+//! ASCII emission.
 
 use std::fmt::Write as _;
-
-/// A named `(x, y)` series, e.g. gain versus α.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Series {
-    /// Series name (used as CSV column header).
-    pub name: String,
-    /// The points, in insertion order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Empty series with a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append one point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// `y` at the first point whose `x` matches within `tol`.
-    pub fn y_at(&self, x: f64, tol: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(px, _)| (px - x).abs() <= tol)
-            .map(|&(_, y)| y)
-    }
-
-    /// Maximum y value (NaN-free data assumed).
-    pub fn y_max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, y)| y)
-            .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.max(y))))
-    }
-
-    /// Minimum y value.
-    pub fn y_min(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, y)| y)
-            .fold(None, |acc, y| Some(acc.map_or(y, |a: f64| a.min(y))))
-    }
-}
-
-/// Several series sharing an x-axis, rendered as a CSV table.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesSet {
-    /// Label for the x column.
-    pub x_label: String,
-    /// The member series. All must have identical x grids for `to_csv`.
-    pub series: Vec<Series>,
-}
-
-impl SeriesSet {
-    /// Empty set with an x-axis label.
-    pub fn new(x_label: impl Into<String>) -> Self {
-        SeriesSet {
-            x_label: x_label.into(),
-            series: Vec::new(),
-        }
-    }
-
-    /// Add a series.
-    pub fn push(&mut self, s: Series) {
-        self.series.push(s);
-    }
-
-    /// CSV with a shared x column. Rows follow the first series' x grid;
-    /// other series contribute empty cells where their grid differs.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, ",{}", s.name);
-        }
-        out.push('\n');
-        let Some(first) = self.series.first() else {
-            return out;
-        };
-        for &(x, _) in &first.points {
-            let _ = write!(out, "{x}");
-            for s in &self.series {
-                match s.y_at(x, 1e-12) {
-                    Some(y) => {
-                        let _ = write!(out, ",{y}");
-                    }
-                    None => out.push(','),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
 
 /// A dense 2-D surface `z = f(x, y)` on a rectangular grid — the shape of
 /// the paper's Figures 4 and 5 (`Ḡ_corr(α, β)`).
@@ -118,51 +18,9 @@ pub struct Surface {
 }
 
 impl Surface {
-    /// Evaluate `f` over the grid `xs × ys`.
-    pub fn evaluate(
-        xs: Vec<f64>,
-        ys: Vec<f64>,
-        labels: (&str, &str, &str),
-        mut f: impl FnMut(f64, f64) -> f64,
-    ) -> Self {
-        let mut z = Vec::with_capacity(xs.len() * ys.len());
-        for &y in &ys {
-            for &x in &xs {
-                z.push(f(x, y));
-            }
-        }
-        Surface {
-            xs,
-            ys,
-            z,
-            labels: (
-                labels.0.to_string(),
-                labels.1.to_string(),
-                labels.2.to_string(),
-            ),
-        }
-    }
-
     /// Value at grid indices.
-    pub fn at(&self, ix: usize, iy: usize) -> f64 {
+    fn at(&self, ix: usize, iy: usize) -> f64 {
         self.z[iy * self.xs.len() + ix]
-    }
-
-    /// Value at the grid point nearest to `(x, y)`.
-    pub fn nearest(&self, x: f64, y: f64) -> f64 {
-        let ix = nearest_index(&self.xs, x);
-        let iy = nearest_index(&self.ys, y);
-        self.at(ix, iy)
-    }
-
-    /// Global maximum of z.
-    pub fn z_max(&self) -> f64 {
-        self.z.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Global minimum of z.
-    pub fn z_min(&self) -> f64 {
-        self.z.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Long-form CSV: `x,y,z` per row — the friendliest format for gnuplot
@@ -225,103 +83,42 @@ impl Surface {
     }
 }
 
-fn nearest_index(grid: &[f64], v: f64) -> usize {
-    let mut best = 0;
-    let mut bestd = f64::INFINITY;
-    for (i, &g) in grid.iter().enumerate() {
-        let d = (g - v).abs();
-        if d < bestd {
-            bestd = d;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Evenly spaced grid `lo..=hi` with `n` points (n ≥ 2).
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "linspace needs at least two points");
-    let step = (hi - lo) / (n - 1) as f64;
-    (0..n).map(|i| lo + step * i as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn series_lookup() {
-        let mut s = Series::new("g");
-        s.push(0.5, 2.0);
-        s.push(1.0, 1.0);
-        assert_eq!(s.y_at(0.5, 1e-9), Some(2.0));
-        assert_eq!(s.y_at(0.75, 1e-9), None);
-        assert_eq!(s.y_max(), Some(2.0));
-        assert_eq!(s.y_min(), Some(1.0));
+    /// `z = x + y` on `xs × ys`.
+    fn sum_surface(xs: Vec<f64>, ys: Vec<f64>) -> Surface {
+        let z = ys
+            .iter()
+            .flat_map(|y| xs.iter().map(move |x| x + y))
+            .collect();
+        Surface {
+            xs,
+            ys,
+            z,
+            labels: ("a".into(), "b".into(), "g".into()),
+        }
     }
 
     #[test]
-    fn seriesset_csv() {
-        let mut set = SeriesSet::new("alpha");
-        let mut a = Series::new("exact");
-        a.push(0.5, 2.0);
-        a.push(1.0, 1.0);
-        let mut b = Series::new("approx");
-        b.push(0.5, 2.0);
-        b.push(1.0, 1.0);
-        set.push(a);
-        set.push(b);
-        let csv = set.to_csv();
-        assert!(csv.starts_with("alpha,exact,approx\n"));
-        assert!(csv.contains("0.5,2,2"));
+    fn csv_long_has_all_rows() {
+        let csv = sum_surface(vec![0.0, 1.0], vec![0.0, 2.0]).to_csv_long();
+        assert_eq!(csv, "a,b,g\n0,0,0\n1,0,1\n0,2,2\n1,2,3\n");
     }
 
     #[test]
-    fn surface_evaluate_and_lookup() {
-        let s = Surface::evaluate(
-            linspace(0.0, 1.0, 3),
-            linspace(0.0, 2.0, 3),
-            ("x", "y", "z"),
-            |x, y| x + y,
-        );
-        assert_eq!(s.at(0, 0), 0.0);
-        assert_eq!(s.at(2, 2), 3.0);
-        assert_eq!(s.nearest(0.49, 0.0), 0.5);
-        assert_eq!(s.z_max(), 3.0);
-        assert_eq!(s.z_min(), 0.0);
-    }
-
-    #[test]
-    fn surface_csv_long_has_all_rows() {
-        let s = Surface::evaluate(
-            linspace(0.0, 1.0, 2),
-            linspace(0.0, 1.0, 2),
-            ("a", "b", "g"),
-            |x, y| x * y,
-        );
-        let csv = s.to_csv_long();
-        assert_eq!(csv.lines().count(), 5); // header + 4 points
-        assert!(csv.starts_with("a,b,g\n"));
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let g = linspace(0.5, 1.0, 26);
-        assert_eq!(g.len(), 26);
-        assert!((g[0] - 0.5).abs() < 1e-12);
-        assert!((g[25] - 1.0).abs() < 1e-12);
-        assert!((g[1] - 0.52).abs() < 1e-12);
+    fn tsv_matrix_is_row_per_y() {
+        let tsv = sum_surface(vec![0.0, 1.0], vec![0.5]).to_tsv_matrix();
+        assert_eq!(tsv, "b\\a\t0.000\t1.000\n0.500\t0.5000\t1.5000\n");
     }
 
     #[test]
     fn ascii_render_runs() {
-        let s = Surface::evaluate(
-            linspace(0.5, 1.0, 10),
-            linspace(0.0, 1.0, 5),
-            ("alpha", "beta", "gain"),
-            |x, y| 1.0 / (x + y),
-        );
+        let s = sum_surface(vec![0.5, 0.75, 1.0], vec![0.0, 0.5, 1.5]);
         let art = s.render_ascii();
-        assert_eq!(art.lines().count(), 6);
+        assert_eq!(art.lines().count(), 4);
+        // top row is the largest y; z ≥ 2 renders as '+'
+        assert!(art.starts_with("  1.50 |++"), "{art}");
     }
 }

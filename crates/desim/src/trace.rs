@@ -1,14 +1,15 @@
-//! Timeline tracing and ASCII Gantt rendering.
+//! Figure 1 span vocabulary and its ASCII Gantt / TSV renderers.
 //!
 //! The paper's Figure 1 shows the execution models of a VDS on a
 //! conventional and on a multithreaded processor as timelines of rounds,
 //! context switches, comparisons and recovery activity. The VDS engine
-//! records [`Span`]s into a [`Timeline`]; [`Timeline::render_ascii`]
-//! reproduces the figure in text form and [`Timeline::to_tsv`] emits the
-//! raw data for external plotting.
+//! records each activity as a [`SpanRecord`] named after its
+//! [`SpanKind`], with the lane (hardware thread or CPU) as `tid` and an
+//! optional `label` field; [`render_ascii`] reproduces the figure in text
+//! form and [`to_tsv`] emits the raw data for external plotting.
 
-use crate::time::SimTime;
 use std::fmt::Write as _;
+use vds_obs::SpanRecord;
 
 /// What a span of processor time was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +35,19 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
+    /// Every kind, in declaration order.
+    const ALL: [SpanKind; 9] = [
+        SpanKind::Round,
+        SpanKind::ContextSwitch,
+        SpanKind::Compare,
+        SpanKind::Checkpoint,
+        SpanKind::Retry,
+        SpanKind::RollForward,
+        SpanKind::Vote,
+        SpanKind::StateCopy,
+        SpanKind::Idle,
+    ];
+
     /// Single character used by the ASCII renderer.
     pub fn glyph(self) -> char {
         match self {
@@ -49,7 +63,7 @@ impl SpanKind {
         }
     }
 
-    /// Human-readable name.
+    /// Human-readable name; the span name of every Figure 1 record.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Round => "round",
@@ -63,189 +77,111 @@ impl SpanKind {
             SpanKind::Idle => "idle",
         }
     }
+
+    /// The kind whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<SpanKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
-/// One contiguous activity on one lane (= hardware thread or CPU).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Lane index (0-based). Lane 0 is the only lane on a conventional CPU.
-    pub lane: usize,
-    /// Start time.
-    pub start: SimTime,
-    /// End time (exclusive).
-    pub end: SimTime,
-    /// Activity class.
-    pub kind: SpanKind,
-    /// Free-form label, e.g. `"V1 R3"`.
-    pub label: String,
+/// The span's `label` field, or `""` when it has none.
+fn label(s: &SpanRecord) -> String {
+    s.fields
+        .iter()
+        .find(|(k, _)| *k == "label")
+        .map_or_else(String::new, |(_, v)| v.to_string())
 }
 
-/// An append-only recording of spans.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    spans: Vec<Span>,
-    lanes: usize,
-}
-
-impl Timeline {
-    /// Empty timeline.
-    pub fn new() -> Self {
-        Self::default()
+/// Render an ASCII Gantt chart, `width` characters wide, one row per
+/// lane (`tid`). Each cell shows the glyph of the span covering the
+/// midpoint of that cell's time slice; `.` where nothing is recorded.
+/// Later spans overlay earlier ones; zero-length spans never cover a
+/// midpoint, so they appear only in the TSV output.
+pub fn render_ascii(spans: &[SpanRecord], width: usize) -> String {
+    let mut out = String::new();
+    let end = spans.iter().map(|s| s.end).fold(0.0, f64::max);
+    if end == 0.0 || width == 0 {
+        return out;
     }
-
-    /// Record a span. Zero-length spans are kept (they still carry labels,
-    /// e.g. instantaneous comparisons in the abstract model) but rendered
-    /// only in the TSV output.
-    pub fn record(
-        &mut self,
-        lane: usize,
-        start: SimTime,
-        end: SimTime,
-        kind: SpanKind,
-        label: impl Into<String>,
-    ) {
-        debug_assert!(end >= start, "span must not be negative");
-        self.lanes = self.lanes.max(lane + 1);
-        self.spans.push(Span {
-            lane,
-            start,
-            end,
-            kind,
-            label: label.into(),
-        });
-    }
-
-    /// All recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Number of lanes seen.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Latest end time (ZERO if empty).
-    pub fn end_time(&self) -> SimTime {
-        self.spans
-            .iter()
-            .map(|s| s.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Total time attributed to `kind` across all lanes.
-    pub fn total_time(&self, kind: SpanKind) -> SimTime {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
-    /// Render an ASCII Gantt chart, `width` characters wide, one row per
-    /// lane. Each cell shows the glyph of the span covering the midpoint of
-    /// that cell's time slice; `.` where nothing is recorded.
-    pub fn render_ascii(&self, width: usize) -> String {
-        let mut out = String::new();
-        let end = self.end_time();
-        if end.is_zero() || width == 0 {
-            return out;
+    let lanes = spans.iter().map(|s| s.tid + 1).max().unwrap_or(0);
+    let dt = end / width as f64;
+    for lane in 0..lanes {
+        let _ = write!(out, "T{lane} |");
+        for cell in 0..width {
+            let mid = (cell as f64 + 0.5) * dt;
+            let glyph = spans
+                .iter()
+                .rev()
+                .find(|s| s.tid == lane && s.begin <= mid && mid < s.end)
+                .map_or('.', |s| {
+                    SpanKind::from_name(s.name).map_or('?', SpanKind::glyph)
+                });
+            out.push(glyph);
         }
-        let dt = end.as_secs() / width as f64;
-        for lane in 0..self.lanes {
-            let _ = write!(out, "T{lane} |");
-            for cell in 0..width {
-                let mid = SimTime::from_secs((cell as f64 + 0.5) * dt);
-                let glyph = self
-                    .spans
-                    .iter()
-                    .rev() // later recordings win, matches overlay semantics
-                    .find(|s| s.lane == lane && s.start <= mid && mid < s.end)
-                    .map_or('.', |s| s.kind.glyph());
-                out.push(glyph);
-            }
-            out.push_str("|\n");
-        }
+        out.push_str("|\n");
+    }
+    let _ = writeln!(
+        out,
+        "    0{:>width$}",
+        format!("{end:.2}"),
+        width = width - 1
+    );
+    out.push_str("    legend: = round  x switch  c compare  S checkpoint  r retry  f roll-forward  V vote  y copy\n");
+    out
+}
+
+/// Tab-separated dump: `lane  start  end  kind  label`.
+pub fn to_tsv(spans: &[SpanRecord]) -> String {
+    let mut out = String::from("lane\tstart\tend\tkind\tlabel\n");
+    for s in spans {
         let _ = writeln!(
             out,
-            "    0{:>width$}",
-            format!("{:.2}", end.as_secs()),
-            width = width - 1
+            "{}\t{}\t{}\t{}\t{}",
+            s.tid,
+            s.begin,
+            s.end,
+            s.name,
+            label(s)
         );
-        out.push_str("    legend: = round  x switch  c compare  S checkpoint  r retry  f roll-forward  V vote  y copy\n");
-        out
     }
-
-    /// Convert the timeline into profiler spans on `rec`: one span per
-    /// recorded [`Span`], lane = hardware-thread id, under the given
-    /// component (a lane per `(component, tid)` pair in the Chrome
-    /// export). Labels travel along as a `label` field.
-    pub fn export_spans<R: vds_obs::Record>(&self, rec: &mut R, component: &'static str) {
-        if !R::ENABLED || !rec.is_active() {
-            return;
-        }
-        for s in &self.spans {
-            let fields = if s.label.is_empty() {
-                Vec::new()
-            } else {
-                vec![("label", vds_obs::Value::from(s.label.clone()))]
-            };
-            rec.record_span(vds_obs::SpanRecord {
-                begin: s.start.as_secs(),
-                end: s.end.as_secs(),
-                component,
-                name: s.kind.name(),
-                tid: s.lane as u32,
-                fields,
-            });
-        }
-    }
-
-    /// Tab-separated dump: `lane  start  end  kind  label`.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from("lane\tstart\tend\tkind\tlabel\n");
-        for s in &self.spans {
-            let _ = writeln!(
-                out,
-                "{}\t{}\t{}\t{}\t{}",
-                s.lane,
-                s.start.as_secs(),
-                s.end.as_secs(),
-                s.kind.name(),
-                s.label
-            );
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
+    fn span(lane: u32, begin: f64, end: f64, kind: SpanKind, label: &str) -> SpanRecord {
+        let fields = if label.is_empty() {
+            Vec::new()
+        } else {
+            vec![("label", vds_obs::Value::from(label.to_string()))]
+        };
+        SpanRecord {
+            begin,
+            end,
+            component: "test",
+            name: kind.name(),
+            tid: lane,
+            fields,
+        }
     }
 
     #[test]
-    fn records_and_totals() {
-        let mut tl = Timeline::new();
-        tl.record(0, t(0.0), t(1.0), SpanKind::Round, "V1 R1");
-        tl.record(0, t(1.0), t(1.1), SpanKind::ContextSwitch, "");
-        tl.record(0, t(1.1), t(2.1), SpanKind::Round, "V2 R1");
-        assert_eq!(tl.lanes(), 1);
-        assert_eq!(tl.end_time(), t(2.1));
-        assert!((tl.total_time(SpanKind::Round).as_secs() - 2.0).abs() < 1e-12);
-        assert!((tl.total_time(SpanKind::ContextSwitch).as_secs() - 0.1).abs() < 1e-12);
+    fn names_round_trip() {
+        for k in SpanKind::ALL {
+            assert_eq!(SpanKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(SpanKind::from_name("bogus"), None);
     }
 
     #[test]
     fn ascii_render_shape() {
-        let mut tl = Timeline::new();
-        tl.record(0, t(0.0), t(1.0), SpanKind::Round, "V1 R1");
-        tl.record(1, t(0.0), t(1.0), SpanKind::Round, "V2 R1");
-        let s = tl.render_ascii(20);
+        let spans = [
+            span(0, 0.0, 1.0, SpanKind::Round, "V1 R1"),
+            span(1, 0.0, 1.0, SpanKind::Round, "V2 R1"),
+        ];
+        let s = render_ascii(&spans, 20);
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].starts_with("T0 |"));
         assert!(lines[1].starts_with("T1 |"));
@@ -254,24 +190,27 @@ mod tests {
 
     #[test]
     fn ascii_handles_empty() {
-        let tl = Timeline::new();
-        assert_eq!(tl.render_ascii(40), "");
+        assert_eq!(render_ascii(&[], 40), "");
     }
 
     #[test]
     fn tsv_dump() {
-        let mut tl = Timeline::new();
-        tl.record(0, t(0.0), t(1.5), SpanKind::Retry, "V3 R1..R3");
-        let tsv = tl.to_tsv();
-        assert!(tsv.contains("0\t0\t1.5\tretry\tV3 R1..R3"));
+        let spans = [
+            span(0, 0.0, 1.5, SpanKind::Retry, "V3 R1..R3"),
+            span(0, 1.5, 1.6, SpanKind::ContextSwitch, ""),
+        ];
+        let tsv = to_tsv(&spans);
+        assert!(tsv.contains("0\t0\t1.5\tretry\tV3 R1..R3\n"));
+        assert!(tsv.ends_with("0\t1.5\t1.6\tcontext-switch\t\n"));
     }
 
     #[test]
     fn later_spans_overlay_earlier() {
-        let mut tl = Timeline::new();
-        tl.record(0, t(0.0), t(2.0), SpanKind::Idle, "");
-        tl.record(0, t(0.5), t(1.5), SpanKind::Round, "V1");
-        let s = tl.render_ascii(4);
+        let spans = [
+            span(0, 0.0, 2.0, SpanKind::Idle, ""),
+            span(0, 0.5, 1.5, SpanKind::Round, "V1"),
+        ];
+        let s = render_ascii(&spans, 4);
         // cells at midpoints 0.25,0.75,1.25,1.75 -> idle, round, round, idle
         let row = s.lines().next().unwrap();
         assert!(row.contains(".==."), "row was {row}");

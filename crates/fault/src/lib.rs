@@ -14,7 +14,7 @@
 //!   and processor-stop faults.
 //! * [`arrival`] — stochastic fault arrival: Poisson (memoryless, the
 //!   classic radiation model) and bursty/clustered (Markov-modulated —
-//!   the §5 scenario where "several [transients] may occur" close
+//!   the §5 scenario where "several \[transients\] may occur" close
 //!   together and fault *history* becomes predictive).
 //! * [`inject`] — applying faults to a running [`vds_sched::Machine`].
 //! * [`edc`] — error-detecting/correcting codes: word parity, a

@@ -1,10 +1,10 @@
 //! First-class histogram metric: sparse log-bucket counts with an exact,
 //! order-invariant merge and Prometheus-style cumulative exposition.
 //!
-//! A [`Histogram`] generalizes the bucket grid of
-//! [`Summary`](crate::summary::Summary) into its own metric kind. Where a
-//! `Summary` keeps Welford moments (whose merge is order-sensitive in the
-//! last ulps), a histogram is pure bucket counts plus a running sum —
+//! A [`Histogram`] owns the log-bucket grid; a
+//! [`Summary`](crate::summary::Summary) is a histogram plus Welford
+//! moments. Where a `Summary`'s moments merge order-sensitively in the
+//! last ulps, a histogram is pure bucket counts plus a running sum —
 //! merging shards adds counts and sums, so *any* shard order yields
 //! byte-identical buckets. That makes it the right kind for distributions
 //! that must survive worker-invariant exports: residuals, latencies,
@@ -12,14 +12,31 @@
 //!
 //! Buckets are the shared quarter-power-of-two grid (`2^(k/4)` upper
 //! bounds); non-positive observations pool in a single underflow bucket
-//! surfaced as upper bound `0`. Quantile estimates follow the same
-//! upper-bound-clamped convention as [`Summary::quantile`]
-//! (see that method's docs for the pinned edge cases).
-//!
-//! [`Summary::quantile`]: crate::summary::Summary::quantile
+//! surfaced as upper bound `0`. Quantile estimates are the bucket's
+//! upper bound clamped to the observed range (see
+//! [`Histogram::quantile`] for the pinned edge cases).
 
-use crate::summary::{log_bucket_hi, log_bucket_of, NONPOS_BUCKET};
 use std::collections::BTreeMap;
+
+/// Bucket key for non-positive observations (kept out of the log grid).
+const NONPOS_BUCKET: i32 = i32::MIN;
+
+/// Grid bucket index for observation `x`: `k = ceil(4·log2(x))`, clamped
+/// to `[-512, 512]`. Non-positive and non-finite observations map to
+/// [`NONPOS_BUCKET`].
+fn log_bucket_of(x: f64) -> i32 {
+    if x <= 0.0 || !x.is_finite() {
+        return NONPOS_BUCKET;
+    }
+    let k = (4.0 * x.log2()).ceil();
+    k.clamp(-512.0, 512.0) as i32
+}
+
+/// Upper bound of grid bucket `k` (`2^(k/4)`); bucket `k` covers
+/// `2^((k-1)/4) < x <= 2^(k/4)`.
+fn log_bucket_hi(k: i32) -> f64 {
+    (f64::from(k) / 4.0).exp2()
+}
 
 /// Sparse log-bucket histogram of a numeric observation stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +48,7 @@ pub struct Histogram {
     buckets: BTreeMap<i32, u64>,
 }
 
-/// Like `Summary`, the registry materializes histograms with
+/// The registry materializes histograms (and summaries) with
 /// `or_default()`; a derived all-zeros default would corrupt `min`/`max`.
 impl Default for Histogram {
     fn default() -> Self {
@@ -99,12 +116,22 @@ impl Histogram {
         self.max
     }
 
-    /// Estimated p-quantile, same convention as [`Summary::quantile`]:
-    /// the grid bucket's upper bound clamped to the observed `[min, max]`
-    /// (`min(min, 0)` for the pooled non-positive bucket). `None` when
-    /// empty.
+    /// Estimated p-quantile (`0 <= p <= 1`) from the fixed bucket grid.
     ///
-    /// [`Summary::quantile`]: crate::summary::Summary::quantile
+    /// **Convention**: the estimate is the *upper bound* `2^(k/4)` of the
+    /// grid bucket holding the `ceil(p·n)`-th smallest observation,
+    /// clamped into the observed `[min, max]`. Pinned consequences:
+    ///
+    /// * a single-observation histogram returns that observation for
+    ///   every `p` — the clamp collapses the bucket bound onto
+    ///   `min == max`;
+    /// * observations sharing one bucket share one quantile estimate (the
+    ///   grid cannot resolve within a bucket);
+    /// * the non-positive bucket (which the log grid cannot resolve)
+    ///   reports `min(min, 0)`;
+    /// * the estimate never leaves `[min(min, 0), max]` (asserted below).
+    ///
+    /// `None` when empty.
     pub fn quantile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&p), "quantile p out of range");
         if self.n == 0 {
@@ -124,6 +151,12 @@ impl Histogram {
                 break;
             }
         }
+        debug_assert!(
+            q >= self.min.min(0.0) && q <= self.max,
+            "quantile estimate {q} escapes the observed range [{}, {}]",
+            self.min.min(0.0),
+            self.max
+        );
         Some(q)
     }
 

@@ -253,7 +253,7 @@ impl Action {
 pub struct JournalHeader {
     /// Schema version ([`JOURNAL_SCHEMA`] for journals written here).
     pub schema: u32,
-    /// Producing backend: `micro`, `abstract`, `campaign`, `desim`.
+    /// Producing backend: `micro`, `abstract`, `vm`, `campaign`.
     pub backend: String,
     /// Duplex scheme label (e.g. `smt-prob`).
     pub scheme: String,

@@ -5,7 +5,7 @@
 //! object assembly, and the three shapes drifted (field order, float
 //! formatting, missing discriminators). [`JsonObj`] is the shared
 //! builder: insertion-ordered fields, one escaping rule
-//! ([`crate::registry::json_escape`]), one float policy (shortest
+//! (`registry::json_escape`), one float policy (shortest
 //! round-trip `Display`, non-finite → `null`), and a common envelope —
 //! every report opens with `"schema":"vds.report.v1"` and a `"kind"`
 //! discriminator so consumers can route on the first bytes of the line.

@@ -94,7 +94,7 @@ pub struct SpanSet {
 
 /// The default set has the *default capacity*, not zero — a
 /// `SpanSet::default()` used as a merge accumulator must not silently
-/// drop everything pushed into it. Use [`SpanSet::with_capacity(0)`] to
+/// drop everything pushed into it. Use [`SpanSet::with_capacity`]`(0)` to
 /// disable retention explicitly.
 impl Default for SpanSet {
     fn default() -> Self {

@@ -1,58 +1,29 @@
-//! Streaming observation summaries: Welford mean/variance plus
-//! fixed-bucket percentiles.
+//! Streaming observation summaries: Welford mean/variance on top of a
+//! log-bucket [`Histogram`].
 //!
 //! A [`Summary`] is the workhorse metric for numeric observations
 //! (latencies, recovery times, per-trial measurements). It keeps
 //!
-//! * exact `count`, `min`, `max`,
+//! * a [`Histogram`] for exact `count`, `min`, `max` and the fixed-grid
+//!   quantile estimates (so the bucket grid, the quantile rule and the
+//!   bucket merge exist once, shared with the histogram metric kind),
 //! * Welford-accumulated mean and M2 (numerically stable for long
-//!   campaigns, unlike a naive `(sum, count)` pair),
-//! * a sparse fixed-bucket log histogram for quantile estimates.
+//!   campaigns, unlike a naive `(sum, count)` pair).
 //!
-//! Buckets are quarter-powers-of-two (`2^(k/4)`), so bucket boundaries are
-//! a fixed global grid: merging two summaries adds bucket counts exactly,
-//! and the merged quantile estimates are identical regardless of how the
-//! observations were sharded. Mean/variance merging uses Chan et al.'s
-//! pairwise combination; merge order must be fixed by the caller for
+//! Merging two summaries adds bucket counts exactly, so the merged
+//! quantile estimates are identical regardless of how the observations
+//! were sharded. Mean/variance merging uses Chan et al.'s pairwise
+//! combination; merge order must be fixed by the caller for
 //! bit-reproducibility (see `vds-fault`'s logical shards).
 
-use std::collections::BTreeMap;
-
-/// Bucket key for non-positive observations (kept out of the log grid).
-///
-/// Shared by [`Summary`] and [`crate::histogram::Histogram`]: both kinds
-/// bucket on the same global grid, so observations sharded across metric
-/// kinds still land on identical boundaries.
-pub(crate) const NONPOS_BUCKET: i32 = i32::MIN;
-
-/// Grid bucket index for observation `x`: `k = ceil(4·log2(x))`, clamped
-/// to `[-512, 512]`. Non-positive and non-finite observations map to
-/// [`NONPOS_BUCKET`].
-pub(crate) fn log_bucket_of(x: f64) -> i32 {
-    if x <= 0.0 || !x.is_finite() {
-        return NONPOS_BUCKET;
-    }
-    let k = (4.0 * x.log2()).ceil();
-    k.clamp(-512.0, 512.0) as i32
-}
-
-/// Upper bound of grid bucket `k` (`2^(k/4)`); bucket `k` covers
-/// `2^((k-1)/4) < x <= 2^(k/4)`.
-pub(crate) fn log_bucket_hi(k: i32) -> f64 {
-    (f64::from(k) / 4.0).exp2()
-}
+use crate::histogram::Histogram;
 
 /// Streaming summary of a numeric observation stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
-    n: u64,
+    hist: Histogram,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
-    /// Sparse histogram: bucket index `k` counts observations `x` with
-    /// `2^((k-1)/4) < x <= 2^(k/4)`.
-    buckets: BTreeMap<i32, u64>,
 }
 
 /// `Default` must agree with [`Summary::new`]: the registry materializes
@@ -70,12 +41,9 @@ impl Summary {
     /// Empty summary.
     pub fn new() -> Self {
         Summary {
-            n: 0,
+            hist: Histogram::new(),
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: BTreeMap::new(),
         }
     }
 
@@ -89,34 +57,22 @@ impl Summary {
         s
     }
 
-    fn bucket_of(x: f64) -> i32 {
-        log_bucket_of(x)
-    }
-
-    /// Upper bound of bucket `k` (`2^(k/4)`).
-    fn bucket_hi(k: i32) -> f64 {
-        log_bucket_hi(k)
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, x: f64) {
-        self.n += 1;
+        self.hist.observe(x);
         let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
+        self.mean += delta / self.hist.count() as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        *self.buckets.entry(Self::bucket_of(x)).or_insert(0) += 1;
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.n
+        self.hist.count()
     }
 
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
+        if self.count() == 0 {
             0.0
         } else {
             self.mean
@@ -125,15 +81,16 @@ impl Summary {
 
     /// Sum of observations (mean × count; exactness not guaranteed).
     pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
+        self.mean() * self.count() as f64
     }
 
     /// Unbiased sample variance (0 for n < 2).
     pub fn variance(&self) -> f64 {
-        if self.n < 2 {
+        let n = self.count();
+        if n < 2 {
             0.0
         } else {
-            self.m2 / (self.n - 1) as f64
+            self.m2 / (n - 1) as f64
         }
     }
 
@@ -144,99 +101,56 @@ impl Summary {
 
     /// Smallest observation (+inf if empty).
     pub fn min(&self) -> f64 {
-        self.min
+        self.hist.min()
     }
 
     /// Largest observation (-inf if empty).
     pub fn max(&self) -> f64 {
-        self.max
+        self.hist.max()
     }
 
-    /// Estimated p-quantile (`0 <= p <= 1`) from the fixed bucket grid.
-    ///
-    /// **Convention** (shared with `Histogram::quantile`): the estimate is
-    /// the *upper bound* `2^(k/4)` of the grid bucket holding the
-    /// `ceil(p·n)`-th smallest observation, clamped into the observed
-    /// `[min, max]`. Pinned consequences:
-    ///
-    /// * a single-observation summary returns that observation for every
-    ///   `p` — the clamp collapses the bucket bound onto `min == max`;
-    /// * observations sharing one bucket share one quantile estimate (the
-    ///   grid cannot resolve within a bucket);
-    /// * the non-positive bucket (which the log grid cannot resolve)
-    ///   reports `min(min, 0)`;
-    /// * the estimate never leaves `[min(min, 0), max]` (asserted below).
-    ///
-    /// `None` when empty.
+    /// Estimated p-quantile (`0 <= p <= 1`) from the fixed bucket grid;
+    /// see [`Histogram::quantile`] for the convention. `None` when empty.
     pub fn quantile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range");
-        if self.n == 0 {
-            return None;
-        }
-        let target = ((p * self.n as f64).ceil() as u64).clamp(1, self.n);
-        let mut cum = 0u64;
-        let mut q = self.max;
-        for (&k, &c) in &self.buckets {
-            cum += c;
-            if cum >= target {
-                q = if k == NONPOS_BUCKET {
-                    self.min.min(0.0)
-                } else {
-                    Self::bucket_hi(k).clamp(self.min, self.max)
-                };
-                break;
-            }
-        }
-        debug_assert!(
-            q >= self.min.min(0.0) && q <= self.max,
-            "quantile estimate {q} escapes the observed range [{}, {}]",
-            self.min.min(0.0),
-            self.max
-        );
-        Some(q)
+        self.hist.quantile(p)
     }
 
     /// Merge another summary into this one. Bucket counts add exactly;
     /// mean/variance combine pairwise (order-sensitive in the last ulps —
     /// merge in a fixed order for bit-reproducibility).
     pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
+        if other.count() == 0 {
             return;
         }
-        if self.n == 0 {
+        if self.count() == 0 {
             *self = other.clone();
             return;
         }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
+        let n1 = self.count() as f64;
+        let n2 = other.count() as f64;
         let delta = other.mean - self.mean;
         let n = n1 + n2;
         self.mean += delta * n2 / n;
         self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&k, &c) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += c;
-        }
+        self.hist.merge(&other.hist);
     }
 }
 
 impl std::fmt::Display for Summary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.n == 0 {
+        if self.count() == 0 {
             return write!(f, "n=0");
         }
         write!(
             f,
             "n={} mean={:.6} sd={:.6} min={:.6} p50={:.6} p99={:.6} max={:.6}",
-            self.n,
+            self.count(),
             self.mean(),
             self.std_dev(),
-            self.min,
+            self.min(),
             self.quantile(0.5).unwrap(),
             self.quantile(0.99).unwrap(),
-            self.max
+            self.max()
         )
     }
 }
@@ -329,7 +243,7 @@ mod tests {
         let b = Summary::from_iter(xs[123..].iter().copied());
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
-        assert_eq!(a.buckets, whole.buckets);
+        assert_eq!(a.hist.cumulative(), whole.hist.cumulative());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-9 * (1.0 + whole.variance()));
         assert_eq!(a.quantile(0.9), whole.quantile(0.9));

@@ -12,8 +12,9 @@
 //!   plus a process table. Processes are spawned, dispatched onto hardware
 //!   threads (paying a context-switch cost when the resident process
 //!   changes), run until they yield/halt/trap, and switched out again.
-//! * [`machine::Process`] accounting — per-process cycle usage, switch
-//!   counts.
+//! * per-process accounting — cycle usage
+//!   ([`Machine::cycles_used`](machine::Machine::cycles_used)) and switch
+//!   counts ([`Machine::switches`](machine::Machine::switches)).
 //! * [`rr`] — a round-robin helper that drives two processes through
 //!   alternating rounds on one hardware context, which is exactly the
 //!   conventional-processor VDS execution model of the paper's §3.1.

@@ -17,7 +17,7 @@
 //! | [`diversity`] | `vds-diversity` | automatic diverse-version generation |
 //! | [`checkpoint`] | `vds-checkpoint` | snapshots, digests, stable storage |
 //! | [`predictor`] | `vds-predictor` | fault-version prediction (§4/§5) |
-//! | [`desim`] | `vds-desim` | discrete-event engine, statistics, timelines |
+//! | [`desim`] | `vds-desim` | seed derivation, Figure 1 span rendering, figure surfaces |
 //! | [`obs`] | `vds-obs` | deterministic metrics, event traces, profiler spans |
 //!
 //! ## Quick start

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use vds::analytic::{predictive, rollforward, timing, Params};
 use vds::checkpoint::digest::digest_words;
-use vds::desim::stats::OnlineStats;
+use vds::obs::Summary;
 use vds::smtsim::encode::{decode, encode, DecodeError};
 use vds::smtsim::isa::{AluImmOp, AluOp, BranchCond, Instr, MulOp, Reg};
 
@@ -117,9 +117,9 @@ proptest! {
         xs in proptest::collection::vec(-1e6f64..1e6, 1..50),
         ys in proptest::collection::vec(-1e6f64..1e6, 1..50),
     ) {
-        let mut merged = OnlineStats::from_iter(xs.iter().copied());
-        merged.merge(&OnlineStats::from_iter(ys.iter().copied()));
-        let whole = OnlineStats::from_iter(xs.iter().chain(&ys).copied());
+        let mut merged = Summary::from_iter(xs.iter().copied());
+        merged.merge(&Summary::from_iter(ys.iter().copied()));
+        let whole = Summary::from_iter(xs.iter().chain(&ys).copied());
         prop_assert_eq!(merged.count(), whole.count());
         prop_assert!((merged.mean() - whole.mean()).abs() < 1e-6);
         prop_assert!((merged.variance() - whole.variance()).abs()
