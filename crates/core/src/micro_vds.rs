@@ -221,8 +221,10 @@ impl Micro {
 
     /// Charge flat overhead cycles (comparison, checkpoint, vote).
     fn burn(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.m.core_mut().step();
+        let core = self.m.core_mut();
+        let end = core.cycles() + u64::from(cycles);
+        while core.cycles() < end {
+            core.advance(end);
         }
     }
 

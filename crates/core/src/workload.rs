@@ -27,6 +27,7 @@
 //! 2+S .. 2+S+T       lookup table (read-only)
 //! ```
 
+use std::sync::OnceLock;
 use vds_smtsim::asm::assemble;
 use vds_smtsim::program::{Program, Symbol};
 
@@ -53,13 +54,31 @@ pub const DMEM_WORDS: usize = (ADDR_TABLE + TABLE_WORDS) as usize;
 pub const STATE_WINDOW: std::ops::Range<u32> = 0..ADDR_TABLE;
 
 /// Build the base workload program performing `rounds` rounds.
+///
+/// The round count is only the initial value of the remaining-rounds data
+/// word, so the source is assembled once and each call patches that word
+/// into a copy.
 pub fn build(rounds: u32) -> Program {
     assert!(rounds >= 1);
+    static TEMPLATE: OnceLock<Program> = OnceLock::new();
+    let mut prog = TEMPLATE
+        .get_or_init(|| {
+            let prog = assemble(&source(1)).expect("workload must assemble");
+            debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
+            prog
+        })
+        .clone();
+    prog.data[ADDR_REMAINING as usize] = rounds;
+    prog
+}
+
+/// Assembly source of the workload performing `rounds` rounds.
+fn source(rounds: u32) -> String {
     let s = STATE_WORDS;
     let t_mask = TABLE_WORDS - 1;
     let a_state = ADDR_STATE;
     let a_table = ADDR_TABLE;
-    let src = format!(
+    format!(
         r#"
         ; memory-resident VDS workload: all live state in dmem at yield
         .data
@@ -110,10 +129,7 @@ pub fn build(rounds: u32) -> Program {
         "#,
         addr_round = ADDR_ROUND,
         addr_remaining = ADDR_REMAINING,
-    );
-    let prog = assemble(&src).expect("workload must assemble");
-    debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
-    prog
+    )
 }
 
 /// The round-entry instruction index of a (possibly diversified) workload
@@ -164,6 +180,14 @@ mod tests {
             core.resume(t);
         }
         core.thread(ThreadId(0)).dmem.clone()
+    }
+
+    #[test]
+    fn build_equals_a_fresh_assembly() {
+        for rounds in [1, 4, 40, 1_000_000] {
+            let fresh = assemble(&source(rounds)).unwrap();
+            assert_eq!(build(rounds), fresh, "rounds = {rounds}");
+        }
     }
 
     #[test]

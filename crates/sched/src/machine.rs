@@ -1,10 +1,15 @@
 //! The machine: an SMT core plus an OS process table.
 
-use vds_smtsim::asm::assemble;
 use vds_smtsim::core::{
     Core, CoreConfig, RunOutcome, SavedContext, Thread, ThreadId, ThreadState, Trap,
 };
+use vds_smtsim::isa::Instr;
 use vds_smtsim::program::Program;
+
+/// The program parked in an empty hardware context: a lone `halt`.
+fn idle_program() -> Program {
+    Program::from_instrs(&[Instr::Halt])
+}
 
 /// Identifies a process in the machine's process table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,7 +70,7 @@ impl Machine {
         let n = cfg.max_threads;
         let mut core = Core::new(cfg);
         // park an idle halted program in every hardware context
-        let idle = assemble("halt\n").expect("idle program");
+        let idle = idle_program();
         for _ in 0..n {
             core.add_thread(&idle, 1);
         }
@@ -277,7 +282,7 @@ impl Machine {
         let idle = SavedContext {
             regs: [0; 16],
             pc: 0,
-            prog: assemble("halt\n").expect("idle"),
+            prog: idle_program(),
             dmem: vec![0; 1],
             state: ThreadState::Halted,
         };
@@ -329,11 +334,10 @@ impl Machine {
     /// per-hardware-thread outcomes (`None` for empty contexts).
     pub fn run_all_until_block(&mut self, budget: u64) -> Vec<Option<ProcOutcome>> {
         let deadline = self.core.cycles() + budget;
-        let hws: Vec<ThreadId> = (0..self.resident.len()).map(ThreadId).collect();
-        let mut outcomes: Vec<Option<ProcOutcome>> = vec![None; hws.len()];
+        let mut outcomes: Vec<Option<ProcOutcome>> = vec![None; self.resident.len()];
         loop {
             let mut all_blocked = true;
-            for &hw in &hws {
+            for hw in (0..self.resident.len()).map(ThreadId) {
                 if self.resident[hw.0].is_none() {
                     continue;
                 }
@@ -364,7 +368,7 @@ impl Machine {
                 }
                 return outcomes;
             }
-            self.core.step();
+            self.core.advance(deadline);
         }
     }
 }
@@ -372,6 +376,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vds_smtsim::asm::assemble;
     use vds_smtsim::kernels;
 
     fn two_round_prog() -> Program {
@@ -501,6 +506,55 @@ mod tests {
         m.dispatch(p, ThreadId(0));
         m.run_hw_until_block(ThreadId(0), 100_000);
         m.with_state(p, |_, _, d| assert_eq!(d[0], 1, "replays round 1"));
+    }
+
+    /// One round per loop; the first word runs once per round.
+    fn looping_prog() -> Program {
+        assemble("addi r1, r1, 1\nst r1, 0(r0)\nyield\njal r0, 0\n").unwrap()
+    }
+
+    /// Run one round of a fresh process, optionally switch it out, then
+    /// overwrite its first text word (already executed) with `word` via
+    /// `with_state_mut` and run the next round.
+    fn rewrite_then_run(switch_out: bool, word: u32) -> (Machine, ProcId, ProcOutcome) {
+        let mut m = Machine::new(CoreConfig::default(), 5);
+        let p = m.spawn("v", &looping_prog(), 8);
+        m.dispatch(p, ThreadId(0));
+        assert_eq!(
+            m.run_hw_until_block(ThreadId(0), 10_000),
+            ProcOutcome::Yielded
+        );
+        if switch_out {
+            m.preempt(p);
+        }
+        m.with_state_mut(p, |_, _, _, text| text[0] = word);
+        m.dispatch(p, ThreadId(0));
+        let out = m.run_hw_until_block(ThreadId(0), 10_000);
+        (m, p, out)
+    }
+
+    #[test]
+    fn executed_text_rewritten_through_with_state_mut_is_refetched() {
+        let illegal = 63 << 26;
+        let add10 = assemble("addi r1, r1, 10\n").unwrap().text[0];
+        for switch_out in [false, true] {
+            let (_, _, out) = rewrite_then_run(switch_out, illegal);
+            assert_eq!(
+                out,
+                ProcOutcome::Trapped(Trap::IllegalInstruction { pc: 0 }),
+                "switched out: {switch_out}"
+            );
+            let (m, p, out) = rewrite_then_run(switch_out, add10);
+            assert_eq!(out, ProcOutcome::Yielded);
+            m.with_state(p, |_, _, d| {
+                assert_eq!(d[0], 11, "switched out: {switch_out}")
+            });
+        }
+    }
+
+    #[test]
+    fn idle_program_is_the_assembled_halt() {
+        assert_eq!(idle_program(), assemble("halt\n").unwrap());
     }
 
     #[test]

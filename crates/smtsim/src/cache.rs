@@ -57,11 +57,15 @@ impl CacheConfig {
     }
 }
 
+/// Key of an empty way. Real keys are `(thread << 32) | tag` with an
+/// 8-bit thread, so they never reach it.
+const EMPTY: u64 = u64::MAX;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
-    /// `(thread, tag)` — thread id participates in the tag because
+    /// `(thread << 32) | tag` — thread id participates in the tag because
     /// address spaces are disjoint.
-    key: (u8, u32),
+    key: u64,
     /// LRU stamp; larger = more recent.
     stamp: u64,
 }
@@ -99,13 +103,19 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Option<Line>>>,
+    /// `sets × ways` lines, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    /// `log2(line_words)`: word address → line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number → tag.
+    set_shift: u32,
     clock: u64,
     stats: CacheStats,
-    /// Evictions recorded per (set, evicting-thread ≠ owner) to attribute
-    /// conflict misses. Maps evicted key → evictor thread; bounded by
+    /// Keys evicted by a thread other than their owner, so that the
+    /// owner's re-miss counts as an inter-thread conflict. Bounded by
     /// capacity.
-    evicted_by_other: Vec<(u8, u32)>,
+    evicted_by_other: Vec<u64>,
 }
 
 impl Cache {
@@ -114,7 +124,15 @@ impl Cache {
         cfg.validate();
         Cache {
             cfg,
-            sets: vec![vec![None; cfg.ways]; cfg.sets],
+            lines: vec![
+                Line {
+                    key: EMPTY,
+                    stamp: 0
+                };
+                cfg.sets * cfg.ways
+            ],
+            line_shift: cfg.line_words.trailing_zeros(),
+            set_shift: cfg.sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
             evicted_by_other: Vec::new(),
@@ -139,29 +157,24 @@ impl Cache {
     /// Invalidate everything (e.g. at a simulated context switch if the
     /// host wants cold-cache semantics).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = None;
-            }
+        for line in &mut self.lines {
+            line.key = EMPTY;
         }
         self.evicted_by_other.clear();
-    }
-
-    #[inline]
-    fn index_tag(&self, addr: u32) -> (usize, u32) {
-        let line = addr as usize / self.cfg.line_words;
-        (line % self.cfg.sets, (line / self.cfg.sets) as u32)
     }
 
     /// Access `addr` (word address) on behalf of `thread`. Returns `true`
     /// on hit. A miss allocates the line (for stores too: write-allocate).
     pub fn access(&mut self, thread: u8, addr: u32) -> bool {
         self.clock += 1;
-        let (set_idx, tag) = self.index_tag(addr);
-        let key = (thread, tag);
-        let set = &mut self.sets[set_idx];
+        let line = addr >> self.line_shift;
+        let set_idx = (line as usize) & (self.cfg.sets - 1);
+        let tag = line >> self.set_shift;
+        let key = (u64::from(thread) << 32) | u64::from(tag);
+        let ways = self.cfg.ways;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
-        if let Some(line) = set.iter_mut().flatten().find(|l| l.key == key) {
+        if let Some(line) = set.iter_mut().find(|l| l.key == key) {
             line.stamp = self.clock;
             self.stats.hits += 1;
             return true;
@@ -173,31 +186,30 @@ impl Cache {
             self.evicted_by_other.swap_remove(pos);
         }
 
-        // choose victim: empty way or LRU
-        let victim = match set.iter().position(Option::is_none) {
+        // choose victim: first empty way, else least recently used
+        let victim = match set.iter().position(|l| l.key == EMPTY) {
             Some(i) => i,
             None => {
                 let (i, _) = set
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, l)| l.as_ref().map_or(0, |l| l.stamp))
+                    .min_by_key(|(_, l)| l.stamp)
                     .expect("non-empty set");
                 i
             }
         };
-        if let Some(old) = set[victim] {
-            if old.key.0 != thread {
-                // remember cross-thread eviction so a re-miss by the owner
-                // counts as an inter-thread conflict
-                if self.evicted_by_other.len() < self.cfg.capacity_words() {
-                    self.evicted_by_other.push(old.key);
-                }
+        let old = set[victim].key;
+        if old != EMPTY && old >> 32 != u64::from(thread) {
+            // remember cross-thread eviction so a re-miss by the owner
+            // counts as an inter-thread conflict
+            if self.evicted_by_other.len() < self.cfg.capacity_words() {
+                self.evicted_by_other.push(old);
             }
         }
-        set[victim] = Some(Line {
+        set[victim] = Line {
             key,
             stamp: self.clock,
-        });
+        };
         false
     }
 }

@@ -53,13 +53,19 @@ pub struct ThreadCounters {
 impl ThreadCounters {
     /// Record a stall of the given cause.
     pub fn stall(&mut self, cause: StallCause) {
+        self.stall_n(cause, 1);
+    }
+
+    /// Record `n` stall cycles of the given cause at once (the core's
+    /// idle fast-forward books a whole stretch in one call).
+    pub fn stall_n(&mut self, cause: StallCause, n: u64) {
         match cause {
-            StallCause::ICache => self.stall_icache += 1,
-            StallCause::DCache => self.stall_dcache += 1,
-            StallCause::FuBusy => self.stall_fu += 1,
-            StallCause::Width => self.stall_width += 1,
-            StallCause::BranchFlush => self.stall_branch += 1,
-            StallCause::Parked => self.parked += 1,
+            StallCause::ICache => self.stall_icache += n,
+            StallCause::DCache => self.stall_dcache += n,
+            StallCause::FuBusy => self.stall_fu += n,
+            StallCause::Width => self.stall_width += n,
+            StallCause::BranchFlush => self.stall_branch += n,
+            StallCause::Parked => self.parked += n,
         }
     }
 
@@ -201,6 +207,10 @@ mod tests {
         assert_eq!(c.stall_dcache, 2);
         assert_eq!(c.total_stalls(), 6);
         assert_eq!(c.parked, 1);
+        let mut bulk = ThreadCounters::default();
+        bulk.stall_n(StallCause::DCache, 2);
+        bulk.stall_n(StallCause::Parked, 0);
+        assert_eq!((bulk.stall_dcache, bulk.parked), (2, 0));
     }
 
     #[test]
