@@ -196,18 +196,18 @@ fn write_metrics(
     trace: Option<&vds_obs::Trace>,
     spans: Option<&vds_obs::SpanSet>,
 ) -> Result<String, CliError> {
-    std::fs::write(path, registry.to_csv())
+    write_atomic(path, registry.to_csv().as_bytes())
         .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
     let mut note = format!("metrics CSV written to {path}\n");
     if let Some(t) = trace.filter(|t| !t.is_empty()) {
         let tpath = format!("{path}.trace.jsonl");
-        std::fs::write(&tpath, t.to_jsonl())
+        write_atomic(&tpath, t.to_jsonl().as_bytes())
             .map_err(|e| CliError::runtime(format!("cannot write `{tpath}`: {e}")))?;
         let _ = writeln!(note, "trace ({} events) written to {tpath}", t.len());
     }
     if let Some(s) = spans.filter(|s| !s.is_empty()) {
         let spath = format!("{path}.trace.json");
-        std::fs::write(&spath, s.to_chrome_json())
+        write_atomic(&spath, s.to_chrome_json().as_bytes())
             .map_err(|e| CliError::runtime(format!("cannot write `{spath}`: {e}")))?;
         let _ = writeln!(
             note,
@@ -216,6 +216,48 @@ fn write_metrics(
         );
     }
     Ok(note)
+}
+
+/// The shared tail of the recorded single-run commands (`duplex`,
+/// `stats`, `report`, `vm duplex`): price the journal, write `--journal`,
+/// let `render` print the command's own report into `out` from the
+/// journal summary and the recorder's parts, write `--metrics`, and
+/// append the "written to" notes — to the log instead under `--json`, so
+/// stdout stays pure JSON.
+fn finish_recorded(
+    mut rec: vds_obs::Recorder,
+    f: &Flags,
+    out: &mut String,
+    render: impl FnOnce(&mut String, &str, &vds_obs::Registry, &vds_obs::Trace, &vds_obs::SpanSet),
+) -> Result<(), CliError> {
+    rec.export_journal_metrics();
+    let journal_note = match &f.journal {
+        Some(path) => {
+            write_atomic(path, rec.journal().to_jsonl().as_bytes())
+                .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
+            Some(format!(
+                "journal ({} rounds) written to {path} — replay with `vds replay {path}`\n",
+                rec.journal().len()
+            ))
+        }
+        None => None,
+    };
+    let journal_summary = rec.journal().summary_json();
+    let (registry, trace, spans) = rec.into_parts();
+    render(out, &journal_summary, &registry, &trace, &spans);
+    let metrics_note = f
+        .metrics
+        .as_deref()
+        .map(|path| write_metrics(path, &registry, Some(&trace), Some(&spans)))
+        .transpose()?;
+    for note in [metrics_note, journal_note].into_iter().flatten() {
+        if f.json {
+            vds_obs::log_info!("cli", "{}", note.trim_end());
+        } else {
+            out.push_str(&note);
+        }
+    }
+    Ok(())
 }
 
 fn parse_scheme(s: &str) -> Result<vds_core::Scheme, CliError> {
@@ -567,106 +609,57 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
         "output WRONG"
     };
     let mut out = format!("{r}\n{verdict} versus the oracle\n");
-    if let Some(mut rec) = rec {
-        // single-run top level: fold journal.* into the registry here
-        rec.export_journal_metrics();
-        // price the recorded rounds against the closed forms so `vds
-        // stats` surfaces conformance.* gauges next to the journal block
-        // (gauges + histogram only; counters stay untouched)
-        if let Ok(tracker) = vds_obs::ConformanceTracker::for_journal(
-            rec.journal(),
-            vds_obs::conformance::DEFAULT_WINDOW,
-            vds_obs::conformance::DEFAULT_TOLERANCE,
-        ) {
-            let mut reg = vds_obs::Registry::new();
-            tracker.export_metrics(&mut reg);
-            rec.merge_registry(&reg);
-        }
-        // fault-lifecycle forensics from the same journal: faults.*
-        // counters are exported only on journaled paths like this one,
-        // never by the engines, so bench work units stay untouched
-        if let Ok(tracker) = vds_obs::ForensicsTracker::for_journal(rec.journal()) {
-            let mut reg = vds_obs::Registry::new();
-            tracker.export_metrics(&mut reg);
-            rec.merge_registry(&reg);
-        }
-        let journal_note = match &f.journal {
-            Some(path) => {
-                write_atomic(path, rec.journal().to_jsonl().as_bytes())
-                    .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
-                Some(format!(
-                    "journal ({} rounds) written to {path} — replay with `vds replay {path}`\n",
-                    rec.journal().len()
-                ))
+    if let Some(rec) = rec {
+        finish_recorded(rec, &f, &mut out, |out, journal, registry, trace, spans| {
+            if mode == DuplexMode::Stats {
+                // overflow reporting goes through the structured-logging
+                // facade (stderr JSONL), keeping stdout clean for --json
+                if trace.dropped() > 0 {
+                    vds_obs::logging::log_with(
+                        vds_obs::Level::Warn,
+                        "cli",
+                        "trace records dropped — raise --trace-capacity",
+                        &[
+                            ("dropped", trace.dropped().into()),
+                            ("capacity", (trace.capacity() as u64).into()),
+                        ],
+                    );
+                }
+                if spans.dropped() > 0 {
+                    vds_obs::logging::log_with(
+                        vds_obs::Level::Warn,
+                        "cli",
+                        "span records dropped — raise --trace-capacity",
+                        &[
+                            ("dropped", spans.dropped().into()),
+                            ("capacity", (spans.capacity() as u64).into()),
+                        ],
+                    );
+                }
+                if f.json {
+                    // one serializer with the telemetry server's /progress
+                    *out = vds_obs::JsonObj::report("stats")
+                        .str(
+                            "verdict",
+                            if got == &want[..] { "correct" } else { "wrong" },
+                        )
+                        .raw("journal", journal)
+                        .raw("metrics", &registry.to_json_object())
+                        .finish();
+                    out.push('\n');
+                } else {
+                    let _ = write!(out, "\n---- metrics ----\n{registry}");
+                    let _ = write!(out, "---- trace ----\n{trace}");
+                }
             }
-            None => None,
-        };
-        let journal_summary = rec.journal().summary_json();
-        let (registry, trace, spans) = rec.into_parts();
-        if mode == DuplexMode::Stats {
-            // overflow reporting goes through the structured-logging
-            // facade (stderr JSONL), keeping stdout clean for --json
-            if trace.dropped() > 0 {
-                vds_obs::logging::log_with(
-                    vds_obs::Level::Warn,
-                    "cli",
-                    "trace records dropped — raise --trace-capacity",
-                    &[
-                        ("dropped", trace.dropped().into()),
-                        ("capacity", (trace.capacity() as u64).into()),
-                    ],
+            if mode == DuplexMode::Report {
+                let _ = write!(
+                    out,
+                    "\n---- folded span stacks (self sim-time; feed to inferno/flamegraph.pl) ----\n{}",
+                    spans.to_folded()
                 );
             }
-            if spans.dropped() > 0 {
-                vds_obs::logging::log_with(
-                    vds_obs::Level::Warn,
-                    "cli",
-                    "span records dropped — raise --trace-capacity",
-                    &[
-                        ("dropped", spans.dropped().into()),
-                        ("capacity", (spans.capacity() as u64).into()),
-                    ],
-                );
-            }
-            if f.json {
-                // one serializer with the telemetry server's /progress
-                out = vds_obs::JsonObj::report("stats")
-                    .str(
-                        "verdict",
-                        if got == &want[..] { "correct" } else { "wrong" },
-                    )
-                    .raw("journal", &journal_summary)
-                    .raw("metrics", &registry.to_json_object())
-                    .finish();
-                out.push('\n');
-            } else {
-                let _ = write!(out, "\n---- metrics ----\n{registry}");
-                let _ = write!(out, "---- trace ----\n{trace}");
-            }
-        }
-        if mode == DuplexMode::Report {
-            let _ = write!(
-                out,
-                "\n---- folded span stacks (self sim-time; feed to inferno/flamegraph.pl) ----\n{}",
-                spans.to_folded()
-            );
-        }
-        if let Some(path) = &f.metrics {
-            let note = write_metrics(path, &registry, Some(&trace), Some(&spans))?;
-            if f.json {
-                // keep stdout pure JSON; the confirmation goes to the log
-                vds_obs::log_info!("cli", "{}", note.trim_end());
-            } else {
-                out.push_str(&note);
-            }
-        }
-        if let Some(note) = journal_note {
-            if f.json {
-                vds_obs::log_info!("cli", "{}", note.trim_end());
-            } else {
-                out.push_str(&note);
-            }
-        }
+        })?;
     }
     Ok(out)
 }
@@ -1027,13 +1020,9 @@ mod tests {
         let csv = std::fs::read_to_string(&path).unwrap();
         assert!(csv.starts_with("kind,name,field,value"), "{csv}");
         assert!(csv.contains("counter,vds.detections,value,1"), "{csv}");
-        // the event trace only exists when the obs_*! macros emit; with
-        // the feature off no trace file is written at all
-        if cfg!(feature = "obs") {
-            let trace = std::fs::read_to_string(dir.join("duplex.csv.trace.jsonl")).unwrap();
-            assert!(trace.contains("\"kind\":\"trace_header\""), "{trace}");
-            assert!(trace.contains("\"event\":\"detect\""), "{trace}");
-        }
+        let trace = std::fs::read_to_string(dir.join("duplex.csv.trace.jsonl")).unwrap();
+        assert!(trace.contains("\"kind\":\"trace_header\""), "{trace}");
+        assert!(trace.contains("\"event\":\"detect\""), "{trace}");
     }
 
     #[test]
@@ -1053,17 +1042,13 @@ mod tests {
         assert!(out.contains("output CORRECT"), "{out}");
         assert!(out.contains("folded span stacks"), "{out}");
         // engine-phase spans come from the obs_*! hot-path macros; the
-        // pipeline windows are exported unconditionally at end of run
-        if cfg!(feature = "obs") {
-            assert!(out.contains("micro;round;compare "), "{out}");
-            assert!(out.contains("micro;recovery;retry "), "{out}");
-        }
+        // pipeline windows are exported at end of run
+        assert!(out.contains("micro;round;compare "), "{out}");
+        assert!(out.contains("micro;recovery;retry "), "{out}");
         assert!(out.contains("smt;pipeline "), "{out}");
     }
 
     #[test]
-    #[cfg(feature = "obs")] // the tight ring only overflows when the
-                            // hot-path macros emit events/spans
     fn stats_warns_when_trace_ring_overflows() {
         // overflow reporting goes through the structured-logging facade
         let cap = vds_obs::logging::capture();
@@ -1097,6 +1082,13 @@ mod tests {
         assert!(out.contains("\"vds.detections\":1"), "{out}");
         assert!(out.contains("\"gauges\":{"), "{out}");
         assert!(out.contains("\"summaries\":{"), "{out}");
+        // the journal is priced: faults.* counters, conformance.* gauges
+        let (counters, gauges) = out.split_once("\"gauges\":{").unwrap();
+        assert!(counters.contains("\"faults.injected\":1"), "{out}");
+        assert!(counters.contains("\"faults.detected\":1"), "{out}");
+        assert!(!counters.contains("conformance."), "{out}");
+        assert!(gauges.contains("\"conformance.windows\":1"), "{out}");
+        assert!(gauges.contains("\"conformance.alpha\":0.65"), "{out}");
         // byte-stable for the fixed seed
         let again = run(&["stats", "smt-det", "12", "4", "--json"]).unwrap();
         assert_eq!(out, again);

@@ -14,7 +14,7 @@
 //! `vds duplex --workload vm:<program>` routes here too, so the micro
 //! and VM workloads share one flag vocabulary.
 
-use crate::{args, parse_num, write_atomic, write_metrics, CliError, Flags};
+use crate::{args, finish_recorded, parse_num, CliError, Flags};
 use std::fmt::Write as _;
 use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
 use vds_core::Victim;
@@ -283,59 +283,18 @@ fn run_vm_duplex_cli(
         sp.name,
         scheme.name()
     );
-    if let Some(mut rec) = rec {
-        rec.export_journal_metrics();
-        if let Ok(tracker) = vds_obs::ConformanceTracker::for_journal(
-            rec.journal(),
-            vds_obs::conformance::DEFAULT_WINDOW,
-            vds_obs::conformance::DEFAULT_TOLERANCE,
-        ) {
-            let mut reg = vds_obs::Registry::new();
-            tracker.export_metrics(&mut reg);
-            rec.merge_registry(&reg);
-        }
-        if let Ok(tracker) = vds_obs::ForensicsTracker::for_journal(rec.journal()) {
-            let mut reg = vds_obs::Registry::new();
-            tracker.export_metrics(&mut reg);
-            rec.merge_registry(&reg);
-        }
-        let journal_note = match &f.journal {
-            Some(path) => {
-                write_atomic(path, rec.journal().to_jsonl().as_bytes())
-                    .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
-                Some(format!(
-                    "journal ({} rounds) written to {path} — replay with `vds replay {path}`\n",
-                    rec.journal().len()
-                ))
-            }
-            None => None,
-        };
-        let journal_summary = rec.journal().summary_json();
-        let (registry, trace, spans) = rec.into_parts();
-        if f.json {
-            out = vds_obs::JsonObj::report("vm-duplex")
-                .str("program", sp.name)
-                .str("verdict", if img == want { "correct" } else { "wrong" })
-                .raw("journal", &journal_summary)
-                .raw("metrics", &registry.to_json_object())
-                .finish();
-            out.push('\n');
-        }
-        if let Some(path) = &f.metrics {
-            let note = write_metrics(path, &registry, Some(&trace), Some(&spans))?;
+    if let Some(rec) = rec {
+        finish_recorded(rec, f, &mut out, |out, journal, registry, _, _| {
             if f.json {
-                vds_obs::log_info!("cli", "{}", note.trim_end());
-            } else {
-                out.push_str(&note);
+                *out = vds_obs::JsonObj::report("vm-duplex")
+                    .str("program", sp.name)
+                    .str("verdict", if img == want { "correct" } else { "wrong" })
+                    .raw("journal", journal)
+                    .raw("metrics", &registry.to_json_object())
+                    .finish();
+                out.push('\n');
             }
-        }
-        if let Some(note) = journal_note {
-            if f.json {
-                vds_obs::log_info!("cli", "{}", note.trim_end());
-            } else {
-                out.push_str(&note);
-            }
-        }
+        })?;
     }
     Ok(out)
 }
@@ -455,6 +414,13 @@ mod tests {
         assert!(out.contains("\"program\":\"checksum\""), "{out}");
         assert!(out.contains("\"verdict\":\"correct\""), "{out}");
         assert!(out.contains("\"journal\":{\"rounds\":"), "{out}");
+        // the journal is priced: faults.* counters, conformance.* gauges
+        let (counters, gauges) = out.split_once("\"gauges\":{").unwrap();
+        assert!(counters.contains("\"faults.injected\":1"), "{out}");
+        assert!(counters.contains("\"faults.masked\":1"), "{out}");
+        assert!(!counters.contains("conformance."), "{out}");
+        assert!(gauges.contains("\"conformance.windows\":1"), "{out}");
+        assert!(gauges.contains("\"faults.coverage\":0"), "{out}");
         let again = run(&["vm", "duplex", "checksum", "12", "4", "--json"]).unwrap();
         assert_eq!(out, again);
     }

@@ -1,16 +1,14 @@
-//! Feature-matrix determinism: instrumentation must never perturb the
+//! Recorder-type determinism: instrumentation must never perturb the
 //! simulation.
 //!
-//! CI builds and runs this file in BOTH cargo configurations — the
-//! default (`obs` feature on: hot-path macros compiled in) and
-//! `--no-default-features` (`obs` off: macros compile to nothing). The
-//! flight-recorder journal keeps working in both, so the per-round
-//! digests are comparable across configurations: the obs-off CI job
-//! additionally runs `vds audit diff` between a journal written by the
-//! obs-on build and one written by the obs-off build. Within one build,
-//! these tests pin the same contract from three angles: recording depth
-//! must not change the journal, recording must not change the report,
-//! and the digests must not drift from their committed values.
+//! The engines are monomorphized against whichever recorder drives them:
+//! the zero-sized `NoopRecorder` (plain `vds duplex`), a live `Recorder`
+//! with a roomy trace ring, or one whose ring overflows (`vds stats
+//! --trace-capacity 4`). These tests compare those recorder types and
+//! pin the contract from three angles: recording depth must not change
+//! the journal, recording must not change the report, and the digests
+//! must not drift from their committed values. CI repeats the journal
+//! comparison on the release binary with `cmp` and `vds audit diff`.
 
 fn run(args: &[&str]) -> Result<String, vds_cli::CliError> {
     let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -18,10 +16,7 @@ fn run(args: &[&str]) -> Result<String, vds_cli::CliError> {
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "vds-feature-matrix-{}",
-        if cfg!(feature = "obs") { "on" } else { "off" }
-    ));
+    let dir = std::env::temp_dir().join("vds-feature-matrix");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -68,9 +63,9 @@ fn report_is_identical_with_and_without_recording() {
     assert!(plain.contains("output CORRECT"), "{plain}");
 }
 
-/// The per-round digest sequence is pinned: any drift — between the
-/// obs-on and obs-off builds, or over time — fails here before it can
-/// hide behind a "both sides changed" replay.
+/// The per-round digest sequence is pinned: any drift — between recorder
+/// types, or over time — fails here before it can hide behind a "both
+/// sides changed" replay.
 #[test]
 fn journal_digests_match_their_pinned_values() {
     let p = tmp("pinned.journal.jsonl");

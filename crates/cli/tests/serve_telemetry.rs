@@ -8,10 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vds_fault::campaign::{
-    run_campaign_journaled, run_campaign_recorded_as, run_campaign_recorded_monitored, HubMonitor,
-    LOGICAL_SHARDS,
-};
+use vds_fault::campaign::{run_campaign_journaled, HubMonitor, LOGICAL_SHARDS};
 use vds_obs::{TelemetryHub, TelemetryServer};
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -68,7 +65,9 @@ fn campaign_trial(i: u64, rec: &mut vds_obs::Recorder) -> vds_fault::campaign::T
 fn attached_server_does_not_change_campaign_bytes() {
     const TRIALS: u64 = 48;
     // reference: no server, no monitor
-    let (plain_report, plain_rec) = run_campaign_recorded_as("serve", TRIALS, 3, campaign_trial);
+    let header = vds_bench::live::campaign_journal_header(TRIALS, 42, 30);
+    let (plain_report, plain_rec) =
+        run_campaign_journaled("serve", TRIALS, 3, None, &header, campaign_trial);
 
     // live: hub + HTTP server, scraped aggressively while trials run
     let hub = TelemetryHub::new();
@@ -91,7 +90,7 @@ fn attached_server_does_not_change_campaign_bytes() {
     });
     let monitor = HubMonitor::new(Arc::clone(&hub));
     let (report, rec) =
-        run_campaign_recorded_monitored("serve", TRIALS, 3, &monitor, campaign_trial);
+        run_campaign_journaled("serve", TRIALS, 3, Some(&monitor), &header, campaign_trial);
     stop.store(true, Ordering::Release);
     let scrapes = scraper.join().expect("scraper thread");
     assert!(scrapes > 0, "the server was actually scraped");
@@ -106,6 +105,7 @@ fn attached_server_does_not_change_campaign_bytes() {
         plain_rec.spans().to_chrome_json(),
         rec.spans().to_chrome_json()
     );
+    assert_eq!(plain_rec.journal().to_jsonl(), rec.journal().to_jsonl());
 }
 
 #[test]

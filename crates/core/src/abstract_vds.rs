@@ -1008,15 +1008,10 @@ mod tests {
         assert_eq!(reg.counter("vds.detections"), r.detections);
         assert_eq!(reg.counter("vds.checkpoints"), r.checkpoints);
         assert_eq!(reg.gauge_value("vds.time.total"), Some(r.total_time));
-        // hot-path events only exist with the `obs` macros compiled in
-        if cfg!(feature = "obs") {
-            let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
-            assert!(events.contains(&"round"));
-            assert!(events.contains(&"detect"));
-            assert!(events.contains(&"checkpoint"));
-        } else {
-            assert!(rec.trace().is_empty());
-        }
+        let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
+        assert!(events.contains(&"round"));
+        assert!(events.contains(&"detect"));
+        assert!(events.contains(&"checkpoint"));
         // plain run and recorded run agree on the simulation itself
         let plain = run(&c, fm, 200, 5);
         assert_eq!(plain.total_time, r.total_time);

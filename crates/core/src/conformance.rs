@@ -99,15 +99,14 @@ pub fn assess_with_alpha(
 /// Export the run-level conformance gauges and the `|residual|`
 /// histogram into `rec` under `{prefix}.conformance.*`. Gauges and
 /// histograms only — never counters, so benchmark work-unit totals
-/// (sums of counters) are unaffected. Compiled out entirely when the
-/// `obs` feature is off.
+/// (sums of counters) are unaffected.
 pub fn export_metrics<R: Record>(
     rec: &mut R,
     prefix: &str,
     cfg: &AbstractConfig,
     report: &RunReport,
 ) {
-    if !cfg!(feature = "obs") || !rec.is_active() {
+    if !rec.is_active() {
         return;
     }
     let Some(c) = assess(cfg, report) else {
@@ -205,7 +204,6 @@ mod tests {
         assert!(assess(&c, &report).is_none());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn run_recorded_exports_gauges_and_histogram_but_no_counters() {
         let c = cfg(Scheme::SmtDeterministic);

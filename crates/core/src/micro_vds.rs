@@ -754,7 +754,7 @@ pub fn run_micro_with_recorder<R: Record>(
     target_rounds: u64,
     rec: R,
 ) -> (RunReport, Vec<u32>, R) {
-    let backend = Micro::new(cfg.clone(), fault, R::ENABLED && rec.is_active());
+    let backend = Micro::new(cfg.clone(), fault, rec.is_active());
     Duplex::new(backend, rec).run(target_rounds)
 }
 
@@ -1054,32 +1054,27 @@ mod tests {
         assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
         assert_eq!(rec.spans().to_chrome_json(), rec2.spans().to_chrome_json());
         assert_eq!(rec.spans().to_folded(), rec2.spans().to_folded());
-        // hot-path events and spans only exist with the `obs` macros in
-        if cfg!(feature = "obs") {
-            let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
-            assert!(events.contains(&"fault_injected"));
-            assert!(events.contains(&"detect"));
-            assert!(events.contains(&"recovery"));
-            assert!(events.contains(&"round"));
-            // span layer: every phase shows up, exports are deterministic,
-            // and the rollups landed in the registry
-            let names: Vec<&str> = rec.spans().records().map(|s| s.name).collect();
-            for phase in [
-                "round",
-                "compute",
-                "compare",
-                "checkpoint",
-                "recovery",
-                "retry",
-            ] {
-                assert!(names.contains(&phase), "missing span {phase}: {names:?}");
-            }
-            assert!(rec.spans().records().any(|s| s.component == "smt"));
-            assert!(reg.summary("span.micro.round.total").is_some());
-            assert!(reg.summary("span.micro.compare.self").is_some());
-        } else {
-            assert!(rec.trace().is_empty());
+        let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
+        assert!(events.contains(&"fault_injected"));
+        assert!(events.contains(&"detect"));
+        assert!(events.contains(&"recovery"));
+        assert!(events.contains(&"round"));
+        // span layer: every phase shows up, exports are deterministic,
+        // and the rollups landed in the registry
+        let names: Vec<&str> = rec.spans().records().map(|s| s.name).collect();
+        for phase in [
+            "round",
+            "compute",
+            "compare",
+            "checkpoint",
+            "recovery",
+            "retry",
+        ] {
+            assert!(names.contains(&phase), "missing span {phase}: {names:?}");
         }
+        assert!(rec.spans().records().any(|s| s.component == "smt"));
+        assert!(reg.summary("span.micro.round.total").is_some());
+        assert!(reg.summary("span.micro.compare.self").is_some());
     }
 
     #[test]

@@ -303,27 +303,6 @@ where
             // only here, after the shard merge — never inside the per-run
             // engines — so the counters are not double counted
             rec.export_journal_metrics();
-            // model-conformance residuals priced from the merged journal.
-            // Gauges and a histogram only — never counters — so bench
-            // work-unit accounting (a sum over counters) is untouched.
-            if let Ok(tracker) = vds_obs::ConformanceTracker::for_journal(
-                rec.journal(),
-                vds_obs::conformance::DEFAULT_WINDOW,
-                vds_obs::conformance::DEFAULT_TOLERANCE,
-            ) {
-                let mut reg = Registry::new();
-                tracker.export_metrics(&mut reg);
-                rec.merge_registry(&reg);
-            }
-            // per-fault lifecycle forensics from the same merged journal:
-            // faults.* counters are exported only here (journaled paths),
-            // never by the per-run engines, so bench work units on the
-            // unjournaled paths stay untouched
-            if let Ok(tracker) = vds_obs::ForensicsTracker::for_journal(rec.journal()) {
-                let mut reg = Registry::new();
-                tracker.export_metrics(&mut reg);
-                rec.merge_registry(&reg);
-            }
         }
         rec.rollup_spans();
     }
@@ -344,17 +323,9 @@ where
 /// recorder; shard registries merge in shard order (bit-deterministic),
 /// and the campaign's own counters/summaries are added under
 /// `campaign.*`. Shard and trial spans (on the trial-index time axis)
-/// land under the `"campaign"` component.
-pub fn run_campaign_recorded<F>(n: u64, workers: usize, trial: F) -> (CampaignReport, Recorder)
-where
-    F: Fn(u64, &mut Recorder) -> TrialResult + Sync,
-{
-    run_campaign_impl("campaign", n, workers, true, None, None, trial)
-}
-
-/// [`run_campaign_recorded`] with an explicit span component, so callers
-/// running several campaigns into one recorder (e.g. experiment E10's
-/// diverse vs identical arms) keep their span lanes apart.
+/// land under `component`, so callers running several campaigns into
+/// one recorder (e.g. experiment E10's diverse vs identical arms) keep
+/// their span lanes apart.
 pub fn run_campaign_recorded_as<F>(
     component: &'static str,
     n: u64,
@@ -367,33 +338,21 @@ where
     run_campaign_impl(component, n, workers, true, None, None, trial)
 }
 
-/// [`run_campaign_recorded`] with a [`CampaignMonitor`] tap attached:
-/// trial/shard completions and shard registry snapshots stream to the
-/// monitor as they happen, while the returned report and recorder stay
-/// byte-identical to an unmonitored run (the monitor only ever receives
-/// copies and reference taps; it cannot write back).
-pub fn run_campaign_recorded_monitored<F>(
-    component: &'static str,
-    n: u64,
-    workers: usize,
-    monitor: &dyn CampaignMonitor,
-    trial: F,
-) -> (CampaignReport, Recorder)
-where
-    F: Fn(u64, &mut Recorder) -> TrialResult + Sync,
-{
-    run_campaign_impl(component, n, workers, true, Some(monitor), None, trial)
-}
-
-/// [`run_campaign_recorded_monitored`] with the flight-recorder journal
+/// [`run_campaign_recorded_as`] with the flight-recorder journal
 /// enabled: every shard recorder handed to `trial` has a journal carrying
 /// a clone of `header`, so trials can journal their rounds (typically by
 /// running a journaled engine and adopting its journal under the trial
 /// index as lane). Shard journals concatenate in shard order into the
 /// returned recorder — like every other campaign output, the merged
-/// journal is **byte-identical for any worker count** — and
-/// `journal.rounds` / `journal.bytes` / `journal.divergences` are
-/// exported into the merged registry after the merge.
+/// journal is **byte-identical for any worker count** — and it is
+/// priced into the merged registry after the merge
+/// ([`Recorder::export_journal_metrics`]).
+///
+/// With a [`CampaignMonitor`] attached, trial/shard completions and shard
+/// registry snapshots stream to it as they happen, while the returned
+/// report and recorder stay byte-identical to an unmonitored run (the
+/// monitor only ever receives copies and reference taps; it cannot write
+/// back).
 pub fn run_campaign_journaled<F>(
     component: &'static str,
     n: u64,
@@ -464,8 +423,8 @@ mod tests {
             rec.observe("trial.latency", (i % 10) as f64);
             TrialResult::with_value("lat", i as f64)
         };
-        let (ra, reca) = run_campaign_recorded(300, 1, f);
-        let (rb, recb) = run_campaign_recorded(300, 7, f);
+        let (ra, reca) = run_campaign_recorded_as("campaign", 300, 1, f);
+        let (rb, recb) = run_campaign_recorded_as("campaign", 300, 7, f);
         assert_eq!(ra, rb);
         assert_eq!(reca.registry(), recb.registry());
         assert_eq!(
@@ -489,8 +448,8 @@ mod tests {
     #[test]
     fn campaign_spans_are_worker_invariant() {
         let f = |i: u64, _: &mut Recorder| TrialResult::with_value("lat", i as f64);
-        let (_, reca) = run_campaign_recorded(150, 1, f);
-        let (_, recb) = run_campaign_recorded(150, 4, f);
+        let (_, reca) = run_campaign_recorded_as("campaign", 150, 1, f);
+        let (_, recb) = run_campaign_recorded_as("campaign", 150, 4, f);
         // one span per shard plus one per trial, merged in shard order
         assert_eq!(reca.spans().len(), 150 + LOGICAL_SHARDS as usize);
         assert_eq!(
@@ -512,11 +471,12 @@ mod tests {
             rec.bump("trial.custom");
             TrialResult::with_value("lat", (i % 11) as f64)
         };
-        let (plain_report, plain_rec) = run_campaign_recorded_as("mon", 200, 3, f);
+        let header = JournalHeader::new("campaign", "test", 1, 10, 1);
+        let (plain_report, plain_rec) = run_campaign_journaled("mon", 200, 3, None, &header, f);
         let hub = TelemetryHub::new();
         let monitor = HubMonitor::new(Arc::clone(&hub));
         hub.begin_campaign("mon", 200, 200u64.clamp(1, LOGICAL_SHARDS));
-        let (report, rec) = run_campaign_recorded_monitored("mon", 200, 3, &monitor, f);
+        let (report, rec) = run_campaign_journaled("mon", 200, 3, Some(&monitor), &header, f);
         // canonical outputs are byte-identical with the monitor attached
         assert_eq!(plain_report, report);
         assert_eq!(plain_rec.registry().to_csv(), rec.registry().to_csv());
@@ -524,6 +484,7 @@ mod tests {
             plain_rec.spans().to_chrome_json(),
             rec.spans().to_chrome_json()
         );
+        assert_eq!(plain_rec.journal().to_jsonl(), rec.journal().to_jsonl());
         // and the hub saw every trial and shard, with converged counters
         let progress = hub.progress_json();
         assert!(progress.contains("\"trials_done\":200"), "{progress}");
@@ -576,7 +537,8 @@ mod tests {
         assert_eq!(reca.registry().counter("journal.divergences"), 20);
         assert!(reca.registry().counter("journal.bytes") > 0);
         // unjournaled campaigns export no journal metrics
-        let (_, plain) = run_campaign_recorded(10, 2, |_, _| TrialResult::labelled("x"));
+        let (_, plain) =
+            run_campaign_recorded_as("campaign", 10, 2, |_, _| TrialResult::labelled("x"));
         assert_eq!(plain.registry().counter("journal.rounds"), 0);
         assert!(plain.journal().is_empty());
     }

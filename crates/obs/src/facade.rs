@@ -20,7 +20,7 @@
 //! control flow may read recorder state, and per-round digests are
 //! computed for the comparator regardless of instrumentation. The
 //! feature-matrix tests pin this by comparing run reports and journal
-//! digest sequences across recorder types and build features.
+//! digest sequences across recorder types.
 
 use crate::journal::RoundEntry;
 use crate::recorder::Recorder;
@@ -35,11 +35,6 @@ use crate::trace::Value;
 /// [`Record::is_active`] is false, which is what makes disabled
 /// instrumentation compile to nothing.
 pub trait Record {
-    /// `false` for recorder types that statically discard everything
-    /// ([`NoopRecorder`]); lets generic code and the optimizer prune
-    /// instrumentation branches at compile time.
-    const ENABLED: bool = true;
-
     /// Whether emissions are currently kept. Constant `false` for
     /// [`NoopRecorder`]; the runtime enabled flag for [`Recorder`].
     #[inline]
@@ -123,8 +118,8 @@ pub trait Record {
     fn rollup_spans(&mut self) {}
 
     /// Whether flight-recorder journal entries are being kept. The
-    /// journal is runtime-gated (never feature-gated): replay and audit
-    /// must work identically in every build configuration.
+    /// journal is gated at run time only, so replay and audit work the
+    /// same whichever recorder drives the run.
     #[inline]
     fn journal_enabled(&self) -> bool {
         false
@@ -145,13 +140,9 @@ pub trait Record {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopRecorder;
 
-impl Record for NoopRecorder {
-    const ENABLED: bool = false;
-}
+impl Record for NoopRecorder {}
 
 impl Record for Recorder {
-    const ENABLED: bool = true;
-
     #[inline]
     fn is_active(&self) -> bool {
         self.is_enabled()
@@ -237,10 +228,6 @@ impl Record for Recorder {
 
 /// Add to a counter iff the recorder is active; the name/value
 /// expressions are not evaluated otherwise.
-///
-/// With the `obs` cargo feature off the macro expands to a never-run
-/// closure: arguments still type-check, nothing executes.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_count {
     ($rec:expr, $name:expr, $n:expr) => {
@@ -250,17 +237,7 @@ macro_rules! obs_count {
     };
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_count {
-    ($rec:expr, $name:expr, $n:expr) => {
-        let _ = || $rec.count($name, $n);
-    };
-}
-
 /// Set a gauge iff the recorder is active (lazy arguments).
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_gauge {
     ($rec:expr, $name:expr, $v:expr) => {
@@ -270,18 +247,8 @@ macro_rules! obs_gauge {
     };
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_gauge {
-    ($rec:expr, $name:expr, $v:expr) => {
-        let _ = || $rec.gauge($name, $v);
-    };
-}
-
 /// Record a histogram observation iff the recorder is active (lazy
 /// arguments).
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_hist {
     ($rec:expr, $name:expr, $x:expr) => {
@@ -291,19 +258,9 @@ macro_rules! obs_hist {
     };
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_hist {
-    ($rec:expr, $name:expr, $x:expr) => {
-        let _ = || $rec.observe_hist($name, $x);
-    };
-}
-
 /// Emit a trace event iff the recorder is active. The field list is
 /// written `key => value, …` and is only materialised (allocated) when
 /// the event is actually kept.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_event {
     ($rec:expr, $t:expr, $comp:expr, $ev:expr $(, $k:expr => $v:expr)* $(,)?) => {
@@ -313,18 +270,8 @@ macro_rules! obs_event {
     };
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_event {
-    ($rec:expr, $t:expr, $comp:expr, $ev:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        let _ = || $rec.event($t, $comp, $ev, vec![$(($k, $crate::Value::from($v))),*]);
-    };
-}
-
 /// Open a span (lane 0) iff the recorder is active; evaluates to a
 /// [`SpanGuard`] (inert when inactive).
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_span {
     ($rec:expr, $comp:expr, $name:expr, $begin:expr) => {{
@@ -336,18 +283,7 @@ macro_rules! obs_span {
     }};
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_span {
-    ($rec:expr, $comp:expr, $name:expr, $begin:expr) => {{
-        let _ = || $rec.span($comp, $name, $begin);
-        $crate::SpanGuard::inert()
-    }};
-}
-
 /// Open a span on an explicit lane iff the recorder is active.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_span_on {
     ($rec:expr, $tid:expr, $comp:expr, $name:expr, $begin:expr) => {{
@@ -359,19 +295,8 @@ macro_rules! obs_span_on {
     }};
 }
 
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_span_on {
-    ($rec:expr, $tid:expr, $comp:expr, $name:expr, $begin:expr) => {{
-        let _ = || $rec.span_on($tid, $comp, $name, $begin);
-        $crate::SpanGuard::inert()
-    }};
-}
-
 /// Close a span iff the recorder is active; trailing `key => value`
 /// fields are only allocated when kept.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! obs_end_span {
     ($rec:expr, $guard:expr, $end:expr $(, $k:expr => $v:expr)* $(,)?) => {
@@ -380,16 +305,6 @@ macro_rules! obs_end_span {
         } else {
             let _ = $guard;
         }
-    };
-}
-
-/// See the `obs`-enabled definition; this build compiles it out.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_end_span {
-    ($rec:expr, $guard:expr, $end:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        // the never-called closure consumes (and thereby drops) the guard
-        let _ = || $rec.end_span_with($guard, $end, vec![$(($k, $crate::Value::from($v))),*]);
     };
 }
 
@@ -414,8 +329,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<NoopRecorder>(), 0);
         let mut rec = NoopRecorder;
         assert!(!rec.is_active());
-        let enabled = <NoopRecorder as Record>::ENABLED;
-        assert!(!enabled);
         emit(&mut rec); // must compile and do nothing
         assert!(!rec.journal_enabled());
     }
@@ -424,18 +337,11 @@ mod tests {
     fn concrete_recorder_keeps_macro_emissions() {
         let mut rec = Recorder::new();
         emit(&mut rec);
-        if cfg!(feature = "obs") {
-            assert_eq!(rec.registry().counter("c"), 3);
-            assert_eq!(rec.registry().gauge_value("g"), Some(1.5));
-            assert_eq!(rec.registry().histogram("h").unwrap().count(), 1);
-            assert_eq!(rec.trace().len(), 1);
-            assert_eq!(rec.spans().len(), 2);
-        } else {
-            // macro-emitted metrics/events/spans are compiled out;
-            // direct trait/method calls (bump above) still work
-            assert_eq!(rec.registry().counter("c"), 1);
-            assert!(rec.trace().is_empty());
-        }
+        assert_eq!(rec.registry().counter("c"), 3);
+        assert_eq!(rec.registry().gauge_value("g"), Some(1.5));
+        assert_eq!(rec.registry().histogram("h").unwrap().count(), 1);
+        assert_eq!(rec.trace().len(), 1);
+        assert_eq!(rec.spans().len(), 2);
     }
 
     #[test]
@@ -464,7 +370,6 @@ mod tests {
         let mut noop = NoopRecorder;
         let mut real = Recorder::new();
         assert_eq!(body(&mut noop), body(&mut real));
-        let expect = if cfg!(feature = "obs") { 10 } else { 0 };
-        assert_eq!(real.registry().counter("loop.iters"), expect);
+        assert_eq!(real.registry().counter("loop.iters"), 10);
     }
 }

@@ -46,9 +46,7 @@
 //!   ([`facade`]): engines are generic over `R: Record`, the `obs_*!`
 //!   macros guard argument construction behind `is_active()`, and the
 //!   zero-sized [`NoopRecorder`] monomorphizes instrumentation away
-//!   entirely on uninstrumented runs. The `obs` cargo feature
-//!   (default-on) compiles the macro bodies out wholesale; the journal
-//!   and end-of-run exports stay available in every build.
+//!   entirely on uninstrumented runs.
 //!
 //! Live telemetry rides on top of the same registry: [`prom`] renders
 //! Prometheus text exposition, [`serve`] adds a [`TelemetryHub`] +

@@ -8,6 +8,8 @@
 //! merges them in a fixed order, which keeps content deterministic for a
 //! fixed seed regardless of worker count.
 
+use crate::conformance::{ConformanceTracker, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
+use crate::forensics::ForensicsTracker;
 use crate::journal::{Journal, JournalHeader, RoundEntry};
 use crate::registry::Registry;
 use crate::span::{SpanGuard, SpanRecord, SpanSet};
@@ -147,7 +149,7 @@ impl Recorder {
         begin: f64,
     ) -> SpanGuard {
         if !self.enabled {
-            return SpanGuard::INERT;
+            return SpanGuard::inert();
         }
         SpanGuard {
             id: self.spans.begin_span(component, name, tid, begin),
@@ -266,16 +268,33 @@ impl Recorder {
         }
     }
 
-    /// Fold `journal.rounds` / `journal.bytes` / `journal.divergences`
-    /// (and the last-divergence gauge) into this recorder's registry.
-    /// Call once at the top level, after shard merging, so the counters
-    /// are not double counted.
+    /// Price the journal into this recorder's registry: the `journal.*`
+    /// counters and last-divergence gauge, the model-conformance
+    /// residuals ([`ConformanceTracker`] at [`DEFAULT_WINDOW`] /
+    /// [`DEFAULT_TOLERANCE`]: gauges and a histogram, never counters) and
+    /// the per-fault `faults.*` forensics ([`ForensicsTracker`]). Call
+    /// once at the top level, after shard merging, so nothing is double
+    /// counted; the engines never export these themselves, so bench work
+    /// units on unjournaled paths stay untouched.
     pub fn export_journal_metrics(&mut self) {
-        if self.enabled {
-            let journal = std::mem::take(&mut self.journal);
-            journal.export_metrics(&mut self.registry);
-            self.journal = journal;
+        if !self.enabled {
+            return;
         }
+        let journal = std::mem::take(&mut self.journal);
+        journal.export_metrics(&mut self.registry);
+        if let Ok(tracker) =
+            ConformanceTracker::for_journal(&journal, DEFAULT_WINDOW, DEFAULT_TOLERANCE)
+        {
+            let mut reg = Registry::new();
+            tracker.export_metrics(&mut reg);
+            self.registry.merge(&reg);
+        }
+        if let Ok(tracker) = ForensicsTracker::for_journal(&journal) {
+            let mut reg = Registry::new();
+            tracker.export_metrics(&mut reg);
+            self.registry.merge(&reg);
+        }
+        self.journal = journal;
     }
 
     /// Consume the recorder, returning its registry, trace and spans.

@@ -62,12 +62,9 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The guard handed out by a disabled recorder; closing it is a no-op.
-    pub(crate) const INERT: SpanGuard = SpanGuard { id: u64::MAX };
-
-    /// An inert guard: closing it is a no-op. This is what the
-    /// `obs_span!` / `obs_span_on!` macros evaluate to when the recorder
-    /// is inactive (or the `obs` feature is off).
+    /// An inert guard: closing it is a no-op. This is what a disabled
+    /// recorder hands out, and what the `obs_span!` / `obs_span_on!`
+    /// macros evaluate to when the recorder is inactive.
     pub const fn inert() -> SpanGuard {
         SpanGuard { id: u64::MAX }
     }

@@ -9,9 +9,7 @@
 //! behaviour — verdicts, actions, roll-forward rounds, committed counts,
 //! simulated times, fault ids and fault outcomes, plus every obs event
 //! name, field and order — so any refactor of the engines must reproduce
-//! them exactly. The first two are independent of the `obs` cargo
-//! feature (the journal is runtime-gated, never feature-gated); the
-//! third is only checked when the `obs` macros are compiled in.
+//! them exactly. Every case checks all three digests.
 //!
 //! The cases cover every protocol edge: recovery with and without
 //! roll-forward progress, rollback, processor stop, fail-safe shutdown
@@ -274,8 +272,6 @@ fn line(name: &str, [j, r, o]: &Fingerprint) -> String {
 }
 
 fn check(actual: Vec<(String, Fingerprint)>) {
-    // the obs digest only exists with the hot-path macros compiled in
-    let checked = if cfg!(feature = "obs") { 4 } else { 3 };
     let pinned: Vec<Vec<&str>> = PINS.lines().map(|l| l.split(' ').collect()).collect();
     let bad: Vec<&str> = actual
         .iter()
@@ -283,7 +279,7 @@ fn check(actual: Vec<(String, Fingerprint)>) {
             let got = line(name, got);
             let got: Vec<&str> = got.split(' ').collect();
             let want = pinned.iter().find(|w| w[0] == got[0]);
-            want.is_none_or(|w| w[..checked] != got[..checked])
+            want.is_none_or(|w| *w != got)
         })
         .map(|(name, _)| name.as_str())
         .collect();

@@ -385,13 +385,13 @@ proptest! {
     // and --workers 4, and stay well nested after shard merging.
     #[test]
     fn campaign_exports_are_worker_invariant(trials in 1u64..80, salt in any::<u64>()) {
-        use vds::fault::campaign::{run_campaign_recorded, TrialResult};
+        use vds::fault::campaign::{run_campaign_recorded_as, TrialResult};
         let trial = |i: u64, rec: &mut vds::obs::Recorder| {
             rec.bump("trials");
             TrialResult::with_value("lat", ((i ^ salt) % 97) as f64)
         };
-        let (ra, reca) = run_campaign_recorded(trials, 1, trial);
-        let (rb, recb) = run_campaign_recorded(trials, 4, trial);
+        let (ra, reca) = run_campaign_recorded_as("campaign", trials, 1, trial);
+        let (rb, recb) = run_campaign_recorded_as("campaign", trials, 4, trial);
         prop_assert_eq!(ra.trials, rb.trials);
         let json = reca.spans().to_chrome_json();
         assert_chrome_well_nested(&json);
