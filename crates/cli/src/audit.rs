@@ -6,7 +6,7 @@
 //! asserts digest-for-digest agreement with the recorded entries: any
 //! nondeterminism, code drift or file tampering surfaces as a structured
 //! first-divergence report. `vds audit diff <a> <b>` compares two
-//! recordings directly, binary-searching to the first divergent round;
+//! recordings directly, scanning to the first divergent round;
 //! it exits 0 when they are identical and 1 with the report otherwise.
 
 use crate::{parse_scheme, read_file, CliError};

@@ -11,9 +11,12 @@
 //! of worker count, provided parallel shards are merged in a fixed order.
 //!
 //! Two journals of the same run can be compared with
-//! [`Journal::first_divergence`], which binary-searches cumulative line
-//! digests to the first differing entry and names the field that differs —
-//! the primitive behind `vds audit diff`.
+//! [`Journal::first_divergence`], which scans both entry lists once for
+//! the first entry whose JSON line would differ and names the field that
+//! differs — the primitive behind `vds audit diff`.
+//!
+//! Reading is one pass per line with no intermediate JSON tree: the
+//! `decode` module scans each line straight into typed fields.
 //!
 //! The digest type lives here (rather than in `vds-checkpoint`, which sits
 //! higher in the dependency stack) so that every backend can stamp state
@@ -21,7 +24,11 @@
 //! `StateDigest`.
 
 use crate::registry::{fmt_f64, json_escape, Registry};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+mod decode;
+#[cfg(test)]
+mod oracle;
 
 /// Journal schema version; bump when the header or entry layout changes.
 /// Readers reject journals with a schema they do not understand.
@@ -55,13 +62,43 @@ impl Digest128 {
     }
 
     /// Parse the 32-hex-character form produced by [`std::fmt::Display`].
+    /// Each 16-character half reads as `u64::from_str_radix(half, 16)`
+    /// would: hex digits of either case, optionally after one `+`.
     pub fn parse_hex(s: &str) -> Option<Digest128> {
-        if s.len() != 32 || !s.is_ascii() {
+        /// Nibble value of each byte; 0x80 marks a non-hex byte.
+        const NIBBLE: [u8; 256] = {
+            let mut t = [0x80u8; 256];
+            let mut i = 0;
+            while i < 16 {
+                t[b"0123456789abcdef"[i] as usize] = i as u8;
+                t[b"0123456789ABCDEF"[i] as usize] = i as u8;
+                i += 1;
+            }
+            t
+        };
+        // eight digits at a time, so the two halves' four words decode
+        // as independent chains
+        let word = |w: &[u8]| {
+            w.iter().fold((0u32, 0u8), |(n, bad), &c| {
+                let d = NIBBLE[usize::from(c)];
+                (n << 4 | u32::from(d), bad | d)
+            })
+        };
+        let half = |h: &[u8]| match h {
+            [b'+', ..] => u64::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok(),
+            _ => {
+                let ((hi, bad_hi), (lo, bad_lo)) = (word(&h[..8]), word(&h[8..]));
+                ((bad_hi | bad_lo) & 0x80 == 0).then_some(u64::from(hi) << 32 | u64::from(lo))
+            }
+        };
+        let b = s.as_bytes();
+        if b.len() != 32 {
             return None;
         }
-        let fnv = u64::from_str_radix(&s[..16], 16).ok()?;
-        let mix = u64::from_str_radix(&s[16..], 16).ok()?;
-        Some(Digest128 { fnv, mix })
+        Some(Digest128 {
+            fnv: half(&b[..16])?,
+            mix: half(&b[16..])?,
+        })
     }
 }
 
@@ -297,7 +334,14 @@ impl JournalHeader {
     }
 
     fn to_json_line(&self) -> String {
-        let mut line = format!(
+        let mut line = String::new();
+        let _ = self.write_json_line(&mut line);
+        line
+    }
+
+    fn write_json_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{{\"kind\":\"journal_header\",\"schema\":{},\"backend\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"s\":{},\"target_rounds\":{},\"meta\":{{",
             self.schema,
             json_escape(&self.backend),
@@ -305,15 +349,14 @@ impl JournalHeader {
             self.seed,
             self.s,
             self.target_rounds,
-        );
+        )?;
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {
-                line.push(',');
+                out.write_char(',')?;
             }
-            let _ = write!(line, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+            write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
         }
-        line.push_str("}}");
-        line
+        out.write_str("}}")
     }
 }
 
@@ -361,7 +404,14 @@ pub struct RoundEntry {
 
 impl RoundEntry {
     fn to_json_line(&self) -> String {
-        let mut line = format!(
+        let mut line = String::new();
+        let _ = self.write_json_line(&mut line);
+        line
+    }
+
+    fn write_json_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{{\"seq\":{},\"lane\":{},\"round\":{},\"committed\":{},\"sim_time\":{},\"d1\":\"{}\",\"d2\":\"{}\",\"verdict\":\"{}\",\"sched\":\"{}\",\"action\":\"{}\",\"rollforward\":{}",
             self.seq,
             self.lane,
@@ -374,18 +424,54 @@ impl RoundEntry {
             json_escape(&self.sched),
             self.action.as_str(),
             self.rollforward,
-        );
+        )?;
         if let Some(fault) = &self.fault {
-            let _ = write!(line, ",\"fault\":\"{}\"", json_escape(fault));
+            write!(out, ",\"fault\":\"{}\"", json_escape(fault))?;
         }
         if let Some(id) = self.fault_id {
-            let _ = write!(line, ",\"fault_id\":{id}");
+            write!(out, ",\"fault_id\":{id}")?;
         }
         if let Some(outcome) = &self.fault_outcome {
-            let _ = write!(line, ",\"fault_outcome\":\"{}\"", json_escape(outcome));
+            write!(out, ",\"fault_outcome\":\"{}\"", json_escape(outcome))?;
         }
-        line.push('}');
-        line
+        out.write_char('}')
+    }
+
+    /// Whether the two entries serialise to the same JSON line: every
+    /// field equal, with `sim_time` compared as [`fmt_f64`] renders it
+    /// (equal bits, or both NaN).
+    fn same_line(&self, other: &RoundEntry) -> bool {
+        let RoundEntry {
+            seq,
+            lane,
+            round,
+            committed,
+            sim_time,
+            d1,
+            d2,
+            verdict,
+            sched,
+            action,
+            rollforward,
+            fault,
+            fault_id,
+            fault_outcome,
+        } = self;
+        *seq == other.seq
+            && *lane == other.lane
+            && *round == other.round
+            && *committed == other.committed
+            && (sim_time.to_bits() == other.sim_time.to_bits()
+                || (sim_time.is_nan() && other.sim_time.is_nan()))
+            && *d1 == other.d1
+            && *d2 == other.d2
+            && *verdict == other.verdict
+            && *sched == other.sched
+            && *action == other.action
+            && *rollforward == other.rollforward
+            && *fault == other.fault
+            && *fault_id == other.fault_id
+            && *fault_outcome == other.fault_outcome
     }
 
     /// Compare two entries field by field; the first differing field's
@@ -640,98 +726,47 @@ impl Journal {
     /// Serialise: one header line, then one line per entry.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        if let Some(h) = &self.header {
-            out.push_str(&h.to_json_line());
-            out.push('\n');
-        }
-        for e in &self.entries {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
+        let _ = self.write_jsonl(&mut out);
         out
     }
 
-    /// Parse a journal back from its JSONL form.
-    pub fn from_jsonl(text: &str) -> Result<Journal, String> {
-        let mut header = None;
-        let mut entries = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+    /// Length in bytes of [`Journal::to_jsonl`], counted without building
+    /// the text.
+    fn jsonl_len(&self) -> usize {
+        /// A sink that only counts what it is given.
+        struct ByteCount(usize);
+        impl fmt::Write for ByteCount {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
             }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let obj = v
-                .as_object()
-                .ok_or_else(|| format!("line {}: not a JSON object", lineno + 1))?;
-            if json::get_str(obj, "kind") == Some("journal_header") {
-                let schema = json::get_u64(obj, "schema")
-                    .ok_or_else(|| format!("line {}: header missing schema", lineno + 1))?
-                    as u32;
-                if schema != JOURNAL_SCHEMA {
-                    return Err(format!(
-                        "unsupported journal schema {schema} (reader supports {JOURNAL_SCHEMA})"
-                    ));
-                }
-                let mut h = JournalHeader::new(
-                    json::get_str(obj, "backend").unwrap_or(""),
-                    json::get_str(obj, "scheme").unwrap_or(""),
-                    json::get_u64(obj, "seed").unwrap_or(0),
-                    json::get_u64(obj, "s").unwrap_or(0) as u32,
-                    json::get_u64(obj, "target_rounds").unwrap_or(0),
-                );
-                if let Some(json::Json::Obj(meta)) = json::get(obj, "meta") {
-                    for (k, v) in meta {
-                        if let json::Json::Str(s) = v {
-                            h.meta.push((k.clone(), s.clone()));
-                        }
-                    }
-                }
-                header = Some(h);
-                continue;
-            }
-            if header.is_none() {
-                return Err(format!(
-                    "line {}: journal entry before header (unversioned journals are refused; re-record with schema {JOURNAL_SCHEMA})",
-                    lineno + 1
-                ));
-            }
-            let field_err =
-                |name: &str| format!("line {}: missing or malformed `{name}`", lineno + 1);
-            let digest = |name: &str| -> Result<Digest128, String> {
-                json::get_str(obj, name)
-                    .and_then(Digest128::parse_hex)
-                    .ok_or_else(|| field_err(name))
-            };
-            entries.push(RoundEntry {
-                seq: json::get_u64(obj, "seq").ok_or_else(|| field_err("seq"))?,
-                lane: json::get_u64(obj, "lane").ok_or_else(|| field_err("lane"))?,
-                round: json::get_u64(obj, "round").ok_or_else(|| field_err("round"))?,
-                committed: json::get_u64(obj, "committed").ok_or_else(|| field_err("committed"))?,
-                sim_time: json::get_f64(obj, "sim_time").ok_or_else(|| field_err("sim_time"))?,
-                d1: digest("d1")?,
-                d2: digest("d2")?,
-                verdict: json::get_str(obj, "verdict")
-                    .and_then(Verdict::parse)
-                    .ok_or_else(|| field_err("verdict"))?,
-                sched: json::get_str(obj, "sched")
-                    .ok_or_else(|| field_err("sched"))?
-                    .to_string(),
-                action: json::get_str(obj, "action")
-                    .and_then(Action::parse)
-                    .ok_or_else(|| field_err("action"))?,
-                rollforward: json::get_u64(obj, "rollforward")
-                    .ok_or_else(|| field_err("rollforward"))? as u32,
-                fault: json::get_str(obj, "fault").map(str::to_string),
-                fault_id: json::get_u64(obj, "fault_id"),
-                fault_outcome: json::get_str(obj, "fault_outcome").map(str::to_string),
-            });
         }
-        Ok(Journal {
-            enabled: true,
-            header,
-            entries,
-        })
+        let mut n = ByteCount(0);
+        let _ = self.write_jsonl(&mut n);
+        n.0
+    }
+
+    fn write_jsonl(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if let Some(h) = &self.header {
+            h.write_json_line(out)?;
+            out.write_char('\n')?;
+        }
+        for e in &self.entries {
+            e.write_json_line(out)?;
+            out.write_char('\n')?;
+        }
+        Ok(())
+    }
+
+    /// Parse a journal back from its JSONL form.
+    ///
+    /// Blank lines are skipped and every other line is one JSON object:
+    /// a header (`"kind":"journal_header"`) or an entry. A `sim_time` may
+    /// be `nan`, `inf` or `-inf`, as [`Journal::to_jsonl`] writes
+    /// non-finite times. Errors name the offending line, except a schema
+    /// refusal, which concerns the whole journal.
+    pub fn from_jsonl(text: &str) -> Result<Journal, String> {
+        Journal::parse(text, false).map(|(j, _)| j)
     }
 
     /// [`Journal::from_jsonl`], tolerating a torn final line.
@@ -744,37 +779,56 @@ impl Journal {
     /// in the returned warning; corruption anywhere else (including a
     /// torn header) still fails with the original error.
     pub fn from_jsonl_tolerant(text: &str) -> Result<(Journal, Option<String>), String> {
-        let err = match Journal::from_jsonl(text) {
-            Ok(j) => return Ok((j, None)),
-            Err(e) => e,
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        let Some(last) = lines.iter().rposition(|l| !l.trim().is_empty()) else {
-            return Err(err);
-        };
-        if !err.starts_with(&format!("line {}:", last + 1)) {
-            return Err(err);
+        Journal::parse(text, true)
+    }
+
+    fn parse(text: &str, tolerant: bool) -> Result<(Journal, Option<String>), String> {
+        let mut header = None;
+        // at most one entry per line, so the list never reallocates
+        let mut entries = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+        let mut lines = text.lines().enumerate();
+        while let Some((i, line)) = lines.next() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match decode::line(line, header.is_some()) {
+                Ok(decode::Line::Header(h)) => header = Some(h),
+                Ok(decode::Line::Entry(e)) => entries.push(e),
+                Err(decode::LineError::Journal(err)) => return Err(err),
+                Err(decode::LineError::At(err)) => {
+                    let err = format!("line {}: {err}", i + 1);
+                    if !tolerant || header.is_none() || lines.any(|(_, l)| !l.trim().is_empty()) {
+                        return Err(err);
+                    }
+                    let warn = format!(
+                        "dropped torn final journal line {} ({} entries retained)",
+                        i + 1,
+                        entries.len()
+                    );
+                    let j = Journal {
+                        enabled: true,
+                        header,
+                        entries,
+                    };
+                    return Ok((j, Some(warn)));
+                }
+            }
         }
-        let retained = lines[..last].join("\n");
-        let j = Journal::from_jsonl(&retained).map_err(|_| err.clone())?;
-        if j.header.is_none() {
-            return Err(err);
-        }
-        let warn = format!(
-            "dropped torn final journal line {} ({} entries retained)",
-            last + 1,
-            j.len()
-        );
-        Ok((j, Some(warn)))
+        let j = Journal {
+            enabled: true,
+            header,
+            entries,
+        };
+        Ok((j, None))
     }
 
     /// Find the first entry where the two journals disagree.
     ///
-    /// Headers are compared first (field `header`). Entry comparison
-    /// binary-searches over cumulative per-line digests — `O(n)` digest
-    /// precomputation, then `O(log n)` probes — so the search cost is
-    /// dominated by one pass over each journal, not by repeated prefix
-    /// comparisons. Returns `None` when the journals are identical.
+    /// Headers are compared first (field `header`). Entries are then
+    /// compared pairwise, field by field, up to the first pair whose JSON
+    /// lines would differ: one linear pass that serialises nothing.
+    /// Returns `None` when the journals are identical.
     pub fn first_divergence(&self, other: &Journal) -> Option<Divergence> {
         if self.header != other.header {
             let show = |h: &Option<JournalHeader>| match h {
@@ -793,30 +847,11 @@ impl Journal {
             });
         }
         let common = self.entries.len().min(other.entries.len());
-        // Cumulative digests: cum[k] covers the first k serialised lines,
-        // making "prefixes of length k agree" an O(1) probe.
-        let cumulative = |j: &Journal| -> Vec<Digest128> {
-            let mut cum = Vec::with_capacity(common + 1);
-            let mut d = Digester128::new();
-            cum.push(d.finish());
-            for e in &j.entries[..common] {
-                d.push_bytes(e.to_json_line().as_bytes());
-                cum.push(d.finish());
-            }
-            cum
-        };
-        let (ca, cb) = (cumulative(self), cumulative(other));
-        // Largest k in [0, common] with equal prefixes.
-        let (mut lo, mut hi) = (0usize, common);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if ca[mid] == cb[mid] {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        let k = lo;
+        let k = self.entries[..common]
+            .iter()
+            .zip(&other.entries[..common])
+            .position(|(a, b)| !a.same_line(b))
+            .unwrap_or(common);
         if k == common {
             if self.entries.len() == other.entries.len() {
                 return None;
@@ -869,7 +904,7 @@ impl Journal {
         format!(
             "{{\"rounds\":{},\"bytes\":{},\"divergences\":{},\"last_divergence\":{last}}}",
             self.len(),
-            self.to_jsonl().len(),
+            self.jsonl_len(),
             self.divergences(),
         )
     }
@@ -881,7 +916,7 @@ impl Journal {
             return;
         }
         reg.count("journal.rounds", self.len() as u64);
-        reg.count("journal.bytes", self.to_jsonl().len() as u64);
+        reg.count("journal.bytes", self.jsonl_len() as u64);
         reg.count("journal.divergences", self.divergences());
         if let Some(r) = self.last_divergence_round() {
             reg.gauge("journal.last_divergence_round", r as f64);
@@ -895,197 +930,6 @@ fn context_lines(entries: &[RoundEntry], at: usize) -> Vec<String> {
     let lo = at.saturating_sub(1);
     let hi = (at + 1).min(entries.len());
     entries[lo..hi].iter().map(|e| e.to_json_line()).collect()
-}
-
-/// A minimal JSON reader for the journal's own output: objects, strings,
-/// numbers, booleans and null (arrays are not produced by the writer and
-/// are rejected). Numbers keep their raw spelling so 64-bit integers
-/// round-trip exactly.
-mod json {
-    /// Parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// A number, raw token preserved.
-        Num(String),
-        /// A string, unescaped.
-        Str(String),
-        /// An object, insertion order preserved.
-        Obj(Vec<(String, Json)>),
-    }
-
-    pub fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-        match get(obj, key) {
-            Some(Json::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn get_u64(obj: &[(String, Json)], key: &str) -> Option<u64> {
-        match get(obj, key) {
-            Some(Json::Num(raw)) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub fn get_f64(obj: &[(String, Json)], key: &str) -> Option<f64> {
-        match get(obj, key) {
-            Some(Json::Num(raw)) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    impl Json {
-        pub fn as_object(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'{') => parse_object(b, pos),
-            Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-            Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-            Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-            Some(c) => Err(format!("unexpected byte `{}` at {}", *c as char, *pos)),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let raw = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-        if raw.parse::<f64>().is_err() {
-            return Err(format!("bad number `{raw}` at byte {start}"));
-        }
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        debug_assert_eq!(b[*pos], b'"');
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint \\u{hex}"))?,
-                            );
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        debug_assert_eq!(b[*pos], b'{');
-        *pos += 1;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {}", *pos));
-            }
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {}", *pos));
-            }
-            *pos += 1;
-            let value = parse_value(b, pos)?;
-            fields.push((key, value));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => {
-                    *pos += 1;
-                }
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1147,6 +991,39 @@ mod tests {
         assert_eq!(Digest128::parse_hex(&hex), Some(d));
         assert_eq!(Digest128::parse_hex("xyz"), None);
         assert_eq!(Digest128::parse_hex(&hex[..31]), None);
+    }
+
+    #[test]
+    fn parse_hex_reads_each_half_as_from_str_radix_does() {
+        let reference = |s: &str| {
+            if s.len() != 32 || !s.is_ascii() {
+                return None;
+            }
+            let fnv = u64::from_str_radix(&s[..16], 16).ok()?;
+            let mix = u64::from_str_radix(&s[16..], 16).ok()?;
+            Some(Digest128 { fnv, mix })
+        };
+        let hex = digest_words128(&[1, 2, 3]).to_string();
+        let mut cases = vec![
+            hex.clone(),
+            hex.to_uppercase(),
+            format!("+{}", &hex[1..]),
+            format!("{}+{}", &hex[..16], &hex[17..]),
+            format!("-{}", &hex[1..]),
+            format!("++{}", &hex[2..]),
+            format!("{}é", &hex[..30]),
+            hex[..31].to_string(),
+            format!("{hex}0"),
+            " ".repeat(32),
+        ];
+        for (i, c) in "gG/:@`+ -é\u{0}".chars().enumerate() {
+            let mut t: Vec<char> = hex.chars().collect();
+            t[(i * 7) % 32] = c;
+            cases.push(t.into_iter().collect());
+        }
+        for s in &cases {
+            assert_eq!(Digest128::parse_hex(s), reference(s), "{s:?}");
+        }
     }
 
     #[test]
@@ -1339,6 +1216,53 @@ mod tests {
         assert_eq!(h.meta("fault"), Some("none"));
         assert_eq!(h.meta("trials"), Some("5"));
         assert_eq!(h.meta("missing"), None);
+    }
+
+    #[test]
+    fn edge_sim_times_round_trip_and_never_diverge_from_themselves() {
+        let times = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324, // the smallest subnormal
+            1e300,
+        ];
+        let mut j = sample_journal();
+        for (i, &t) in times.iter().enumerate() {
+            let mut e = entry(5 + i as u64, Verdict::Match, Action::Commit);
+            e.sim_time = t;
+            j.push(e);
+        }
+        let text = j.to_jsonl();
+        assert!(text.contains("\"sim_time\":nan,"), "{text}");
+        assert!(text.contains("\"sim_time\":-inf,"), "{text}");
+        assert!(text.contains("\"sim_time\":-0,"), "{text}");
+        let back = Journal::from_jsonl(&text).expect("the writer's output reads back");
+        assert_eq!(back.to_jsonl(), text);
+        for (a, b) in j.entries().iter().zip(back.entries()) {
+            assert!(
+                a.sim_time.to_bits() == b.sim_time.to_bits()
+                    || (a.sim_time.is_nan() && b.sim_time.is_nan()),
+                "{} read back as {}",
+                a.sim_time,
+                b.sim_time
+            );
+        }
+        assert_eq!(j.first_divergence(&back), None);
+        assert_eq!(back.first_divergence(&j), None);
+        // every NaN renders as `nan`, whatever its sign or payload
+        let mut negated = back.clone();
+        negated.entries[4].sim_time = -f64::NAN;
+        assert_eq!(j.first_divergence(&negated), None);
+        // -0 and 0 render differently, so they diverge
+        let mut zero = back.clone();
+        zero.entries[7].sim_time = 0.0;
+        assert_eq!(j.first_divergence(&zero).expect("-0 vs 0").index, 7);
+        // a NaN time does not hide a later difference
+        let mut later = back.clone();
+        later.entries[9].d2.fnv ^= 1;
+        assert_eq!(j.first_divergence(&later).expect("d2 differs").index, 9);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! * [`Journal`] — the execution flight recorder: one schema-versioned
 //!   entry per simulated round (per-version state digests, comparator
 //!   verdict, scheduler decision, recovery action, injected fault), with
-//!   a JSONL codec and a binary-search first-divergence diff
+//!   a JSONL codec and a linear-scan first-divergence diff
 //!   ([`Journal::first_divergence`]) behind `vds replay` / `vds audit`.
 //! * [`Recorder`] — the concrete sink; a disabled recorder costs one
 //!   branch per call.

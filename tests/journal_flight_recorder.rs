@@ -257,8 +257,8 @@ fn sample_journal(entries: usize) -> Journal {
     sample_journal_with(entries, |_, _| {})
 }
 
-// ---- first_divergence edge cases: the binary search has its own
-// boundary arithmetic at k = 0 and common = 0, pin all of it ----
+// ---- first_divergence edge cases: the scan stops at k = 0 and runs
+// over nothing when common = 0, pin both ----
 
 #[test]
 fn divergence_in_the_very_first_entry_reports_index_zero() {
