@@ -100,7 +100,7 @@ pub fn vm_campaign_trial_for(
     cfg.seed = base_seed.wrapping_add(index);
     let victim = if rng.gen() { Victim::V1 } else { Victim::V2 };
     let at_round = rng.gen_range(1..=cfg.s);
-    let lit_words = vds_vm::seed_program(program).map_or(0, |sp| sp.assembled().lits.len() as u32);
+    let lit_words = vds_vm::seed_program(program).map_or(0, |sp| sp.program().lits.len() as u32);
     let site = vds_fault::vm::sample_vm_site(&mut rng, vds_vm::DMEM_WORDS as u32, lit_words);
     let fault = VmFault {
         at_round,

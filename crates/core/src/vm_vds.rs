@@ -117,10 +117,10 @@ impl VmDuplex {
     fn new(cfg: VmConfig, fault: Option<VmFault>) -> Self {
         let sp = vds_vm::seed_program(&cfg.program)
             .unwrap_or_else(|| panic!("unknown seed program {:?}", cfg.program));
-        let base = sp.assembled();
+        let base = sp.program();
         let progs = [1, 2].map(|k| {
             if cfg.diversity {
-                vds_diversity::vm::diversify_vm(&base, k, cfg.seed)
+                vds_diversity::vm::diversify_vm(base, k, cfg.seed)
             } else {
                 base.clone()
             }

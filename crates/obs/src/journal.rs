@@ -402,6 +402,12 @@ pub struct RoundEntry {
     pub fault_outcome: Option<String>,
 }
 
+/// Whether two times render alike under [`fmt_f64`]: equal bits, or
+/// both NaN. Unlike IEEE `==`, `0` and `-0` differ and NaN equals NaN.
+fn same_time(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 impl RoundEntry {
     fn to_json_line(&self) -> String {
         let mut line = String::new();
@@ -438,8 +444,7 @@ impl RoundEntry {
     }
 
     /// Whether the two entries serialise to the same JSON line: every
-    /// field equal, with `sim_time` compared as [`fmt_f64`] renders it
-    /// (equal bits, or both NaN).
+    /// field equal, with `sim_time` compared by [`same_time`].
     fn same_line(&self, other: &RoundEntry) -> bool {
         let RoundEntry {
             seq,
@@ -461,8 +466,7 @@ impl RoundEntry {
             && *lane == other.lane
             && *round == other.round
             && *committed == other.committed
-            && (sim_time.to_bits() == other.sim_time.to_bits()
-                || (sim_time.is_nan() && other.sim_time.is_nan()))
+            && same_time(*sim_time, other.sim_time)
             && *d1 == other.d1
             && *d2 == other.d2
             && *verdict == other.verdict
@@ -490,7 +494,7 @@ impl RoundEntry {
                 other.committed.to_string(),
             ));
         }
-        if self.sim_time != other.sim_time {
+        if !same_time(self.sim_time, other.sim_time) {
             return Some(("sim_time", fmt_f64(self.sim_time), fmt_f64(other.sim_time)));
         }
         if self.d1 != other.d1 {
@@ -1263,6 +1267,26 @@ mod tests {
         let mut later = back.clone();
         later.entries[9].d2.fnv ^= 1;
         assert_eq!(j.first_divergence(&later).expect("d2 differs").index, 9);
+    }
+
+    #[test]
+    fn field_report_compares_times_as_rendered() {
+        // NaN on both sides is no difference: the digest that differs is named
+        let (mut a, mut b) = (sample_journal(), sample_journal());
+        a.entries[1].sim_time = f64::NAN;
+        b.entries[1].sim_time = -f64::NAN;
+        b.entries[1].d2.mix ^= 1;
+        let d = a.first_divergence(&b).expect("d2 differs");
+        assert_eq!((d.index, d.field.as_str()), (1, "d2 (version 2 digest)"));
+        // 0 and -0 render differently: the time is the field
+        let (mut a, mut b) = (sample_journal(), sample_journal());
+        a.entries[2].sim_time = 0.0;
+        b.entries[2].sim_time = -0.0;
+        let d = a.first_divergence(&b).expect("sign differs");
+        assert_eq!(
+            (d.index, d.field.as_str(), d.a.as_str(), d.b.as_str()),
+            (2, "sim_time", "0", "-0")
+        );
     }
 
     #[test]

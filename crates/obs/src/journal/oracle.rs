@@ -783,8 +783,13 @@ mod properties {
                 1 | 2 if !b.entries.is_empty() => {
                     let at = rng.below(b.entries.len() as u64) as usize;
                     if chance(&mut rng, 3) {
-                        // NaNs of different bits render alike: no divergence
-                        let nan = rng.below(at as u64 + 1) as usize;
+                        // NaNs of different bits render alike: no divergence,
+                        // also when the changed entry is the NaN one
+                        let nan = if chance(&mut rng, 2) {
+                            at
+                        } else {
+                            rng.below(at as u64 + 1) as usize
+                        };
                         a.entries[nan].sim_time = f64::NAN;
                         b.entries[nan].sim_time = -f64::NAN;
                     }
@@ -800,9 +805,17 @@ mod properties {
             if chance(&mut rng, 8) {
                 b.header.as_mut().expect("enabled").seed ^= 1;
             }
-            prop_assert_eq!(a.first_divergence(&b), first_divergence(&a, &b));
+            let d = a.first_divergence(&b);
+            prop_assert_eq!(&d, &first_divergence(&a, &b));
             prop_assert_eq!(b.first_divergence(&a), first_divergence(&b, &a));
             prop_assert_eq!(b.first_divergence(&b), None);
+            // the report names the field that renders differently, with
+            // two different values: never `sim_time: nan` vs `nan`, and
+            // never the whole-line `entry` for `0` vs `-0`
+            if let Some(d) = d.filter(|d| d.field != "header" && d.field != "length") {
+                prop_assert_ne!(d.field.as_str(), "entry");
+                prop_assert_ne!(&d.a, &d.b, "{}", d.field);
+            }
         }
     }
 

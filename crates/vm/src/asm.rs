@@ -17,10 +17,12 @@
 //!
 //! Determinism contract: literals are interned into the pool in first
 //! appearance order, labels are resolved in a fixed two-pass sweep, and
-//! no hashing or host iteration order is involved anywhere — the same
-//! source always yields the same `Program`, byte for byte.
+//! the label and literal maps are only ever looked up, never iterated —
+//! the same source always yields the same `Program`, byte for byte.
+//! Every lookup is a hash probe, so assembly is linear in the source.
 
 use crate::isa::{AluOp, Instr};
+use std::collections::HashMap;
 
 /// An assembled program: decoded code plus its literal pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,6 +99,20 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
+/// `s` with control characters and line separators escaped, so an
+/// error message that quotes it stays on one line.
+fn one_line(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_control() || matches!(c, '\u{2028}' | '\u{2029}') {
+                c.escape_default().to_string()
+            } else {
+                c.to_string()
+            }
+        })
+        .collect()
+}
+
 fn is_label_name(s: &str) -> bool {
     !s.is_empty()
         && s.chars()
@@ -132,7 +148,7 @@ fn parse_imm(tok: &str, line: usize) -> Result<u32, AsmError> {
 /// Assemble source text into a [`Program`].
 pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
     // pass 1: map labels to instruction indexes
-    let mut labels: Vec<(String, u16)> = Vec::new();
+    let mut labels: HashMap<&str, u16> = HashMap::new();
     let mut pc: usize = 0;
     for (n, raw) in src.lines().enumerate() {
         let line = strip_comment(raw).trim();
@@ -142,15 +158,15 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
         if let Some(label) = line.strip_suffix(':') {
             let label = label.trim();
             if !is_label_name(label) {
-                return err(n + 1, format!("bad label `{label}`"));
+                return err(n + 1, format!("bad label `{}`", one_line(label)));
             }
-            if labels.iter().any(|(l, _)| l == label) {
+            if labels.contains_key(label) {
                 return err(n + 1, format!("duplicate label `{label}`"));
             }
             if pc > usize::from(u16::MAX) {
                 return err(n + 1, "program too large");
             }
-            labels.push((label.to_string(), pc as u16));
+            labels.insert(label, pc as u16);
         } else {
             pc += 1;
         }
@@ -160,8 +176,8 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
     }
 
     let find_label = |tok: &str, line: usize| -> Result<u16, AsmError> {
-        match labels.iter().find(|(l, _)| l == tok) {
-            Some((_, t)) => Ok(*t),
+        match labels.get(tok) {
+            Some(&t) => Ok(t),
             None => err(line, format!("unknown label `{tok}`")),
         }
     };
@@ -169,15 +185,18 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
     // pass 2: encode, interning literals in first-appearance order
     let mut code: Vec<Instr> = Vec::new();
     let mut lits: Vec<u32> = Vec::new();
+    let mut pool: HashMap<u32, u16> = HashMap::new();
     let mut intern = |v: u32, line: usize| -> Result<u16, AsmError> {
-        if let Some(i) = lits.iter().position(|&x| x == v) {
-            return Ok(i as u16);
+        if let Some(&i) = pool.get(&v) {
+            return Ok(i);
         }
         if lits.len() > usize::from(u16::MAX) {
             return err(line, "literal pool overflow");
         }
+        let i = lits.len() as u16;
         lits.push(v);
-        Ok((lits.len() - 1) as u16)
+        pool.insert(v, i);
+        Ok(i)
     };
     for (n, raw) in src.lines().enumerate() {
         let n = n + 1;
@@ -187,8 +206,9 @@ pub fn assemble(name: &str, src: &str) -> Result<Program, AsmError> {
         }
         let spaced = line.replace(',', " ");
         let toks: Vec<&str> = spaced.split_whitespace().collect();
-        let args = &toks[1..];
-        let mnem = toks[0];
+        let Some((&mnem, args)) = toks.split_first() else {
+            return err(n, "missing mnemonic");
+        };
         let need = |k: usize| -> Result<(), AsmError> {
             if args.len() == k {
                 Ok(())
@@ -382,11 +402,174 @@ mod tests {
     }
 
     #[test]
+    fn a_line_of_only_commas_is_an_error() {
+        let e = assemble("t", "halt\n , ,\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 2: missing mnemonic");
+    }
+
+    #[test]
+    fn large_sources_assemble_in_linear_time() {
+        // 65k labels and 65k distinct literals, every lookup a hit
+        const N: usize = 65_000;
+        let mut src = String::new();
+        for i in 0..N {
+            src.push_str(&format!("l{i}:\nlit r1, {}\n", i * 7 + 3));
+        }
+        for i in 0..500 {
+            src.push_str(&format!("jnz r1, l{}\n", i * 127));
+        }
+        let t = std::time::Instant::now();
+        let p = assemble("big", &src).unwrap();
+        let took = t.elapsed();
+        assert_eq!((p.code.len(), p.lits.len()), (N + 500, N));
+        assert_eq!(p.code[N + 1], Instr::Jnz { s: 1, target: 127 });
+        assert_eq!(
+            p.code[N - 1],
+            Instr::LoadLit {
+                d: 1,
+                idx: (N - 1) as u16
+            }
+        );
+        assert!(took.as_secs_f64() < 5.0, "assembly took {took:?}");
+    }
+
+    #[test]
     fn listing_covers_code_and_pool() {
         let p = assemble("t", "lit r0, 42\nhalt\n").unwrap();
         let l = p.listing();
         assert!(l.contains("lit   r0, [0]"), "{l}");
         assert!(l.contains("halt"), "{l}");
         assert!(l.contains("0x0000002a"), "{l}");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Mnemonics with their operand shapes: `r`egister, `i`mmediate
+        /// or `l`abel.
+        const SHAPES: &[(&str, &str)] = &[
+            ("halt", ""),
+            ("ret", ""),
+            ("lit", "ri"),
+            ("mov", "rr"),
+            ("ld", "rr"),
+            ("st", "rr"),
+            ("add", "rrr"),
+            ("sub", "rrr"),
+            ("mul", "rrr"),
+            ("xor", "rrr"),
+            ("and", "rrr"),
+            ("or", "rrr"),
+            ("shl", "rrr"),
+            ("shr", "rrr"),
+            ("cmplt", "rrr"),
+            ("cmpeq", "rrr"),
+            ("jmp", "l"),
+            ("call", "l"),
+            ("jnz", "rl"),
+            ("jz", "rl"),
+        ];
+        const REGS: &[&str] = &["r0", "r1", "r7", "r12", "r255"];
+        const IMMS: &[&str] = &["0", "42", "-1", "0xFFFFFFFF", "0X1f", "4294967295"];
+        const LABELS: &[&str] = &["a", "b", "_c9", "end"];
+        /// Near misses for any operand or mnemonic: registers and
+        /// literals past their range, malformed spellings, unknown names.
+        const BAD: &[&str] = &[
+            "r256",
+            "r999",
+            "r",
+            "r-1",
+            "r+3",
+            "rr",
+            "r0x1",
+            "0x100000000",
+            "4294967296",
+            "-4294967296",
+            "12abc",
+            "-",
+            "0x",
+            "9z",
+            "nowhere",
+            "HALT",
+            "nop",
+            "li",
+            "é",
+        ];
+        /// Pieces of a line that is not an instruction.
+        const JUNK: &[&str] = &[
+            ",", ":", ";", "#", " ", "\t", "\r", "a:", " b :", "a b:", ":x", "\u{2028}", "\u{85}",
+            "\0", "é", "😀", "`", "\\", "'",
+        ];
+
+        fn pick<'a>(rng: &mut TestRng, xs: &[&'a str]) -> &'a str {
+            xs[rng.below(xs.len() as u64) as usize]
+        }
+
+        /// Mostly well-formed instructions, so whole programs assemble;
+        /// otherwise labels, comments, separators alone and junk.
+        fn line(rng: &mut TestRng) -> String {
+            match rng.below(16) {
+                0 | 1 => format!("{}:", pick(rng, LABELS)),
+                2 => pick(rng, &["", "; note", "  # note", "\t"]).to_string(),
+                3 => (0..1 + rng.below(3))
+                    .map(|_| pick(rng, &[",", " ", ",,"]))
+                    .collect(),
+                4 => (0..rng.below(6)).map(|_| pick(rng, JUNK)).collect(),
+                _ => {
+                    let (mnem, shape) = SHAPES[rng.below(SHAPES.len() as u64) as usize];
+                    let mut ops: Vec<&str> = shape
+                        .chars()
+                        .map(|k| match k {
+                            'r' => pick(rng, REGS),
+                            'i' => pick(rng, IMMS),
+                            _ => pick(rng, LABELS),
+                        })
+                        .collect();
+                    if rng.below(4) == 0 {
+                        match rng.below(3) {
+                            0 => ops.push(pick(rng, REGS)),
+                            1 => drop(ops.pop()),
+                            _ => {
+                                let at = rng.below(ops.len() as u64 + 1) as usize;
+                                ops.insert(at, pick(rng, BAD));
+                            }
+                        }
+                    }
+                    let mnem = if rng.below(16) == 0 {
+                        pick(rng, BAD)
+                    } else {
+                        mnem
+                    };
+                    let sep = pick(rng, &[", ", ",", " ", " ,, ", "\t"]);
+                    format!("  {mnem} {}", ops.join(sep))
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn any_text_assembles_or_fails_on_one_line(seed in any::<u64>()) {
+                let mut rng = TestRng::new(seed);
+                let src: String = (0..rng.below(12))
+                    .map(|_| line(&mut rng) + pick(&mut rng, &["\n", "\n", "\r\n"]))
+                    .collect();
+                let lines = src.lines().count().max(1);
+                match assemble("t", &src) {
+                    Ok(p) => {
+                        prop_assert!(!p.code.is_empty());
+                        prop_assert_eq!(assemble("t", &src), Ok(p));
+                    }
+                    Err(e) => {
+                        let text = e.to_string();
+                        prop_assert!(
+                            !text.contains(['\n', '\r', '\u{85}', '\u{2028}', '\u{2029}']),
+                            "{:?}", text
+                        );
+                        prop_assert!((1..=lines).contains(&e.line), "{} of {}", e.line, lines);
+                    }
+                }
+            }
+        }
     }
 }

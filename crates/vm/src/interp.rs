@@ -2,9 +2,27 @@
 //! window, a word-addressed data memory, and explicit trap/budget
 //! semantics so every abnormal outcome is observable evidence for the
 //! duplex comparator.
+//!
+//! Step contract of [`Vm::run`]:
+//! - a [`FaultPlan`] flip fires exactly before step `at_step` (0 = on
+//!   round-entry state), and only if the round gets that far;
+//! - the budget check comes after the flip, so a plan with
+//!   `at_step == STEP_BUDGET` fires and the round then hangs, while a
+//!   plan beyond the budget never fires;
+//! - a trap reports the pc of the faulting instruction and leaves
+//!   `pc` there; a trapping instruction counts as a step unless the
+//!   fetch itself failed ([`Trap::PcOutOfRange`]).
+//!
+//! `run` executes this as two straight-line segments, the fault-free
+//! prefix and the rest after the flip, so the step loop never looks at
+//! the plan. A per-step reference stepper, test-only in
+//! `interp/oracle.rs`, is the oracle of a differential property.
 
 use crate::asm::Program;
 use crate::isa::Instr;
+
+#[cfg(test)]
+mod oracle;
 
 /// Size of the flat physical register file.
 pub const REG_FILE: usize = 256;
@@ -157,25 +175,6 @@ impl Vm {
         [self.regs[0], self.regs[1], self.regs[2], self.regs[3]]
     }
 
-    fn reg_index(&self, r: u8) -> Result<usize, Trap> {
-        let i = self.base as usize + usize::from(r);
-        if i >= REG_FILE {
-            Err(Trap::RegOutOfRange)
-        } else {
-            Ok(i)
-        }
-    }
-
-    fn get(&self, r: u8) -> Result<u32, Trap> {
-        Ok(self.regs[self.reg_index(r)?])
-    }
-
-    fn set(&mut self, r: u8, v: u32) -> Result<(), Trap> {
-        let i = self.reg_index(r)?;
-        self.regs[i] = v;
-        Ok(())
-    }
-
     fn apply_flip(&mut self, flip: StateFlip) {
         match flip {
             StateFlip::Reg { index, bit } => {
@@ -195,118 +194,140 @@ impl Vm {
     }
 
     /// Execute until halt, trap, or budget exhaustion, optionally
-    /// applying one scheduled state flip mid-flight.
+    /// applying one scheduled state flip mid-flight, under the step
+    /// contract in the module docs.
     pub fn run(&mut self, prog: &Program, fault: Option<&FaultPlan>) -> RunResult {
-        let mut steps: u64 = 0;
+        let plan = fault.filter(|f| f.at_step <= STEP_BUDGET);
+        let (mut steps, mut ended) =
+            self.run_until(prog, 0, plan.map_or(STEP_BUDGET, |f| f.at_step));
         let mut fault_applied = false;
-        let done = |outcome, steps, fault_applied| RunResult {
-            outcome,
+        if let (None, Some(f)) = (ended, plan) {
+            self.apply_flip(f.flip);
+            fault_applied = true;
+            (steps, ended) = self.run_until(prog, steps, STEP_BUDGET);
+        }
+        RunResult {
+            outcome: ended.unwrap_or(Outcome::Hung),
             steps,
             fault_applied,
-        };
-        loop {
-            if let Some(f) = fault {
-                if !fault_applied && steps >= f.at_step {
-                    self.apply_flip(f.flip);
-                    fault_applied = true;
-                }
+        }
+    }
+
+    /// The step loop: execute from `steps` until halt or trap (returned
+    /// with the step count) or until `steps == limit` (`None`). `pc` and
+    /// the window base live in locals and are written back on exit; a
+    /// trap leaves `pc` at the faulting instruction.
+    fn run_until(&mut self, prog: &Program, mut steps: u64, limit: u64) -> (u64, Option<Outcome>) {
+        let Vm {
+            regs,
+            pc: pc_out,
+            base: base_out,
+            frames,
+            mem,
+        } = self;
+        let mut pc = *pc_out as usize;
+        let mut base = *base_out as usize;
+        let ended = 'step: loop {
+            if steps >= limit {
+                break None;
             }
-            if steps >= STEP_BUDGET {
-                return done(Outcome::Hung, steps, fault_applied);
+            macro_rules! trap {
+                ($trap:expr) => {
+                    break 'step Some(Outcome::Trapped {
+                        trap: $trap,
+                        pc: pc as u32,
+                    })
+                };
             }
-            let pc = self.pc;
-            let Some(&instr) = prog.code.get(pc as usize) else {
-                return done(
-                    Outcome::Trapped {
-                        trap: Trap::PcOutOfRange,
-                        pc,
-                    },
-                    steps,
-                    fault_applied,
-                );
+            // physical index of window-relative register `r`, or trap
+            macro_rules! reg {
+                ($r:expr) => {{
+                    let i = base + usize::from($r);
+                    if i >= REG_FILE {
+                        trap!(Trap::RegOutOfRange);
+                    }
+                    i
+                }};
+            }
+            let Some(&instr) = prog.code.get(pc) else {
+                trap!(Trap::PcOutOfRange);
             };
             steps += 1;
-            match self.exec(prog, instr) {
-                Ok(Flow::Next) => self.pc = pc + 1,
-                Ok(Flow::Jump(t)) => self.pc = t,
-                Ok(Flow::Halt) => return done(Outcome::Halted, steps, fault_applied),
-                Err(trap) => {
-                    return done(Outcome::Trapped { trap, pc }, steps, fault_applied);
+            match instr {
+                Instr::Halt => break Some(Outcome::Halted),
+                Instr::LoadLit { d, idx } => {
+                    let Some(&v) = prog.lits.get(usize::from(idx)) else {
+                        trap!(Trap::LitOutOfRange);
+                    };
+                    regs[reg!(d)] = v;
+                }
+                Instr::Mov { d, s } => regs[reg!(d)] = regs[reg!(s)],
+                Instr::Alu { op, d, a, b } => {
+                    let v = op.eval(regs[reg!(a)], regs[reg!(b)]);
+                    regs[reg!(d)] = v;
+                }
+                Instr::CmpLt { d, a, b } => {
+                    let v = u32::from(regs[reg!(a)] < regs[reg!(b)]);
+                    regs[reg!(d)] = v;
+                }
+                Instr::CmpEq { d, a, b } => {
+                    let v = u32::from(regs[reg!(a)] == regs[reg!(b)]);
+                    regs[reg!(d)] = v;
+                }
+                Instr::Jmp { target } => {
+                    pc = usize::from(target);
+                    continue;
+                }
+                Instr::Jnz { s, target } => {
+                    if regs[reg!(s)] != 0 {
+                        pc = usize::from(target);
+                        continue;
+                    }
+                }
+                Instr::Jz { s, target } => {
+                    if regs[reg!(s)] == 0 {
+                        pc = usize::from(target);
+                        continue;
+                    }
+                }
+                Instr::Call { target } => {
+                    if frames.len() >= MAX_FRAMES || base + 2 * WINDOW_SHIFT > REG_FILE {
+                        trap!(Trap::FrameOverflow);
+                    }
+                    frames.push((pc as u32 + 1, base as u32));
+                    base += WINDOW_SHIFT;
+                    pc = usize::from(target);
+                    continue;
+                }
+                Instr::Ret => {
+                    let Some((ret_pc, caller_base)) = frames.pop() else {
+                        trap!(Trap::FrameUnderflow);
+                    };
+                    base = caller_base as usize;
+                    pc = ret_pc as usize;
+                    continue;
+                }
+                Instr::Ld { d, a } => {
+                    let Some(&v) = mem.get(regs[reg!(a)] as usize) else {
+                        trap!(Trap::MemOutOfRange);
+                    };
+                    regs[reg!(d)] = v;
+                }
+                Instr::St { a, s } => {
+                    let addr = regs[reg!(a)] as usize;
+                    let v = regs[reg!(s)];
+                    let Some(w) = mem.get_mut(addr) else {
+                        trap!(Trap::MemOutOfRange);
+                    };
+                    *w = v;
                 }
             }
-        }
+            pc += 1;
+        };
+        *pc_out = pc as u32;
+        *base_out = base as u32;
+        (steps, ended)
     }
-
-    fn exec(&mut self, prog: &Program, instr: Instr) -> Result<Flow, Trap> {
-        match instr {
-            Instr::Halt => return Ok(Flow::Halt),
-            Instr::LoadLit { d, idx } => {
-                let v = *prog.lits.get(usize::from(idx)).ok_or(Trap::LitOutOfRange)?;
-                self.set(d, v)?;
-            }
-            Instr::Mov { d, s } => {
-                let v = self.get(s)?;
-                self.set(d, v)?;
-            }
-            Instr::Alu { op, d, a, b } => {
-                let v = op.eval(self.get(a)?, self.get(b)?);
-                self.set(d, v)?;
-            }
-            Instr::CmpLt { d, a, b } => {
-                let v = u32::from(self.get(a)? < self.get(b)?);
-                self.set(d, v)?;
-            }
-            Instr::CmpEq { d, a, b } => {
-                let v = u32::from(self.get(a)? == self.get(b)?);
-                self.set(d, v)?;
-            }
-            Instr::Jmp { target } => return Ok(Flow::Jump(u32::from(target))),
-            Instr::Jnz { s, target } => {
-                if self.get(s)? != 0 {
-                    return Ok(Flow::Jump(u32::from(target)));
-                }
-            }
-            Instr::Jz { s, target } => {
-                if self.get(s)? == 0 {
-                    return Ok(Flow::Jump(u32::from(target)));
-                }
-            }
-            Instr::Call { target } => {
-                let new_base = self.base as usize + WINDOW_SHIFT;
-                if self.frames.len() >= MAX_FRAMES || new_base + WINDOW_SHIFT > REG_FILE {
-                    return Err(Trap::FrameOverflow);
-                }
-                self.frames.push((self.pc + 1, self.base));
-                self.base = new_base as u32;
-                return Ok(Flow::Jump(u32::from(target)));
-            }
-            Instr::Ret => {
-                let (ret_pc, base) = self.frames.pop().ok_or(Trap::FrameUnderflow)?;
-                self.base = base;
-                return Ok(Flow::Jump(ret_pc));
-            }
-            Instr::Ld { d, a } => {
-                let addr = self.get(a)? as usize;
-                let v = *self.mem.get(addr).ok_or(Trap::MemOutOfRange)?;
-                self.set(d, v)?;
-            }
-            Instr::St { a, s } => {
-                let addr = self.get(a)? as usize;
-                let v = self.get(s)?;
-                if addr >= self.mem.len() {
-                    return Err(Trap::MemOutOfRange);
-                }
-                self.mem[addr] = v;
-            }
-        }
-        Ok(Flow::Next)
-    }
-}
-
-enum Flow {
-    Next,
-    Jump(u32),
-    Halt,
 }
 
 #[cfg(test)]
@@ -464,6 +485,39 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Halted);
         assert!(!r.fault_applied, "plan beyond halt never fires");
         assert_eq!(vm.regs[0], 0);
+    }
+
+    #[test]
+    fn flips_at_the_budget_fire_and_beyond_it_never_do() {
+        let p = assemble("t", "spin:\njmp spin\n").unwrap();
+        for (at_step, fires) in [(STEP_BUDGET, true), (STEP_BUDGET + 1, false)] {
+            let mut vm = Vm::new();
+            let r = vm.run(
+                &p,
+                Some(&FaultPlan {
+                    at_step,
+                    flip: StateFlip::Reg { index: 7, bit: 0 },
+                }),
+            );
+            assert_eq!(r.outcome, Outcome::Hung);
+            assert_eq!(r.steps, STEP_BUDGET);
+            assert_eq!(r.fault_applied, fires, "at_step {at_step}");
+            assert_eq!(vm.regs[7], u32::from(fires));
+        }
+    }
+
+    #[test]
+    fn a_register_past_the_file_end_traps() {
+        // one call deep the window base is 8: r247 is the last register
+        let (vm, r) = run_src("call f\nhalt\nf:\nmov r247, r0\nmov r248, r0\nret\n");
+        assert_eq!(
+            r.outcome,
+            Outcome::Trapped {
+                trap: Trap::RegOutOfRange,
+                pc: 3
+            }
+        );
+        assert_eq!((vm.pc, vm.base, r.steps), (3, 8, 3));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use crate::asm::{assemble, Program};
 use crate::interp::DMEM_WORDS;
+use std::sync::OnceLock;
 
 /// Data-memory address of the round counter.
 pub const ADDR_ROUND: usize = 0;
@@ -53,11 +54,25 @@ pub struct SeedProgram {
 }
 
 impl SeedProgram {
-    /// Assemble the source. Seed programs are static invariants; every
-    /// one is covered by a test, so failure here is a crate bug.
+    /// The assembled program, assembled once per process and shared.
+    /// Seed programs are static invariants; every one is covered by a
+    /// test, so an assembly failure here is a crate bug.
+    #[must_use]
+    pub fn program(&self) -> &'static Program {
+        static CACHE: [OnceLock<Program>; SEED_PROGRAMS.len()] =
+            [const { OnceLock::new() }; SEED_PROGRAMS.len()];
+        let slot = SEED_PROGRAMS
+            .iter()
+            .position(|p| p.name == self.name)
+            .expect("every seed program is listed");
+        CACHE[slot].get_or_init(|| assemble(self.name, self.asm).expect("seed program assembles"))
+    }
+
+    /// An owned copy of [`SeedProgram::program`], for callers that
+    /// reshape or flip it.
     #[must_use]
     pub fn assembled(&self) -> Program {
-        assemble(self.name, self.asm).expect("seed program assembles")
+        self.program().clone()
     }
 
     /// Initial data memory for the given run seed: state words are
@@ -579,6 +594,14 @@ mod tests {
     use super::*;
     use crate::interp::{Outcome, Vm};
     use crate::run_round;
+
+    #[test]
+    fn each_seed_program_is_assembled_once() {
+        for p in SEED_PROGRAMS {
+            assert!(std::ptr::eq(p.program(), p.program()), "{}", p.name);
+            assert_eq!(*p.program(), assemble(p.name, p.asm).unwrap());
+        }
+    }
 
     #[test]
     fn every_seed_program_assembles() {
