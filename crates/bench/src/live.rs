@@ -69,8 +69,7 @@ pub fn campaign_trial_for(
     };
     let (report, _, run_rec) =
         run_micro_with_recorder(&cfg, Some(fault), target_rounds, trial_recorder(rec));
-    rec.merge_registry(run_rec.registry());
-    rec.adopt_journal(run_rec.journal(), index);
+    rec.adopt_run(run_rec, index);
     TrialResult::with_value(trial_label(&report), report.detections as f64)
 }
 
@@ -109,15 +108,15 @@ pub fn vm_campaign_trial_for(
     };
     let (report, _, run_rec) =
         run_vm_duplex_with_recorder(&cfg, Some(fault), target_rounds, trial_recorder(rec));
-    rec.merge_registry(run_rec.registry());
-    rec.adopt_journal(run_rec.journal(), index);
+    rec.adopt_run(run_rec, index);
     TrialResult::with_value(trial_label(&report), report.detections as f64)
 }
 
 /// A fresh recorder for one trial, journaling under the campaign's
-/// header when the campaign recorder journals.
+/// header when the campaign recorder journals. Only its registry and
+/// journal are adopted, so it records nothing else.
 fn trial_recorder(rec: &Recorder) -> Recorder {
-    let mut run_rec = Recorder::new();
+    let mut run_rec = Recorder::registry_only();
     if rec.journal_enabled() {
         if let Some(h) = rec.journal().header() {
             run_rec.enable_journal(h.clone());

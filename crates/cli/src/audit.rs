@@ -352,6 +352,23 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_a_stuck_at_bit_beyond_the_word() {
+        // bit 40 used to overflow `1 << bit` in the faulty unit's result
+        // (a panic in a debug build, bit 8 forced in a release build)
+        let header = vds_obs::JournalHeader::new("micro", "smt-det", 2024, 8, 12)
+            .with_meta("fault", "permfu:alu:0:40:1")
+            .with_meta("fault_round", "3");
+        let p = tmp("permfu-bit40.journal.jsonl");
+        std::fs::write(&p, vds_obs::Journal::enabled(header).to_jsonl()).unwrap();
+        let e = run(&["replay", p.to_str().unwrap()]).unwrap_err();
+        assert_eq!(e.code, 1);
+        assert_eq!(
+            e.msg,
+            "journal header has malformed fault spec `permfu:alu:0:40:1`"
+        );
+    }
+
+    #[test]
     fn audit_diff_requires_headers_on_both_journals() {
         // a real recording vs a headerless file: one clear runtime error
         // naming the offending path, never a panic

@@ -945,6 +945,53 @@ mod tests {
         );
     }
 
+    // Every micro fault spec `vds replay` accepts from a journal header
+    // runs: a few rounds under it end in a report, whatever the scheme,
+    // never in a panic.
+    proptest::proptest! {
+        #[test]
+        fn every_accepted_fault_spec_runs_a_few_rounds(
+            form in 0u64..6,
+            a in proptest::prelude::any::<u64>(),
+            b in proptest::prelude::any::<u64>(),
+            scheme in 0usize..5,
+        ) {
+            let spec = match form {
+                0 => format!("transient:reg:{}:{}", a % 40, b % 40),
+                1 => format!("transient:mem:{}:{}", a % 300, b % 40),
+                2 => format!("transient:text:{}:{}", a % 200, b % 40),
+                3 => format!(
+                    "permfu:{}:{}:{}:{}",
+                    ["alu", "mul", "mem", "branch", "none"][(a % 5) as usize],
+                    (a >> 8) % 4,
+                    b % 40,
+                    b >> 63
+                ),
+                4 => "crash".to_string(),
+                _ => "stop".to_string(),
+            };
+            let Some(kind) = FaultKind::parse_spec(&spec) else {
+                return;
+            };
+            let schemes = [
+                Scheme::Conventional,
+                Scheme::SmtDeterministic,
+                Scheme::SmtProbabilistic,
+                Scheme::SmtPredictive,
+                Scheme::SmtBoosted3,
+            ];
+            let cfg = MicroConfig::new(schemes[scheme], 4);
+            let victim = if a >> 63 == 0 { Victim::V1 } else { Victim::V2 };
+            let fault = MicroFault {
+                at_round: 1 + (b >> 32) as u32 % cfg.s,
+                victim,
+                kind,
+            };
+            let r = run_micro(&cfg, Some(fault), 6);
+            proptest::prop_assert!(r.committed_rounds >= 6 || r.shutdown, "{spec}: {r}");
+        }
+    }
+
     #[test]
     fn crash_fault_gives_evidence_and_perfect_pick() {
         let mut cfg = MicroConfig::new(Scheme::SmtPredictive, 10);

@@ -110,6 +110,7 @@ impl RunReport {
     /// event counters plus per-phase simulated-time gauges. End-of-run
     /// export: generic over the facade, never feature-gated.
     pub fn export_metrics<R: vds_obs::Record>(&self, rec: &mut R, prefix: &str) {
+        let mut key = vds_obs::KeyPrefix::new(prefix);
         for (field, v) in [
             ("committed_rounds", self.committed_rounds),
             ("faults_injected", self.faults_injected),
@@ -124,7 +125,7 @@ impl RunReport {
             ("checkpoints", self.checkpoints),
             ("shutdown", u64::from(self.shutdown)),
         ] {
-            rec.count(&format!("{prefix}.{field}"), v);
+            rec.count(key.with(field), v);
         }
         for (field, v) in [
             ("time.total", self.total_time),
@@ -134,7 +135,7 @@ impl RunReport {
             ("throughput", self.throughput()),
             ("recovery_fraction", self.recovery_fraction()),
         ] {
-            rec.gauge(&format!("{prefix}.{field}"), v);
+            rec.gauge(key.with(field), v);
         }
     }
 }

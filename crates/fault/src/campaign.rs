@@ -294,7 +294,7 @@ where
             );
         }
         report.merge(&shard_report);
-        rec.merge(&shard_rec);
+        rec.merge(shard_rec);
     }
     if record {
         report.export_metrics(&mut rec);

@@ -85,7 +85,8 @@ impl FaultKind {
         }
     }
 
-    /// Inverse of [`FaultKind::spec_string`].
+    /// Inverse of [`FaultKind::spec_string`]. A `permfu` bit must name
+    /// one of a result word's 32 bits.
     pub fn parse_spec(spec: &str) -> Option<FaultKind> {
         let parts: Vec<&str> = spec.split(':').collect();
         match parts.as_slice() {
@@ -121,7 +122,7 @@ impl FaultKind {
                 Some(FaultKind::PermanentFu(FuFault {
                     class,
                     unit: unit.parse().ok()?,
-                    bit: bit.parse().ok()?,
+                    bit: bit.parse().ok().filter(|&b: &u8| b < 32)?,
                     value: match *value {
                         "0" => false,
                         "1" => true,
@@ -261,6 +262,17 @@ mod tests {
         }
         assert_eq!(FaultKind::parse_spec("transient:mem:4:9@v2"), None);
         assert_eq!(FaultKind::parse_spec("bogus"), None);
+    }
+
+    /// A stuck-at bit past the word would shift `1 << bit` out of range
+    /// in `FuFault::corrupt`.
+    #[test]
+    fn permfu_bits_beyond_the_word_are_rejected() {
+        assert!(FaultKind::parse_spec("permfu:alu:0:31:1").is_some());
+        for bit in ["32", "40", "255"] {
+            let spec = format!("permfu:alu:0:{bit}:1");
+            assert_eq!(FaultKind::parse_spec(&spec), None, "{spec}");
+        }
     }
 
     #[test]

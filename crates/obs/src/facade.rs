@@ -42,6 +42,22 @@ pub trait Record {
         false
     }
 
+    /// Whether trace events are kept, not just counted as dropped: the
+    /// `obs_event!` macro builds an event's field list only when this
+    /// holds. Constant `false` for [`NoopRecorder`].
+    #[inline]
+    fn keeps_events(&self) -> bool {
+        false
+    }
+
+    /// Whether spans keep their key/value fields: the `obs_end_span!`
+    /// macro builds a field list only when this holds. Constant `false`
+    /// for [`NoopRecorder`].
+    #[inline]
+    fn keeps_span_fields(&self) -> bool {
+        false
+    }
+
     /// Add `n` to a counter.
     #[inline]
     fn count(&mut self, _name: &str, _n: u64) {}
@@ -113,7 +129,8 @@ pub trait Record {
     #[inline]
     fn record_span(&mut self, _record: SpanRecord) {}
 
-    /// Fold per-phase span rollups into the registry (top level only).
+    /// Fold per-phase span rollups into the registry, once per span set
+    /// (see [`Recorder::rollup_spans`]).
     #[inline]
     fn rollup_spans(&mut self) {}
 
@@ -146,6 +163,16 @@ impl Record for Recorder {
     #[inline]
     fn is_active(&self) -> bool {
         self.is_enabled()
+    }
+
+    #[inline]
+    fn keeps_events(&self) -> bool {
+        Recorder::keeps_events(self)
+    }
+
+    #[inline]
+    fn keeps_span_fields(&self) -> bool {
+        Recorder::keeps_span_fields(self)
     }
 
     #[inline]
@@ -260,12 +287,15 @@ macro_rules! obs_hist {
 
 /// Emit a trace event iff the recorder is active. The field list is
 /// written `key => value, …` and is only materialised (allocated) when
-/// the event is actually kept.
+/// the event is actually kept; a recorder that keeps no events gets the
+/// event without its fields, which it only counts as dropped.
 #[macro_export]
 macro_rules! obs_event {
     ($rec:expr, $t:expr, $comp:expr, $ev:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        if $rec.is_active() {
+        if $rec.keeps_events() {
             $rec.event($t, $comp, $ev, vec![$(($k, $crate::Value::from($v))),*]);
+        } else if $rec.is_active() {
+            $rec.event($t, $comp, $ev, Vec::new());
         }
     };
 }
@@ -300,8 +330,10 @@ macro_rules! obs_span_on {
 #[macro_export]
 macro_rules! obs_end_span {
     ($rec:expr, $guard:expr, $end:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        if $rec.is_active() {
+        if $rec.keeps_span_fields() {
             $rec.end_span_with($guard, $end, vec![$(($k, $crate::Value::from($v))),*]);
+        } else if $rec.is_active() {
+            $rec.end_span_with($guard, $end, Vec::new());
         } else {
             let _ = $guard;
         }
@@ -342,6 +374,37 @@ mod tests {
         assert_eq!(rec.registry().histogram("h").unwrap().count(), 1);
         assert_eq!(rec.trace().len(), 1);
         assert_eq!(rec.spans().len(), 2);
+    }
+
+    #[test]
+    fn a_recorder_without_a_trace_still_counts_dropped_events() {
+        let mut kept = Recorder::with_capacities(0, 8);
+        let mut direct = Recorder::with_capacities(0, 8);
+        assert!(kept.is_active() && !kept.keeps_events());
+        emit(&mut kept);
+        direct.event(1.0, "t", "e", vec![("round", 3u64.into())]);
+        assert_eq!(kept.trace(), direct.trace());
+        assert_eq!(kept.trace().dropped(), 1);
+        assert_eq!(kept.spans().len(), 2);
+    }
+
+    #[test]
+    fn a_registry_only_recorder_keeps_spans_without_fields() {
+        let mut rec = Recorder::registry_only();
+        assert!(rec.is_active() && !rec.keeps_events() && !rec.keeps_span_fields());
+        emit(&mut rec);
+        rec.record_span(SpanRecord {
+            begin: 0.0,
+            end: 1.0,
+            component: "t",
+            name: "direct",
+            tid: 0,
+            fields: vec![("k", 1u64.into())],
+        });
+        assert_eq!(rec.spans().len(), 3);
+        assert!(rec.spans().records().all(|r| r.fields.is_empty()));
+        assert!(rec.trace().is_empty());
+        assert_eq!(rec.registry().counter("c"), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! upper bound clamped to the observed range (see
 //! [`Histogram::quantile`] for the pinned edge cases).
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// Bucket key for non-positive observations (kept out of the log grid).
 const NONPOS_BUCKET: i32 = i32::MIN;
@@ -39,13 +39,38 @@ fn log_bucket_hi(k: i32) -> f64 {
 }
 
 /// Sparse log-bucket histogram of a numeric observation stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Histogram {
     n: u64,
     sum: f64,
     min: f64,
     max: f64,
-    buckets: BTreeMap<i32, u64>,
+    /// `(bucket, count)` for every occupied bucket, in ascending bucket
+    /// order: a sorted vector, because a stream touches few buckets and
+    /// a binary search over them is cheaper than a tree.
+    buckets: Vec<(i32, u64)>,
+}
+
+/// Renders the buckets as a map, `{bucket: count, …}`: reports that
+/// embed a summary print it, and their `Debug` text is pinned.
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Buckets<'a>(&'a [(i32, u64)]);
+        impl fmt::Debug for Buckets<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(k, c)| (k, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Histogram")
+            .field("n", &self.n)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field("buckets", &Buckets(&self.buckets))
+            .finish()
+    }
 }
 
 /// The registry materializes histograms (and summaries) with
@@ -64,7 +89,7 @@ impl Histogram {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
         }
     }
 
@@ -84,7 +109,15 @@ impl Histogram {
         self.sum += x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        *self.buckets.entry(log_bucket_of(x)).or_insert(0) += 1;
+        self.add_to_bucket(log_bucket_of(x), 1);
+    }
+
+    /// Add `c` to bucket `k`'s count, inserting the bucket in order.
+    fn add_to_bucket(&mut self, k: i32, c: u64) {
+        match self.buckets.binary_search_by_key(&k, |&(b, _)| b) {
+            Ok(at) => self.buckets[at].1 += c,
+            Err(at) => self.buckets.insert(at, (k, c)),
+        }
     }
 
     /// Number of observations.
@@ -140,7 +173,7 @@ impl Histogram {
         let target = ((p * self.n as f64).ceil() as u64).clamp(1, self.n);
         let mut cum = 0u64;
         let mut q = self.max;
-        for (&k, &c) in &self.buckets {
+        for &(k, c) in &self.buckets {
             cum += c;
             if cum >= target {
                 q = if k == NONPOS_BUCKET {
@@ -170,8 +203,8 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (&k, &c) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += c;
+        for &(k, c) in &other.buckets {
+            self.add_to_bucket(k, c);
         }
     }
 
@@ -183,9 +216,9 @@ impl Histogram {
     pub fn cumulative(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::with_capacity(self.buckets.len());
         let mut cum = 0u64;
-        // BTreeMap iterates keys ascending and NONPOS_BUCKET is i32::MIN,
-        // so the underflow bucket always leads and bounds stay sorted.
-        for (&k, &c) in &self.buckets {
+        // buckets ascend and NONPOS_BUCKET is i32::MIN, so the underflow
+        // bucket always leads and bounds stay sorted.
+        for &(k, c) in &self.buckets {
             cum += c;
             let hi = if k == NONPOS_BUCKET {
                 0.0

@@ -23,7 +23,7 @@
 //! digests into journal entries; `vds-checkpoint` re-exports it as its
 //! `StateDigest`.
 
-use crate::registry::{fmt_f64, json_escape, Registry};
+use crate::registry::{fmt_f64, json_escaped_len, write_f64, write_json_escaped, Registry};
 use std::fmt::{self, Write as _};
 
 mod decode;
@@ -102,9 +102,24 @@ impl Digest128 {
     }
 }
 
+impl Digest128 {
+    /// The 32 lower-case hex digits of the [`std::fmt::Display`] form:
+    /// each half zero-padded to 16 digits, `fnv` first.
+    fn hex(&self) -> [u8; 32] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 32];
+        for (i, half) in [self.fnv, self.mix].into_iter().enumerate() {
+            for j in 0..16 {
+                out[16 * i + j] = DIGITS[(half >> (60 - 4 * j) & 0xf) as usize];
+            }
+        }
+        out
+    }
+}
+
 impl std::fmt::Display for Digest128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}{:016x}", self.fnv, self.mix)
+        f.write_str(std::str::from_utf8(&self.hex()).expect("hex digits are ASCII"))
     }
 }
 
@@ -335,28 +350,112 @@ impl JournalHeader {
 
     fn to_json_line(&self) -> String {
         let mut line = String::new();
-        let _ = self.write_json_line(&mut line);
+        self.write_json_line(&mut Text(&mut line));
         line
     }
 
-    fn write_json_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(
-            out,
-            "{{\"kind\":\"journal_header\",\"schema\":{},\"backend\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"s\":{},\"target_rounds\":{},\"meta\":{{",
-            self.schema,
-            json_escape(&self.backend),
-            json_escape(&self.scheme),
-            self.seed,
-            self.s,
-            self.target_rounds,
-        )?;
+    fn write_json_line(&self, out: &mut impl LineSink) {
+        out.raw("{\"kind\":\"journal_header\",\"schema\":");
+        out.uint(self.schema.into());
+        out.raw(",\"backend\":\"");
+        out.escaped(&self.backend);
+        out.raw("\",\"scheme\":\"");
+        out.escaped(&self.scheme);
+        out.raw("\",\"seed\":");
+        out.uint(self.seed);
+        out.raw(",\"s\":");
+        out.uint(self.s.into());
+        out.raw(",\"target_rounds\":");
+        out.uint(self.target_rounds);
+        out.raw(",\"meta\":{");
         for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.write_char(',')?;
-            }
-            write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
+            out.raw(if i > 0 { ",\"" } else { "\"" });
+            out.escaped(k);
+            out.raw("\":\"");
+            out.escaped(v);
+            out.raw("\"");
         }
-        out.write_str("}}")
+        out.raw("}}");
+    }
+}
+
+/// What a journal line is made of. [`Text`] writes the pieces out;
+/// [`Len`] only adds up their lengths, so [`Journal::jsonl_len`] prices
+/// a journal without formatting it a second time.
+trait LineSink {
+    /// Literal text.
+    fn raw(&mut self, s: &str);
+    /// A decimal integer.
+    fn uint(&mut self, n: u64);
+    /// A time as [`fmt_f64`] spells it.
+    fn time(&mut self, x: f64);
+    /// The body of a JSON string literal.
+    fn escaped(&mut self, s: &str);
+    /// A digest as its 32 hex digits.
+    fn digest(&mut self, d: Digest128);
+}
+
+/// A [`LineSink`] appending to a string, with no allocation of its own.
+/// Integers and digests are spelled by hand: the formatting machinery
+/// costs more than the digits.
+struct Text<'a>(&'a mut String);
+
+impl LineSink for Text<'_> {
+    fn raw(&mut self, s: &str) {
+        self.0.push_str(s);
+    }
+    fn uint(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.0
+            .push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+    }
+    fn time(&mut self, x: f64) {
+        let _ = write_f64(self.0, x);
+    }
+    fn escaped(&mut self, s: &str) {
+        let _ = write_json_escaped(self.0, s);
+    }
+    fn digest(&mut self, d: Digest128) {
+        self.0
+            .push_str(std::str::from_utf8(&d.hex()).expect("hex digits are ASCII"));
+    }
+}
+
+/// A [`LineSink`] that counts bytes. Only times are formatted, into the
+/// count; integers, digests and strings are measured.
+struct Len(usize);
+
+impl fmt::Write for Len {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl LineSink for Len {
+    fn raw(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+    fn uint(&mut self, n: u64) {
+        self.0 += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+    fn time(&mut self, x: f64) {
+        let _ = write_f64(self, x);
+    }
+    fn escaped(&mut self, s: &str) {
+        self.0 += json_escaped_len(s);
+    }
+    fn digest(&mut self, _: Digest128) {
+        self.0 += 32;
     }
 }
 
@@ -411,36 +510,48 @@ fn same_time(a: f64, b: f64) -> bool {
 impl RoundEntry {
     fn to_json_line(&self) -> String {
         let mut line = String::new();
-        let _ = self.write_json_line(&mut line);
+        self.write_json_line(&mut Text(&mut line));
         line
     }
 
-    fn write_json_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(
-            out,
-            "{{\"seq\":{},\"lane\":{},\"round\":{},\"committed\":{},\"sim_time\":{},\"d1\":\"{}\",\"d2\":\"{}\",\"verdict\":\"{}\",\"sched\":\"{}\",\"action\":\"{}\",\"rollforward\":{}",
-            self.seq,
-            self.lane,
-            self.round,
-            self.committed,
-            fmt_f64(self.sim_time),
-            self.d1,
-            self.d2,
-            self.verdict.as_str(),
-            json_escape(&self.sched),
-            self.action.as_str(),
-            self.rollforward,
-        )?;
+    fn write_json_line(&self, out: &mut impl LineSink) {
+        out.raw("{\"seq\":");
+        out.uint(self.seq);
+        out.raw(",\"lane\":");
+        out.uint(self.lane);
+        out.raw(",\"round\":");
+        out.uint(self.round);
+        out.raw(",\"committed\":");
+        out.uint(self.committed);
+        out.raw(",\"sim_time\":");
+        out.time(self.sim_time);
+        out.raw(",\"d1\":\"");
+        out.digest(self.d1);
+        out.raw("\",\"d2\":\"");
+        out.digest(self.d2);
+        out.raw("\",\"verdict\":\"");
+        out.raw(self.verdict.as_str());
+        out.raw("\",\"sched\":\"");
+        out.escaped(&self.sched);
+        out.raw("\",\"action\":\"");
+        out.raw(self.action.as_str());
+        out.raw("\",\"rollforward\":");
+        out.uint(self.rollforward.into());
         if let Some(fault) = &self.fault {
-            write!(out, ",\"fault\":\"{}\"", json_escape(fault))?;
+            out.raw(",\"fault\":\"");
+            out.escaped(fault);
+            out.raw("\"");
         }
         if let Some(id) = self.fault_id {
-            write!(out, ",\"fault_id\":{id}")?;
+            out.raw(",\"fault_id\":");
+            out.uint(id);
         }
         if let Some(outcome) = &self.fault_outcome {
-            write!(out, ",\"fault_outcome\":\"{}\"", json_escape(outcome))?;
+            out.raw(",\"fault_outcome\":\"");
+            out.escaped(outcome);
+            out.raw("\"");
         }
-        out.write_char('}')
+        out.raw("}");
     }
 
     /// Whether the two entries serialise to the same JSON line: every
@@ -690,12 +801,12 @@ impl Journal {
             .map(|e| e.round)
     }
 
-    /// Append another journal's entries (lanes preserved, `seq`
+    /// Move another journal's entries over (lanes preserved, `seq`
     /// reassigned). Merge shards in a fixed order for bit-reproducibility.
-    pub fn extend_from(&mut self, other: &Journal) {
+    pub fn extend_from(&mut self, other: Journal) {
         if self.enabled {
-            for e in &other.entries {
-                self.push(e.clone());
+            for e in other.entries {
+                self.push(e);
             }
         }
     }
@@ -715,12 +826,11 @@ impl Journal {
         found
     }
 
-    /// Append another journal's entries with every lane overridden (a
+    /// Move another journal's entries over with every lane overridden (a
     /// campaign adopting a single-run journal as trial `lane`).
-    pub fn adopt(&mut self, other: &Journal, lane: u64) {
+    pub fn adopt(&mut self, other: Journal, lane: u64) {
         if self.enabled {
-            for e in &other.entries {
-                let mut e = e.clone();
+            for mut e in other.entries {
                 e.lane = lane;
                 self.push(e);
             }
@@ -730,36 +840,27 @@ impl Journal {
     /// Serialise: one header line, then one line per entry.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let _ = self.write_jsonl(&mut out);
+        self.write_jsonl(&mut Text(&mut out));
         out
     }
 
-    /// Length in bytes of [`Journal::to_jsonl`], counted without building
-    /// the text.
+    /// Length in bytes of [`Journal::to_jsonl`], measured without
+    /// building the text.
     fn jsonl_len(&self) -> usize {
-        /// A sink that only counts what it is given.
-        struct ByteCount(usize);
-        impl fmt::Write for ByteCount {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0 += s.len();
-                Ok(())
-            }
-        }
-        let mut n = ByteCount(0);
-        let _ = self.write_jsonl(&mut n);
+        let mut n = Len(0);
+        self.write_jsonl(&mut n);
         n.0
     }
 
-    fn write_jsonl(&self, out: &mut impl fmt::Write) -> fmt::Result {
+    fn write_jsonl(&self, out: &mut impl LineSink) {
         if let Some(h) = &self.header {
-            h.write_json_line(out)?;
-            out.write_char('\n')?;
+            h.write_json_line(out);
+            out.raw("\n");
         }
         for e in &self.entries {
-            e.write_json_line(out)?;
-            out.write_char('\n')?;
+            e.write_json_line(out);
+            out.raw("\n");
         }
-        Ok(())
     }
 
     /// Parse a journal back from its JSONL form.
@@ -1053,7 +1154,7 @@ mod tests {
     fn seq_is_gap_free_after_merge() {
         let mut a = sample_journal();
         let b = sample_journal();
-        a.adopt(&b, 7);
+        a.adopt(b, 7);
         let seqs: Vec<u64> = a.entries().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..8).collect::<Vec<_>>());
         assert!(a.entries()[4..].iter().all(|e| e.lane == 7));

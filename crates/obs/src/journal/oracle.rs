@@ -2,13 +2,88 @@
 //! oracle for differential tests: a JSON tree parser with linear key
 //! lookup, the two-pass torn-tail recovery, and the first-divergence
 //! search that binary-searches cumulative digests of the serialised
-//! lines. The properties below hold the production reader to it.
+//! lines. The properties below hold the production reader to it. The
+//! writer as it was before the piecewise encoder, one `format!` per line
+//! with an allocating `fmt_f64` / `json_escape` per field, holds the
+//! production writer and the byte pricing of `journal.bytes`.
 //!
 //! The one intended difference: the production reader accepts `nan`,
 //! `inf` and `-inf` as a `sim_time` (the writer's spelling of non-finite
 //! times), which this reader refuses.
 
 use super::*;
+
+/// JSON string escaping as the writer used to do it, one `String` per
+/// call.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// The journal's JSONL text, written the way the writer used to write it.
+pub(super) fn to_jsonl(j: &Journal) -> String {
+    let mut out = String::new();
+    if let Some(h) = &j.header {
+        let _ = write!(
+            out,
+            "{{\"kind\":\"journal_header\",\"schema\":{},\"backend\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"s\":{},\"target_rounds\":{},\"meta\":{{",
+            h.schema,
+            json_escape(&h.backend),
+            json_escape(&h.scheme),
+            h.seed,
+            h.s,
+            h.target_rounds,
+        );
+        for (i, (k, v)) in h.meta.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+        }
+        out.push_str("}}\n");
+    }
+    for e in &j.entries {
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"lane\":{},\"round\":{},\"committed\":{},\"sim_time\":{},\"d1\":\"{}\",\"d2\":\"{}\",\"verdict\":\"{}\",\"sched\":\"{}\",\"action\":\"{}\",\"rollforward\":{}",
+            e.seq,
+            e.lane,
+            e.round,
+            e.committed,
+            fmt_f64(e.sim_time),
+            e.d1,
+            e.d2,
+            e.verdict.as_str(),
+            json_escape(&e.sched),
+            e.action.as_str(),
+            e.rollforward,
+        );
+        if let Some(fault) = &e.fault {
+            let _ = write!(out, ",\"fault\":\"{}\"", json_escape(fault));
+        }
+        if let Some(id) = e.fault_id {
+            let _ = write!(out, ",\"fault_id\":{id}");
+        }
+        if let Some(outcome) = &e.fault_outcome {
+            let _ = write!(out, ",\"fault_outcome\":\"{}\"", json_escape(outcome));
+        }
+        out.push_str("}\n");
+    }
+    out
+}
 
 pub(super) fn from_jsonl(text: &str) -> Result<Journal, String> {
     let mut header = None;
@@ -741,6 +816,27 @@ mod properties {
     }
 
     proptest! {
+        #[test]
+        fn writer_and_pricer_agree_with_the_format_encoder(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let mut j = journal(&mut rng);
+            if chance(&mut rng, 4) {
+                j.header = None;
+            }
+            for e in &mut j.entries {
+                if chance(&mut rng, 3) {
+                    e.sim_time = pick(&mut rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+                }
+                if chance(&mut rng, 3) {
+                    e.seq = rng.next_u64() >> rng.below(64);
+                    e.lane = rng.next_u64();
+                }
+            }
+            let text = j.to_jsonl();
+            prop_assert_eq!(&text, &to_jsonl(&j));
+            prop_assert_eq!(j.jsonl_len(), text.len());
+        }
+
         #[test]
         fn decoder_agrees_with_the_tree_parser(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);

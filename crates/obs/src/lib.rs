@@ -108,7 +108,7 @@ pub use journal::{
 pub use json::{json_array, JsonObj, REPORT_SCHEMA};
 pub use logging::Level;
 pub use recorder::{Recorder, Stopwatch, DEFAULT_TRACE_CAPACITY};
-pub use registry::Registry;
+pub use registry::{KeyPrefix, Registry};
 pub use serve::{TelemetryHub, TelemetryServer};
 pub use span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
 pub use spsc::{write_atomic, Consumer, JournalSink, Producer, SpscRing};

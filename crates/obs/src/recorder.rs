@@ -12,7 +12,7 @@ use crate::conformance::{ConformanceTracker, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
 use crate::forensics::ForensicsTracker;
 use crate::journal::{Journal, JournalHeader, RoundEntry};
 use crate::registry::Registry;
-use crate::span::{SpanGuard, SpanRecord, SpanSet};
+use crate::span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
 use crate::trace::{Trace, TraceRecord, Value};
 use std::time::Instant;
 
@@ -23,6 +23,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recorder {
     enabled: bool,
+    /// Whether spans keep their key/value fields; a recorder kept only
+    /// for its registry rolls spans up without them.
+    span_fields: bool,
     registry: Registry,
     trace: Trace,
     spans: SpanSet,
@@ -46,6 +49,7 @@ impl Recorder {
     pub fn with_capacities(trace_capacity: usize, span_capacity: usize) -> Self {
         Recorder {
             enabled: true,
+            span_fields: true,
             registry: Registry::new(),
             trace: Trace::with_capacity(trace_capacity),
             spans: SpanSet::with_capacity(span_capacity),
@@ -53,10 +57,22 @@ impl Recorder {
         }
     }
 
+    /// Enabled recorder for a run of which only the registry (span
+    /// rollups included) and the journal are kept, as a campaign trial's
+    /// ([`Recorder::adopt_run`]): no event trace, and spans kept for the
+    /// rollup alone, without their fields.
+    pub fn registry_only() -> Self {
+        Recorder {
+            span_fields: false,
+            ..Self::with_capacities(0, DEFAULT_SPAN_CAPACITY)
+        }
+    }
+
     /// A recorder that ignores everything (for uninstrumented runs).
     pub fn disabled() -> Self {
         Recorder {
             enabled: false,
+            span_fields: false,
             registry: Registry::new(),
             trace: Trace::with_capacity(0),
             spans: SpanSet::with_capacity(0),
@@ -74,6 +90,17 @@ impl Recorder {
     /// concrete `Recorder` without importing the trait.
     pub fn is_active(&self) -> bool {
         self.enabled
+    }
+
+    /// Whether trace events are kept: the recorder is enabled and its
+    /// trace has room for at least one record.
+    pub fn keeps_events(&self) -> bool {
+        self.enabled && self.trace.capacity() > 0
+    }
+
+    /// Whether spans keep the key/value fields they are closed with.
+    pub fn keeps_span_fields(&self) -> bool {
+        self.enabled && self.span_fields
     }
 
     /// Add `n` to a counter.
@@ -162,21 +189,28 @@ impl Recorder {
     }
 
     /// Close a span, attaching key/value fields (they become the Chrome
-    /// trace event's `args`).
+    /// trace event's `args`; dropped unless [`Recorder::keeps_span_fields`]).
     pub fn end_span_with(
         &mut self,
         guard: SpanGuard,
         end: f64,
-        fields: Vec<(&'static str, Value)>,
+        mut fields: Vec<(&'static str, Value)>,
     ) {
         if self.enabled {
+            if !self.span_fields {
+                fields = Vec::new();
+            }
             self.spans.end_span(guard.id, end, fields);
         }
     }
 
-    /// Record an already-completed span directly (timeline conversions).
-    pub fn record_span(&mut self, record: SpanRecord) {
+    /// Record an already-completed span directly (timeline conversions;
+    /// its fields are dropped unless [`Recorder::keeps_span_fields`]).
+    pub fn record_span(&mut self, mut record: SpanRecord) {
         if self.enabled {
+            if !self.span_fields {
+                record.fields = Vec::new();
+            }
             self.spans.push(record);
         }
     }
@@ -187,8 +221,13 @@ impl Recorder {
     }
 
     /// Fold per-phase `span.<component>.<name>.total` / `.self` summaries
-    /// into this recorder's registry. Call once at the top level (after
-    /// shard merging) so rollups are not double counted.
+    /// of the spans held so far into this recorder's registry. Every call
+    /// observes every held span again, so call it once per span set: the
+    /// duplex engines roll up each run's own spans at the end of the run,
+    /// and a campaign rolls up its merged shard spans once, after the
+    /// merge. Merging a rolled-up registry into another recorder carries
+    /// the rollups along; do not merge that recorder's spans too and roll
+    /// up again.
     pub fn rollup_spans(&mut self) {
         if self.enabled {
             self.spans.rollup_into(&mut self.registry);
@@ -260,11 +299,14 @@ impl Recorder {
         &self.journal
     }
 
-    /// Adopt another journal's entries under campaign lane `lane`
-    /// (no-op unless this recorder's journal is enabled).
-    pub fn adopt_journal(&mut self, other: &Journal, lane: u64) {
+    /// Adopt a finished run's recording as campaign trial `lane`: merge
+    /// its registry into this one and move its journal entries over under
+    /// lane `lane` (kept only if this recorder's journal is enabled). Its
+    /// trace and spans are dropped.
+    pub fn adopt_run(&mut self, run: Recorder, lane: u64) {
         if self.enabled {
-            self.journal.adopt(other, lane);
+            self.registry.merge(&run.registry);
+            self.journal.adopt(run.journal, lane);
         }
     }
 
@@ -306,12 +348,12 @@ impl Recorder {
     /// gauges max, summaries merge, traces/spans/journal entries
     /// concatenate). Merge shards in a fixed order for
     /// bit-reproducibility.
-    pub fn merge(&mut self, other: &Recorder) {
+    pub fn merge(&mut self, other: Recorder) {
         if self.enabled {
             self.registry.merge(&other.registry);
             self.trace.extend_from(&other.trace);
             self.spans.extend_from(&other.spans);
-            self.journal.extend_from(&other.journal);
+            self.journal.extend_from(other.journal);
         }
     }
 
@@ -402,7 +444,7 @@ mod tests {
         let mut b = Recorder::new();
         b.bump("c");
         b.event(2.0, "t", "e", vec![]);
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.registry().counter("c"), 2);
         assert_eq!(a.trace().len(), 1);
     }

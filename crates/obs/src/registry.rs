@@ -9,33 +9,113 @@ use std::fmt::Write as _;
 /// Escape a string for inclusion in a JSON document.
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = write_json_escaped(&mut out, s);
     out
+}
+
+/// The escape sequence standing for `c` in a JSON string, if `c` needs
+/// one.
+fn json_escape_char(c: char) -> Option<&'static str> {
+    Some(match c {
+        '"' => "\\\"",
+        '\\' => "\\\\",
+        '\n' => "\\n",
+        '\r' => "\\r",
+        '\t' => "\\t",
+        _ => return None,
+    })
+}
+
+/// [`json_escape`] written straight into `out`, allocating nothing.
+pub(crate) fn write_json_escaped(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    let mut plain = 0; // start of the run not yet written
+    for (i, c) in s.char_indices() {
+        let short = json_escape_char(c);
+        if short.is_none() && (c as u32) >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[plain..i])?;
+        match short {
+            Some(esc) => out.write_str(esc)?,
+            None => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        plain = i + c.len_utf8();
+    }
+    out.write_str(&s[plain..])
+}
+
+/// Length in bytes of [`json_escape`]`(s)`, computed without escaping.
+pub(crate) fn json_escaped_len(s: &str) -> usize {
+    s.chars()
+        .map(|c| match json_escape_char(c) {
+            Some(esc) => esc.len(),
+            None if (c as u32) < 0x20 => 6,
+            None => c.len_utf8(),
+        })
+        .sum()
 }
 
 /// Format an `f64` for export: shortest round-trip representation, with a
 /// fixed spelling for the non-finite values.
 pub(crate) fn fmt_f64(x: f64) -> String {
+    let mut out = String::new();
+    let _ = write_f64(&mut out, x);
+    out
+}
+
+/// [`fmt_f64`] written straight into `out`, allocating nothing.
+pub(crate) fn write_f64(out: &mut impl std::fmt::Write, x: f64) -> std::fmt::Result {
     if x.is_nan() {
-        "nan".to_string()
+        out.write_str("nan")
     } else if x == f64::INFINITY {
-        "inf".to_string()
+        out.write_str("inf")
     } else if x == f64::NEG_INFINITY {
-        "-inf".to_string()
+        out.write_str("-inf")
     } else {
-        format!("{x}")
+        write!(out, "{x}")
+    }
+}
+
+/// Apply `f` to the value under `name`, inserting `V::default()` first
+/// if the name is new. The key is looked up by `&str` and allocated only
+/// for a new name.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
+/// Metric names `<prefix>.<field>` built in one reused buffer, so an
+/// exporter naming a group of metrics allocates once for the group, not
+/// once per metric.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix {
+    buf: String,
+    len: usize,
+}
+
+impl KeyPrefix {
+    /// Names under `prefix`.
+    pub fn new(prefix: &str) -> Self {
+        let mut buf = String::with_capacity(prefix.len() + 32);
+        buf.push_str(prefix);
+        buf.push('.');
+        KeyPrefix {
+            len: buf.len(),
+            buf,
+        }
+    }
+
+    /// The name `<prefix>.<field>`.
+    pub fn with(&mut self, field: &str) -> &str {
+        self.buf.truncate(self.len);
+        self.buf.push_str(field);
+        &self.buf
     }
 }
 
@@ -62,56 +142,58 @@ impl Registry {
 
     /// Add `n` to the named counter (creating it at zero first).
     pub fn count(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        update(&mut self.counters, name, |c| *c += n);
     }
 
     /// Set the named gauge to `v` (last write wins).
     pub fn gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        update(&mut self.gauges, name, |g| *g = v);
     }
 
     /// Set the named gauge to the maximum of its current value and `v`.
     pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let e = self.gauges.entry(name.to_string()).or_insert(v);
-        if v > *e {
-            *e = v;
+        match self.gauges.get_mut(name) {
+            Some(g) if v > *g => *g = v,
+            Some(_) => {}
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
         }
     }
 
     /// Record one observation into the named summary.
     pub fn observe(&mut self, name: &str, x: f64) {
-        self.summaries
-            .entry(name.to_string())
-            .or_default()
-            .observe(x);
+        update(&mut self.summaries, name, |s| s.observe(x));
+    }
+
+    /// Record observations into the named summary, in order, looking the
+    /// name up once.
+    pub(crate) fn observe_each(&mut self, name: &str, xs: impl IntoIterator<Item = f64>) {
+        update(&mut self.summaries, name, |s| {
+            xs.into_iter().for_each(|x| s.observe(x))
+        });
     }
 
     /// Fold an already-accumulated summary into the named summary.
     pub fn merge_summary(&mut self, name: &str, s: &Summary) {
-        self.summaries.entry(name.to_string()).or_default().merge(s);
+        update(&mut self.summaries, name, |sum| sum.merge(s));
     }
 
     /// Record one observation into the named histogram (first-class
     /// log-bucket histogram: exact counts, order-invariant merge).
     pub fn observe_hist(&mut self, name: &str, x: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(x);
+        update(&mut self.histograms, name, |h| h.observe(x));
     }
 
     /// Fold an already-accumulated histogram into the named histogram.
     pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
+        update(&mut self.histograms, name, |hist| hist.merge(h));
     }
 
     /// Record a host wall-clock duration (seconds) under the given name.
     /// Host timings are excluded from the deterministic exports.
     pub fn observe_host(&mut self, name: &str, secs: f64) {
-        self.host.entry(name.to_string()).or_default().observe(secs);
+        update(&mut self.host, name, |s| s.observe(secs));
     }
 
     /// Counter value (0 if absent).
@@ -178,22 +260,19 @@ impl Registry {
     /// fixed order for bit-reproducible means/variances.
     pub fn merge(&mut self, other: &Registry) {
         for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            self.count(k, v);
         }
         for (k, &v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(v);
-            if v > *e {
-                *e = v;
-            }
+            self.gauge_max(k, v);
         }
         for (k, v) in &other.summaries {
-            self.summaries.entry(k.clone()).or_default().merge(v);
+            self.merge_summary(k, v);
         }
         for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
+            self.merge_histogram(k, v);
         }
         for (k, v) in &other.host {
-            self.host.entry(k.clone()).or_default().merge(v);
+            update(&mut self.host, k, |s| s.merge(v));
         }
     }
 

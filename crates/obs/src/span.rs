@@ -105,6 +105,16 @@ enum SweepEv<'a> {
     End(&'a SpanRecord, f64),
 }
 
+/// The lanes of [`SpanSet::by_lane`]'s ordering, as `((component, tid),
+/// spans)` in lane order.
+fn lanes<'s, 'a>(
+    sorted: &'s [(u64, &'a SpanRecord)],
+) -> impl Iterator<Item = ((&'static str, u32), &'s [(u64, &'a SpanRecord)])> {
+    sorted
+        .chunk_by(|(a, _), (b, _)| a == b)
+        .map(|lane| ((lane[0].1.component, lane[0].1.tid), lane))
+}
+
 fn sane_time(t: f64) -> f64 {
     if t.is_finite() {
         t
@@ -116,10 +126,11 @@ fn sane_time(t: f64) -> f64 {
 impl SpanSet {
     /// Span set keeping at most `capacity` completed spans (0 disables
     /// retention; opens/closes still balance, pushes just count as
-    /// dropped).
+    /// dropped). The ring grows on demand up to `capacity`; nothing is
+    /// reserved.
     pub fn with_capacity(capacity: usize) -> Self {
         SpanSet {
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: VecDeque::new(),
             capacity,
             dropped: 0,
             open: Vec::new(),
@@ -240,34 +251,56 @@ impl SpanSet {
         }
     }
 
-    /// Group completed spans by `(component, tid)` and order each lane by
-    /// `(begin, -end, insertion)`, the order the nesting sweep needs.
-    fn lanes(&self) -> BTreeMap<(&'static str, u32), Vec<&SpanRecord>> {
-        let mut lanes: BTreeMap<(&'static str, u32), Vec<(usize, &SpanRecord)>> = BTreeMap::new();
-        for (i, r) in self.records.iter().enumerate() {
-            lanes.entry((r.component, r.tid)).or_default().push((i, r));
+    /// Completed spans ordered by lane `(component, tid)` and, within a
+    /// lane, by `(begin, -end, insertion)`, the order the nesting sweep
+    /// needs, each with its lane's rank; [`lanes`] splits the result into
+    /// lanes.
+    fn by_lane(&self) -> Vec<(u64, &SpanRecord)> {
+        // components in name order, so (component rank, tid) orders lanes
+        // as (component, tid) does
+        let mut comps: Vec<&str> = Vec::new();
+        for r in &self.records {
+            if !comps.contains(&r.component) {
+                comps.push(r.component);
+            }
         }
-        lanes
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort_by(|(ia, a), (ib, b)| {
-                    a.begin
-                        .total_cmp(&b.begin)
-                        .then(b.end.total_cmp(&a.end))
-                        .then(ia.cmp(ib))
-                });
-                (k, v.into_iter().map(|(_, r)| r).collect())
+        comps.sort_unstable();
+        // `f64::total_cmp` as an integer order
+        let time = |t: f64| {
+            let bits = t.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        let mut v: Vec<(u64, i64, i64, usize, &SpanRecord)> = self
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let comp = comps
+                    .binary_search(&r.component)
+                    .expect("every component was collected above")
+                    as u64;
+                (
+                    comp << 32 | u64::from(r.tid),
+                    time(r.begin),
+                    !time(r.end),
+                    i,
+                    r,
+                )
             })
-            .collect()
+            .collect();
+        // the insertion index makes the order total, so an unstable sort
+        // gives the stable order without a buffer
+        v.sort_unstable_by_key(|&(lane, begin, end, i, _)| (lane, begin, end, i));
+        v.into_iter().map(|(lane, _, _, _, r)| (lane, r)).collect()
     }
 
     /// Run the nesting sweep over one lane, emitting clamped begin/end
     /// events: children are clamped into their parents and timestamps are
     /// non-decreasing, for any input.
-    fn sweep<'a>(lane: &[&'a SpanRecord], mut emit: impl FnMut(SweepEv<'a>)) {
+    fn sweep<'a>(lane: &[(u64, &'a SpanRecord)], mut emit: impl FnMut(SweepEv<'a>)) {
         let mut stack: Vec<(&SpanRecord, f64)> = Vec::new();
         let mut clock = f64::NEG_INFINITY;
-        for &r in lane {
+        for &(_, r) in lane {
             let b = r.begin.max(clock);
             while let Some(&(top, tend)) = stack.last() {
                 if tend <= b {
@@ -301,9 +334,9 @@ impl SpanSet {
     /// non-decreasing timestamps. Deterministic bytes for deterministic
     /// content.
     pub fn to_chrome_json(&self) -> String {
-        let lanes = self.lanes();
+        let sorted = self.by_lane();
         let mut pids: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for (comp, _) in lanes.keys() {
+        for ((comp, _), _) in lanes(&sorted) {
             let next = pids.len() + 1;
             pids.entry(comp).or_insert(next);
         }
@@ -314,13 +347,13 @@ impl SpanSet {
                 json_escape(comp)
             ));
         }
-        for (comp, tid) in lanes.keys() {
+        for ((comp, tid), _) in lanes(&sorted) {
             let pid = pids[comp];
             lines.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"hw{tid}\"}}}}"
             ));
         }
-        for ((comp, tid), lane) in &lanes {
+        for ((comp, tid), lane) in lanes(&sorted) {
             let pid = pids[comp];
             Self::sweep(lane, |ev| match ev {
                 SweepEv::Begin(r, ts) => {
@@ -373,9 +406,9 @@ impl SpanSet {
     /// `flamegraph.pl` or `inferno-flamegraph` for an SVG.
     pub fn to_folded(&self) -> String {
         let mut agg: BTreeMap<String, f64> = BTreeMap::new();
-        for ((comp, _tid), lane) in self.lanes() {
+        for ((comp, _tid), lane) in lanes(&self.by_lane()) {
             let mut frames: Vec<(String, f64, f64)> = Vec::new(); // (path, self, last)
-            Self::sweep(&lane, |ev| match ev {
+            Self::sweep(lane, |ev| match ev {
                 SweepEv::Begin(r, ts) => {
                     let path = match frames.last_mut() {
                         Some(parent) => {
@@ -406,11 +439,77 @@ impl SpanSet {
     /// Fold per-phase rollups into a registry: for every completed span a
     /// `span.<component>.<name>.total` observation (end − begin) and a
     /// `span.<component>.<name>.self` observation (total minus time
-    /// covered by nested children on the same lane).
+    /// covered by nested children on the same lane). Observations are
+    /// gathered per phase first, so each summary is looked up once per
+    /// call and fed its observations in sweep order.
     pub fn rollup_into(&self, registry: &mut Registry) {
-        for ((comp, _tid), lane) in self.lanes() {
-            let mut frames: Vec<(f64, f64, f64)> = Vec::new(); // (begin, self, last)
-            Self::sweep(&lane, |ev| match ev {
+        // distinct (component, name) phases, in order of first sight
+        let mut phases: Vec<(&str, &str)> = Vec::new();
+        // (phase, total, self) for every span, in sweep order
+        let mut obs: Vec<(usize, f64, f64)> = Vec::with_capacity(self.records.len());
+        let mut frames: Vec<(f64, f64, f64)> = Vec::new(); // (begin, self, last)
+        for ((comp, _tid), lane) in lanes(&self.by_lane()) {
+            Self::sweep(lane, |ev| match ev {
+                SweepEv::Begin(_, ts) => {
+                    if let Some(parent) = frames.last_mut() {
+                        parent.1 += ts - parent.2;
+                        parent.2 = ts;
+                    }
+                    frames.push((ts, 0.0, ts));
+                }
+                SweepEv::End(r, ts) => {
+                    let (begin, self_t, last) = frames.pop().expect("sweep is balanced");
+                    let phase = match phases.iter().position(|&p| p == (comp, r.name)) {
+                        Some(at) => at,
+                        None => {
+                            phases.push((comp, r.name));
+                            phases.len() - 1
+                        }
+                    };
+                    obs.push((phase, ts - begin, self_t + (ts - last)));
+                    if let Some(parent) = frames.last_mut() {
+                        parent.2 = ts;
+                    }
+                }
+            });
+        }
+        let mut key = String::new();
+        for (at, (comp, name)) in phases.iter().enumerate() {
+            let of_phase = || obs.iter().filter(move |o| o.0 == at);
+            key.clear();
+            let _ = write!(key, "span.{comp}.{name}.total");
+            registry.observe_each(&key, of_phase().map(|o| o.1));
+            key.truncate(key.len() - "total".len());
+            key.push_str("self");
+            registry.observe_each(&key, of_phase().map(|o| o.2));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The rollup as it was before observations were gathered per phase:
+    /// lanes grouped in a map and sorted with `f64::total_cmp`, two
+    /// `format!`s and two registry lookups per span. Kept only as the
+    /// differential oracle of [`SpanSet::rollup_into`].
+    fn rollup_oracle(set: &SpanSet, registry: &mut Registry) {
+        let mut lanes: BTreeMap<(&str, u32), Vec<(usize, &SpanRecord)>> = BTreeMap::new();
+        for (i, r) in set.records.iter().enumerate() {
+            lanes.entry((r.component, r.tid)).or_default().push((i, r));
+        }
+        for ((comp, _tid), mut lane) in lanes {
+            lane.sort_by(|(ia, a), (ib, b)| {
+                a.begin
+                    .total_cmp(&b.begin)
+                    .then(b.end.total_cmp(&a.end))
+                    .then(ia.cmp(ib))
+            });
+            let lane: Vec<(u64, &SpanRecord)> = lane.into_iter().map(|(_, r)| (0, r)).collect();
+            let mut frames: Vec<(f64, f64, f64)> = Vec::new();
+            SpanSet::sweep(&lane, |ev| match ev {
                 SweepEv::Begin(_, ts) => {
                     if let Some(parent) = frames.last_mut() {
                         parent.1 += ts - parent.2;
@@ -432,11 +531,56 @@ impl SpanSet {
             });
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A span time: mostly small integers so spans collide and nest,
+    /// sometimes fractional, negative (`-0.0` included), NaN or ±inf.
+    fn time(x: u64) -> f64 {
+        match x % 16 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => (x >> 8) as f64 / 7.0,
+            4 => -(((x >> 8) % 4) as f64),
+            _ => ((x >> 8) % 40) as f64,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rollup_matches_the_per_span_formatting_oracle(
+            raw in prop::collection::vec(any::<u64>(), 0..60),
+            capacity in 1usize..80,
+            pre in any::<bool>(),
+        ) {
+            const COMPONENTS: [&str; 3] = ["micro", "smt", "campaign"];
+            // one name on several lanes and components
+            const NAMES: [&str; 4] = ["round", "compute", "compare", "round"];
+            let mut set = SpanSet::with_capacity(capacity);
+            for (i, &x) in raw.iter().enumerate() {
+                let y = x.rotate_left(29) ^ i as u64;
+                set.push(SpanRecord {
+                    begin: time(x),
+                    end: time(y),
+                    component: COMPONENTS[(x >> 40) as usize % 3],
+                    name: NAMES[(y >> 40) as usize % 4],
+                    tid: (x >> 50) as u32 % 3,
+                    fields: Vec::new(),
+                });
+            }
+            let (mut got, mut want) = (Registry::new(), Registry::new());
+            if pre {
+                // keys that already exist take the lookup path
+                for reg in [&mut got, &mut want] {
+                    reg.observe("span.micro.round.total", 1.5);
+                    reg.count("span.micro.round.self", 2);
+                }
+            }
+            set.rollup_into(&mut got);
+            rollup_oracle(&set, &mut want);
+            prop_assert_eq!(got.to_csv(), want.to_csv());
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn span(begin: f64, end: f64, name: &'static str, tid: u32) -> SpanRecord {
         SpanRecord {

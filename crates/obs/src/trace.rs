@@ -117,9 +117,10 @@ pub struct Trace {
 
 impl Trace {
     /// Trace keeping at most `capacity` records (0 disables recording).
+    /// The ring grows on demand up to `capacity`; nothing is reserved.
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
-            records: VecDeque::with_capacity(capacity.min(4096)),
+            records: VecDeque::new(),
             capacity,
             dropped: 0,
         }

@@ -368,7 +368,9 @@ impl Machine {
                 }
                 return outcomes;
             }
-            self.core.advance(deadline);
+            // thread states change only when a thread blocks, so settle
+            // outcomes then rather than every cycle
+            self.core.advance_until_block(deadline);
         }
     }
 }
@@ -555,6 +557,121 @@ mod tests {
     #[test]
     fn idle_program_is_the_assembled_halt() {
         assert_eq!(idle_program(), assemble("halt\n").unwrap());
+    }
+
+    /// The per-cycle loop [`Machine::run_all_until_block`] ran before it
+    /// became block-driven: re-scan every resident thread after every
+    /// [`Core::advance`]. Kept only as the differential oracle below.
+    fn run_all_per_cycle(m: &mut Machine, budget: u64) -> Vec<Option<ProcOutcome>> {
+        let deadline = m.core.cycles() + budget;
+        let mut outcomes: Vec<Option<ProcOutcome>> = vec![None; m.resident.len()];
+        loop {
+            let mut all_blocked = true;
+            for hw in (0..m.resident.len()).map(ThreadId) {
+                if m.resident[hw.0].is_none() {
+                    continue;
+                }
+                match m.core.thread(hw).state {
+                    ThreadState::Yielded => outcomes[hw.0] = Some(ProcOutcome::Yielded),
+                    ThreadState::Halted | ThreadState::Trapped(_) => {
+                        outcomes[hw.0] = Some(m.run_hw_until_block(hw, 0));
+                    }
+                    _ => all_blocked = false,
+                }
+            }
+            if all_blocked {
+                return outcomes;
+            }
+            if m.core.cycles() >= deadline {
+                for (hw, o) in outcomes.iter_mut().enumerate() {
+                    if o.is_none() && m.resident[hw].is_some() {
+                        *o = Some(ProcOutcome::Budget);
+                    }
+                }
+                return outcomes;
+            }
+            m.core.advance(deadline);
+        }
+    }
+
+    fn kernel(kind: u64, size: u64) -> kernels::Kernel {
+        let n = 8 + (size % 48) as u32;
+        match kind % 4 {
+            0 => kernels::vecsum(n, 6),
+            1 => kernels::crc(n, 6),
+            2 => kernels::bsort(4 + n % 12, 6),
+            _ => kernels::control(n, 6),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn block_driven_run_all_matches_the_per_cycle_scan(
+            kinds in (0u64..4, 0u64..4),
+            size in 0u64..500,
+            budget in 20u64..4000,
+            host in proptest::prelude::any::<u64>(),
+        ) {
+            let (ka, kb) = (kernel(kinds.0, size), kernel(kinds.1, size / 3));
+            let build = || {
+                let mut m = Machine::new(CoreConfig::default(), 7);
+                let a = m.spawn("a", &ka.program(), ka.dmem_words);
+                let b = m.spawn("b", &kb.program(), kb.dmem_words);
+                (m, [a, b])
+            };
+            let (mut fast, pids) = build();
+            let (mut scanned, _) = build();
+            let mut rng = host | 1;
+            for epoch in 0..40 {
+                let mut live = false;
+                for (hw, &pid) in pids.iter().enumerate() {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    if matches!(fast.state(pid), ProcState::Halted | ProcState::Trapped(_)) {
+                        continue;
+                    }
+                    live = true;
+                    for m in [&mut fast, &mut scanned] {
+                        m.dispatch(pid, ThreadId(hw));
+                        // a fault now and then: an illegal word at the
+                        // pc, a pc off the end of the text, or registers
+                        // that send the next load or store out of range
+                        match rng % 13 {
+                            2 => m.with_state_mut(pid, |regs, _, _, _| regs[1..].fill(1 << 30)),
+                            0 => m.with_state_mut(pid, |_, pc, _, text| {
+                                let at = *pc as usize % text.len();
+                                text[at] = 63 << 26;
+                            }),
+                            1 => m.with_state_mut(pid, |_, pc, _, text| {
+                                *pc = text.len() as u32 + 3;
+                            }),
+                            _ => {}
+                        }
+                    }
+                }
+                if !live {
+                    break;
+                }
+                let want = run_all_per_cycle(&mut scanned, budget);
+                let got = fast.run_all_until_block(budget);
+                let context = format!("epoch {epoch}");
+                assert_eq!(got, want, "{context}: outcomes");
+                assert_eq!(fast.cycles(), scanned.cycles(), "{context}: cycles");
+                assert_eq!(fast.switches(), scanned.switches(), "{context}: switches");
+                for hw in 0..fast.hw_threads() {
+                    let (a, b) = (fast.core().thread(ThreadId(hw)), scanned.core().thread(ThreadId(hw)));
+                    assert_eq!(a.counters, b.counters, "{context}: hw{hw} counters");
+                    assert_eq!(a.state, b.state, "{context}: hw{hw} state");
+                }
+                for &pid in &pids {
+                    assert_eq!(fast.state(pid), scanned.state(pid), "{context}: {pid:?}");
+                    assert_eq!(fast.cycles_used(pid), scanned.cycles_used(pid));
+                    let snap = |m: &Machine| m.with_state(pid, |r, pc, d| (*r, pc, d.to_vec()));
+                    assert_eq!(snap(&fast), snap(&scanned), "{context}: {pid:?} state");
+                }
+            }
+        }
     }
 
     #[test]

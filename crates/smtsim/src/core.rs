@@ -399,6 +399,15 @@ pub struct Core {
     /// ICOUNT priority order of the current cycle, reused across
     /// [`Core::step`] calls so the hot per-cycle loop allocates nothing.
     order: Vec<usize>,
+    /// Counts the scheduling-state changes a host loop or the window
+    /// recorder must see: a thread yielding, halting or trapping, and
+    /// every host call that can change a thread's state. Between two
+    /// changes threads only move between ready and stalled.
+    /// [`Core::advance_until_block`] stops when it moves.
+    state_changes: u64,
+    /// `state_changes` when the open windows were last brought in line
+    /// with the thread states ([`Core::sync_windows`]).
+    windows_synced: u64,
 }
 
 impl Core {
@@ -425,6 +434,8 @@ impl Core {
             open_windows: Vec::new(),
             windows_dropped: 0,
             order: Vec::new(),
+            state_changes: 0,
+            windows_synced: 0,
         }
     }
 
@@ -432,6 +443,24 @@ impl Core {
     /// the windows feed [`Core::export_spans`]).
     pub fn set_window_recording(&mut self, on: bool) {
         self.record_windows = on;
+        self.state_changes += 1;
+    }
+
+    /// Open a window for every thread that can issue and has none, and
+    /// close the window of every thread that yielded, halted or trapped,
+    /// in priority order `p`: what every cycle would do, done only in
+    /// the cycles after a state change, since it is a no-op in the rest.
+    fn sync_windows(&mut self, p: Priority) {
+        for k in 0..self.threads.len() {
+            let tid = self.nth_in_priority(p, k);
+            match self.threads[tid].state {
+                ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {
+                    self.close_window(tid);
+                }
+                ThreadState::Ready | ThreadState::StalledUntil(_) => self.open_window(tid),
+            }
+        }
+        self.windows_synced = self.state_changes;
     }
 
     fn open_window(&mut self, tid: usize) {
@@ -483,6 +512,7 @@ impl Core {
         self.threads
             .push(Thread::new(prog, dmem_words, self.cfg.predictor));
         self.open_windows.push(None);
+        self.state_changes += 1;
         ThreadId(self.threads.len() - 1)
     }
 
@@ -501,6 +531,7 @@ impl Core {
 
     /// Mutable access to a thread (fault injection, host fix-ups).
     pub fn thread_mut(&mut self, id: ThreadId) -> &mut Thread {
+        self.state_changes += 1;
         &mut self.threads[id.0]
     }
 
@@ -537,17 +568,15 @@ impl Core {
         for (i, t) in self.threads.iter().enumerate() {
             t.counters.export_metrics(rec, &format!("smt.thread{i}"));
         }
-        for (name, stats) in [
-            ("icache", self.icache.stats()),
-            ("dcache", self.dcache.stats()),
+        for (cache, stats) in [
+            ("smt.icache", self.icache.stats()),
+            ("smt.dcache", self.dcache.stats()),
         ] {
-            rec.count(&format!("smt.{name}.hits"), stats.hits);
-            rec.count(&format!("smt.{name}.misses"), stats.misses);
-            rec.count(
-                &format!("smt.{name}.thread_conflicts"),
-                stats.thread_conflicts,
-            );
-            rec.gauge(&format!("smt.{name}.hit_rate"), stats.hit_rate());
+            let mut key = vds_obs::KeyPrefix::new(cache);
+            rec.count(key.with("hits"), stats.hits);
+            rec.count(key.with("misses"), stats.misses);
+            rec.count(key.with("thread_conflicts"), stats.thread_conflicts);
+            rec.gauge(key.with("hit_rate"), stats.hit_rate());
         }
     }
 
@@ -555,7 +584,11 @@ impl Core {
     /// lane per hardware thread). Still-open windows are clamped to the
     /// current cycle without being consumed.
     pub fn export_spans<R: vds_obs::Record>(&self, rec: &mut R) {
+        let keep_fields = rec.keeps_span_fields();
         let window_fields = |issued: u64, retired: u64| {
+            if !keep_fields {
+                return Vec::new();
+            }
             vec![
                 ("issued", vds_obs::Value::from(issued)),
                 ("retired", vds_obs::Value::from(retired)),
@@ -605,6 +638,7 @@ impl Core {
             t.state
         );
         t.stall_until(self.cycle + u64::from(cycles), StallCause::Parked);
+        self.state_changes += 1;
     }
 
     /// Resume a yielded thread.
@@ -619,6 +653,7 @@ impl Core {
             "resume() requires a yielded thread"
         );
         t.state = ThreadState::Ready;
+        self.state_changes += 1;
     }
 
     /// Save a thread's architectural state and replace it with another
@@ -642,6 +677,7 @@ impl Core {
         t.dmem = incoming.dmem;
         t.state = incoming.state;
         t.fetch_fill = None; // the fill buffer belongs to the old stream
+        self.state_changes += 1;
         outgoing
     }
 
@@ -697,18 +733,17 @@ impl Core {
         let cycle = self.cycle;
         let priority = self.priority();
         self.rr_offset = self.rr_offset.wrapping_add(1);
+        // A thread's window opens or closes before its fetch, on its own
+        // state and counters, which no other thread's turn touches; so
+        // syncing every window up front gives the same windows in the
+        // same order.
+        if self.record_windows && self.windows_synced != self.state_changes {
+            self.sync_windows(priority);
+        }
 
         let mut issued = 0usize;
         for k in 0..self.threads.len() {
             let tid = self.nth_in_priority(priority, k);
-            if self.record_windows {
-                match self.threads[tid].state {
-                    ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_) => {
-                        self.close_window(tid);
-                    }
-                    _ => self.open_window(tid),
-                }
-            }
             let Some(instr) = self.fetch(tid, issued) else {
                 continue;
             };
@@ -760,6 +795,7 @@ impl Core {
         let pc = t.pc;
         let Some(&word) = t.prog.text.get(pc as usize) else {
             t.state = ThreadState::Trapped(Trap::PcOutOfRange { pc });
+            self.state_changes += 1;
             // The trap-transition cycle is neither an issue nor a
             // cause-specific stall; book it as parked so the
             // conservation invariant (issued + stalls + parked ==
@@ -780,6 +816,7 @@ impl Core {
         let instr = t.fetch_decoded(pc as usize, word);
         if instr.is_none() {
             t.state = ThreadState::Trapped(Trap::IllegalInstruction { pc });
+            self.state_changes += 1;
             // Same conservation bookkeeping as the fetch trap.
             t.counters.stall(StallCause::Parked);
         }
@@ -817,6 +854,26 @@ impl Core {
         }
     }
 
+    /// Advance, [`Core::advance`] after [`Core::advance`], until the
+    /// first cycle in which some thread yields, halts or traps, or until
+    /// cycle `limit`, whichever comes first (at once if the core is
+    /// already there).
+    ///
+    /// Those transitions are the only changes in scheduling state a host
+    /// waits for: between them threads only move between ready and
+    /// stalled. A host loop that checks its threads after each call
+    /// therefore sees exactly what it would see checking after every
+    /// cycle, a few times per round instead of once per cycle.
+    pub fn advance_until_block(&mut self, limit: u64) {
+        let changes = self.state_changes;
+        while self.cycle < limit {
+            self.advance(limit);
+            if self.state_changes != changes {
+                return;
+            }
+        }
+    }
+
     /// Book the idle cycles `self.cycle + 1 ..= last`, in which no thread
     /// is ready and none wakes: [`Core::step`]'s per-cycle bookkeeping,
     /// summed.
@@ -825,15 +882,9 @@ impl Core {
         // Only the first idle cycle can open or close a pipeline window,
         // and it does so in that cycle's priority order.
         self.cycle += 1;
-        if self.record_windows {
+        if self.record_windows && self.windows_synced != self.state_changes {
             let priority = self.priority();
-            for k in 0..self.threads.len() {
-                let tid = self.nth_in_priority(priority, k);
-                match self.threads[tid].state {
-                    ThreadState::StalledUntil(_) => self.open_window(tid),
-                    _ => self.close_window(tid),
-                }
-            }
+            self.sync_windows(priority);
         }
         self.cycle = last;
         self.rr_offset = self.rr_offset.wrapping_add(n as usize);
@@ -883,6 +934,7 @@ impl Core {
                 let addr = t.regs[rs1.idx()].wrapping_add(imm as u32);
                 let Some(&v) = t.dmem.get(addr as usize) else {
                     t.state = ThreadState::Trapped(Trap::AccessViolation { addr });
+                    self.state_changes += 1;
                     return;
                 };
                 t.regs[rd.idx()] = corrupt(v);
@@ -900,6 +952,7 @@ impl Core {
                 let addr = t.regs[rs1.idx()].wrapping_add(imm as u32);
                 let Some(slot) = t.dmem.get_mut(addr as usize) else {
                     t.state = ThreadState::Trapped(Trap::AccessViolation { addr });
+                    self.state_changes += 1;
                     return;
                 };
                 *slot = corrupt(t.regs[rs2.idx()]);
@@ -940,9 +993,11 @@ impl Core {
             }
             Instr::Yield => {
                 t.state = ThreadState::Yielded;
+                self.state_changes += 1;
             }
             Instr::Halt => {
                 t.state = ThreadState::Halted;
+                self.state_changes += 1;
                 return; // pc frozen at the halt
             }
         }
@@ -974,7 +1029,7 @@ impl Core {
             if self.cycle >= deadline {
                 return RunOutcome::CycleBudgetExhausted;
             }
-            self.advance(deadline);
+            self.advance_until_block(deadline);
         }
     }
 
@@ -993,7 +1048,7 @@ impl Core {
             if self.cycle >= deadline {
                 return RunOutcome::CycleBudgetExhausted;
             }
-            self.advance(deadline);
+            self.advance_until_block(deadline);
         }
     }
 }

@@ -131,6 +131,7 @@ impl ThreadCounters {
     /// `ipc` and `branch_accuracy` gauges. End-of-run export: generic
     /// over the facade, never feature-gated.
     pub fn export_metrics<R: vds_obs::Record>(&self, rec: &mut R, prefix: &str) {
+        let mut key = vds_obs::KeyPrefix::new(prefix);
         for (field, v) in [
             ("retired", self.retired),
             ("cycles", self.cycles),
@@ -146,11 +147,11 @@ impl ThreadCounters {
             ("loads", self.loads),
             ("stores", self.stores),
         ] {
-            rec.count(&format!("{prefix}.{field}"), v);
+            rec.count(key.with(field), v);
         }
-        rec.gauge(&format!("{prefix}.ipc"), self.ipc());
-        rec.gauge(&format!("{prefix}.utilization"), self.utilization());
-        rec.gauge(&format!("{prefix}.branch_accuracy"), self.branch_accuracy());
+        rec.gauge(key.with("ipc"), self.ipc());
+        rec.gauge(key.with("utilization"), self.utilization());
+        rec.gauge(key.with("branch_accuracy"), self.branch_accuracy());
     }
 }
 

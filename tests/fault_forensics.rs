@@ -36,8 +36,7 @@ fn forensic_trial(
         seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)),
         run_rec,
     );
-    rec.merge_registry(run_rec.registry());
-    rec.adopt_journal(run_rec.journal(), i);
+    rec.adopt_run(run_rec, i);
     TrialResult::with_value(
         if report.shutdown {
             "shutdown"

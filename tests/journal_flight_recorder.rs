@@ -330,8 +330,7 @@ fn abstract_trial(i: u64, seed: u64, rounds: u64, rec: &mut Recorder) -> TrialRe
         seed.wrapping_add(i.wrapping_mul(0x9E37_79B9)),
         run_rec,
     );
-    rec.merge_registry(run_rec.registry());
-    rec.adopt_journal(run_rec.journal(), i);
+    rec.adopt_run(run_rec, i);
     TrialResult::with_value(
         if report.shutdown {
             "shutdown"
