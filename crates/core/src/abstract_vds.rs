@@ -116,10 +116,17 @@ impl<'a, 'p> Abstract<'a, 'p> {
         }
     }
 
-    /// Record a timeline span. The label is a closure so hot call sites
-    /// don't pay for `format!` allocations when no timeline is kept —
-    /// it runs only when `record_timeline` is set.
-    fn span(&mut self, lane: u32, dur: f64, kind: SpanKind, label: impl FnOnce() -> String) {
+    /// Record a timeline span starting at `begin`. The label is a closure
+    /// so hot call sites don't pay for `format!` allocations when no
+    /// timeline is kept — it runs only when `record_timeline` is set.
+    fn span(
+        &mut self,
+        lane: u32,
+        begin: f64,
+        dur: f64,
+        kind: SpanKind,
+        label: impl FnOnce() -> String,
+    ) {
         if self.cfg.record_timeline {
             let label = label();
             let fields = if label.is_empty() {
@@ -128,8 +135,8 @@ impl<'a, 'p> Abstract<'a, 'p> {
                 vec![("label", Value::from(label))]
             };
             self.timeline.push(SpanRecord {
-                begin: self.clock,
-                end: self.clock + dur,
+                begin,
+                end: begin + dur,
                 component: self.cfg.scheme.name(),
                 name: kind.name(),
                 tid: lane,
@@ -142,8 +149,33 @@ impl<'a, 'p> Abstract<'a, 'p> {
         self.cfg.scheme != Scheme::Conventional
     }
 
+    /// The Figure 1 spans of normal round `i` starting at `begin`: the
+    /// versions' executions (and, conventionally, the context switches),
+    /// then the comparison. Cold: runs only when a timeline is kept.
+    #[cold]
+    fn round_spans(&mut self, i: u32, begin: f64) {
+        let p = self.cfg.params;
+        let mut clock = begin;
+        if self.is_smt() {
+            let dur = 2.0 * p.alpha * p.t;
+            self.span(0, clock, dur, SpanKind::Round, || format!("V1 R{i}"));
+            self.span(1, clock, dur, SpanKind::Round, || format!("V2 R{i}"));
+            clock += dur;
+        } else {
+            self.span(0, clock, p.t, SpanKind::Round, || format!("V1 R{i}"));
+            clock += p.t;
+            self.span(0, clock, p.c, SpanKind::ContextSwitch, String::new);
+            clock += p.c;
+            self.span(0, clock, p.t, SpanKind::Round, || format!("V2 R{i}"));
+            clock += p.t;
+            self.span(0, clock, p.c, SpanKind::ContextSwitch, String::new);
+            clock += p.c;
+        }
+        self.span(0, clock, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
+    }
+
     /// Per-version-round corruption draw under the configured model.
-    fn draw_fault(&mut self, victim: Victim, round_1based: u32) -> bool {
+    fn draw_fault(&mut self, rng: &mut SmallRng, victim: Victim, round_1based: u32) -> bool {
         match self.fm {
             FaultModel::None => false,
             FaultModel::OneShot { round, victim: v } => {
@@ -153,16 +185,16 @@ impl<'a, 'p> Abstract<'a, 'p> {
             }
             FaultModel::PerRound { q }
             | FaultModel::PerRoundWithCrashes { q, .. }
-            | FaultModel::Mission { q, .. } => self.rng.gen::<f64>() < q,
+            | FaultModel::Mission { q, .. } => rng.gen::<f64>() < q,
         }
     }
 
     /// Classify a drawn corruption: silent, crash (detected with
     /// evidence) or whole-processor stop (returns `true`).
-    fn classify_corruption(&mut self, victim: Victim) -> bool {
+    fn classify_corruption(&mut self, rng: &mut SmallRng, victim: Victim) -> bool {
         match self.fm {
             FaultModel::PerRoundWithCrashes { crash_fraction, .. } => {
-                if self.rng.gen::<f64>() < crash_fraction {
+                if rng.gen::<f64>() < crash_fraction {
                     self.crash = Some(victim);
                 }
                 false
@@ -172,7 +204,7 @@ impl<'a, 'p> Abstract<'a, 'p> {
                 stop_fraction,
                 ..
             } => {
-                let r = self.rng.gen::<f64>();
+                let r = rng.gen::<f64>();
                 if r < stop_fraction {
                     true
                 } else {
@@ -320,37 +352,63 @@ impl Backend for Abstract<'_, '_> {
         self.clock
     }
 
-    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
+    /// The stretch loop: the clock, normal time and RNG stay in locals,
+    /// and each round performs the same float operations in the same
+    /// order as a lone round, with the same draw order (V1 draw, V1
+    /// classify, V2 draw, V2 classify). Timeline spans and `round` events
+    /// sit on cold branches.
+    fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, last: u32) -> (u32, Round) {
+        // recovery and rollback always leave both versions clean, so a
+        // round is a detection exactly when it draws a fault
+        debug_assert!(self.corrupt == [false, false] && self.crash.is_none());
         let p = self.cfg.params;
-        let start = self.clock;
-        if self.is_smt() {
-            let dur = 2.0 * p.alpha * p.t;
-            self.span(0, dur, SpanKind::Round, || format!("V1 R{i}"));
-            self.span(1, dur, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += dur;
-        } else {
-            self.span(0, p.t, SpanKind::Round, || format!("V1 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
-            self.span(0, p.t, SpanKind::Round, || format!("V2 R{i}"));
-            self.clock += p.t;
-            self.span(0, p.c, SpanKind::ContextSwitch, String::new);
-            self.clock += p.c;
-        }
-        // fault draws: each version-round is exposed independently
-        let mut stopped = false;
-        let mut hit = [false, false];
-        for v in [Victim::V1, Victim::V2] {
-            if self.draw_fault(v, i) {
-                self.corrupt[v.index()] = true;
-                stopped |= self.classify_corruption(v);
-                hit[v.index()] = true;
+        let smt = self.is_smt();
+        let dur = 2.0 * p.alpha * p.t;
+        let mut clock = self.clock;
+        let mut time_normal = l.report.time_normal;
+        let mut rng = self.rng.clone();
+        let mut round = i;
+        let (stopped, hit) = loop {
+            let start = clock;
+            if self.cfg.record_timeline {
+                self.round_spans(round, start);
             }
-        }
-        self.span(0, p.t_cmp, SpanKind::Compare, || "cmp".to_string());
-        self.clock += p.t_cmp;
-        l.report.time_normal += self.clock - start;
+            if smt {
+                clock += dur;
+            } else {
+                clock += p.t;
+                clock += p.c;
+                clock += p.t;
+                clock += p.c;
+            }
+            // fault draws: each version-round is exposed independently
+            let mut stopped = false;
+            let mut hit = [false, false];
+            for v in [Victim::V1, Victim::V2] {
+                if self.draw_fault(&mut rng, v, round) {
+                    self.corrupt[v.index()] = true;
+                    stopped |= self.classify_corruption(&mut rng, v);
+                    hit[v.index()] = true;
+                }
+            }
+            clock += p.t_cmp;
+            time_normal += clock - start;
+            if hit != [false, false] {
+                break (stopped, hit);
+            }
+            obs_event!(
+                l.rec, clock, "vds", "round",
+                "round" => u64::from(round), "comparison" => "match",
+            );
+            if round >= last {
+                break (false, hit);
+            }
+            round += 1;
+        };
+        self.clock = clock;
+        self.rng = rng;
+        l.report.time_normal = time_normal;
+        let ran = round - i + 1;
 
         let drawn = u64::from(hit[0]) + u64::from(hit[1]);
         if drawn > 0 {
@@ -386,30 +444,22 @@ impl Backend for Abstract<'_, '_> {
         } else {
             Verdict::Match
         };
-        match verdict {
-            Verdict::Match => {
-                obs_event!(
-                    l.rec, self.clock, "vds", "round",
-                    "round" => u64::from(i), "comparison" => "match",
-                );
-            }
-            Verdict::Trap | Verdict::Mismatch => {
-                obs_event!(
-                    l.rec, self.clock, "vds", "detect",
-                    "round" => u64::from(i),
-                    "v1_corrupt" => self.corrupt[0],
-                    "v2_corrupt" => self.corrupt[1],
-                    "crash_evidence" => self.crash.is_some(),
-                );
-            }
-            Verdict::Hang => {}
+        if let Verdict::Trap | Verdict::Mismatch = verdict {
+            obs_event!(
+                l.rec, clock, "vds", "detect",
+                "round" => u64::from(round),
+                "v1_corrupt" => self.corrupt[0],
+                "v2_corrupt" => self.corrupt[1],
+                "crash_evidence" => self.crash.is_some(),
+            );
         }
-        Round {
+        let r = Round {
             verdict,
-            time: self.clock,
+            time: clock,
             digests: None,
             stopped,
-        }
+        };
+        (ran, r)
     }
 
     /// The abstract engine has no architectural state to hash, so
@@ -441,27 +491,34 @@ impl Backend for Abstract<'_, '_> {
 
     fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
         let start = self.clock;
-        self.span(0, self.cfg.checkpoint_cost, SpanKind::Checkpoint, || {
-            "ckpt".to_string()
-        });
+        self.span(
+            0,
+            start,
+            self.cfg.checkpoint_cost,
+            SpanKind::Checkpoint,
+            || "ckpt".to_string(),
+        );
         self.clock += self.cfg.checkpoint_cost;
         l.report.time_checkpoint += self.clock - start;
     }
 
     fn recover<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Recovery {
         let rec_time = self.recovery_time(i);
-        self.span(0, rec_time, SpanKind::Retry, || format!("V3 R1..R{i}"));
+        let start = self.clock;
+        self.span(0, start, rec_time, SpanKind::Retry, || {
+            format!("V3 R1..R{i}")
+        });
         if self.rollforward_rounds(i) > 0 {
             // A zero-length window (⌊i/4⌋ = 0 for i < 4, or i = s) is pure
             // stop-and-retry: the second hardware thread has nothing to
             // execute, so no roll-forward appears on the timeline.
-            self.span(1, rec_time, SpanKind::RollForward, || {
+            self.span(1, start, rec_time, SpanKind::RollForward, || {
                 "roll-forward".to_string()
             });
         }
         self.clock += rec_time;
         // (vote time is part of rec_time's 2t'; span is illustrative)
-        self.span(0, self.cfg.params.t_cmp, SpanKind::Vote, || {
+        self.span(0, self.clock, self.cfg.params.t_cmp, SpanKind::Vote, || {
             "vote".to_string()
         });
 
@@ -605,13 +662,16 @@ pub fn simulate_incident(
     let mut d = Duplex::new(Abstract::new(&cfg, fm, 1, None), NoopRecorder);
     // advance through the fault-free prefix up to the incident
     loop {
-        d.step();
+        d.step(u64::MAX);
         if let Some(inc) = d.backend().incident {
             assert_eq!(inc.i, i, "one-shot fault must be detected at round i");
             return inc;
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,14 @@
 //!
 //! Dispatch is static (`Duplex<B, R>` is monomorphized per backend and
 //! recorder), so the round path carries no virtual calls.
+//!
+//! Rounds run in **stretches**: one [`Backend::execute_until`] call runs
+//! every round up to the first that does not match, or up to the nearest
+//! bound that could end a run of matches — the checkpoint at the interval
+//! end, the commit target, the livelock guard. The protocol books the
+//! clean prefix in bulk and handles the stretch's last round exactly as
+//! a lone round. A journaled run asks for one round per call, since every
+//! round needs its own entry.
 
 use crate::report::RunReport;
 use crate::Scheme;
@@ -54,10 +62,11 @@ pub(crate) enum Recovery {
 /// backends only stall under a permanent fault.
 pub(crate) enum StopRule {
     /// Shut down once consecutive rollbacks exceed the bound, and after
-    /// `64·target + 100 000` driver iterations (livelock guard).
+    /// `64·target + 100 000` executed rounds (livelock guard, saturating).
     Attempts { max_consecutive_rollbacks: u32 },
     /// Shut down after more than 64 consecutive driver iterations
-    /// without committed progress.
+    /// without committed progress. The count watches every round, so a
+    /// backend under this rule is driven one round per call.
     Stall,
 }
 
@@ -77,10 +86,16 @@ pub(crate) trait Backend {
     fn stop_rule(&self) -> StopRule;
     /// Current simulated time.
     fn now(&self) -> f64;
-    /// Execute interval round `i` on the active pair (injecting any
-    /// scheduled fault), charge its cost, compare, and emit the backend's
-    /// round events.
-    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round;
+    /// Execute interval rounds `i..=last` on the active pair (injecting
+    /// any scheduled fault), charging each round's cost, comparing, and
+    /// emitting the backend's round events. Stops after the first round
+    /// whose verdict is not a match, or after round `last`; returns how
+    /// many rounds ran and the last one's outcome (every earlier round
+    /// matched). A backend may run fewer rounds than asked, but at least
+    /// one. The ledger is booked only after the call, so a backend whose
+    /// rounds read it (fault tracking, committed counts) runs one round
+    /// per call.
+    fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, last: u32) -> (u32, Round);
     /// Per-version digests for a journal entry whose round did not
     /// compute them.
     fn digests<R: Record>(&self, l: &Ledger<R>, i: u32) -> (Digest128, Digest128);
@@ -215,6 +230,12 @@ pub(crate) fn rollforward_window(scheme: Scheme, i: u32, s: u32) -> u32 {
     (scheme.rollforward_intent(i).floor() as u32).min(s - i)
 }
 
+/// The livelock guard of [`StopRule::Attempts`]: `64·target + 100 000`
+/// executed rounds, saturating so that a huge target cannot wrap it.
+fn livelock_guard(target: u64) -> u64 {
+    target.saturating_mul(64).saturating_add(100_000)
+}
+
 /// One duplex run: a backend driven through the protocol.
 pub(crate) struct Duplex<B, R> {
     b: B,
@@ -248,17 +269,22 @@ impl<B: Backend, R: Record> Duplex<B, R> {
     /// and the recorder.
     pub fn run(mut self, target: u64) -> (RunReport, B::State, R) {
         let rule = self.b.stop_rule();
-        let max_attempts = 64 * target + 100_000;
+        let max_attempts = livelock_guard(target);
         let (mut attempts, mut last_committed, mut stalled) = (0u64, 0u64, 0u32);
         while self.l.report.committed_rounds < target && !self.l.report.shutdown {
-            if let StopRule::Attempts { .. } = rule {
-                attempts += 1;
-                if attempts > max_attempts {
-                    self.l.report.shutdown = true;
-                    break;
+            let budget = match rule {
+                StopRule::Attempts { .. } => {
+                    if attempts >= max_attempts {
+                        self.l.report.shutdown = true;
+                        break;
+                    }
+                    // every clean round commits one round and costs one
+                    // attempt, so a stretch cannot overrun either bound
+                    (target - self.l.report.committed_rounds).min(max_attempts - attempts)
                 }
-            }
-            self.step();
+                StopRule::Stall => 1,
+            };
+            attempts += self.step(budget);
             if let StopRule::Stall = rule {
                 if self.l.report.committed_rounds > last_committed {
                     last_committed = self.l.report.committed_rounds;
@@ -274,6 +300,48 @@ impl<B: Backend, R: Record> Duplex<B, R> {
             }
             self.l.finish();
         }
+        self.into_results()
+    }
+
+    /// The per-round driver that stretches replaced, kept as the test
+    /// oracle of the stretch driver: one round per iteration, the
+    /// livelock guard counted before each.
+    #[cfg(test)]
+    pub fn run_per_round(mut self, target: u64) -> (RunReport, B::State, R) {
+        let rule = self.b.stop_rule();
+        let max_attempts = livelock_guard(target);
+        let (mut attempts, mut last_committed, mut stalled) = (0u64, 0u64, 0u32);
+        while self.l.report.committed_rounds < target && !self.l.report.shutdown {
+            if let StopRule::Attempts { .. } = rule {
+                attempts += 1;
+                if attempts > max_attempts {
+                    self.l.report.shutdown = true;
+                    break;
+                }
+            }
+            self.step(1);
+            if let StopRule::Stall = rule {
+                if self.l.report.committed_rounds > last_committed {
+                    last_committed = self.l.report.committed_rounds;
+                    stalled = 0;
+                } else {
+                    stalled += 1;
+                    if stalled > 64 {
+                        self.shutdown();
+                        self.l.finish();
+                        break;
+                    }
+                }
+            }
+            self.l.finish();
+        }
+        self.into_results()
+    }
+
+    /// End of run: close the clock, classify a still-outstanding fault
+    /// with the backend's oracle, and export the report and backend
+    /// metrics.
+    fn into_results(self) -> (RunReport, B::State, R) {
         let Duplex { mut b, mut l } = self;
         l.report.total_time = b.now();
         let state = b.state();
@@ -294,10 +362,12 @@ impl<B: Backend, R: Record> Duplex<B, R> {
         (l.report, state, l.rec)
     }
 
-    /// One driver iteration: a normal round, then a checkpoint when the
-    /// interval is full or a recovery on a detection.
-    pub fn step(&mut self) {
-        match self.round() {
+    /// One driver iteration: a stretch of at most `budget` normal rounds,
+    /// then a checkpoint when the interval is full or a recovery on a
+    /// detection. Returns the number of rounds executed.
+    pub fn step(&mut self, budget: u64) -> u64 {
+        let (n, detected) = self.round(budget);
+        match detected {
             None => {
                 if self.l.rounds_since >= self.b.interval() {
                     self.checkpoint();
@@ -306,30 +376,49 @@ impl<B: Backend, R: Record> Duplex<B, R> {
             }
             Some(i) => self.recover(i),
         }
+        n
     }
 
-    /// Execute and compare the next round; `Some(i)` when its detection
-    /// awaits recovery.
-    fn round(&mut self) -> Option<u32> {
-        let i = self.l.rounds_since + 1;
+    /// Execute and compare a stretch of at most `budget` rounds, ending at
+    /// the interval's last round; returns the rounds executed and `Some(i)`
+    /// when the last one's detection awaits recovery.
+    fn round(&mut self, budget: u64) -> (u64, Option<u32>) {
+        let first = self.l.rounds_since + 1;
+        let len = if self.l.rec.journal_enabled() {
+            1
+        } else {
+            let to_checkpoint = self.b.interval().saturating_sub(self.l.rounds_since);
+            budget.min(u64::from(to_checkpoint)).max(1) as u32
+        };
         self.l.rounds_executed += 1;
-        let r = self.b.execute(&mut self.l, i);
+        let (n, r) = self.b.execute_until(&mut self.l, first, first + (len - 1));
+        debug_assert!((1..=len).contains(&n), "stretch of {n} rounds, asked {len}");
+        // the clean prefix: every round before the last matched
+        let i = first + (n - 1);
+        if n > 1 {
+            let clean = n - 1;
+            self.l.rounds_executed += u64::from(clean);
+            self.l.rounds_since = i - 1;
+            self.l.report.committed_rounds += u64::from(clean);
+            self.l.consecutive_rollbacks = 0;
+        }
+        let n = u64::from(n);
         if r.verdict == Verdict::Match {
             self.l.rounds_since = i;
             self.l.report.committed_rounds += 1;
             self.l.consecutive_rollbacks = 0;
             self.stash(i, &r);
-            return None;
+            return (n, None);
         }
         self.l.report.detections += 1;
         self.l.note_detection(r.time);
         self.stash(i, &r);
         if !r.stopped {
-            return Some(i);
+            return (n, Some(i));
         }
         self.l.report.processor_stops += 1;
         self.rollback(i, true);
-        None
+        (n, None)
     }
 
     /// Stash round `i`'s journal entry; its action defaults to `commit`
@@ -446,5 +535,133 @@ impl<B: Backend, R: Record> Duplex<B, R> {
         self.l.report.shutdown = true;
         obs_event!(self.l.rec, self.b.now(), B::COMPONENT, "shutdown");
         self.l.action(Action::Shutdown, 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vds_obs::{digest_words128, NoopRecorder};
+
+    #[test]
+    fn the_livelock_guard_saturates() {
+        assert_eq!(livelock_guard(10), 100_640);
+        // 64 · 2^58 used to wrap to 0, leaving a guard of 100 000 rounds
+        assert_eq!(livelock_guard(1 << 58), u64::MAX);
+        assert_eq!(livelock_guard(u64::MAX), u64::MAX);
+    }
+
+    /// A scripted backend that thrashes: rounds `1..s` match and round
+    /// `s` stops the processor, so no interval is ever checkpointed. It
+    /// runs at most `cap` rounds per call; its state is the number of
+    /// rounds it executed.
+    struct Thrash {
+        s: u32,
+        cap: u32,
+        executed: u64,
+    }
+
+    impl Backend for Thrash {
+        const COMPONENT: &'static str = "thrash";
+        const SPANS: bool = false;
+        type State = u64;
+
+        fn interval(&self) -> u32 {
+            self.s
+        }
+
+        fn stop_rule(&self) -> StopRule {
+            StopRule::Attempts {
+                max_consecutive_rollbacks: u32::MAX,
+            }
+        }
+
+        fn now(&self) -> f64 {
+            self.executed as f64
+        }
+
+        fn execute_until<R: Record>(
+            &mut self,
+            _: &mut Ledger<R>,
+            i: u32,
+            last: u32,
+        ) -> (u32, Round) {
+            let last = last.min(i.saturating_add(self.cap - 1));
+            let mut round = i;
+            loop {
+                self.executed += 1;
+                let stopped = round == self.s;
+                if stopped || round >= last {
+                    let r = Round {
+                        verdict: if stopped {
+                            Verdict::Hang
+                        } else {
+                            Verdict::Match
+                        },
+                        time: self.now(),
+                        digests: None,
+                        stopped,
+                    };
+                    return (round - i + 1, r);
+                }
+                round += 1;
+            }
+        }
+
+        fn digests<R: Record>(&self, _: &Ledger<R>, i: u32) -> (Digest128, Digest128) {
+            let d = digest_words128(&[i]);
+            (d, d)
+        }
+
+        fn sched(&self) -> String {
+            String::new()
+        }
+
+        fn checkpoint<R: Record>(&mut self, _: &mut Ledger<R>) {}
+
+        fn recover<R: Record>(&mut self, _: &mut Ledger<R>, _: u32) -> Recovery {
+            Recovery::Rollback
+        }
+
+        fn restore(&mut self) {}
+
+        fn state(&self) -> u64 {
+            self.executed
+        }
+
+        fn output_correct(&self, _: &u64, _: u64) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn the_livelock_guard_ends_a_thrashing_run_on_the_same_round() {
+        for (s, cap) in [(9, u32::MAX), (9, 4), (1, 1), (64, 7), (64, u32::MAX)] {
+            for target in [10u64, 100] {
+                let drive = |per_round: bool| {
+                    let d = Duplex::new(
+                        Thrash {
+                            s,
+                            cap,
+                            executed: 0,
+                        },
+                        NoopRecorder,
+                    );
+                    let (r, executed, _) = if per_round {
+                        d.run_per_round(target)
+                    } else {
+                        d.run(target)
+                    };
+                    (format!("{r:?}"), executed)
+                };
+                let (report, executed) = drive(false);
+                assert_eq!((report.clone(), executed), drive(true), "s={s} cap={cap}");
+                if target >= u64::from(s) {
+                    // commits never reach the target: only the guard ends the run
+                    assert!(report.contains("shutdown: true"), "{report}");
+                    assert_eq!(executed, livelock_guard(target), "s={s} cap={cap}");
+                }
+            }
+        }
     }
 }

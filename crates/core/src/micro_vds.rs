@@ -516,7 +516,9 @@ impl Backend for Micro {
         self.m.cycles() as f64
     }
 
-    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
+    /// One round per call: a round costs microseconds of host time, so a
+    /// stretch would save nothing, and the stall rule watches every round.
+    fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, _: u32) -> (u32, Round) {
         self.trap_evidence = None;
         let start_cycles = self.m.cycles();
         let round_g = obs_span!(l.rec, "micro", "round", start_cycles as f64);
@@ -594,12 +596,13 @@ impl Backend for Micro {
             "detect"
         };
         obs_end_span!(l.rec, round_g, t, "round" => i, "outcome" => outcome);
-        Round {
+        let r = Round {
             verdict,
             time: t,
             digests,
             stopped: false,
-        }
+        };
+        (1, r)
     }
 
     fn digests<R: Record>(&self, _: &Ledger<R>, _: u32) -> (StateDigest, StateDigest) {

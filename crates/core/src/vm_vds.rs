@@ -246,7 +246,9 @@ impl Backend for VmDuplex {
         self.sim_time
     }
 
-    fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
+    /// One round per call: a round costs microseconds of host time, so a
+    /// stretch would save nothing, and the stall rule watches every round.
+    fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, _: u32) -> (u32, Round) {
         let g = self.ckpt_round + u64::from(i);
         let round_g = obs_span!(l.rec, "vm", "round", self.sim_time);
 
@@ -289,12 +291,13 @@ impl Backend for VmDuplex {
             }
         };
         obs_end_span!(l.rec, round_g, t, "round" => i, "outcome" => outcome);
-        Round {
+        let r = Round {
             verdict,
             time: t,
             digests: Some((d1, d2)),
             stopped: false,
-        }
+        };
+        (1, r)
     }
 
     fn digests<R: Record>(&self, _: &Ledger<R>, _: u32) -> (Digest128, Digest128) {

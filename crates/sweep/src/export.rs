@@ -18,6 +18,7 @@
 //! rejected by the fingerprint before any row is trusted.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use vds_core::Scheme;
 use vds_obs::{Digest128, Digester128};
 
@@ -40,12 +41,35 @@ pub const MEASURED_CSV_HEADER: &str = "index,backend,scheme,alpha,s,q,rounds,see
 committed_rounds,total_time,throughput,g_round,availability,\
 rf_hits,rf_misses,rf_discards,rf_hit_rate,detections,rollbacks,shutdown";
 
+/// A [`fmt::Write`] sink that only counts bytes: each export renders
+/// once into it to size its buffer exactly, then once into the buffer.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Run `render` twice — into a [`ByteCount`], then into a `String` of
+/// exactly that capacity — so the text is never reallocated.
+fn exact_size(render: impl Fn(&mut dyn fmt::Write) -> fmt::Result) -> String {
+    let mut count = ByteCount(0);
+    render(&mut count).expect("counting bytes cannot fail");
+    let mut out = String::with_capacity(count.0);
+    render(&mut out).expect("writing into a String cannot fail");
+    debug_assert_eq!(out.len(), count.0);
+    out
+}
+
 /// The measured columns of one row (no trailing newline). Floats use
 /// Rust's shortest round-trip `Display`, so parsing a row back yields
 /// bit-identical values.
-fn measured_csv_row(r: &CellResult) -> String {
+fn write_measured_row(w: &mut dyn fmt::Write, r: &CellResult) -> fmt::Result {
     let c = &r.cell;
-    format!(
+    write!(
+        w,
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         c.index,
         c.backend.name(),
@@ -72,10 +96,11 @@ fn measured_csv_row(r: &CellResult) -> String {
 
 /// One full CSV row (no trailing newline): the measured columns plus the
 /// derived conformance and fault-forensics columns.
-pub fn csv_row(r: &CellResult) -> String {
-    format!(
-        "{},{},{},{},{},{},{}",
-        measured_csv_row(r),
+fn write_csv_row(w: &mut dyn fmt::Write, r: &CellResult) -> fmt::Result {
+    write_measured_row(w, r)?;
+    write!(
+        w,
+        ",{},{},{},{},{},{}",
         r.predicted_g,
         r.residual,
         r.coverage,
@@ -85,84 +110,98 @@ pub fn csv_row(r: &CellResult) -> String {
     )
 }
 
+/// One full CSV row (no trailing newline), as [`to_csv`] writes it.
+pub fn csv_row(r: &CellResult) -> String {
+    exact_size(|w| write_csv_row(w, r))
+}
+
+/// A CSV document: `header`, then one `row` per cell in index order.
+fn csv_document(
+    header: &str,
+    results: &[CellResult],
+    row: fn(&mut dyn fmt::Write, &CellResult) -> fmt::Result,
+) -> String {
+    exact_size(|w| {
+        w.write_str(header)?;
+        w.write_char('\n')?;
+        for r in results {
+            row(w, r)?;
+            w.write_char('\n')?;
+        }
+        Ok(())
+    })
+}
+
 /// Full CSV document: header plus one row per cell in index order.
 pub fn to_csv(results: &[CellResult]) -> String {
-    let mut out = String::with_capacity(64 * (results.len() + 1));
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for r in results {
-        out.push_str(&csv_row(r));
-        out.push('\n');
-    }
-    out
+    csv_document(CSV_HEADER, results, write_csv_row)
 }
 
 /// CSV document restricted to [`MEASURED_CSV_HEADER`]'s columns — the
 /// byte-pinned figure artefact for the bench suite (see the header
 /// constant for why). Everything else should use [`to_csv`].
 pub fn to_measured_csv(results: &[CellResult]) -> String {
-    let mut out = String::with_capacity(64 * (results.len() + 1));
-    out.push_str(MEASURED_CSV_HEADER);
-    out.push('\n');
-    for r in results {
-        out.push_str(&measured_csv_row(r));
-        out.push('\n');
-    }
-    out
+    csv_document(MEASURED_CSV_HEADER, results, write_measured_row)
 }
 
 /// One JSON object per line, same fields and order as the CSV.
 pub fn to_jsonl(results: &[CellResult]) -> String {
-    let mut out = String::with_capacity(192 * results.len());
-    for r in results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{{\"index\":{},\"backend\":\"{}\",\"scheme\":\"{}\",\"alpha\":{},\
-             \"s\":{},\"q\":{},\"rounds\":{},\"seed\":{},\"committed_rounds\":{},\
-             \"total_time\":{},\"throughput\":{},\"g_round\":{},\"availability\":{},\
-             \"rf_hits\":{},\"rf_misses\":{},\"rf_discards\":{},\"rf_hit_rate\":{},\
-             \"detections\":{},\"rollbacks\":{},\"shutdown\":{},\
-             \"predicted_g\":{},\"residual\":{},\
-             \"coverage\":{},\"mean_detect_latency\":{},\
-             \"measured_alpha\":{},\"dominant_stall\":\"{}\"}}\n",
-            c.index,
-            c.backend.name(),
-            c.scheme.name(),
-            json_f64(c.alpha),
-            c.s,
-            json_f64(c.q),
-            c.rounds,
-            c.seed,
-            r.committed_rounds,
-            json_f64(r.total_time),
-            json_f64(r.throughput),
-            json_f64(r.g_round),
-            json_f64(r.availability),
-            r.rf_hits,
-            r.rf_misses,
-            r.rf_discards,
-            json_f64(r.rf_hit_rate),
-            r.detections,
-            r.rollbacks,
-            r.shutdown,
-            json_f64(r.predicted_g),
-            json_f64(r.residual),
-            json_f64(r.coverage),
-            json_f64(r.mean_detect_latency),
-            json_f64(r.measured_alpha),
-            r.dominant_stall
-        ));
-    }
-    out
+    exact_size(|w| {
+        for r in results {
+            let c = &r.cell;
+            writeln!(
+                w,
+                "{{\"index\":{},\"backend\":\"{}\",\"scheme\":\"{}\",\"alpha\":{},\
+                 \"s\":{},\"q\":{},\"rounds\":{},\"seed\":{},\"committed_rounds\":{},\
+                 \"total_time\":{},\"throughput\":{},\"g_round\":{},\"availability\":{},\
+                 \"rf_hits\":{},\"rf_misses\":{},\"rf_discards\":{},\"rf_hit_rate\":{},\
+                 \"detections\":{},\"rollbacks\":{},\"shutdown\":{},\
+                 \"predicted_g\":{},\"residual\":{},\
+                 \"coverage\":{},\"mean_detect_latency\":{},\
+                 \"measured_alpha\":{},\"dominant_stall\":\"{}\"}}",
+                c.index,
+                c.backend.name(),
+                c.scheme.name(),
+                JsonF64(c.alpha),
+                c.s,
+                JsonF64(c.q),
+                c.rounds,
+                c.seed,
+                r.committed_rounds,
+                JsonF64(r.total_time),
+                JsonF64(r.throughput),
+                JsonF64(r.g_round),
+                JsonF64(r.availability),
+                r.rf_hits,
+                r.rf_misses,
+                r.rf_discards,
+                JsonF64(r.rf_hit_rate),
+                r.detections,
+                r.rollbacks,
+                r.shutdown,
+                JsonF64(r.predicted_g),
+                JsonF64(r.residual),
+                JsonF64(r.coverage),
+                JsonF64(r.mean_detect_latency),
+                JsonF64(r.measured_alpha),
+                r.dominant_stall
+            )?;
+        }
+        Ok(())
+    })
 }
 
-/// JSON has no NaN/Infinity literals; results should never produce them,
-/// but a reader must not choke if one slips through.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
+/// A JSON number. JSON has no NaN/Infinity literals; results should
+/// never produce them, but a reader must not choke if one slips through.
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
@@ -324,6 +363,25 @@ mod tests {
             assert!(f.starts_with(m), "`{f}` does not extend `{m}`");
         }
         assert_eq!(full.lines().count(), measured.lines().count());
+    }
+
+    #[test]
+    fn exports_are_sized_exactly() {
+        let out = run_sweep(&grid(), 1, None, &BTreeMap::new(), None);
+        for text in [
+            to_csv(&out.results),
+            to_measured_csv(&out.results),
+            to_jsonl(&out.results),
+            csv_row(&out.results[0]),
+        ] {
+            assert_eq!(text.capacity(), text.len());
+        }
+        // JSON has no NaN/Infinity literal; finite values print as Display
+        let json = |x: f64| JsonF64(x).to_string();
+        assert_eq!(json(f64::NAN), "null");
+        assert_eq!(json(f64::NEG_INFINITY), "null");
+        assert_eq!(json(-0.0), "-0");
+        assert_eq!(json(0.1 + 0.2), "0.30000000000000004");
     }
 
     #[test]

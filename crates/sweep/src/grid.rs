@@ -276,7 +276,7 @@ impl GridSpec {
     pub fn parse_arg(arg: &str) -> Result<GridSpec, String> {
         if std::path::Path::new(arg).is_file() {
             let text = std::fs::read_to_string(arg)
-                .map_err(|e| format!("cannot read grid file `{arg}`: {e}"))?;
+                .map_err(|e| one_line(&format!("cannot read grid file `{arg}`: {e}")))?;
             Self::parse_toml(&text)
         } else {
             Self::parse_inline(arg)
@@ -284,8 +284,13 @@ impl GridSpec {
     }
 
     /// Parse the inline `alpha=0.55,0.65;s=10,20;...` form. Unset keys
-    /// keep their [`GridSpec::default`] values.
+    /// keep their [`GridSpec::default`] values. An error is one line:
+    /// echoed input has its control characters escaped.
     pub fn parse_inline(spec: &str) -> Result<GridSpec, String> {
+        Self::inline_spec(spec).map_err(|e| one_line(&e))
+    }
+
+    fn inline_spec(spec: &str) -> Result<GridSpec, String> {
         let mut g = GridSpec::default();
         for part in spec.split(';') {
             let part = part.trim();
@@ -304,8 +309,13 @@ impl GridSpec {
 
     /// Parse the minimal TOML subset: `key = value` and
     /// `key = [v1, v2]`, `#` comments, optional quotes around strings.
-    /// Section headers are rejected — a grid file is flat by design.
+    /// Section headers are rejected — a grid file is flat by design. An
+    /// error is one line, as for [`GridSpec::parse_inline`].
     pub fn parse_toml(text: &str) -> Result<GridSpec, String> {
+        Self::toml_spec(text).map_err(|e| one_line(&e))
+    }
+
+    fn toml_spec(text: &str) -> Result<GridSpec, String> {
         let mut g = GridSpec::default();
         for (ln, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim().to_string();
@@ -384,6 +394,20 @@ fn parse_list<T: std::str::FromStr>(vals: &[&str], what: &str) -> Result<Vec<T>,
 
 fn parse_one<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {what} value `{v}`"))
+}
+
+/// `s` with control characters and Unicode line separators escaped, so
+/// an error that echoes input stays on one line.
+fn one_line(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_control() || matches!(c, '\u{2028}' | '\u{2029}') {
+                c.escape_default().to_string()
+            } else {
+                c.to_string()
+            }
+        })
+        .collect()
 }
 
 /// Drop a `#` comment, respecting double-quoted strings.
