@@ -1,32 +1,14 @@
 #![warn(missing_docs)]
 
-//! # vds-checkpoint — snapshots, digests and stable storage
+//! # vds-checkpoint — state digests under their historical names
 //!
-//! The VDS recovery protocol needs three substrate services the paper
-//! assumes without building:
+//! Rounds end with a state comparison of cost `t' ≪ t`; that is only
+//! plausible if versions are compared by digest rather than word by word.
+//! [`digest`] names the 128-bit digest that `vds-obs` implements
+//! ([`vds_obs::Digest128`]) under the names the micro engine uses.
 //!
-//! 1. **State snapshots** ([`snapshot::Snapshot`]) — a version's complete
-//!    architectural state, restorable after a rollback and copyable onto
-//!    the spare version after recovery ("the state of the fault-free
-//!    version is copied to version 3").
-//! 2. **Fast state comparison** ([`digest`]) — rounds end with a state
-//!    comparison of cost `t' ≪ t`; that is only plausible if versions are
-//!    compared by digest rather than word-by-word. Because *diverse*
-//!    versions differ in internal representation, comparison covers a
-//!    declared **output window** of the address space, not raw state.
-//! 3. **Stable storage** ([`storage::StableStorage`]) — checkpoints
-//!    survive processor-stop faults; writing them is slow, which is why
-//!    the paper checkpoints every `s` rounds but compares every round
-//!    (the Ziv/Bruck-style trade examined in experiment E12).
-//!
-//! [`manager::CheckpointManager`] ties the three together for the VDS
-//! engine in `vds-core`.
+//! The checkpoint protocol itself lives elsewhere: `vds-core`'s `Duplex`
+//! decides when to checkpoint (every `s` rounds), and each backend
+//! charges the checkpoint's cost `c` in its `Backend::checkpoint`.
 
 pub mod digest;
-pub mod manager;
-pub mod snapshot;
-pub mod storage;
-
-pub use manager::CheckpointManager;
-pub use snapshot::Snapshot;
-pub use storage::StableStorage;

@@ -1,11 +1,12 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-obs — the deterministic observability layer
 //!
-//! Zero-dependency metrics, tracing and host-time accounting for the
-//! VDS-SMT reproduction. The paper's entire contribution is *performance
-//! estimation*, so every backend must be able to say where simulated time
-//! and host time go — cheaply, and reproducibly.
+//! Zero-dependency metrics and tracing for the VDS-SMT reproduction. The
+//! paper's entire contribution is *performance estimation*, so every
+//! backend must be able to say where simulated time goes — cheaply, and
+//! reproducibly.
 //!
 //! Four pieces:
 //!
@@ -13,8 +14,7 @@
 //!   statistics (Welford mean/variance plus fixed-bucket percentiles)
 //!   and first-class [`Histogram`]s (same log-bucket grid, exact
 //!   order-invariant merges, Prometheus `_bucket` exposition), stored
-//!   sorted so exports are deterministic. Host wall-clock timings live
-//!   in a separate section that the deterministic exporters omit.
+//!   sorted so exports are deterministic.
 //! * [`conformance`] — the model-conformance layer: a
 //!   [`ConformanceTracker`] prices the journal's per-round events with
 //!   the paper's closed forms and streams windowed predicted-vs-measured
@@ -62,8 +62,13 @@
 //! [`SpanSet::to_folded`] / [`Journal::to_jsonl`] — are identical
 //! across runs and across worker counts, provided parallel shards are
 //! merged in a fixed order (see `vds-fault`'s logical shards). Host
-//! wall-clock timings are the one exception, which is why they are
-//! quarantined in their own export section.
+//! wall-clock time never enters a recorder: [`Stopwatch`] measures it
+//! for the callers that print it, and the telemetry server reports it
+//! only in `/progress`.
+//!
+//! Every journal and export reaches disk through [`write_atomic`]: a
+//! temp sibling renamed over the destination, so a reader never sees a
+//! half-written file.
 //!
 //! ```
 //! use vds_obs::Recorder;
@@ -78,6 +83,7 @@
 //! ```
 
 pub mod alpha;
+mod atomic_file;
 pub mod conformance;
 pub mod facade;
 pub mod forensics;
@@ -90,11 +96,11 @@ pub mod recorder;
 pub mod registry;
 pub mod serve;
 pub mod span;
-pub mod spsc;
 pub mod summary;
 pub mod trace;
 
 pub use alpha::{AlphaReport, CycleSnapshot, PairLedger, STALL_KINDS};
+pub use atomic_file::write_atomic;
 pub use conformance::{
     ConformanceReport, ConformanceTracker, ResidualSeries, SchemeModel, WindowSample,
 };
@@ -111,6 +117,5 @@ pub use recorder::{Recorder, Stopwatch, DEFAULT_TRACE_CAPACITY};
 pub use registry::{KeyPrefix, Registry};
 pub use serve::{TelemetryHub, TelemetryServer};
 pub use span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
-pub use spsc::{write_atomic, Consumer, JournalSink, Producer, SpscRing};
 pub use summary::Summary;
 pub use trace::{Trace, TraceRecord, Value};

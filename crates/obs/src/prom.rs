@@ -132,9 +132,7 @@ fn le_label(multi: bool, orig: &str, le: &str) -> String {
     }
 }
 
-/// Render a registry's deterministic content as Prometheus text
-/// exposition (version 0.0.4). Host wall-clock timings are excluded, as
-/// in every other deterministic export.
+/// Render a registry as Prometheus text exposition (version 0.0.4).
 pub fn render(registry: &Registry) -> String {
     // Group source metrics into exposition families keyed by sanitized
     // name. Counters, gauges and summaries use distinct suffix patterns,

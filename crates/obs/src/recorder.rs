@@ -234,26 +234,6 @@ impl Recorder {
         }
     }
 
-    /// Time the host wall-clock duration of `f` into the registry's host
-    /// section (excluded from deterministic exports).
-    pub fn time_host<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        self.registry
-            .observe_host(name, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Record an already-measured host duration in seconds.
-    pub fn observe_host(&mut self, name: &str, secs: f64) {
-        if self.enabled {
-            self.registry.observe_host(name, secs);
-        }
-    }
-
     /// Read access to the collected metrics.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -388,8 +368,8 @@ impl Recorder {
     }
 }
 
-/// Wall-clock stopwatch for call sites where the closure form of
-/// [`Recorder::time_host`] is awkward.
+/// Host wall-clock stopwatch. Host time never enters a [`Registry`]:
+/// it differs run to run, and every registry export is deterministic.
 #[derive(Debug)]
 pub struct Stopwatch {
     start: Instant,
@@ -420,8 +400,6 @@ mod tests {
         r.gauge("g", 1.0);
         r.observe("s", 2.0);
         r.event(0.0, "t", "e", vec![]);
-        let out = r.time_host("h", || 42);
-        assert_eq!(out, 42);
         assert!(r.registry().is_empty());
         assert!(r.trace().is_empty());
     }
@@ -447,17 +425,5 @@ mod tests {
         a.merge(b);
         assert_eq!(a.registry().counter("c"), 2);
         assert_eq!(a.trace().len(), 1);
-    }
-
-    #[test]
-    fn host_timing_lands_in_host_section() {
-        let mut r = Recorder::new();
-        r.time_host("phase", || {
-            std::thread::sleep(std::time::Duration::from_millis(1))
-        });
-        let s = r.registry().host_summary("phase").unwrap();
-        assert_eq!(s.count(), 1);
-        assert!(s.mean() > 0.0);
-        assert!(!r.registry().to_csv().contains("phase"));
     }
 }

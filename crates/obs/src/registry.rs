@@ -120,18 +120,12 @@ impl KeyPrefix {
 }
 
 /// Named metrics, kept sorted so exports are deterministic.
-///
-/// Host wall-clock timings live in a separate section: they are real
-/// measurements and therefore *not* reproducible run-to-run, so the
-/// default exporters omit them and [`Registry::to_csv_with_host`] /
-/// [`Registry::host_summary`] surface them explicitly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     summaries: BTreeMap<String, Summary>,
     histograms: BTreeMap<String, Histogram>,
-    host: BTreeMap<String, Summary>,
 }
 
 impl Registry {
@@ -190,12 +184,6 @@ impl Registry {
         update(&mut self.histograms, name, |hist| hist.merge(h));
     }
 
-    /// Record a host wall-clock duration (seconds) under the given name.
-    /// Host timings are excluded from the deterministic exports.
-    pub fn observe_host(&mut self, name: &str, secs: f64) {
-        update(&mut self.host, name, |s| s.observe(secs));
-    }
-
     /// Counter value (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -214,11 +202,6 @@ impl Registry {
     /// Histogram for a name, if any observations were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Host-time summary for a name, if recorded.
-    pub fn host_summary(&self, name: &str) -> Option<&Summary> {
-        self.host.get(name)
     }
 
     /// Iterate counters in name order.
@@ -241,22 +224,16 @@ impl Registry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Iterate host-time summaries in name order.
-    pub fn host_summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.host.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// True when nothing (deterministic or host) has been recorded.
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.summaries.is_empty()
             && self.histograms.is_empty()
-            && self.host.is_empty()
     }
 
     /// Merge another registry into this one: counters add, gauges take
-    /// the maximum, summaries (and host timings) merge. Merge shards in a
+    /// the maximum, summaries and histograms merge. Merge shards in a
     /// fixed order for bit-reproducible means/variances.
     pub fn merge(&mut self, other: &Registry) {
         for (k, &v) in &other.counters {
@@ -270,9 +247,6 @@ impl Registry {
         }
         for (k, v) in &other.histograms {
             self.merge_histogram(k, v);
-        }
-        for (k, v) in &other.host {
-            update(&mut self.host, k, |s| s.merge(v));
         }
     }
 
@@ -293,7 +267,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (pre(k), v.clone()))
                 .collect(),
-            host: self.host.iter().map(|(k, v)| (pre(k), v.clone())).collect(),
         }
     }
 
@@ -340,8 +313,7 @@ impl Registry {
         let _ = writeln!(out, "histogram,{name},le_inf,{}", h.count());
     }
 
-    /// CSV export of the deterministic content (`kind,name,field,value`).
-    /// Host wall-clock timings are excluded so a fixed-seed run exports
+    /// CSV export (`kind,name,field,value`). A fixed-seed run exports
     /// byte-identical bytes regardless of worker count or machine.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,field,value\n");
@@ -360,18 +332,7 @@ impl Registry {
         out
     }
 
-    /// [`Registry::to_csv`] plus the host wall-clock section (rows with
-    /// kind `host`). Not reproducible run-to-run by nature.
-    pub fn to_csv_with_host(&self) -> String {
-        let mut out = self.to_csv();
-        for (k, s) in &self.host {
-            Self::summary_rows(&mut out, "host", k, s);
-        }
-        out
-    }
-
-    /// JSON-lines export of the deterministic content: one object per
-    /// metric.
+    /// JSON-lines export: one object per metric.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
@@ -430,7 +391,7 @@ impl Registry {
         out
     }
 
-    /// One JSON object covering the deterministic content:
+    /// One JSON object covering every metric:
     /// `{"counters":{…},"gauges":{…},"summaries":{…},"histograms":{…}}`.
     /// This is the shared serializer behind `vds stats --json` and the
     /// telemetry server's `/progress` endpoint, so the two never drift
@@ -535,9 +496,6 @@ impl std::fmt::Display for Registry {
         for (k, h) in &self.histograms {
             writeln!(f, "  histogram {k:<43} {h}")?;
         }
-        for (k, s) in &self.host {
-            writeln!(f, "  host     {k:<44} {s}")?;
-        }
         Ok(())
     }
 }
@@ -567,13 +525,10 @@ mod tests {
         let mut r = Registry::new();
         r.count("z.last", 1);
         r.count("a.first", 2);
-        r.observe_host("wall", 0.123);
         let csv = r.to_csv();
         let a = csv.find("a.first").unwrap();
         let z = csv.find("z.last").unwrap();
         assert!(a < z);
-        assert!(!csv.contains("wall"), "host section must not leak: {csv}");
-        assert!(r.to_csv_with_host().contains("host,wall,count,1"));
         assert_eq!(csv, r.clone().to_csv());
     }
 
@@ -717,13 +672,11 @@ mod tests {
         r.gauge("g", f64::INFINITY);
         r.observe("s", 4.0);
         r.merge_summary("empty", &Summary::new());
-        r.observe_host("wall", 0.5);
         let j = r.to_json_object();
         assert!(j.starts_with("{\"counters\":{\"a\":1,\"b\":2}"), "{j}");
         assert!(j.contains("\"gauges\":{\"g\":\"inf\"}"), "{j}");
         assert!(j.contains("\"empty\":{\"count\":0}"), "{j}");
         assert!(j.contains("\"s\":{\"count\":1,\"mean\":4,"), "{j}");
-        assert!(!j.contains("wall"), "host section must not leak: {j}");
         assert_eq!(j, r.clone().to_json_object());
     }
 }

@@ -24,7 +24,7 @@
 //! or scraping it at any rate — cannot change a single exported byte;
 //! `crates/cli/tests/serve_telemetry.rs` pins that with a byte-identity
 //! test. Wall-clock (`elapsed_secs`, `work_units_per_sec`) appears only
-//! in `/progress`, quarantined exactly like the registry's host section.
+//! in `/progress`, never in the registry.
 
 use crate::journal::Journal;
 use crate::prom;

@@ -15,14 +15,17 @@
 //!   2-bit saturating counter, and a two-level (history-indexed) scheme —
 //!   the same taxonomy as hardware branch predictors, but in software,
 //!   because "we are operating on much larger time scales".
-//! * [`predictors::WithEvidence`] — the crash-fault shortcut: "sometimes
-//!   there is evidence that a particular version is most likely the
-//!   faulty one, e.g. in the case of a crash fault".
 //! * [`streams`] — synthetic faulty-version sequences: i.i.d., persistent
 //!   (process-variation bias), and alternating, used to characterise each
 //!   predictor's accuracy.
 //! * [`eval`] — accuracy measurement; the measured `p` feeds directly
 //!   into `vds_analytic::predictive::gbar_corr_exact`.
+//!
+//! Crash evidence ("sometimes there is evidence that a particular version
+//! is most likely the faulty one, e.g. in the case of a crash fault")
+//! needs no predictor: the abstract engine in `vds-core` takes the
+//! crashed version as the faulty one and consults its predictor only
+//! when no version crashed.
 
 //! ```
 //! use vds_predictor::eval::measure_accuracy;

@@ -180,113 +180,6 @@ impl FaultPredictor for TwoLevel {
     }
 }
 
-/// A tournament (meta) predictor: runs two component predictors and a
-/// 2-bit chooser that tracks which component has been right more often
-/// lately — the Alpha 21264 scheme, transplanted to fault prediction.
-/// The paper's §5 closes with "we may be able to apply more sophisticated
-/// algorithms" since fault prediction runs in software on large time
-/// scales; this is the natural next step above single predictors.
-pub struct Tournament<A, B> {
-    a: A,
-    b: B,
-    /// 0,1 → trust `a`; 2,3 → trust `b`.
-    chooser: u8,
-    last_a: Option<Suspect>,
-    last_b: Option<Suspect>,
-}
-
-impl<A: FaultPredictor, B: FaultPredictor> Tournament<A, B> {
-    /// Combine two predictors.
-    pub fn new(a: A, b: B) -> Self {
-        Tournament {
-            a,
-            b,
-            chooser: 1,
-            last_a: None,
-            last_b: None,
-        }
-    }
-}
-
-impl<A: FaultPredictor, B: FaultPredictor> FaultPredictor for Tournament<A, B> {
-    fn name(&self) -> &'static str {
-        "tournament"
-    }
-
-    fn predict(&mut self) -> Suspect {
-        let pa = self.a.predict();
-        let pb = self.b.predict();
-        self.last_a = Some(pa);
-        self.last_b = Some(pb);
-        if self.chooser >= 2 {
-            pb
-        } else {
-            pa
-        }
-    }
-
-    fn update(&mut self, actual: Suspect) {
-        // train the chooser only when the components disagree
-        if let (Some(pa), Some(pb)) = (self.last_a, self.last_b) {
-            match (pa == actual, pb == actual) {
-                (true, false) => self.chooser = self.chooser.saturating_sub(1),
-                (false, true) => self.chooser = (self.chooser + 1).min(3),
-                _ => {}
-            }
-        }
-        self.a.update(actual);
-        self.b.update(actual);
-        self.last_a = None;
-        self.last_b = None;
-    }
-}
-
-/// Wrap any predictor with crash evidence: when the detection came with a
-/// trap from one version, that version *is* the faulty one and the inner
-/// predictor is bypassed (but still trained).
-pub struct WithEvidence<P> {
-    inner: P,
-    evidence: Option<Suspect>,
-}
-
-impl<P: FaultPredictor> WithEvidence<P> {
-    /// Wrap an inner predictor.
-    pub fn new(inner: P) -> Self {
-        WithEvidence {
-            inner,
-            evidence: None,
-        }
-    }
-
-    /// Report crash evidence for the next prediction.
-    pub fn set_evidence(&mut self, suspect: Suspect) {
-        self.evidence = Some(suspect);
-    }
-
-    /// Clear any pending evidence.
-    pub fn clear_evidence(&mut self) {
-        self.evidence = None;
-    }
-}
-
-impl<P: FaultPredictor> FaultPredictor for WithEvidence<P> {
-    fn name(&self) -> &'static str {
-        "with-evidence"
-    }
-
-    fn predict(&mut self) -> Suspect {
-        match self.evidence {
-            Some(s) => s,
-            None => self.inner.predict(),
-        }
-    }
-
-    fn update(&mut self, actual: Suspect) {
-        self.inner.update(actual);
-        self.evidence = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,65 +238,5 @@ mod tests {
             correct >= 95,
             "two-level alternation accuracy {correct}/100"
         );
-    }
-
-    #[test]
-    fn tournament_tracks_the_better_component() {
-        // counter wins on a constant-bias stream; two-level wins on
-        // alternation — the tournament should approach the better one in
-        // both regimes
-        let run = |alternating: bool| -> (usize, usize, usize) {
-            let mut t = Tournament::new(SaturatingCounter::default(), TwoLevel::new(4));
-            let mut sc = SaturatingCounter::default();
-            let mut tl = TwoLevel::new(4);
-            let mut scores = (0usize, 0usize, 0usize);
-            for k in 0..400u32 {
-                let actual = if alternating {
-                    if k % 2 == 0 {
-                        Suspect::V1
-                    } else {
-                        Suspect::V2
-                    }
-                } else {
-                    Suspect::V2
-                };
-                if k >= 100 {
-                    scores.0 += usize::from(t.predict() == actual);
-                    scores.1 += usize::from(sc.predict() == actual);
-                    scores.2 += usize::from(tl.predict() == actual);
-                } else {
-                    let _ = t.predict();
-                }
-                t.update(actual);
-                sc.update(actual);
-                tl.update(actual);
-            }
-            scores
-        };
-        let (t_alt, _sc_alt, tl_alt) = run(true);
-        assert!(
-            t_alt + 10 >= tl_alt,
-            "tournament {t_alt} vs two-level {tl_alt}"
-        );
-        let (t_bias, sc_bias, _tl_bias) = run(false);
-        assert!(
-            t_bias + 10 >= sc_bias,
-            "tournament {t_bias} vs counter {sc_bias}"
-        );
-    }
-
-    #[test]
-    fn evidence_overrides_and_expires() {
-        let mut p = WithEvidence::new(SaturatingCounter::default());
-        // counter currently says V1
-        assert_eq!(p.predict(), Suspect::V1);
-        p.set_evidence(Suspect::V2);
-        assert_eq!(p.predict(), Suspect::V2, "evidence wins");
-        p.update(Suspect::V2);
-        // evidence consumed; counter (now nudged) decides again
-        assert_eq!(p.predict(), Suspect::V2);
-        p.update(Suspect::V1);
-        p.update(Suspect::V1);
-        assert_eq!(p.predict(), Suspect::V1);
     }
 }

@@ -15,14 +15,12 @@
 //! * per-process accounting — cycle usage
 //!   ([`Machine::cycles_used`](machine::Machine::cycles_used)) and switch
 //!   counts ([`Machine::switches`](machine::Machine::switches)).
-//! * [`rr`] — a round-robin helper that drives two processes through
-//!   alternating rounds on one hardware context, which is exactly the
-//!   conventional-processor VDS execution model of the paper's §3.1.
 //!
-//! The VDS engine in `vds-core` builds both execution models (Figure 1a
-//! and 1b) on this API.
+//! The micro VDS engine in `vds-core` builds both execution models on
+//! this API: the conventional processor of the paper's §3.1 (versions
+//! dispatched in turn on one hardware context, Figure 1a) and the SMT
+//! processor (both versions resident at once, Figure 1b).
 
 pub mod machine;
-pub mod rr;
 
 pub use machine::{Machine, ProcId, ProcOutcome, ProcState};

@@ -28,7 +28,8 @@
 //!
 //! Pass 1 sizes every line (pseudo-instructions may occupy two slots) and
 //! collects labels; pass 2 emits encoded words. Errors carry 1-based line
-//! numbers.
+//! numbers and fit on one line. A data image larger than 2^20 words
+//! (4 MiB) is refused in pass 1, before anything is allocated.
 
 use crate::isa::{
     AluImmOp, AluOp, BranchCond, Instr, MulOp, Reg, BRANCH_TARGET_MAX, IMM_MAX, IMM_MIN,
@@ -61,6 +62,24 @@ fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, AsmError> {
     })
 }
 
+/// `s` with control characters and line separators escaped, so an
+/// error message that quotes it stays on one line.
+fn one_line(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_control() || matches!(c, '\u{2028}' | '\u{2029}') {
+                c.escape_default().to_string()
+            } else {
+                c.to_string()
+            }
+        })
+        .collect()
+}
+
+/// Largest data image, in words, that [`assemble`] accepts (4 MiB). The
+/// committed programs use a few thousand words at most.
+const MAX_DATA_WORDS: u64 = 1 << 20;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
     Text,
@@ -78,15 +97,21 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
     // Pass 1: lay out sections, collect symbols.
     let mut symbols: BTreeMap<String, Symbol> = BTreeMap::new();
     let mut text_len: u32 = 0;
-    let mut data_len: u32 = 0;
+    let mut data_len: u64 = 0;
     let mut section = Section::Text;
     for line in &lines {
         if let Some(dir) = &line.directive {
             match dir {
                 Directive::Text => section = Section::Text,
                 Directive::Data => section = Section::Data,
-                Directive::Word(ws) => data_len += ws.len() as u32,
-                Directive::Space(n) => data_len += n,
+                Directive::Word(ws) => data_len += ws.len() as u64,
+                Directive::Space(n) => data_len = data_len.saturating_add(*n),
+            }
+            if data_len > MAX_DATA_WORDS {
+                return err(
+                    line.no,
+                    format!("data image exceeds {MAX_DATA_WORDS} words"),
+                );
             }
         }
         for label in &line.labels {
@@ -139,12 +164,14 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
 
 // Labels attached to a .word/.space line refer to the directive's own
 // start; labels on earlier lines already saw the pre-directive length.
-fn data_len_before(line: &Line, len_after: u32) -> u32 {
-    match &line.directive {
-        Some(Directive::Word(ws)) => len_after - ws.len() as u32,
+// Pass 1 has checked `len_after` against `MAX_DATA_WORDS`, so it fits.
+fn data_len_before(line: &Line, len_after: u64) -> u32 {
+    let len = match &line.directive {
+        Some(Directive::Word(ws)) => len_after - ws.len() as u64,
         Some(Directive::Space(n)) => len_after - n,
         _ => len_after,
-    }
+    };
+    len as u32
 }
 
 #[derive(Debug, Clone)]
@@ -152,7 +179,7 @@ enum Directive {
     Text,
     Data,
     Word(Vec<String>),
-    Space(u32),
+    Space(u64),
 }
 
 #[derive(Debug, Clone)]
@@ -240,14 +267,14 @@ fn parse_line(no: usize, raw: &str) -> Result<Line, AsmError> {
             ),
             "space" => {
                 let n = parse_int(args)
-                    .filter(|&v| v >= 0)
+                    .and_then(|v| u64::try_from(v).ok())
                     .ok_or_else(|| AsmError {
                         line: no,
-                        msg: format!("bad .space count `{args}`"),
+                        msg: format!("bad .space count `{}`", one_line(args)),
                     })?;
-                Directive::Space(n as u32)
+                Directive::Space(n)
             }
-            other => return err(no, format!("unknown directive `.{other}`")),
+            other => return err(no, format!("unknown directive `.{}`", one_line(other))),
         };
         return Ok(Line {
             no,
@@ -308,7 +335,11 @@ fn parse_int(s: &str) -> Option<i64> {
     } else {
         body.parse::<i64>().ok()?
     };
-    Some(if neg { -v } else { v })
+    if neg {
+        v.checked_neg()
+    } else {
+        Some(v)
+    }
 }
 
 fn fits_simm16(v: i64) -> bool {
@@ -326,7 +357,10 @@ fn resolve_value(
     if let Some(sym) = symbols.get(tok.trim()) {
         return Ok(i64::from(sym.value()));
     }
-    err(line, format!("unresolved symbol or bad literal `{tok}`"))
+    err(
+        line,
+        format!("unresolved symbol or bad literal `{}`", one_line(tok)),
+    )
 }
 
 /// `imm(reg)` addressing, or bare `imm` meaning `imm(r0)`.
@@ -337,13 +371,16 @@ fn parse_addr(
 ) -> Result<(Reg, i32), AsmError> {
     let tok = tok.trim();
     if let Some(open) = tok.find('(') {
-        let close = tok.rfind(')').ok_or_else(|| AsmError {
-            line,
-            msg: format!("missing `)` in address `{tok}`"),
-        })?;
+        let close = tok
+            .rfind(')')
+            .filter(|&c| c > open)
+            .ok_or_else(|| AsmError {
+                line,
+                msg: format!("missing `)` in address `{}`", one_line(tok)),
+            })?;
         let base = parse_reg(&tok[open + 1..close]).ok_or_else(|| AsmError {
             line,
-            msg: format!("bad base register in `{tok}`"),
+            msg: format!("bad base register in `{}`", one_line(tok)),
         })?;
         let off_str = tok[..open].trim();
         let off = if off_str.is_empty() {
@@ -369,13 +406,10 @@ fn check_simm(v: i64, line: usize) -> Result<(), AsmError> {
 }
 
 fn get_reg(stmt: &Stmt, i: usize, line: usize) -> Result<Reg, AsmError> {
-    let tok = stmt.operands.get(i).ok_or_else(|| AsmError {
-        line,
-        msg: format!("`{}` missing operand {}", stmt.mnemonic, i + 1),
-    })?;
+    let tok = get_tok(stmt, i, line)?;
     parse_reg(tok).ok_or_else(|| AsmError {
         line,
-        msg: format!("expected register, got `{tok}`"),
+        msg: format!("expected register, got `{}`", one_line(tok)),
     })
 }
 
@@ -385,7 +419,7 @@ fn get_tok(stmt: &Stmt, i: usize, line: usize) -> Result<&str, AsmError> {
         .map(String::as_str)
         .ok_or_else(|| AsmError {
             line,
-            msg: format!("`{}` missing operand {}", stmt.mnemonic, i + 1),
+            msg: format!("`{}` missing operand {}", one_line(&stmt.mnemonic), i + 1),
         })
 }
 
@@ -571,12 +605,13 @@ fn lower_stmt(
             let rd = get_reg(stmt, 0, line)?;
             let rs1 = get_reg(stmt, 1, line)?;
             let v = resolve_value(get_tok(stmt, 2, line)?, symbols, line)?;
-            check_simm(-v, line)?;
+            let imm = v.saturating_neg();
+            check_simm(imm, line)?;
             Ok(vec![Instr::AluImm {
                 op: AluImmOp::Addi,
                 rd,
                 rs1,
-                imm: -v as i32,
+                imm: imm as i32,
             }])
         }
         "li" => {
@@ -613,7 +648,7 @@ fn lower_stmt(
                 ])
             }
         }
-        other => err(line, format!("unknown mnemonic `{other}`")),
+        other => err(line, format!("unknown mnemonic `{}`", one_line(other))),
     }
 }
 
@@ -917,6 +952,25 @@ mod tests {
                 rs2: Reg(2)
             }
         );
+    }
+
+    #[test]
+    fn hostile_tokens_fail_on_one_line() {
+        for (src, needle) in [
+            ("ld r1, )(\n", "missing `)` in address `)(`"),
+            (
+                "subi r1, r1, 0x-8000000000000000\n",
+                "out of signed 16-bit range",
+            ),
+            ("li r1, --9223372036854775808\n", "bad literal"),
+            ("j a\rb\n", "`a\\rb`"),
+            ("ld r1, 2(r\u{2028}1)\n", "`2(r\\u{2028}1)`"),
+            (".data\n.space 1\u{85}2\n", "`1\\u{85}2`"),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.msg.contains(needle), "{src:?}: {e}");
+            assert_eq!(e.to_string().lines().count(), 1, "{src:?}: {e}");
+        }
     }
 
     #[test]

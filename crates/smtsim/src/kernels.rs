@@ -351,137 +351,6 @@ pub fn control(iters: u32, rounds: u32) -> Kernel {
     }
 }
 
-/// 4-tap FIR filter over `n` samples (multiply-accumulate with a sliding
-/// window — DSP-flavoured mixed compute/memory).
-pub fn fir(n: u32, rounds: u32) -> Kernel {
-    assert!(n >= 8 && rounds >= 1);
-    let out_base = n; // outputs y[0..n-4] at addresses n..2n-4
-    let out = 2 * n;
-    let n4 = n - 4;
-    let source = format!(
-        r#"
-        ; fir: x[i] = (5i+3) & 255; y[i] = 2x[i] + 3x[i+1] + 5x[i+2] + 7x[i+3]
-        ; out word = y[last] ^ round
-            li   r14, {rounds}
-            addi r1, r0, 0
-            li   r2, {n}
-            addi r3, r0, 3
-        init:
-            andi r4, r3, 255
-            st   r4, 0(r1)
-            addi r3, r3, 5
-            addi r1, r1, 1
-            bne  r1, r2, init
-            addi r13, r0, 0      ; round
-        round:
-            addi r1, r0, 0
-            li   r2, {n4}
-        tap:
-            ld   r4, 0(r1)
-            slli r4, r4, 1       ; 2*x[i]
-            ld   r5, 1(r1)
-            addi r6, r0, 3
-            mul  r5, r5, r6
-            add  r4, r4, r5
-            ld   r5, 2(r1)
-            addi r6, r0, 5
-            mul  r5, r5, r6
-            add  r4, r4, r5
-            ld   r5, 3(r1)
-            addi r6, r0, 7
-            mul  r5, r5, r6
-            add  r4, r4, r5
-            st   r4, {out_base}(r1)
-            addi r1, r1, 1
-            bne  r1, r2, tap
-            subi r1, r1, 1
-            ld   r4, {out_base}(r1)
-            xor  r4, r4, r13
-            st   r4, {out}(r0)
-            addi r13, r13, 1
-            subi r14, r14, 1
-            yield
-            bne  r14, r0, round
-            halt
-        "#
-    );
-    Kernel {
-        name: "fir".into(),
-        source,
-        dmem_words: out as usize + 1,
-        out_addr: out,
-        rounds,
-    }
-}
-
-/// Repeated binary searches over a sorted table — branch- and
-/// latency-bound with data-dependent control flow.
-pub fn bsearch(n: u32, queries: u32, rounds: u32) -> Kernel {
-    assert!(n >= 4 && n.is_power_of_two() && queries >= 1 && rounds >= 1);
-    let out = n;
-    let source = format!(
-        r#"
-        ; bsearch: table[i] = 3i+1 (sorted); per round, sum the indices
-        ; found for queries q = (7k + round) mod 3n
-            li   r14, {rounds}
-            addi r1, r0, 0
-            li   r2, {n}
-            addi r3, r0, 1
-        init:
-            st   r3, 0(r1)
-            addi r3, r3, 3
-            addi r1, r1, 1
-            bne  r1, r2, init
-            addi r13, r0, 0      ; round
-            li   r12, {n3}       ; 3n (query modulus)
-        round:
-            addi r9, r0, 0       ; acc
-            li   r8, {queries}
-            addi r7, r0, 0       ; k
-        query:
-            ; q = (7k + round) mod 3n
-            addi r4, r0, 7
-            mul  r4, r4, r7
-            add  r4, r4, r13
-            rem  r4, r4, r12
-            ; binary search for rightmost lo with table[lo] <= q
-            addi r5, r0, 0       ; lo
-            li   r6, {n}         ; hi
-        bloop:
-            sub  r10, r6, r5
-            slti r11, r10, 2
-            bne  r11, r0, bdone
-            add  r10, r5, r6
-            srli r10, r10, 1     ; mid
-            ld   r11, 0(r10)
-            bgt  r11, r4, bhigh
-            add  r5, r10, r0
-            j    bloop
-        bhigh:
-            add  r6, r10, r0
-            j    bloop
-        bdone:
-            add  r9, r9, r5
-            addi r7, r7, 1
-            bne  r7, r8, query
-            st   r9, {out}(r0)
-            addi r13, r13, 1
-            subi r14, r14, 1
-            yield
-            bne  r14, r0, round
-            halt
-        "#,
-        n3 = 3 * n,
-    );
-    Kernel {
-        name: "bsearch".into(),
-        source,
-        dmem_words: out as usize + 1,
-        out_addr: out,
-        rounds,
-    }
-}
-
 /// The default suite at sizes that run in tens of thousands of cycles —
 /// large enough for caches and predictors to matter, small enough for
 /// brisk experiments.
@@ -494,16 +363,6 @@ pub fn suite(rounds: u32) -> Vec<Kernel> {
         bsort(24, rounds),
         control(128, rounds),
     ]
-}
-
-/// The extended suite: the default six plus the FIR filter and binary
-/// search — eight workloads spanning streaming, MAC, dense compute,
-/// pointer chasing, sorting, control, DSP and search.
-pub fn extended_suite(rounds: u32) -> Vec<Kernel> {
-    let mut v = suite(rounds);
-    v.push(fir(64, rounds));
-    v.push(bsearch(64, 24, rounds));
-    v
 }
 
 /// Pure-Rust reference implementations. Each returns the expected value
@@ -560,36 +419,6 @@ pub mod oracle {
         let mut x: Vec<u32> = (0..n).map(|i| ((37 * i + 11) & 63) ^ round).collect();
         x.sort_unstable();
         x[(n / 2) as usize]
-    }
-
-    /// See [`super::fir`]: `y[n-5] ^ (rounds-1)` after the last round.
-    pub fn fir(n: u32, rounds: u32) -> u32 {
-        let x: Vec<u32> = (0..n).map(|i| (5 * i + 3) & 255).collect();
-        let i = (n - 5) as usize;
-        let y = 2 * x[i] + 3 * x[i + 1] + 5 * x[i + 2] + 7 * x[i + 3];
-        y ^ (rounds - 1)
-    }
-
-    /// See [`super::bsearch`]: sum of found indices in the last round.
-    pub fn bsearch(n: u32, queries: u32, rounds: u32) -> u32 {
-        let table: Vec<u32> = (0..n).map(|i| 3 * i + 1).collect();
-        let round = rounds - 1;
-        let mut acc = 0u32;
-        for k in 0..queries {
-            let q = (7 * k + round) % (3 * n);
-            // rightmost lo with table[lo] <= q, bisection as in the asm
-            let (mut lo, mut hi) = (0usize, n as usize);
-            while hi - lo >= 2 {
-                let mid = (lo + hi) / 2;
-                if table[mid] > q {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            acc = acc.wrapping_add(lo as u32);
-        }
-        acc
     }
 
     /// See [`super::control`]: y after the last round.
@@ -692,26 +521,8 @@ mod tests {
     }
 
     #[test]
-    fn fir_matches_oracle() {
-        for &(n, r) in &[(16u32, 1u32), (64, 3)] {
-            assert_eq!(run_kernel(&fir(n, r)), oracle::fir(n, r), "n={n} r={r}");
-        }
-    }
-
-    #[test]
-    fn bsearch_matches_oracle() {
-        for &(n, q, r) in &[(16u32, 8u32, 1u32), (64, 24, 2)] {
-            assert_eq!(
-                run_kernel(&bsearch(n, q, r)),
-                oracle::bsearch(n, q, r),
-                "n={n} q={q} r={r}"
-            );
-        }
-    }
-
-    #[test]
     fn suite_assembles_and_runs() {
-        for k in extended_suite(1) {
+        for k in suite(1) {
             let _ = run_kernel(&k);
         }
     }

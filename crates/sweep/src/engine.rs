@@ -185,6 +185,16 @@ pub struct SweepOutcome {
     pub baseline_memo_hits: u64,
 }
 
+/// Rounds to bake into a micro cell's workload: twice the target plus
+/// 64, so the budget stays ahead of the target plus recovery replays.
+/// Saturates at `u32::MAX` for huge targets.
+fn micro_workload_rounds(rounds: u64) -> u32 {
+    u32::try_from(rounds)
+        .unwrap_or(u32::MAX)
+        .saturating_mul(2)
+        .saturating_add(64)
+}
+
 /// Execute one cell on its backend.
 fn execute(cell: &Cell) -> RunReport {
     match cell.backend {
@@ -201,14 +211,7 @@ fn execute(cell: &Cell) -> RunReport {
         Backend::Micro => {
             let mut cfg = MicroConfig::new(cell.scheme, cell.s);
             cfg.seed = cell.seed;
-            // keep the baked-in round budget ahead of the target plus
-            // recovery replays
-            cfg.workload_rounds = cfg.workload_rounds.max(
-                u32::try_from(cell.rounds)
-                    .unwrap_or(u32::MAX)
-                    .saturating_mul(2)
-                    + 64,
-            );
+            cfg.workload_rounds = cfg.workload_rounds.max(micro_workload_rounds(cell.rounds));
             // The micro platform injects placed one-shot faults rather
             // than a per-round Bernoulli draw; q > 0 selects one
             // seed-derived transient memory fault per mission.
@@ -565,6 +568,17 @@ mod tests {
             resumed_run.registry.counter("sweep.cells_resumed"),
             half.len() as u64
         );
+    }
+
+    #[test]
+    fn micro_workload_sizing_saturates_instead_of_overflowing() {
+        assert_eq!(micro_workload_rounds(0), 64);
+        assert_eq!(micro_workload_rounds(500), 1064);
+        // the largest target whose budget is still exact, and the next
+        assert_eq!(micro_workload_rounds(2_147_483_615), u32::MAX - 1);
+        assert_eq!(micro_workload_rounds(2_147_483_616), u32::MAX);
+        assert_eq!(micro_workload_rounds(1 << 31), u32::MAX);
+        assert_eq!(micro_workload_rounds(u64::MAX), u32::MAX);
     }
 
     #[test]

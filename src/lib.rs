@@ -15,10 +15,11 @@
 //! | [`sched`] | `vds-sched` | OS processes, address spaces, context switching |
 //! | [`fault`] | `vds-fault` | fault models, injection, EDC codes, campaigns |
 //! | [`diversity`] | `vds-diversity` | automatic diverse-version generation |
-//! | [`checkpoint`] | `vds-checkpoint` | snapshots, digests, stable storage |
+//! | [`checkpoint`] | `vds-checkpoint` | state-digest names used by the micro engine |
 //! | [`predictor`] | `vds-predictor` | fault-version prediction (§4/§5) |
 //! | [`desim`] | `vds-desim` | seed derivation, Figure 1 span rendering, figure surfaces |
 //! | [`obs`] | `vds-obs` | deterministic metrics, event traces, profiler spans |
+//! | [`sweep`] | `vds-sweep` | deterministic parallel parameter sweeps with resume |
 //!
 //! ## Quick start
 //!
