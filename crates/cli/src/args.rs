@@ -415,6 +415,9 @@ fn set_value(f: &mut Flags, name: &str, value: String) -> Result<(), CliError> {
 }
 
 #[cfg(test)]
+mod fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -9,7 +9,7 @@
 //! recordings directly, scanning to the first divergent round;
 //! it exits 0 when they are identical and 1 with the report otherwise.
 
-use crate::{parse_scheme, read_file, CliError};
+use crate::{parse_scheme, read_journal_tolerant, CliError};
 use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds_core::Victim;
 use vds_fault::model::FaultKind;
@@ -28,7 +28,7 @@ pub(crate) fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     if f.positional.len() > 1 {
         return Err(CliError::usage("replay: too many arguments"));
     }
-    let recorded = load_journal(path)?;
+    let recorded = read_journal_tolerant(path)?;
     let header = recorded
         .header()
         .ok_or_else(|| CliError::runtime(format!("`{path}` has no journal header to replay")))?
@@ -74,8 +74,8 @@ pub(crate) fn cmd_audit(args: &[String]) -> Result<String, CliError> {
     if f.positional.len() > 3 {
         return Err(CliError::usage("audit diff: too many arguments"));
     }
-    let a = load_journal(a_path)?;
-    let b = load_journal(b_path)?;
+    let a = read_journal_tolerant(a_path)?;
+    let b = read_journal_tolerant(b_path)?;
     // a headerless file is a truncated or non-journal input, not a
     // comparable recording — refuse with one clear line, no backtrace
     for (path, j) in [(a_path, &a), (b_path, &b)] {
@@ -95,10 +95,6 @@ pub(crate) fn cmd_audit(args: &[String]) -> Result<String, CliError> {
             d.report()
         ))),
     }
-}
-
-fn load_journal(path: &str) -> Result<Journal, CliError> {
-    crate::parse_journal_tolerant(path, &read_file(path)?)
 }
 
 /// Re-run the recorded configuration, producing a fresh journal.

@@ -18,7 +18,7 @@
 //! α. The measured gain side is untouched, so the residual shift shows
 //! how much model error the parametric α was responsible for.
 
-use crate::{read_file, CliError};
+use crate::CliError;
 use std::io::{Read as _, Write as _};
 use vds_obs::conformance::{DEFAULT_TOLERANCE, DEFAULT_WINDOW};
 use vds_obs::ConformanceTracker;
@@ -37,17 +37,7 @@ pub(crate) fn cmd_conformance(args: &[String]) -> Result<String, CliError> {
     }
     let window = f.window.unwrap_or(DEFAULT_WINDOW);
     let tolerance = f.tolerance.unwrap_or(DEFAULT_TOLERANCE);
-    let text = if source == "live" {
-        let addr = format!(
-            "{}:{}",
-            f.addr.as_deref().unwrap_or("127.0.0.1"),
-            f.port.unwrap_or(9898)
-        );
-        fetch_live_journal(&addr)?
-    } else {
-        read_file(source)?
-    };
-    let journal = crate::parse_journal_tolerant(source, &text)?;
+    let journal = crate::journal_source(source, &f)?;
     if journal.header().is_none() {
         return Err(CliError::runtime(format!(
             "`{source}` has no journal header (missing or truncated?)"

@@ -15,8 +15,7 @@
 //! journal (a run that injected nothing and recorded no rounds) is a
 //! valid zero-sample input, not an error.
 
-use crate::conformance::fetch_live_journal;
-use crate::{read_file, CliError};
+use crate::CliError;
 use vds_obs::ForensicsTracker;
 
 pub(crate) fn cmd_faults(args: &[String]) -> Result<String, CliError> {
@@ -31,17 +30,7 @@ pub(crate) fn cmd_faults(args: &[String]) -> Result<String, CliError> {
     if f.positional.len() > 1 {
         return Err(CliError::usage("faults: too many arguments"));
     }
-    let text = if source == "live" {
-        let addr = format!(
-            "{}:{}",
-            f.addr.as_deref().unwrap_or("127.0.0.1"),
-            f.port.unwrap_or(9898)
-        );
-        fetch_live_journal(&addr)?
-    } else {
-        read_file(source)?
-    };
-    let journal = crate::parse_journal_tolerant(source, &text)?;
+    let journal = crate::journal_source(source, &f)?;
     if journal.header().is_none() {
         return Err(CliError::runtime(format!(
             "`{source}` has no journal header (missing or truncated?)"

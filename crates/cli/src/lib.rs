@@ -279,14 +279,41 @@ fn read_file(path: &str) -> Result<String, CliError> {
         .map_err(|e| CliError::runtime(format!("cannot read `{path}`: {e}")))
 }
 
-/// Parse a journal for the read-side consumers (`replay`, `faults`,
-/// `conformance`, `audit diff`), tolerating a torn final line — the
-/// leftover of a kill mid-append. The tear is logged and dropped, the
-/// same truncate-and-warn recovery the sweep resume journal applies;
-/// corruption anywhere else still fails with the usual one-line error.
-fn parse_journal_tolerant(source: &str, text: &str) -> Result<vds_obs::Journal, CliError> {
-    let (journal, warn) = vds_obs::Journal::from_jsonl_tolerant(text)
-        .map_err(|e| CliError::runtime(format!("cannot parse `{source}`: {e}")))?;
+/// The journal `vds faults` or `vds conformance` names: a file, or with
+/// `live` the `/journal` of a running `vds serve` at `--addr`/`--port`.
+fn journal_source(source: &str, f: &Flags) -> Result<vds_obs::Journal, CliError> {
+    if source != "live" {
+        return read_journal_tolerant(source);
+    }
+    let addr = format!(
+        "{}:{}",
+        f.addr.as_deref().unwrap_or("127.0.0.1"),
+        f.port.unwrap_or(9898)
+    );
+    let text = conformance::fetch_live_journal(&addr)?;
+    journal_or_error(source, vds_obs::Journal::from_jsonl_tolerant(&text))
+}
+
+/// Read the journal file at `path` for the read-side consumers
+/// (`replay`, `faults`, `conformance`, `audit diff`) a line at a time:
+/// the file's text is never held whole next to the decoded entries.
+/// Errors and warnings are those of reading the whole text first.
+fn read_journal_tolerant(path: &str) -> Result<vds_obs::Journal, CliError> {
+    let parsed = vds_obs::Journal::read_jsonl_tolerant(path)
+        .map_err(|e| CliError::runtime(format!("cannot read `{path}`: {e}")))?;
+    journal_or_error(path, parsed)
+}
+
+/// The parsed journal, or the one-line error naming `source`. A torn
+/// final line, the leftover of a kill mid-append, is logged and
+/// dropped, the same truncate-and-warn recovery the sweep resume
+/// journal applies; corruption anywhere else still fails.
+fn journal_or_error(
+    source: &str,
+    parsed: Result<(vds_obs::Journal, Option<String>), String>,
+) -> Result<vds_obs::Journal, CliError> {
+    let (journal, warn) =
+        parsed.map_err(|e| CliError::runtime(format!("cannot parse `{source}`: {e}")))?;
     if let Some(w) = warn {
         vds_obs::log_warn!("journal", "{source}: {w}");
     }

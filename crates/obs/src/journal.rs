@@ -16,7 +16,10 @@
 //! differs — the primitive behind `vds audit diff`.
 //!
 //! Reading is one pass per line with no intermediate JSON tree: the
-//! `decode` module scans each line straight into typed fields.
+//! `decode` module scans each line straight into typed fields, through a
+//! fast path when the line is in the writer's own layout.
+//! [`Journal::read_jsonl_tolerant`] reads a file a line at a time, so its
+//! text is never held whole.
 //!
 //! The digest type lives here (rather than in `vds-checkpoint`, which sits
 //! higher in the dependency stack) so that every backend can stamp state
@@ -25,6 +28,7 @@
 
 use crate::registry::{fmt_f64, json_escaped_len, write_f64, write_json_escaped, Registry};
 use std::fmt::{self, Write as _};
+use std::io::{self, BufRead};
 
 mod decode;
 #[cfg(test)]
@@ -887,45 +891,51 @@ impl Journal {
         Journal::parse(text, true)
     }
 
-    fn parse(text: &str, tolerant: bool) -> Result<(Journal, Option<String>), String> {
-        let mut header = None;
-        // at most one entry per line, so the list never reallocates
-        let mut entries = Vec::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
-        let mut lines = text.lines().enumerate();
-        while let Some((i, line)) = lines.next() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+    /// [`Journal::from_jsonl_tolerant`] over the file at `path`, read one
+    /// line at a time, so its text is never held whole next to the
+    /// decoded entries. The journal, warning or parse error is the one
+    /// `from_jsonl_tolerant` returns for the same bytes. An I/O error,
+    /// including text that is not UTF-8, is the outer error wherever in
+    /// the file it occurs, as it is for [`std::fs::read_to_string`].
+    pub fn read_jsonl_tolerant(
+        path: impl AsRef<std::path::Path>,
+    ) -> io::Result<Result<(Journal, Option<String>), String>> {
+        let file = std::fs::File::open(path)?;
+        // no entry line is shorter than ENTRY_LINE_MIN bytes
+        let len = file.metadata().map_or(0, |m| m.len());
+        Journal::read_lines(io::BufReader::new(file), len / (ENTRY_LINE_MIN + 1) + 1)
+    }
+
+    /// [`Journal::read_jsonl_tolerant`] over any buffered reader, with
+    /// room for `capacity` entries reserved up front.
+    fn read_lines(
+        mut reader: impl BufRead,
+        capacity: u64,
+    ) -> io::Result<Result<(Journal, Option<String>), String>> {
+        let mut lines = LineReader::new(true, capacity);
+        let mut line = String::new();
+        let mut feeding = true;
+        for i in 0.. {
+            line.clear();
+            if reader.read_line(&mut line)? == 0 {
+                break;
             }
-            match decode::line(line, header.is_some()) {
-                Ok(decode::Line::Header(h)) => header = Some(h),
-                Ok(decode::Line::Entry(e)) => entries.push(e),
-                Err(decode::LineError::Journal(err)) => return Err(err),
-                Err(decode::LineError::At(err)) => {
-                    let err = format!("line {}: {err}", i + 1);
-                    if !tolerant || header.is_none() || lines.any(|(_, l)| !l.trim().is_empty()) {
-                        return Err(err);
-                    }
-                    let warn = format!(
-                        "dropped torn final journal line {} ({} entries retained)",
-                        i + 1,
-                        entries.len()
-                    );
-                    let j = Journal {
-                        enabled: true,
-                        header,
-                        entries,
-                    };
-                    return Ok((j, Some(warn)));
-                }
+            // past a settled outcome, lines are still read for I/O errors
+            feeding = feeding && lines.feed(i, &line);
+        }
+        Ok(lines.finish())
+    }
+
+    fn parse(text: &str, tolerant: bool) -> Result<(Journal, Option<String>), String> {
+        // at most one entry per line, so the list never reallocates
+        let newlines = text.bytes().filter(|&b| b == b'\n').count();
+        let mut lines = LineReader::new(tolerant, newlines as u64 + 1);
+        for (i, line) in text.lines().enumerate() {
+            if !lines.feed(i, line) {
+                break;
             }
         }
-        let j = Journal {
-            enabled: true,
-            header,
-            entries,
-        };
-        Ok((j, None))
+        lines.finish()
     }
 
     /// Find the first entry where the two journals disagree.
@@ -1026,6 +1036,86 @@ impl Journal {
         if let Some(r) = self.last_divergence_round() {
             reg.gauge("journal.last_divergence_round", r as f64);
         }
+    }
+}
+
+/// Bytes in the shortest entry line any reader accepts: every required
+/// key once, both digests at their 32 digits, single-digit numbers, the
+/// shortest verdict and action, an empty `sched`. A file of `len` bytes
+/// holds at most `len / (ENTRY_LINE_MIN + 1) + 1` entries.
+const ENTRY_LINE_MIN: u64 = 197;
+
+/// The journal lines of one text, fed in order: decodes each, keeps the
+/// header and entries, and applies the torn-tail rule of
+/// [`Journal::from_jsonl_tolerant`] when `tolerant`.
+struct LineReader {
+    tolerant: bool,
+    header: Option<JournalHeader>,
+    entries: Vec<RoundEntry>,
+    /// The first refused line: its error, its 1-based number, and
+    /// whether the refusal fails the journal (so far it is a torn tail
+    /// that a later non-empty line would make fatal).
+    refused: Option<(String, usize, bool)>,
+}
+
+impl LineReader {
+    /// A reader with room for `capacity` entries, so the entry list does
+    /// not reallocate while no more come; if that much cannot be had, it
+    /// grows as entries come.
+    fn new(tolerant: bool, capacity: u64) -> LineReader {
+        let mut entries = Vec::new();
+        let _ = entries.try_reserve_exact(usize::try_from(capacity).unwrap_or(usize::MAX));
+        LineReader {
+            tolerant,
+            header: None,
+            entries,
+            refused: None,
+        }
+    }
+
+    /// Feed line `i` (0-based), with or without its line break. `false`
+    /// once the outcome is settled and later lines no longer matter.
+    fn feed(&mut self, i: usize, line: &str) -> bool {
+        let line = line.trim();
+        if line.is_empty() {
+            return true;
+        }
+        if let Some((_, _, fatal)) = &mut self.refused {
+            // the refused line was not the last one
+            *fatal = true;
+            return false;
+        }
+        match decode::line(line, self.header.is_some()) {
+            Ok(decode::Line::Header(h)) => self.header = Some(h),
+            Ok(decode::Line::Entry(e)) => self.entries.push(e),
+            Err(decode::LineError::Journal(err)) => {
+                self.refused = Some((err, i + 1, true));
+                return false;
+            }
+            Err(decode::LineError::At(err)) => {
+                let fatal = !self.tolerant || self.header.is_none();
+                self.refused = Some((format!("line {}: {err}", i + 1), i + 1, fatal));
+                return !fatal;
+            }
+        }
+        true
+    }
+
+    fn finish(self) -> Result<(Journal, Option<String>), String> {
+        let warn = match self.refused {
+            Some((err, _, true)) => return Err(err),
+            Some((_, line, false)) => Some(format!(
+                "dropped torn final journal line {line} ({} entries retained)",
+                self.entries.len()
+            )),
+            None => None,
+        };
+        let j = Journal {
+            enabled: true,
+            header: self.header,
+            entries: self.entries,
+        };
+        Ok((j, warn))
     }
 }
 
@@ -1400,5 +1490,20 @@ mod tests {
         j.push(e);
         let back = Journal::from_jsonl(&j.to_jsonl()).expect("parse");
         assert_eq!(back, j);
+    }
+
+    #[test]
+    fn entry_line_min_is_the_shortest_entry_line() {
+        let mut e = entry(0, Verdict::Hang, Action::Commit);
+        e.sim_time = 0.0;
+        e.sched.clear();
+        let line = e.to_json_line();
+        assert_eq!(line.len() as u64, ENTRY_LINE_MIN, "{line}");
+        // one character less anywhere is no entry
+        for cut in 0..line.len() {
+            let short = format!("{}{}", &line[..cut], &line[cut + 1..]);
+            let text = format!("{}\n{short}\n", sample_journal().to_jsonl());
+            assert!(Journal::from_jsonl(&text).is_err(), "{short}");
+        }
     }
 }

@@ -1,16 +1,32 @@
 //! The journal line decoder: one pass over a JSON line straight into a
 //! typed [`JournalHeader`] or [`RoundEntry`].
 //!
-//! The scanner walks each line once and builds no tree. Keys are matched
-//! against the journal's field names and the first occurrence of each key
-//! fills its slot, as a first-match lookup over a parsed object would.
-//! Unknown keys and their values, nested objects included, are validated
-//! and skipped. Strings borrow from the line unless they contain a `\`
-//! escape, numbers stay raw slices until a slot reads them as `u64` or
-//! `f64`, and digests, verdicts and actions decode from the borrowed
-//! slice. Error messages and byte offsets are those of a conventional
-//! recursive-descent JSON parser, so every malformed line is reported the
-//! same way it always was.
+//! It has two tiers. The first, [`canonical_entry`], reads an entry line
+//! laid out byte for byte as the writer lays it out: the eleven required
+//! keys in writer order with no whitespace, then `fault`, `fault_id` and
+//! `fault_outcome` in that order if present, then `}` at the end of the
+//! line. It matches the keys as literals and converts each value in
+//! place. At the first byte that deviates from that layout it gives up
+//! and returns `None`: a `\` in a string, whitespace, a reordered,
+//! duplicated or unknown key, an empty or overflowing integer, a
+//! non-finite time, trailing bytes. The line then goes to the second
+//! tier, the general scanner. The contract between the two is *same
+//! result or no result*: every entry the first tier returns equals the
+//! general scanner's entry for that line, so the first tier never
+//! produces an error, and every error message and byte offset is the
+//! general scanner's. Entries before any header always take the general
+//! path.
+//!
+//! The general scanner walks each line once and builds no tree. Keys are
+//! matched against the journal's field names and the first occurrence of
+//! each key fills its slot, as a first-match lookup over a parsed object
+//! would. Unknown keys and their values, nested objects included, are
+//! validated and skipped. Strings borrow from the line unless they
+//! contain a `\` escape, numbers stay raw slices until a slot reads them
+//! as `u64` or `f64`, and digests, verdicts and actions decode from the
+//! borrowed slice. Error messages and byte offsets are those of a
+//! conventional recursive-descent JSON parser, so every malformed line is
+//! reported the same way it always was.
 
 use super::{Action, Digest128, JournalHeader, RoundEntry, Verdict, JOURNAL_SCHEMA};
 use std::borrow::Cow;
@@ -32,6 +48,140 @@ pub(super) enum LineError {
 /// Decode one trimmed, non-empty line. `have_header` says whether an
 /// earlier line was a header: entries before any header are refused.
 pub(super) fn line(text: &str, have_header: bool) -> Result<Line, LineError> {
+    if have_header {
+        if let Some(e) = canonical_entry(text) {
+            return Ok(Line::Entry(e));
+        }
+    }
+    scan(text, have_header)
+}
+
+/// The entry on a line in the writer's own layout, or `None` at the
+/// first deviation from it. When it returns an entry, [`scan`] returns
+/// the same one.
+pub(super) fn canonical_entry(text: &str) -> Option<RoundEntry> {
+    let mut c = Canon { s: text, pos: 0 };
+    c.lit(b"{\"seq\":")?;
+    let seq = c.uint()?;
+    c.lit(b",\"lane\":")?;
+    let lane = c.uint()?;
+    c.lit(b",\"round\":")?;
+    let round = c.uint()?;
+    c.lit(b",\"committed\":")?;
+    let committed = c.uint()?;
+    c.lit(b",\"sim_time\":")?;
+    let sim_time = c.time()?;
+    c.lit(b",\"d1\":\"")?;
+    let d1 = Digest128::parse_hex(c.str()?)?;
+    c.lit(b",\"d2\":\"")?;
+    let d2 = Digest128::parse_hex(c.str()?)?;
+    c.lit(b",\"verdict\":\"")?;
+    let verdict = Verdict::parse(c.str()?)?;
+    c.lit(b",\"sched\":\"")?;
+    let sched = c.str()?;
+    c.lit(b",\"action\":\"")?;
+    let action = Action::parse(c.str()?)?;
+    c.lit(b",\"rollforward\":")?;
+    let rollforward = c.uint()? as u32;
+    let fault = match c.lit(b",\"fault\":\"") {
+        Some(()) => Some(c.str()?.to_string()),
+        None => None,
+    };
+    let fault_id = match c.lit(b",\"fault_id\":") {
+        Some(()) => Some(c.uint()?),
+        None => None,
+    };
+    let fault_outcome = match c.lit(b",\"fault_outcome\":\"") {
+        Some(()) => Some(c.str()?.to_string()),
+        None => None,
+    };
+    c.lit(b"}")?;
+    (c.pos == text.len()).then(|| RoundEntry {
+        seq,
+        lane,
+        round,
+        committed,
+        sim_time,
+        d1,
+        d2,
+        verdict,
+        sched: sched.to_string(),
+        action,
+        rollforward,
+        fault,
+        fault_id,
+        fault_outcome,
+    })
+}
+
+/// A cursor for [`canonical_entry`]. Each read returns `None` where the
+/// line leaves the writer's layout; only an optional field's
+/// [`Canon::lit`] is tried again after that, and it has not moved then.
+struct Canon<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Canon<'a> {
+    /// The literal `lit`, consumed only if it is all there.
+    #[inline(always)]
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        let end = self.pos + lit.len();
+        (self.s.as_bytes().get(self.pos..end)? == lit).then(|| self.pos = end)
+    }
+
+    /// Plain digits, read as [`u64_of`] reads a number token. The byte
+    /// after them is the next literal's, so it is never part of the
+    /// token the general scanner would see.
+    #[inline(always)]
+    fn uint(&mut self) -> Option<u64> {
+        let b = self.s.as_bytes();
+        let start = self.pos;
+        while b.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        digits_u64(&b[start..self.pos])
+    }
+
+    /// A number token as the general scanner delimits it, read as
+    /// [`f64_of`] reads it: up to 15 plain digits are below 2^53 and
+    /// convert exactly, anything else goes through `str::parse`. The
+    /// token must start as the scanner's numbers do, which also leaves
+    /// out the non-finite spellings.
+    #[inline(always)]
+    fn time(&mut self) -> Option<f64> {
+        let b = self.s.as_bytes();
+        let start = self.pos;
+        let mut digits_only = true;
+        while let Some(&c @ (b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) = b.get(self.pos) {
+            digits_only &= c.is_ascii_digit();
+            self.pos += 1;
+        }
+        let raw = &b[start..self.pos];
+        if !matches!(raw.first(), Some(b'0'..=b'9' | b'-')) {
+            return None;
+        }
+        if digits_only && raw.len() <= 15 {
+            return digits_u64(raw).map(|n| n as f64);
+        }
+        self.s[start..self.pos].parse().ok()
+    }
+
+    /// The body of a string whose opening `"` was matched, up to its
+    /// closing `"`; `None` if a `\` comes first.
+    #[inline(always)]
+    fn str(&mut self) -> Option<&'a str> {
+        let rest = &self.s.as_bytes()[self.pos..];
+        let n = find_quote_or_backslash(rest).filter(|&n| rest[n] == b'"')?;
+        let body = &self.s[self.pos..self.pos + n];
+        self.pos += n + 1;
+        Some(body)
+    }
+}
+
+/// The general scanner: any key order, whitespace, escapes, duplicate
+/// and unknown keys, and the error of a malformed line.
+pub(super) fn scan(text: &str, have_header: bool) -> Result<Line, LineError> {
     let mut sc = Scanner {
         s: text,
         b: text.as_bytes(),
@@ -98,12 +248,21 @@ enum Tok<'a> {
 /// `raw.parse::<u64>()` accepts of a non-empty token not starting `+`.
 fn u64_of(t: Option<Tok<'_>>) -> Option<u64> {
     match t {
-        Some(Tok::Num(raw)) => raw.bytes().try_fold(0u64, |n, c| {
-            let d = c.checked_sub(b'0').filter(|d| *d < 10)?;
-            n.checked_mul(10)?.checked_add(u64::from(d))
-        }),
+        Some(Tok::Num(raw)) => digits_u64(raw.as_bytes()),
         _ => None,
     }
+}
+
+/// Non-empty plain digits that fit a `u64`, leading zeros allowed.
+#[inline(always)]
+fn digits_u64(raw: &[u8]) -> Option<u64> {
+    if raw.is_empty() {
+        return None;
+    }
+    raw.iter().try_fold(0u64, |n, &c| {
+        let d = c.checked_sub(b'0').filter(|d| *d < 10)?;
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
 fn f64_of(t: Option<Tok<'_>>) -> Option<f64> {

@@ -481,7 +481,8 @@ mod properties {
         '{', '}', '[', '"', '\\', ':', ',', ' ', '\t', '\r', '\n', '0', '7', '-', '+', '.', 'e',
         'E', 'n', 't', 'f', 'u', 'x', 'é', '😀', '\u{a0}',
     ];
-    /// Finite times, including the edge spellings of `fmt_f64`.
+    /// Finite times, including the edge spellings of `fmt_f64` and
+    /// integers on both sides of 2^53 and of the 15-digit boundary.
     const TIMES: &[f64] = &[
         0.0,
         -0.0,
@@ -491,6 +492,43 @@ mod properties {
         5e-324,
         2.2250738585072014e-308,
         -7.25,
+        999_999_999_999_999.0,
+        1e15,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        1.8446744073709552e19,
+        -9_007_199_254_740_992.0,
+    ];
+    /// `sim_time` spellings the writer never produces. A reader must read
+    /// the JSON ones as `str::parse::<f64>` does: leading zeros, integers
+    /// at and above 2^53 and past `u64`, `-0`, exponents, dots. The last
+    /// few are not JSON numbers, and some of them `str::parse` accepts.
+    const TIME_SPELLINGS: &[&str] = &[
+        "007",
+        "000000000000001",
+        "0000000000000000001",
+        "9007199254740992",
+        "9007199254740993",
+        "18446744073709551615",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "-0",
+        "-0.0",
+        "-12",
+        "1e3",
+        "1E3",
+        "2.5e-3",
+        "1e+2",
+        "1.",
+        "0.5",
+        "-.5",
+        "+5",
+        ".5",
+        "e5",
+        "1e",
+        "-",
+        "1.2.3",
+        "0x10",
     ];
 
     fn pick<T: Copy>(rng: &mut TestRng, xs: &[T]) -> T {
@@ -505,17 +543,34 @@ mod properties {
         (0..rng.below(8)).map(|_| pick(rng, TEXT)).collect()
     }
 
+    /// Text the writer puts out unescaped.
+    fn plain_text(rng: &mut TestRng) -> String {
+        text(rng)
+            .chars()
+            .filter(|&c| c >= ' ' && c != '"' && c != '\\')
+            .collect()
+    }
+
+    /// A `u64` over its whole range, small values half the time.
+    fn wide(rng: &mut TestRng) -> u64 {
+        if chance(rng, 2) {
+            rng.below(100)
+        } else {
+            rng.next_u64() >> rng.below(64)
+        }
+    }
+
     fn entry(rng: &mut TestRng) -> RoundEntry {
         let fault = chance(rng, 3).then(|| text(rng));
         RoundEntry {
-            seq: rng.below(100),
-            lane: rng.below(4),
-            round: rng.below(10),
+            seq: wide(rng),
+            lane: wide(rng),
+            round: wide(rng),
             committed: rng.next_u64() >> rng.below(64),
-            sim_time: if chance(rng, 2) {
-                pick(rng, TIMES)
-            } else {
-                rng.unit_f64() * 1e6
+            sim_time: match rng.below(4) {
+                0 | 1 => pick(rng, TIMES),
+                2 => (rng.next_u64() >> rng.below(64)) as f64,
+                _ => rng.unit_f64() * 1e6,
             },
             d1: Digest128 {
                 fnv: rng.next_u64(),
@@ -545,8 +600,8 @@ mod properties {
                     Action::Shutdown,
                 ],
             ),
-            rollforward: rng.below(4) as u32,
-            fault_id: (fault.is_some() || chance(rng, 8)).then(|| rng.below(5)),
+            rollforward: wide(rng) as u32,
+            fault_id: (fault.is_some() || chance(rng, 8)).then(|| wide(rng)),
             fault_outcome: chance(rng, 4).then(|| text(rng)),
             fault,
         }
@@ -712,6 +767,71 @@ mod properties {
         line(rng, fields)
     }
 
+    /// An integer token in the writer's spelling, or after leading zeros.
+    fn uint_token(rng: &mut TestRng, n: u64) -> String {
+        let zeros = if chance(rng, 4) { rng.below(3) + 1 } else { 0 };
+        format!("{}{n}", "0".repeat(zeros as usize))
+    }
+
+    /// `e` in the writer's layout with its numbers respelled: leading
+    /// zeros, a `rollforward` token at or above 2^32 (read back
+    /// truncated), and `sim_time` in spellings the writer never uses.
+    fn respelled_line(rng: &mut TestRng, e: &RoundEntry) -> String {
+        let mut e = e.clone();
+        let (fault, fault_id, outcome) =
+            (e.fault.take(), e.fault_id.take(), e.fault_outcome.take());
+        let line = e.to_json_line();
+        let (Some(from), Some(to)) = (line.find(",\"d1\":"), line.rfind(",\"rollforward\":"))
+        else {
+            unreachable!("the writer's layout: {line}")
+        };
+        let middle = &line[from..to];
+        let time = if chance(rng, 2) {
+            pick(rng, TIME_SPELLINGS).to_string()
+        } else {
+            fmt_f64(e.sim_time)
+        };
+        let rollforward = if chance(rng, 2) {
+            let high = 1 + (rng.next_u64() >> (33 + rng.below(31)));
+            high << 32 | u64::from(e.rollforward)
+        } else {
+            e.rollforward.into()
+        };
+        let mut out = format!(
+            "{{\"seq\":{},\"lane\":{},\"round\":{},\"committed\":{},\"sim_time\":{time}{middle},\"rollforward\":{}",
+            uint_token(rng, e.seq),
+            uint_token(rng, e.lane),
+            uint_token(rng, e.round),
+            uint_token(rng, e.committed),
+            uint_token(rng, rollforward),
+        );
+        if let Some(f) = fault {
+            let _ = write!(out, ",\"fault\":\"{}\"", json_escape(&f));
+        }
+        if let Some(id) = fault_id {
+            let _ = write!(out, ",\"fault_id\":{}", uint_token(rng, id));
+        }
+        if let Some(o) = outcome {
+            let _ = write!(out, ",\"fault_outcome\":\"{}\"", json_escape(&o));
+        }
+        out.push('}');
+        out
+    }
+
+    /// `j`'s header as the writer writes it, then its entries respelled.
+    fn respelled_jsonl(rng: &mut TestRng, j: &Journal) -> String {
+        let mut out = j
+            .header
+            .as_ref()
+            .map(|h| h.to_json_line() + "\n")
+            .unwrap_or_default();
+        for e in &j.entries {
+            out.push_str(&respelled_line(rng, e));
+            out.push('\n');
+        }
+        out
+    }
+
     /// `j` as JSONL from a random writer: the header may come late or
     /// not at all, blank lines and `\r\n` endings are mixed in.
     fn jsonl(rng: &mut TestRng, j: &Journal) -> String {
@@ -766,9 +886,53 @@ mod properties {
         cs.into_iter().collect()
     }
 
+    /// The fast path's contract on one line: it decodes the general
+    /// scanner's entry, `sim_time` bits included, or nothing.
+    fn same_or_none(line: &str) {
+        let Some(fast) = decode::canonical_entry(line) else {
+            return;
+        };
+        match decode::scan(line, true) {
+            Ok(decode::Line::Entry(e)) => {
+                assert_eq!(fast, e, "{line:?}");
+                assert_eq!(fast.sim_time.to_bits(), e.sim_time.to_bits(), "{line:?}");
+            }
+            Ok(decode::Line::Header(_)) => panic!("the fast path read a header: {line:?}"),
+            Err(_) => panic!("the fast path read a line the scanner refuses: {line:?}"),
+        }
+    }
+
+    /// The streaming reader, through a buffer of `cap` bytes and with
+    /// room for `room` entries reserved, returns what the tolerant reader
+    /// returns for `bytes`; bytes that are not UTF-8 fail as reading them
+    /// whole fails. Compared as `Debug` text, so a NaN time equals itself.
+    fn stream_agrees(bytes: &[u8], cap: usize, room: u64) {
+        let streamed = Journal::read_lines(io::BufReader::with_capacity(cap, bytes), room);
+        match std::str::from_utf8(bytes) {
+            Ok(text) => {
+                let whole = Journal::from_jsonl_tolerant(text);
+                let streamed = streamed.expect("no I/O error on UTF-8 text");
+                assert_eq!(format!("{streamed:?}"), format!("{whole:?}"), "{text:?}");
+            }
+            Err(_) => {
+                let whole = io::Read::read_to_string(&mut &bytes[..], &mut String::new())
+                    .expect_err("not UTF-8");
+                let streamed = streamed.expect_err("not UTF-8");
+                assert_eq!(streamed.kind(), whole.kind(), "{bytes:?}");
+                assert_eq!(streamed.to_string(), whole.to_string(), "{bytes:?}");
+            }
+        }
+    }
+
     /// Both readers, strict and tolerant, agree on `text` — values,
-    /// serialised bytes and error strings.
+    /// serialised bytes and error strings —, the streaming reader agrees
+    /// with them, and every line keeps the fast path's contract.
     fn agree(text: &str) {
+        for line in text.lines() {
+            same_or_none(line.trim());
+        }
+        stream_agrees(text.as_bytes(), 3, 0);
+        stream_agrees(text.as_bytes(), 8192, text.lines().count() as u64);
         let (new, old) = (Journal::from_jsonl(text), from_jsonl(text));
         assert_eq!(new, old, "from_jsonl on {text:?}");
         if let (Ok(n), Ok(o)) = (&new, &old) {
@@ -793,9 +957,15 @@ mod properties {
         }
     }
 
-    /// Change one random field of `e`.
+    /// Change one random field of `e`. One time in eight the integer
+    /// fields keep their value, so an edit that changes nothing still
+    /// comes up now that `entry` draws them over the whole range.
     fn changed(rng: &mut TestRng, e: &mut RoundEntry) {
-        let other = entry(rng);
+        let mut other = entry(rng);
+        if chance(rng, 8) {
+            (other.seq, other.lane, other.round) = (e.seq, e.lane, e.round);
+            (other.rollforward, other.fault_id) = (e.rollforward, e.fault_id);
+        }
         match rng.below(15) {
             0 => e.seq = other.seq,
             1 => e.lane = other.lane,
@@ -841,11 +1011,70 @@ mod properties {
         fn decoder_agrees_with_the_tree_parser(seed in any::<u64>()) {
             let mut rng = TestRng::new(seed);
             let j = journal(&mut rng);
-            agree(&j.to_jsonl());
+            let canonical = j.to_jsonl();
+            agree(&canonical);
+            let respelled = respelled_jsonl(&mut rng, &j);
+            agree(&respelled);
             let text = jsonl(&mut rng, &j);
             agree(&text);
             for _ in 0..16 {
                 agree(&mutate(&mut rng, &text));
+            }
+            // near-canonical lines reach every bail-out of the fast path
+            for _ in 0..8 {
+                agree(&mutate(&mut rng, &canonical));
+                agree(&mutate(&mut rng, &respelled));
+            }
+        }
+
+        #[test]
+        fn streaming_reader_agrees_on_any_bytes(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let j = journal(&mut rng);
+            let text = if chance(&mut rng, 2) { j.to_jsonl() } else { jsonl(&mut rng, &j) };
+            let mut bytes = text.into_bytes();
+            // byte edits: stray continuation and lead bytes, an encoded
+            // surrogate, a line break, a tear
+            for _ in 0..rng.below(4) {
+                let at = rng.below(bytes.len() as u64 + 1) as usize;
+                let edit: &[u8] = pick(&mut rng, &[&[0x80u8][..], &[0xc3], &[0xff], &[0xed, 0xa0, 0x80], b"\n"]);
+                match rng.below(3) {
+                    0 => bytes.truncate(at),
+                    1 if at < bytes.len() => bytes[at] = edit[0],
+                    _ => {
+                        bytes.splice(at..at, edit.iter().copied());
+                    }
+                }
+            }
+            let cap = 1 + rng.below(64) as usize;
+            let room = rng.below(2 * bytes.len() as u64 / 100 + 2);
+            stream_agrees(&bytes, cap, room);
+        }
+
+        // Drift guard: the writer's own lines take the fast path. A
+        // writer layout change that the fast path does not follow fails
+        // here instead of quietly sending every line to the scanner.
+        #[test]
+        fn writer_lines_take_the_fast_path(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let mut j = journal(&mut rng);
+            for e in &mut j.entries {
+                e.sched = plain_text(&mut rng);
+                if e.fault.is_some() {
+                    e.fault = Some(plain_text(&mut rng));
+                }
+                if e.fault_outcome.is_some() {
+                    e.fault_outcome = Some(plain_text(&mut rng));
+                }
+            }
+            let text = j.to_jsonl();
+            for line in text.lines().skip(1) {
+                prop_assert!(
+                    decode::canonical_entry(line).is_some(),
+                    "a writer line left the fast path: {}",
+                    line
+                );
+                same_or_none(line);
             }
         }
 
