@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-analytic — the paper's closed-form performance model
 //!

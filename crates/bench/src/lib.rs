@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! # vds-bench — the figure-regeneration harness
 //!
 //! One module per experiment in DESIGN.md's index (E1–E18), each built

@@ -1,11 +1,12 @@
-//! The live-telemetry demo campaign behind `vds serve`.
+//! The fault campaigns `vds campaign` records and `vds replay` re-runs.
 //!
-//! `vds serve` needs a campaign that is representative (real faults
-//! against the real cycle-level VDS, like E10), deterministic for a
-//! fixed seed, and instrumented: every trial folds its run report and
-//! SMT pipeline counters into the shard recorder, so the telemetry
-//! hub's `/metrics` exposition shows `vds.*`, `smt.*` and `campaign.*`
-//! series filling in while the campaign runs.
+//! A recorded campaign must be representative (real faults against the
+//! real cycle-level VDS, like E10, or against a bytecode-VM duplex),
+//! deterministic for a fixed seed, and instrumented: every trial folds
+//! its run report and SMT pipeline counters into the shard recorder, so
+//! the merged registry carries `vds.*`, `smt.*` and `campaign.*` series
+//! and the journal carries every trial's rounds under its own lane. The
+//! `benchmark/` campaigns drive the same trial functions.
 
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
@@ -16,31 +17,14 @@ use vds_fault::campaign::TrialResult;
 use vds_fault::model::{sample_transient_site, FaultKind};
 use vds_obs::{JournalHeader, Recorder};
 
-/// One instrumented trial of the serve campaign: a transient fault at a
-/// random round/site against the diversified micro VDS. Deterministic in
-/// `(index, base_seed, target_rounds)`; records the run's `vds.*` and
-/// `smt.*` metrics into `rec`. When `rec` carries an enabled
-/// flight-recorder journal (a campaign launched through
+/// One instrumented trial of the micro campaign: a transient fault at a
+/// random round/site against the diversified micro VDS under `scheme`
+/// (any micro-capable scheme, as `vds campaign --scheme` picks it).
+/// Deterministic in `(scheme, index, base_seed, target_rounds)`; records
+/// the run's `vds.*` and `smt.*` metrics into `rec`. When `rec` carries
+/// an enabled flight-recorder journal (a campaign launched through
 /// `run_campaign_journaled`), the micro run is journaled too and its
-/// round entries are adopted under lane `index`.
-pub fn campaign_trial(
-    index: u64,
-    base_seed: u64,
-    target_rounds: u64,
-    rec: &mut Recorder,
-) -> TrialResult {
-    campaign_trial_for(
-        Scheme::SmtProbabilistic,
-        index,
-        base_seed,
-        target_rounds,
-        rec,
-    )
-}
-
-/// [`campaign_trial`] with the recovery scheme as a parameter, so `vds
-/// serve --scheme` (and `vds replay` of such a recording) can run the
-/// same campaign under any micro-capable scheme. The fault sequence
+/// round entries are adopted under lane `index`. The fault sequence
 /// depends only on `(index, base_seed)`, so two campaigns differing only
 /// in scheme face identical fault injections.
 pub fn campaign_trial_for(
@@ -73,8 +57,8 @@ pub fn campaign_trial_for(
     TrialResult::with_value(trial_label(&report), report.detections as f64)
 }
 
-/// One instrumented trial of the **bytecode-VM** serve campaign
-/// (`vds serve --workload vm:<program>`): a sampled architectural-state
+/// One instrumented trial of the **bytecode-VM** campaign
+/// (`vds campaign --workload vm:<program>`): a sampled architectural-state
 /// fault ([`vds_fault::vm::sample_vm_site`]) against the diversified
 /// duplex of a `vds-vm` seed program. Deterministic in
 /// `(program, index, base_seed, target_rounds)` with the same
@@ -147,16 +131,11 @@ pub fn trial_label(report: &vds_core::report::RunReport) -> &'static str {
     }
 }
 
-/// The journal header describing a serve/fault campaign, so recordings
-/// and `vds replay` re-runs agree on the run's identity. `s` and the
-/// scheme mirror [`campaign_trial`]'s fixed configuration.
-pub fn campaign_journal_header(trials: u64, base_seed: u64, target_rounds: u64) -> JournalHeader {
-    campaign_journal_header_for(Scheme::SmtProbabilistic, trials, base_seed, target_rounds)
-}
-
-/// [`campaign_journal_header`] for a [`campaign_trial_for`] campaign
-/// under `scheme`: the header records the scheme so replay and the
-/// conformance tracker price the rounds with the right closed forms.
+/// The journal header describing a [`campaign_trial_for`] campaign under
+/// `scheme`, so recordings and `vds replay` re-runs agree on the run's
+/// identity. `s` mirrors the trial's fixed configuration, and the header
+/// records the scheme so replay and the conformance tracker price the
+/// rounds with the right closed forms.
 pub fn campaign_journal_header_for(
     scheme: Scheme,
     trials: u64,
@@ -191,10 +170,10 @@ mod tests {
     use vds_fault::campaign::run_campaign_recorded_as;
 
     #[test]
-    fn serve_campaign_is_deterministic_and_instrumented() {
+    fn micro_campaign_is_deterministic_and_instrumented() {
         let run = |workers| {
             run_campaign_recorded_as("serve", 24, workers, |i, rec| {
-                campaign_trial(i, 42, 40, rec)
+                campaign_trial_for(Scheme::SmtProbabilistic, i, 42, 40, rec)
             })
         };
         let (ra, reca) = run(1);
@@ -211,12 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn journaled_serve_campaign_is_byte_identical_across_workers() {
+    fn journaled_micro_campaign_is_byte_identical_across_workers() {
         use vds_fault::campaign::run_campaign_journaled;
-        let header = campaign_journal_header(12, 42, 30);
+        let scheme = Scheme::SmtProbabilistic;
+        let header = campaign_journal_header_for(scheme, 12, 42, 30);
         let run = |workers| {
             run_campaign_journaled("serve", 12, workers, None, &header, |i, rec| {
-                campaign_trial(i, 42, 30, rec)
+                campaign_trial_for(scheme, i, 42, 30, rec)
             })
         };
         let (ra, reca) = run(1);
@@ -281,9 +261,9 @@ mod tests {
 
     #[test]
     fn halting_versions_are_trap_evidence_not_panics() {
-        // serve trials 865 and 997 (seed 1, 40 rounds) flip a bit that
+        // campaign trials 865 and 997 (seed 1, 40 rounds) flip a bit that
         // sends a version off its round loop into `halt`; that used to
-        // panic the engine and kill `vds serve`
+        // panic the engine and kill the whole campaign
         for index in [865, 997] {
             let mut rec = Recorder::new();
             let r = campaign_trial_for(Scheme::SmtProbabilistic, index, 1, 40, &mut rec);

@@ -12,7 +12,7 @@
 //! Both `--flag value` and `--flag=value` spellings are accepted, flags
 //! and positionals can be interleaved, and `--help` is recognised by
 //! every command. A flag a command does not declare is an error — `vds
-//! duplex --port 80` no longer parses silently.
+//! duplex --trials 8` does not parse silently.
 
 use crate::{parse_num, CliError, Flags};
 use std::fmt::Write as _;
@@ -70,19 +70,7 @@ const THRESHOLD: FlagSpec = flag(
     Some("FRAC"),
     "allowed relative throughput drop for --check (default 0.5, e.g. 0.15)",
 );
-const ADDR: FlagSpec = flag("addr", Some("HOST"), "bind address (default 127.0.0.1)");
-const PORT: FlagSpec = flag("port", Some("N"), "TCP port (0 = ephemeral)");
-const PORT_FILE: FlagSpec = flag(
-    "port-file",
-    Some("PATH"),
-    "write the bound port to PATH once listening",
-);
 const TRIALS: FlagSpec = flag("trials", Some("N"), "campaign trials (default 200)");
-const ONCE: FlagSpec = flag(
-    "once",
-    None,
-    "exit after the campaign instead of waiting for Ctrl-C",
-);
 const GRID: FlagSpec = flag(
     "grid",
     Some("SPEC|FILE"),
@@ -222,33 +210,31 @@ pub(crate) const SWEEP: CommandSpec = CommandSpec {
     usage: "vds sweep --grid SPEC|FILE",
     about: "deterministic parallel parameter sweep over the VDS grid",
     flags: &[
-        GRID, RESUME, ROUNDS, SEED, WORKERS, OUT, METRICS, JSON, ADDR, PORT, PORT_FILE, LOG_LEVEL,
-        WORKLOAD,
+        GRID, RESUME, ROUNDS, SEED, WORKERS, OUT, METRICS, JSON, LOG_LEVEL, WORKLOAD,
     ],
 };
 
-pub(crate) const SERVE: CommandSpec = CommandSpec {
-    name: "serve",
-    usage: "vds serve [--addr HOST] [--port N] [--scheme NAME] [--once]",
-    about: "run a live fault campaign behind a telemetry HTTP server",
+pub(crate) const CAMPAIGN: CommandSpec = CommandSpec {
+    name: "campaign",
+    usage: "vds campaign [--trials N] [--scheme NAME] [--journal PATH] [--metrics PATH]",
+    about: "run a fault campaign and write its journal, metrics and trace files",
     flags: &[
-        ADDR, PORT, PORT_FILE, TRIALS, ROUNDS, SEED, WORKERS, SCHEME, ONCE, METRICS, JOURNAL,
-        LOG_LEVEL, WORKLOAD,
+        TRIALS, ROUNDS, SEED, WORKERS, SCHEME, METRICS, JOURNAL, LOG_LEVEL, WORKLOAD,
     ],
 };
 
 pub(crate) const CONFORMANCE: CommandSpec = CommandSpec {
     name: "conformance",
-    usage: "vds conformance <journal|live> [--window N] [--tolerance F] [--json]",
-    about: "predicted-vs-measured G residuals over a recorded (or live) journal",
-    flags: &[WINDOW, TOLERANCE, ALPHA_MODE, JSON, ADDR, PORT, LOG_LEVEL],
+    usage: "vds conformance <journal> [--window N] [--tolerance F] [--json]",
+    about: "predicted-vs-measured G residuals over a recorded journal",
+    flags: &[WINDOW, TOLERANCE, ALPHA_MODE, JSON, LOG_LEVEL],
 };
 
 pub(crate) const FAULTS: CommandSpec = CommandSpec {
     name: "faults",
-    usage: "vds faults <journal|live> [--json]",
-    about: "per-fault lifecycle forensics over a recorded (or live) journal",
-    flags: &[JSON, ADDR, PORT, LOG_LEVEL],
+    usage: "vds faults <journal> [--json]",
+    about: "per-fault lifecycle forensics over a recorded journal",
+    flags: &[JSON, LOG_LEVEL],
 };
 
 pub(crate) const REPLAY: CommandSpec = CommandSpec {
@@ -345,7 +331,6 @@ impl CommandSpec {
 fn set_bool(f: &mut Flags, name: &str) {
     match name {
         "json" => f.json = true,
-        "once" => f.once = true,
         _ => unreachable!("boolean flag `--{name}` missing from set_bool"),
     }
 }
@@ -372,9 +357,6 @@ fn set_value(f: &mut Flags, name: &str, value: String) -> Result<(), CliError> {
             f.threshold = Some(t);
         }
         "log-level" => vds_obs::logging::set_level_str(&value).map_err(CliError::usage)?,
-        "addr" => f.addr = Some(value),
-        "port" => f.port = Some(parse_num(&value, "--port")?),
-        "port-file" => f.port_file = Some(value),
         "trials" => f.trials = Some(parse_num(&value, "--trials")?),
         "journal" => f.journal = Some(value),
         "grid" => f.grid = Some(value),
@@ -427,10 +409,14 @@ mod tests {
 
     #[test]
     fn per_command_specs_reject_other_commands_flags() {
-        // --port belongs to serve/sweep, not duplex
-        let e = DUPLEX.parse(&v(&["smt-det", "--port", "80"])).unwrap_err();
+        // --trials belongs to campaign, not duplex
+        let e = DUPLEX.parse(&v(&["smt-det", "--trials", "8"])).unwrap_err();
         assert_eq!(e.code, 2);
-        assert!(e.msg.contains("duplex: unknown flag `--port`"), "{}", e.msg);
+        assert!(
+            e.msg.contains("duplex: unknown flag `--trials`"),
+            "{}",
+            e.msg
+        );
         assert!(e.msg.contains("see `vds duplex --help`"), "{}", e.msg);
         // --grid belongs to sweep, not bench
         let e = BENCH.parse(&v(&["--grid", "alpha=0.5"])).unwrap_err();
@@ -439,7 +425,7 @@ mod tests {
 
     #[test]
     fn help_flag_is_universal_and_lists_the_command_flags() {
-        for spec in [&ALPHA, &DUPLEX, &BENCH, &SWEEP, &SERVE, &REPLAY, &AUDIT] {
+        for spec in [&ALPHA, &DUPLEX, &BENCH, &SWEEP, &CAMPAIGN, &REPLAY, &AUDIT] {
             let f = spec.parse(&v(&["--help"])).unwrap();
             assert!(f.help, "vds {}", spec.name);
             let h = spec.help();
@@ -448,7 +434,7 @@ mod tests {
                 assert!(h.contains(&format!("--{}", fl.name)), "{h}");
             }
         }
-        assert!(SERVE.help().contains("--once"), "{}", SERVE.help());
+        assert!(CAMPAIGN.help().contains("--trials"), "{}", CAMPAIGN.help());
     }
 
     #[test]
@@ -467,8 +453,8 @@ mod tests {
     fn error_wording_is_uniform_across_commands() {
         let e = SWEEP.parse(&v(&["--grid"])).unwrap_err();
         assert_eq!(e.msg, "sweep: `--grid` needs a value");
-        let e = SERVE.parse(&v(&["--once=1"])).unwrap_err();
-        assert_eq!(e.msg, "serve: `--once` takes no value");
+        let e = CAMPAIGN.parse(&v(&["--trials"])).unwrap_err();
+        assert_eq!(e.msg, "campaign: `--trials` needs a value");
         let e = STATS.parse(&v(&["--json=1"])).unwrap_err();
         assert_eq!(e.msg, "stats: `--json` takes no value");
     }

@@ -5,8 +5,7 @@
 //! [`CliError`]. The one multi-line error is a divergence report, which
 //! `audit diff` and `replay` print by design.
 //!
-//! The tokens never name `live` as a source (that would open a socket),
-//! and no value is a log-level name: a valid `--log-level` changes the
+//! No value is a log-level name: a valid `--log-level` changes the
 //! process-wide level that other tests capture logs under.
 
 use super::*;
@@ -24,7 +23,7 @@ const SPECS: &[&CommandSpec] = &[
     &EXPERIMENT,
     &BENCH,
     &SWEEP,
-    &SERVE,
+    &CAMPAIGN,
     &CONFORMANCE,
     &FAULTS,
     &REPLAY,
@@ -75,7 +74,7 @@ const VALUES: &[&str] = &[
     "alpha=0.5;s=10",
 ];
 
-/// Free-text characters. They spell no log level and never `live`.
+/// Free-text characters. They spell no log level.
 const ALPHABET: &[char] = &[
     'a', 'z', 'A', '0', '9', '-', '+', '.', '=', '/', ' ', '\t', '\u{0}', 'é', '€', '😀',
 ];
@@ -123,7 +122,8 @@ fn argv(rng: &mut TestRng, spec: &CommandSpec, paths: &[String], max: u64) -> Ve
 
 /// Journal-ish inputs for the read-side commands: a recorded micro
 /// journal, a copy torn mid-line, a headerless one, non-JSON text, an
-/// empty file, a directory and a missing path.
+/// empty file, a directory, a missing path and the bare word `live`,
+/// a relative path that does not exist.
 fn corpus() -> &'static [String] {
     static PATHS: OnceLock<Vec<String>> = OnceLock::new();
     PATHS.get_or_init(|| {
@@ -160,6 +160,7 @@ fn corpus() -> &'static [String] {
         .map(|n| path(n).to_str().unwrap().to_string())
         .collect();
         paths.push(dir.to_str().unwrap().to_string());
+        paths.push("live".to_string());
         paths
     })
 }

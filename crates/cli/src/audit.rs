@@ -155,8 +155,8 @@ fn replay_micro(header: &JournalHeader) -> Result<Journal, CliError> {
 fn replay_campaign(header: &JournalHeader, workers: usize) -> Result<Journal, CliError> {
     use vds_bench::live::campaign_trial_for;
     use vds_fault::campaign::run_campaign_journaled;
-    // campaign journals record the serve campaign under the scheme the
-    // header names (`vds serve --scheme`); anything micro-capable replays
+    // campaign journals record the campaign under the scheme the header
+    // names (`vds campaign --scheme`); anything micro-capable replays
     let scheme = parse_scheme(&header.scheme)?;
     if scheme == vds_core::Scheme::SmtBoosted5 {
         return Err(CliError::runtime(
@@ -174,7 +174,7 @@ fn replay_campaign(header: &JournalHeader, workers: usize) -> Result<Journal, Cl
     Ok(rec.journal().clone())
 }
 
-/// Replay a bytecode-VM recording. A `trials` meta key marks a serve
+/// Replay a bytecode-VM recording. A `trials` meta key marks a
 /// campaign over the VM workload; without it the journal is a single
 /// `vds vm duplex` run.
 fn replay_vm(header: &JournalHeader, workers: usize) -> Result<Journal, CliError> {

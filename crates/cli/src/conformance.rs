@@ -4,9 +4,8 @@
 //! `vds-obs`'s [`ConformanceTracker`]) and prints the windowed residual
 //! report: mean / p50 / p99 residual, the fraction of windows outside
 //! the tolerance band, and the worst window with its round range. The
-//! input is either a journal file written by `--journal` (any backend —
-//! micro duplex runs, serve campaigns, abstract runs) or the literal
-//! word `live`, which fetches `/journal` from a running `vds serve`.
+//! input is a journal file written by `--journal` (any backend — micro
+//! duplex runs, `vds campaign` recordings, abstract runs).
 //!
 //! The report depends only on the journal bytes, so it is identical for
 //! any worker count that produced the recording — the same determinism
@@ -19,7 +18,6 @@
 //! how much model error the parametric α was responsible for.
 
 use crate::CliError;
-use std::io::{Read as _, Write as _};
 use vds_obs::conformance::{DEFAULT_TOLERANCE, DEFAULT_WINDOW};
 use vds_obs::ConformanceTracker;
 
@@ -31,13 +29,13 @@ pub(crate) fn cmd_conformance(args: &[String]) -> Result<String, CliError> {
     let source = f
         .positional
         .first()
-        .ok_or_else(|| CliError::usage("conformance: missing journal (a path, or `live`)"))?;
+        .ok_or_else(|| CliError::usage("conformance: missing journal path"))?;
     if f.positional.len() > 1 {
         return Err(CliError::usage("conformance: too many arguments"));
     }
     let window = f.window.unwrap_or(DEFAULT_WINDOW);
     let tolerance = f.tolerance.unwrap_or(DEFAULT_TOLERANCE);
-    let journal = crate::journal_source(source, &f)?;
+    let journal = crate::read_journal_tolerant(source)?;
     if journal.header().is_none() {
         return Err(CliError::runtime(format!(
             "`{source}` has no journal header (missing or truncated?)"
@@ -65,37 +63,6 @@ pub(crate) fn cmd_conformance(args: &[String]) -> Result<String, CliError> {
     } else {
         Ok(report.render_text())
     }
-}
-
-/// Fetch `/journal` from a running `vds serve` with a minimal HTTP/1.0
-/// GET over a raw [`std::net::TcpStream`] — no client dependency, same
-/// zero-dependency stance as the server side. Shared with `vds faults`,
-/// which prices the same journal bytes.
-pub(crate) fn fetch_live_journal(addr: &str) -> Result<String, CliError> {
-    let err = |e: std::io::Error| {
-        CliError::runtime(format!(
-            "cannot fetch journal from http://{addr}/journal: {e} (is `vds serve` running?)"
-        ))
-    };
-    let mut stream = std::net::TcpStream::connect(addr).map_err(err)?;
-    stream
-        .write_all(format!("GET /journal HTTP/1.0\r\nHost: {addr}\r\n\r\n").as_bytes())
-        .map_err(err)?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(err)?;
-    let Some((head, body)) = response.split_once("\r\n\r\n") else {
-        return Err(CliError::runtime(format!(
-            "malformed HTTP response from http://{addr}/journal"
-        )));
-    };
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains("200") {
-        return Err(CliError::runtime(format!(
-            "http://{addr}/journal answered `{status}` — \
-             was the campaign recorded with a journal?"
-        )));
-    }
-    Ok(body.to_string())
 }
 
 #[cfg(test)]

@@ -5,9 +5,8 @@
 //! prints the forensics report: coverage (detected / injected),
 //! masked and escaped counts, detection-latency quantiles in rounds
 //! and sim-time, mean time-to-recover, and the escape list with each
-//! escaped fault's latent round range. The input is either a journal
-//! file written by `--journal` (any backend) or the literal word
-//! `live`, which fetches `/journal` from a running `vds serve`.
+//! escaped fault's latent round range. The input is a journal file
+//! written by `--journal` (any backend).
 //!
 //! The report depends only on the journal bytes, so it is identical
 //! for any worker count that produced the recording — the same
@@ -26,11 +25,11 @@ pub(crate) fn cmd_faults(args: &[String]) -> Result<String, CliError> {
     let source = f
         .positional
         .first()
-        .ok_or_else(|| CliError::usage("faults: missing journal (a path, or `live`)"))?;
+        .ok_or_else(|| CliError::usage("faults: missing journal path"))?;
     if f.positional.len() > 1 {
         return Err(CliError::usage("faults: too many arguments"));
     }
-    let journal = crate::journal_source(source, &f)?;
+    let journal = crate::read_journal_tolerant(source)?;
     if journal.header().is_none() {
         return Err(CliError::runtime(format!(
             "`{source}` has no journal header (missing or truncated?)"

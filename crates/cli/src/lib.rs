@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-cli — the command-line interface
 //!
@@ -18,6 +19,7 @@
 //! vds vm <asm|run|duplex> <prog>    assemble, run or duplex a bytecode-VM program
 //! vds bench                         run the pinned perf suite (BENCH_<n>.json)
 //! vds sweep --grid SPEC             deterministic parallel parameter sweep
+//! vds campaign                      fault campaign; writes journal/metrics files
 //! vds gains [alpha] [beta] [p]      print the closed-form gain summary
 //! ```
 //!
@@ -35,12 +37,14 @@
 //! `vds bench --check BASELINE.json` exits nonzero on work-counter drift
 //! or a throughput regression against the committed baseline.
 //!
-//! `vds serve` runs a live fault campaign behind a zero-dependency
-//! telemetry HTTP server (`/metrics` Prometheus exposition, `/healthz`,
-//! `/readyz`, `/trace`, `/progress`) and shuts down gracefully on
-//! Ctrl-C/SIGTERM; `vds stats --json` / `vds bench --json` emit the
-//! machine-readable forms of their reports; `--log-level` (or `VDS_LOG`)
-//! tunes the structured JSONL logging on stderr.
+//! `vds campaign` runs a seeded fault campaign and writes what it
+//! recorded to files: `--journal` (the flight-recorder journal that
+//! `vds replay`, `vds conformance` and `vds faults` read) and `--metrics`
+//! (the registry CSV plus the `PATH.trace.json` Chrome trace), all
+//! byte-identical for a fixed seed at any `--workers`. `vds stats
+//! --json` / `vds bench --json` emit the machine-readable forms of their
+//! reports; `--log-level` (or `VDS_LOG`) tunes the structured JSONL
+//! logging on stderr.
 //!
 //! The command dispatch lives in this library crate so it is unit-testable;
 //! `main.rs` only forwards `std::env::args`.
@@ -49,9 +53,9 @@ use std::fmt::Write as _;
 
 mod args;
 mod audit;
+mod campaign;
 mod conformance;
 mod faults;
-mod serve;
 mod sweep_cmd;
 mod vm_cmd;
 
@@ -98,15 +102,15 @@ USAGE:
     vds experiment <e1..e18|all>        regenerate a paper artefact
     vds bench                           run the pinned perf suite
     vds sweep --grid SPEC|FILE          deterministic parallel parameter sweep over the VDS grid
-    vds serve                           run a live fault campaign behind a telemetry HTTP server
+    vds campaign                        run a fault campaign; write its journal and metrics files
     vds replay <journal>                re-execute a recorded run, assert digest-for-digest agreement
     vds audit diff <a> <b>              first divergent round between two journals
-    vds conformance <journal|live>      predicted-vs-measured G residuals over a journal
-    vds faults <journal|live>           per-fault lifecycle forensics over a journal
+    vds conformance <journal>           predicted-vs-measured G residuals over a journal
+    vds faults <journal>                per-fault lifecycle forensics over a journal
     vds gains [alpha] [beta] [p]        closed-form gain summary
     vds <command> --help                per-command flag reference
 
-FLAGS (alpha / duplex / stats / report / experiment / bench / serve; `--flag v` or `--flag=v`):
+FLAGS (alpha / duplex / stats / report / experiment / bench / campaign; `--flag v` or `--flag=v`):
     --rounds N           size knob: rounds, trials or samples
     --seed N             seed override for seeded runs
     --workers N          worker threads for campaign-style experiments
@@ -118,20 +122,16 @@ FLAGS (alpha / duplex / stats / report / experiment / bench / serve; `--flag v` 
     --threshold FRAC     bench: allowed relative throughput drop for --check (default 0.5)
     --json               stats / bench: machine-readable JSON on stdout
     --log-level LEVEL    off|error|warn|info|debug (default info; also VDS_LOG)
-    --addr HOST          serve: bind address (default 127.0.0.1)
-    --port N             serve: TCP port (0 = ephemeral; default 9898)
-    --port-file PATH     serve: write the bound port to PATH once listening
-    --trials N           serve: campaign trials (default 200)
-    --once               serve: exit after the campaign instead of waiting for Ctrl-C
-    --journal PATH       duplex / stats / report / serve: write the flight-recorder
+    --trials N           campaign: trials (default 200)
+    --journal PATH       duplex / stats / report / campaign: write the flight-recorder
                          round journal (JSONL) to PATH; replay it with `vds replay`
     --grid SPEC|FILE     sweep: inline axes (alpha=0.55,0.65;s=10,20;scheme=smt-det;
                          q=0.01;backend=abstract;rounds=2000;seed=1) or a TOML file
     --resume PATH        sweep: append completed cells to a journal at PATH and, when
                          it already holds rows for this grid, skip those cells
-    --scheme NAME        serve: campaign recovery scheme (default smt-prob;
+    --scheme NAME        campaign: recovery scheme (default smt-prob;
                          smt-boost5 is abstract-only)
-    --workload KIND      duplex / serve / sweep: run against a bytecode-VM seed
+    --workload KIND      duplex / campaign / sweep: run against a bytecode-VM seed
                          program (vm:checksum | vm:sort | vm:matmul | vm:strhash)
     --fault SPEC         vm duplex: fault site vm:reg:<i>:<b> | vm:pc:<b> |
                          vm:lit:<i>:<b> | vm:mem:<a>:<b>, optional @v1/@v2 suffix
@@ -140,8 +140,6 @@ FLAGS (alpha / duplex / stats / report / experiment / bench / serve; `--flag v` 
                          (default 0.25)
     --alpha MODE         conformance: price the model at the measured or the
                          parametric α (measured|parametric; default parametric)
-
-ENDPOINTS (vds serve): /metrics (Prometheus), /healthz, /readyz, /trace (Chrome JSON), /progress (JSON), /journal (JSONL), /conformance (JSON), /faults (JSON), /alpha (JSON)
 
 SCHEMES: conventional, smt-det, smt-prob, smt-pred, smt-boost3, smt-boost5"
 }
@@ -158,11 +156,7 @@ struct Flags {
     out: Option<String>,
     check: Option<String>,
     json: bool,
-    addr: Option<String>,
-    port: Option<u16>,
-    port_file: Option<String>,
     trials: Option<u64>,
-    once: bool,
     journal: Option<String>,
     grid: Option<String>,
     resume: Option<String>,
@@ -279,43 +273,20 @@ fn read_file(path: &str) -> Result<String, CliError> {
         .map_err(|e| CliError::runtime(format!("cannot read `{path}`: {e}")))
 }
 
-/// The journal `vds faults` or `vds conformance` names: a file, or with
-/// `live` the `/journal` of a running `vds serve` at `--addr`/`--port`.
-fn journal_source(source: &str, f: &Flags) -> Result<vds_obs::Journal, CliError> {
-    if source != "live" {
-        return read_journal_tolerant(source);
-    }
-    let addr = format!(
-        "{}:{}",
-        f.addr.as_deref().unwrap_or("127.0.0.1"),
-        f.port.unwrap_or(9898)
-    );
-    let text = conformance::fetch_live_journal(&addr)?;
-    journal_or_error(source, vds_obs::Journal::from_jsonl_tolerant(&text))
-}
-
 /// Read the journal file at `path` for the read-side consumers
 /// (`replay`, `faults`, `conformance`, `audit diff`) a line at a time:
 /// the file's text is never held whole next to the decoded entries.
-/// Errors and warnings are those of reading the whole text first.
-fn read_journal_tolerant(path: &str) -> Result<vds_obs::Journal, CliError> {
-    let parsed = vds_obs::Journal::read_jsonl_tolerant(path)
-        .map_err(|e| CliError::runtime(format!("cannot read `{path}`: {e}")))?;
-    journal_or_error(path, parsed)
-}
-
-/// The parsed journal, or the one-line error naming `source`. A torn
-/// final line, the leftover of a kill mid-append, is logged and
+/// Errors and warnings are those of reading the whole text first. A
+/// torn final line, the leftover of a kill mid-append, is logged and
 /// dropped, the same truncate-and-warn recovery the sweep resume
-/// journal applies; corruption anywhere else still fails.
-fn journal_or_error(
-    source: &str,
-    parsed: Result<(vds_obs::Journal, Option<String>), String>,
-) -> Result<vds_obs::Journal, CliError> {
-    let (journal, warn) =
-        parsed.map_err(|e| CliError::runtime(format!("cannot parse `{source}`: {e}")))?;
+/// journal applies; corruption anywhere else fails with a one-line
+/// error naming `path`.
+fn read_journal_tolerant(path: &str) -> Result<vds_obs::Journal, CliError> {
+    let (journal, warn) = vds_obs::Journal::read_jsonl_tolerant(path)
+        .map_err(|e| CliError::runtime(format!("cannot read `{path}`: {e}")))?
+        .map_err(|e| CliError::runtime(format!("cannot parse `{path}`: {e}")))?;
     if let Some(w) = warn {
-        vds_obs::log_warn!("journal", "{source}: {w}");
+        vds_obs::log_warn!("journal", "{path}: {w}");
     }
     Ok(journal)
 }
@@ -344,7 +315,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "report" => cmd_duplex(&args[1..], DuplexMode::Report),
         "bench" => cmd_bench(&args[1..]),
         "sweep" => sweep_cmd::cmd_sweep(&args[1..]),
-        "serve" => serve::cmd_serve(&args[1..]),
+        "campaign" => campaign::cmd_campaign(&args[1..]),
         "vm" => vm_cmd::cmd_vm(&args[1..]),
         "replay" => audit::cmd_replay(&args[1..]),
         "audit" => audit::cmd_audit(&args[1..]),
@@ -664,7 +635,7 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
                     );
                 }
                 if f.json {
-                    // one serializer with the telemetry server's /progress
+                    // one serializer with every other `--json` report
                     *out = vds_obs::JsonObj::report("stats")
                         .str(
                             "verdict",
@@ -1290,16 +1261,17 @@ mod tests {
     #[test]
     fn malformed_user_input_is_a_one_line_error_never_a_panic() {
         // the panic-hygiene contract for every user-reachable surface:
-        // malformed numbers, bad ports, and missing files must come back
+        // malformed numbers, removed flags, and missing files must come back
         // as a single-line CliError (exit 1 or 2), never as a panic or a
         // multi-line debug dump
         let cases: &[&[&str]] = &[
             &["duplex", "smt-det", "--rounds", "banana"],
             &["duplex", "smt-det", "--rounds", "-3"],
             &["duplex", "smt-det", "--rounds", "18446744073709551616"],
-            &["serve", "--port", "banana"],
-            &["serve", "--port", "99999999"],
-            &["serve", "--port", "-1"],
+            &["campaign", "--trials", "banana"],
+            &["campaign", "--rounds", "-1"],
+            &["campaign", "--workload", "vm:bogus"],
+            &["campaign", "--port", "0"],
             &["vm", "run", "checksum", "nope"],
             &["vm", "duplex", "checksum", "12", "x"],
             &["replay", "/nonexistent/journal.jsonl"],

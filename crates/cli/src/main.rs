@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! The `vds` binary: forwards arguments to the testable dispatcher.
 
 fn main() {

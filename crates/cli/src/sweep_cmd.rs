@@ -3,7 +3,7 @@
 //! ```text
 //! vds sweep --grid "alpha=0.55,0.65,0.75;s=10,20;scheme=smt-det,smt-prob;q=0.01"
 //!           [--workers N] [--out PATH] [--json] [--resume PATH]
-//!           [--metrics PATH] [--addr HOST --port N [--port-file PATH]]
+//!           [--metrics PATH]
 //! ```
 //!
 //! `--grid` takes the inline axis syntax or a path to a TOML grid file
@@ -13,17 +13,15 @@
 //! count. `--json` prints the JSONL rows on stdout instead of the
 //! summary table. `--resume PATH` keeps a crash-tolerant journal: cells
 //! append as they finish, and a re-run against the same grid skips every
-//! cell already journaled. `--port` serves `/metrics` and `/progress`
-//! live while the sweep runs (same hub as `vds serve`), shutting down
-//! when the sweep completes.
+//! cell already journaled. `--metrics PATH` writes the sweep's merged
+//! registry as CSV.
 
 use crate::{write_atomic, write_metrics, CliError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex};
-use vds_fault::campaign::{CampaignMonitor, HubMonitor};
-use vds_obs::{log_info, TelemetryHub, TelemetryServer};
+use std::sync::Mutex;
+use vds_obs::log_info;
 use vds_sweep::export::{csv_row, journal_header, parse_journal, to_csv, to_jsonl};
 use vds_sweep::{run_sweep, CellResult, GridSpec, SweepOutcome};
 
@@ -110,49 +108,9 @@ pub(crate) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
         .as_ref()
         .map(|w| w as &(dyn Fn(&CellResult) + Sync));
 
-    // optional live telemetry while the sweep runs
-    let served = match f.port {
-        Some(port) => {
-            let addr = format!("{}:{port}", f.addr.as_deref().unwrap_or("127.0.0.1"));
-            let hub = TelemetryHub::new();
-            let server = TelemetryServer::bind(&addr, Arc::clone(&hub))
-                .map_err(|e| CliError::runtime(format!("cannot bind `{addr}`: {e}")))?;
-            if let Some(path) = &f.port_file {
-                std::fs::write(path, format!("{}\n", server.local_addr().port()))
-                    .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
-            }
-            hub.begin_campaign("sweep", spec.cell_count(), spec.cell_count());
-            hub.mark_ready();
-            log_info!(
-                "sweep",
-                "serving http://{} while the sweep runs — /metrics /progress",
-                server.local_addr()
-            );
-            Some((hub, server))
-        }
-        None => None,
-    };
-    let monitor = served
-        .as_ref()
-        .map(|(hub, _)| HubMonitor::new(Arc::clone(hub)));
-
     let started = std::time::Instant::now();
-    let outcome = run_sweep(
-        &spec,
-        workers,
-        monitor.as_ref().map(|m| m as &dyn CampaignMonitor),
-        &resumed,
-        on_cell,
-    );
+    let outcome = run_sweep(&spec, workers, None, &resumed, on_cell);
     let host_secs = started.elapsed().as_secs_f64();
-
-    if let Some((hub, server)) = served {
-        // swap the completion-ordered live view for the canonical
-        // index-ordered registry, then shut down: the sweep is the product
-        hub.replace_registry(outcome.registry.clone());
-        hub.mark_done();
-        server.shutdown();
-    }
 
     let mut out = if f.json {
         to_jsonl(&outcome.results)
@@ -408,28 +366,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_serves_progress_while_running() {
-        let dir = std::env::temp_dir().join("vds-cli-sweep-serve");
+    fn sweep_metrics_writes_the_canonical_registry() {
+        let dir = std::env::temp_dir().join("vds-cli-sweep-metrics");
         std::fs::create_dir_all(&dir).unwrap();
-        let pf = dir.join("port");
-        // ephemeral port; the server answers during the run and the
-        // canonical registry lands in --metrics afterwards
         let metrics = dir.join("sweep-metrics.csv");
         let out = run(&[
             "sweep",
             "--grid",
             "alpha=0.65;scheme=smt-det;rounds=50",
-            "--port",
-            "0",
-            "--port-file",
-            pf.to_str().unwrap(),
             "--metrics",
             metrics.to_str().unwrap(),
         ])
         .unwrap();
         assert!(out.contains("1 cells"), "{out}");
-        assert!(pf.is_file(), "port file written");
         let csv = std::fs::read_to_string(&metrics).unwrap();
         assert!(csv.contains("counter,sweep.cells_done,value,1"), "{csv}");
+        // a removed telemetry flag is a usage error
+        let e = run(&["sweep", "--port", "0"]).unwrap_err();
+        assert_eq!(e.code, 2);
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-desim — seeds, spans and surfaces for the figure harness
 //!

@@ -17,8 +17,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use vds_obs::{JournalHeader, Recorder, Registry, Summary, TelemetryHub};
+use std::sync::Mutex;
+use vds_obs::{JournalHeader, Recorder, Registry, Summary};
 
 /// Number of logical shards a campaign is split into (capped by the
 /// trial count). Fixed so that the shard partition — and therefore the
@@ -163,7 +163,9 @@ impl std::fmt::Display for CampaignReport {
 /// worker count), so a monitor must only do order-insensitive things
 /// with them — counting, and merging commutative aggregates. The
 /// canonical campaign result is accumulated separately, in shard order,
-/// and is bit-identical with or without a monitor attached.
+/// and is bit-identical with or without a monitor attached. No command
+/// attaches one today; the parameter stays for the callers that pass
+/// `None` positionally.
 pub trait CampaignMonitor: Sync {
     /// One trial finished (called after every trial, any worker).
     fn trial_done(&self) {}
@@ -172,33 +174,6 @@ pub trait CampaignMonitor: Sync {
     /// content (already including the shard's trial recordings).
     fn shard_done(&self, registry: &Registry) {
         let _ = registry;
-    }
-}
-
-/// The standard monitor: forwards campaign progress into a live
-/// [`TelemetryHub`] so an attached [`vds_obs::TelemetryServer`] can
-/// stream it (`/progress`, `/metrics`). Counters and gauges merge
-/// commutatively, so the hub's live view converges to the canonical
-/// result regardless of shard completion order.
-pub struct HubMonitor {
-    hub: Arc<TelemetryHub>,
-}
-
-impl HubMonitor {
-    /// Monitor publishing into `hub`.
-    pub fn new(hub: Arc<TelemetryHub>) -> Self {
-        HubMonitor { hub }
-    }
-}
-
-impl CampaignMonitor for HubMonitor {
-    fn trial_done(&self) {
-        self.hub.trial_done();
-    }
-
-    fn shard_done(&self, registry: &Registry) {
-        self.hub.merge_registry(registry);
-        self.hub.shard_done();
     }
 }
 
@@ -465,6 +440,26 @@ mod tests {
         assert!(recc.spans().records().all(|s| s.component == "custom"));
     }
 
+    /// A test monitor: counts trial and shard callbacks and merges the
+    /// shard registry copies it is handed.
+    #[derive(Default)]
+    struct CountingMonitor {
+        trials: AtomicU64,
+        shards: AtomicU64,
+        registry: Mutex<Registry>,
+    }
+
+    impl CampaignMonitor for CountingMonitor {
+        fn trial_done(&self) {
+            self.trials.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn shard_done(&self, registry: &Registry) {
+            self.registry.lock().unwrap().merge(registry);
+            self.shards.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn monitor_sees_everything_and_changes_nothing() {
         let f = |i: u64, rec: &mut Recorder| {
@@ -473,9 +468,7 @@ mod tests {
         };
         let header = JournalHeader::new("campaign", "test", 1, 10, 1);
         let (plain_report, plain_rec) = run_campaign_journaled("mon", 200, 3, None, &header, f);
-        let hub = TelemetryHub::new();
-        let monitor = HubMonitor::new(Arc::clone(&hub));
-        hub.begin_campaign("mon", 200, 200u64.clamp(1, LOGICAL_SHARDS));
+        let monitor = CountingMonitor::default();
         let (report, rec) = run_campaign_journaled("mon", 200, 3, Some(&monitor), &header, f);
         // canonical outputs are byte-identical with the monitor attached
         assert_eq!(plain_report, report);
@@ -485,11 +478,16 @@ mod tests {
             rec.spans().to_chrome_json()
         );
         assert_eq!(plain_rec.journal().to_jsonl(), rec.journal().to_jsonl());
-        // and the hub saw every trial and shard, with converged counters
-        let progress = hub.progress_json();
-        assert!(progress.contains("\"trials_done\":200"), "{progress}");
-        assert!(progress.contains("\"shards_done\":64"), "{progress}");
-        assert_eq!(hub.registry_snapshot().counter("trial.custom"), 200);
+        // and the monitor saw every trial once and every shard once, and
+        // the shard copies it merged converge to the canonical counters
+        assert_eq!(monitor.trials.load(Ordering::Relaxed), 200);
+        assert_eq!(monitor.shards.load(Ordering::Relaxed), LOGICAL_SHARDS);
+        let merged = monitor.registry.lock().unwrap();
+        assert_eq!(merged.counter("trial.custom"), 200);
+        assert_eq!(
+            merged.counter("trial.custom"),
+            rec.registry().counter("trial.custom")
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-fault — fault models, injection and error-detecting codes
 //!

@@ -315,7 +315,7 @@ impl ForensicsTracker {
     /// Export fault-lifecycle metrics into a registry: the
     /// `faults.injected/detected/escaped/masked` counters plus
     /// detection-latency and time-to-recover histograms. Only journaled
-    /// paths (duplex/campaign/serve runs with the flight recorder on)
+    /// paths (duplex and campaign runs with the flight recorder on)
     /// call this, so the counters never perturb bench work-unit
     /// accounting, which covers journal-free experiment runs.
     pub fn export_metrics(&self, reg: &mut Registry) {

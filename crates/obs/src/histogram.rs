@@ -1,5 +1,5 @@
 //! First-class histogram metric: sparse log-bucket counts with an exact,
-//! order-invariant merge and Prometheus-style cumulative exposition.
+//! order-invariant merge and cumulative `le`-bucket export.
 //!
 //! A [`Histogram`] owns the log-bucket grid; a
 //! [`Summary`](crate::summary::Summary) is a histogram plus Welford
@@ -209,7 +209,7 @@ impl Histogram {
     }
 
     /// Cumulative `(upper_bound, count)` pairs in ascending bound order,
-    /// ready for Prometheus `_bucket{le=...}` exposition or JSON export.
+    /// ready for the CSV and JSON exports.
     /// The pooled non-positive bucket surfaces as upper bound `0`; the
     /// implicit `+Inf` bucket (== [`count`](Self::count)) is *not*
     /// included — exporters append it themselves.

@@ -1009,7 +1009,7 @@ impl Journal {
         })
     }
 
-    /// Compact summary for `/journal`, `/progress` and `vds stats --json`:
+    /// Compact summary for `vds stats --json`:
     /// `{"rounds":…,"bytes":…,"divergences":…,"last_divergence":…}`.
     pub fn summary_json(&self) -> String {
         let last = match self.last_divergence_round() {

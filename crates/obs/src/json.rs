@@ -1,8 +1,8 @@
 //! The one JSON serializer every machine-readable report goes through.
 //!
 //! `vds stats --json`, `vds bench --json` / `BENCH_<n>.json` and the
-//! telemetry server's `/progress` historically each hand-rolled their own
-//! object assembly, and the three shapes drifted (field order, float
+//! progress reports historically each hand-rolled their own object
+//! assembly, and the three shapes drifted (field order, float
 //! formatting, missing discriminators). [`JsonObj`] is the shared
 //! builder: insertion-ordered fields, one escaping rule
 //! (`registry::json_escape`), one float policy (shortest

@@ -13,8 +13,8 @@
 //! * [`Registry`] — named counters, gauges, [`Summary`] streaming
 //!   statistics (Welford mean/variance plus fixed-bucket percentiles)
 //!   and first-class [`Histogram`]s (same log-bucket grid, exact
-//!   order-invariant merges, Prometheus `_bucket` exposition), stored
-//!   sorted so exports are deterministic.
+//!   order-invariant merges, cumulative `le` buckets), stored sorted so
+//!   exports are deterministic.
 //! * [`conformance`] — the model-conformance layer: a
 //!   [`ConformanceTracker`] prices the journal's per-round events with
 //!   the paper's closed forms and streams windowed predicted-vs-measured
@@ -48,12 +48,10 @@
 //!   zero-sized [`NoopRecorder`] monomorphizes instrumentation away
 //!   entirely on uninstrumented runs.
 //!
-//! Live telemetry rides on top of the same registry: [`prom`] renders
-//! Prometheus text exposition, [`serve`] adds a [`TelemetryHub`] +
-//! zero-dependency HTTP [`TelemetryServer`] (`/metrics`, `/healthz`,
-//! `/readyz`, `/trace`, `/progress`), and [`logging`] is the leveled
-//! JSONL-on-stderr facade (`log_warn!` & friends, `VDS_LOG` /
-//! `--log-level`).
+//! Every export is a file: the registry as CSV or JSON, the trace as
+//! JSON lines, the spans as Chrome trace JSON, the journal as JSONL.
+//! [`logging`] is the leveled JSONL-on-stderr facade (`log_warn!` &
+//! friends, `VDS_LOG` / `--log-level`).
 //!
 //! **Determinism contract:** for a fixed seed, the content of a
 //! recorder's registry, trace, spans and journal — and therefore the
@@ -63,8 +61,7 @@
 //! across runs and across worker counts, provided parallel shards are
 //! merged in a fixed order (see `vds-fault`'s logical shards). Host
 //! wall-clock time never enters a recorder: [`Stopwatch`] measures it
-//! for the callers that print it, and the telemetry server reports it
-//! only in `/progress`.
+//! for the callers that print it.
 //!
 //! Every journal and export reaches disk through [`write_atomic`]: a
 //! temp sibling renamed over the destination, so a reader never sees a
@@ -91,10 +88,8 @@ pub mod histogram;
 pub mod journal;
 pub mod json;
 pub mod logging;
-pub mod prom;
 pub mod recorder;
 pub mod registry;
-pub mod serve;
 pub mod span;
 pub mod summary;
 pub mod trace;
@@ -115,7 +110,6 @@ pub use json::{json_array, JsonObj, REPORT_SCHEMA};
 pub use logging::Level;
 pub use recorder::{Recorder, Stopwatch, DEFAULT_TRACE_CAPACITY};
 pub use registry::{KeyPrefix, Registry};
-pub use serve::{TelemetryHub, TelemetryServer};
 pub use span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
 pub use summary::Summary;
 pub use trace::{Trace, TraceRecord, Value};

@@ -393,9 +393,8 @@ impl Registry {
 
     /// One JSON object covering every metric:
     /// `{"counters":{…},"gauges":{…},"summaries":{…},"histograms":{…}}`.
-    /// This is the shared serializer behind `vds stats --json` and the
-    /// telemetry server's `/progress` endpoint, so the two never drift
-    /// apart.
+    /// This is the shared serializer behind every `--json` report that
+    /// embeds a registry, so their metric blocks never drift apart.
     pub fn to_json_object(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {

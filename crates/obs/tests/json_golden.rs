@@ -1,7 +1,7 @@
 //! Golden-file test pinning the shared report serializer.
 //!
-//! Every machine-readable report — `vds stats --json`, the telemetry
-//! server's `/progress`, and the `BENCH_<n>.json` experiment rows — goes
+//! Every machine-readable report — `vds stats --json`, a campaign
+//! progress report, and the `BENCH_<n>.json` experiment rows — goes
 //! through [`vds_obs::JsonObj`]. This test rebuilds one representative
 //! document of each kind from fixed inputs and compares the exact bytes
 //! against `testdata/report_shapes.golden.jsonl` (one report per line).
@@ -51,8 +51,8 @@ fn stats_report() -> String {
         .finish()
 }
 
-/// The telemetry server's `/progress` body (fixed clock values — the
-/// live server fills these from its own atomics).
+/// A campaign progress report: booleans, fixed-width clock values and
+/// the nested journal and registry objects in one document.
 fn progress_report() -> String {
     JsonObj::report("progress")
         .str("phase", "campaign")

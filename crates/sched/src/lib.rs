@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-sched — OS-level process scheduling over the SMT core
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # vds-smtsim — a cycle-level simultaneous multithreaded processor model
 //!

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! # vds-sweep — deterministic parallel parameter sweeps
 //!
 //! The paper's results are curves and surfaces over a handful of axes:
@@ -21,7 +23,7 @@
 //!
 //! The determinism contract, stated once and tested in all three
 //! modules: **for a fixed grid and base seed, every exported byte is
-//! identical for any worker count, with or without a telemetry monitor,
+//! identical for any worker count, with or without a progress monitor,
 //! and across kill/resume boundaries.** Threads only ever decide *who*
 //! computes a cell — never what it contains or where it lands.
 

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! A small register-based bytecode VM that turns real programs into VDS
 //! workloads.
 //!
