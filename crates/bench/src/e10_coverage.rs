@@ -165,9 +165,9 @@ pub fn report(trials: u64, workers: usize) -> Report {
            comparison window: it stays latent until it poisons a checkpoint,\n\
            after which the majority vote itself replays the corrupt\n\
            trajectory. This is precisely the gap the paper's \"error\n\
-           detecting codes for data in the memory\" assumption closes —\n\
-           see `vds_fault::memory::ProtectedMemory` (SEC-DED + scrubbing)\n\
-           for the substrate that would catch these at the first read.\n\
+           detecting codes for data in the memory\" assumption closes. The\n\
+           reproduction keeps the assumption and models no code: an\n\
+           error-detecting code on the table would flag them at first read.\n\
          * transient/undetected/output-ok — architecturally masked flips\n\
            (dead registers at round boundaries, unread words)."
     );

@@ -164,8 +164,9 @@ impl BenchReport {
     /// Render as `BENCH_<n>.json` content: the shared report envelope,
     /// then one experiment per line (rows built with
     /// [`vds_obs::JsonObj`], the same serializer `vds stats --json` and
-    /// `/progress` use), trailing newline. Everything except `host_ms`
-    /// and the derived `work_per_ms` is byte-stable for a fixed seed.
+    /// `vds alpha --json` use), trailing newline. Everything except
+    /// `host_ms` and the derived `work_per_ms` is byte-stable for a fixed
+    /// seed.
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self
             .experiments

@@ -1,5 +1,6 @@
 //! Byte pins for the figure reports: E2 (Figure 1 timelines), E6/E7
-//! (Figures 4 and 5 gain surfaces) and E9 (measured α).
+//! (Figures 4 and 5 gain surfaces), E9 (measured α) and E10 (the micro
+//! platform's fault-injection coverage).
 //!
 //! Each entry is the Digest128 of one rendered output at a small size:
 //! the report text, every named data block, and for E2 the Chrome JSON
@@ -12,7 +13,7 @@
 //! On a deliberate change, the failure message lists every current value
 //! in table form for regeneration.
 
-use vds_bench::{e02_timelines, e06_fig4, e07_fig5, e09_alpha, Report};
+use vds_bench::{e02_timelines, e06_fig4, e07_fig5, e09_alpha, e10_coverage, Report};
 use vds_obs::Digester128;
 
 fn digest(text: &str) -> String {
@@ -89,4 +90,16 @@ fn measured_alpha_text_matches_its_pin() {
         &[("E9 text", "ad4a66b09f822bafdf06b91d53a3105e")],
         &outputs(&r)[..1],
     );
+}
+
+/// The campaign's text and table are the same bytes at every worker count.
+#[test]
+fn coverage_campaign_matches_its_pins_at_any_worker_count() {
+    let pins = [
+        ("E10 text", "75a607d10727529007559bb7b88a8a6c"),
+        ("E10 coverage.csv", "a6f83a82353d653d0ca0935947d487e7"),
+    ];
+    for workers in [1, 2] {
+        check(&pins, &outputs(&e10_coverage::report(24, workers)));
+    }
 }

@@ -1,8 +1,8 @@
 //! The one JSON serializer every machine-readable report goes through.
 //!
-//! `vds stats --json`, `vds bench --json` / `BENCH_<n>.json` and the
-//! progress reports historically each hand-rolled their own object
-//! assembly, and the three shapes drifted (field order, float
+//! `vds stats --json`, `vds alpha --json` and `vds bench --json` /
+//! `BENCH_<n>.json` historically each hand-rolled their own object
+//! assembly, and the shapes drifted (field order, float
 //! formatting, missing discriminators). [`JsonObj`] is the shared
 //! builder: insertion-ordered fields, one escaping rule
 //! (`registry::json_escape`), one float policy (shortest
@@ -11,7 +11,7 @@
 //! discriminator so consumers can route on the first bytes of the line.
 //!
 //! The golden test in `crates/obs/tests/json_golden.rs` pins the exact
-//! bytes of all three kinds.
+//! bytes of each kind.
 
 use crate::registry::json_escape;
 use std::fmt::Write as _;
@@ -84,7 +84,7 @@ impl JsonObj {
     }
 
     /// Add a float field with fixed decimal places (wall-clock style
-    /// fields like `elapsed_secs` pin their width for readability).
+    /// fields like `host_ms` pin their width for readability).
     pub fn f64_fixed(mut self, key: &str, v: f64, places: usize) -> JsonObj {
         self.key(key);
         if v.is_finite() {
@@ -92,13 +92,6 @@ impl JsonObj {
         } else {
             self.buf.push_str("null");
         }
-        self
-    }
-
-    /// Add a boolean field.
-    pub fn bool(mut self, key: &str, v: bool) -> JsonObj {
-        self.key(key);
-        self.buf.push_str(if v { "true" } else { "false" });
         self
     }
 
@@ -140,14 +133,10 @@ mod tests {
         let s = JsonObj::new()
             .str("b", "x")
             .u64("a", 7)
-            .bool("ok", true)
             .f64("r", 1.5)
             .raw("nested", "{\"k\":1}")
             .finish();
-        assert_eq!(
-            s,
-            "{\"b\":\"x\",\"a\":7,\"ok\":true,\"r\":1.5,\"nested\":{\"k\":1}}"
-        );
+        assert_eq!(s, "{\"b\":\"x\",\"a\":7,\"r\":1.5,\"nested\":{\"k\":1}}");
     }
 
     #[test]

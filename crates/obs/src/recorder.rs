@@ -345,14 +345,6 @@ impl Recorder {
         }
     }
 
-    /// Merge a registry's content into this recorder's registry as-is
-    /// (counters add, gauges max, summaries merge; no prefixing).
-    pub fn merge_registry(&mut self, other: &Registry) {
-        if self.enabled {
-            self.registry.merge(other);
-        }
-    }
-
     /// Merge with every metric name prefixed by `prefix.`.
     pub fn merge_prefixed(&mut self, other: &Registry, prefix: &str) {
         if self.enabled {

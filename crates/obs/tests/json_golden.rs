@@ -1,8 +1,8 @@
 //! Golden-file test pinning the shared report serializer.
 //!
-//! Every machine-readable report — `vds stats --json`, a campaign
-//! progress report, and the `BENCH_<n>.json` experiment rows — goes
-//! through [`vds_obs::JsonObj`]. This test rebuilds one representative
+//! Every machine-readable report — `vds stats --json`, `vds alpha
+//! --json`, and the `BENCH_<n>.json` experiment rows — goes through
+//! [`vds_obs::JsonObj`]. This test rebuilds one representative
 //! document of each kind from fixed inputs and compares the exact bytes
 //! against `testdata/report_shapes.golden.jsonl` (one report per line).
 //! Regenerate with `VDS_UPDATE_GOLDEN=1 cargo test -p vds-obs`.
@@ -51,25 +51,6 @@ fn stats_report() -> String {
         .finish()
 }
 
-/// A campaign progress report: booleans, fixed-width clock values and
-/// the nested journal and registry objects in one document.
-fn progress_report() -> String {
-    JsonObj::report("progress")
-        .str("phase", "campaign")
-        .bool("ready", true)
-        .bool("done", false)
-        .f64_fixed("elapsed_secs", 1.25, 3)
-        .u64("trials_done", 5)
-        .u64("trials_total", 100)
-        .u64("shards_done", 1)
-        .u64("shards_total", 8)
-        .u64("work_units", 2442)
-        .f64_fixed("work_units_per_sec", 1953.6, 3)
-        .raw("journal", &sample_journal().summary_json())
-        .raw("metrics", &sample_registry().to_json_object())
-        .finish()
-}
-
 /// One `BENCH_<n>.json` experiment row (the document wrapper adds the
 /// envelope and pretty layout in `vds_bench::perf::BenchReport::to_json`;
 /// the row bytes come from this exact builder chain).
@@ -113,13 +94,7 @@ fn alpha_report() -> String {
 
 #[test]
 fn report_shapes_match_golden_file() {
-    let got = format!(
-        "{}\n{}\n{}\n{}\n",
-        stats_report(),
-        progress_report(),
-        bench_row(),
-        alpha_report()
-    );
+    let got = format!("{}\n{}\n{}\n", stats_report(), bench_row(), alpha_report());
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/testdata/report_shapes.golden.jsonl"
@@ -134,7 +109,7 @@ fn report_shapes_match_golden_file() {
 
 #[test]
 fn every_report_opens_with_the_shared_envelope() {
-    for report in [stats_report(), progress_report(), alpha_report()] {
+    for report in [stats_report(), alpha_report()] {
         assert!(
             report.starts_with("{\"schema\":\"vds.report.v1\",\"kind\":\""),
             "{report}"

@@ -149,11 +149,6 @@ impl Cache {
         self.stats
     }
 
-    /// Reset statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidate everything (e.g. at a simulated context switch if the
     /// host wants cold-cache semantics).
     pub fn flush(&mut self) {

@@ -521,14 +521,6 @@ impl Core {
         &self.threads[id.0]
     }
 
-    /// Windowed counter snapshots of every installed thread, in thread
-    /// order: the cycle-accounting view at the current cycle, suitable
-    /// for differential α attribution (`vds_obs::alpha`). Snapshots can
-    /// be taken mid-run and subtracted to scope a ledger to a window.
-    pub fn counter_snapshots(&self) -> Vec<vds_obs::alpha::CycleSnapshot> {
-        self.threads.iter().map(|t| t.counters.snapshot()).collect()
-    }
-
     /// Mutable access to a thread (fault injection, host fix-ups).
     pub fn thread_mut(&mut self, id: ThreadId) -> &mut Thread {
         self.state_changes += 1;
@@ -543,11 +535,6 @@ impl Core {
     /// Install a permanent functional-unit fault.
     pub fn inject_fu_fault(&mut self, fault: FuFault) {
         self.faults.push(fault);
-    }
-
-    /// Remove all permanent faults.
-    pub fn clear_fu_faults(&mut self) {
-        self.faults.clear();
     }
 
     /// Shared I-cache statistics.

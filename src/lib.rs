@@ -14,7 +14,7 @@
 //! | [`analytic`] | `vds-analytic` | the paper's closed-form model, Eqs. (1)–(14) |
 //! | [`smtsim`] | `vds-smtsim` | cycle-level SMT processor, ISA, assembler, kernels |
 //! | [`sched`] | `vds-sched` | OS processes, address spaces, context switching |
-//! | [`fault`] | `vds-fault` | fault models, injection, EDC codes, campaigns |
+//! | [`fault`] | `vds-fault` | fault models, injection, campaigns |
 //! | [`diversity`] | `vds-diversity` | automatic diverse-version generation |
 //! | [`checkpoint`] | `vds-checkpoint` | state-digest names used by the micro engine |
 //! | [`predictor`] | `vds-predictor` | fault-version prediction (§4/§5) |
