@@ -34,7 +34,7 @@ pub fn report(fault_round: u32, rounds: u64, width: usize) -> Report {
         let mut cfg = AbstractConfig::new(params, scheme);
         cfg.record_timeline = true;
         let (r, rec) = run_with_recorder(&cfg, fm, rounds, 1, Recorder::new());
-        let (reg, _trace, sp) = rec.into_parts();
+        let (reg, sp) = rec.into_parts();
         metrics.merge(&reg.prefixed(scheme.name()));
         spans.extend_from(&sp);
         let tl = r.timeline.expect("timeline recorded");

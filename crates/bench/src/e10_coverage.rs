@@ -160,14 +160,14 @@ pub fn report(trials: u64, workers: usize) -> Report {
          * permanent/failsafe-shutdown — a stuck unit corrupts every round;\n\
            detectable but not tolerable on one processor: the watchdog stops\n\
            the system safely (the flow charts' terminal state).\n\
-         * transient or permanent …/OUTPUT-WRONG — almost all trace back to\n\
-           corruption of the *read-only table*, which lies outside the\n\
-           comparison window: it stays latent until it poisons a checkpoint,\n\
-           after which the majority vote itself replays the corrupt\n\
-           trajectory. This is precisely the gap the paper's \"error\n\
-           detecting codes for data in the memory\" assumption closes. The\n\
-           reproduction keeps the assumption and models no code: an\n\
-           error-detecting code on the table would flag them at first read.\n\
+         * permanent/undetected/OUTPUT-WRONG — every silent wrong output:\n\
+           a stuck functional-unit bit corrupts both versions alike, so the\n\
+           comparison never differs, in both campaigns.\n\
+         * transient/recovered/OUTPUT-WRONG — detected, yet wrong: these\n\
+           fit a flip of the *read-only table*, outside the comparison\n\
+           window, that poisons a checkpoint; the vote then replays the\n\
+           corrupt trajectory. This is the gap the paper's \"error detecting\n\
+           codes for data in the memory\" assumption closes; none is modelled.\n\
          * transient/undetected/output-ok — architecturally masked flips\n\
            (dead registers at round boundaries, unread words)."
     );
@@ -177,7 +177,7 @@ pub fn report(trials: u64, workers: usize) -> Report {
             let _ = writeln!(csv, "{name},{l},{c}");
         }
     }
-    let (metrics, _, spans) = rec.into_parts();
+    let (metrics, spans) = rec.into_parts();
     Report {
         id: "E10",
         title: "Fault-injection coverage on the micro platform",

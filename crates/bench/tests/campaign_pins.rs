@@ -1,5 +1,5 @@
 //! Byte pins for the journaled campaign recording path: the one `vds
-//! serve --once --journal` and the `benchmark/` campaigns drive.
+//! campaign --journal` and the `benchmark/` campaigns drive.
 //!
 //! `tests/journal_pins.rs` pins single engine runs. A campaign adds the
 //! per-trial recorder, the registry merge, the lane adoption of every

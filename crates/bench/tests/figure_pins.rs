@@ -96,7 +96,7 @@ fn measured_alpha_text_matches_its_pin() {
 #[test]
 fn coverage_campaign_matches_its_pins_at_any_worker_count() {
     let pins = [
-        ("E10 text", "75a607d10727529007559bb7b88a8a6c"),
+        ("E10 text", "18a205905d7b1ed8b5e3add1535b0d9f"),
         ("E10 coverage.csv", "a6f83a82353d653d0ca0935947d487e7"),
     ];
     for workers in [1, 2] {

@@ -62,7 +62,7 @@ const ROUNDS: u64 = 40;
 /// `(allocations, bytes)` made by `trial` on a journaled shard recorder
 /// set up the way `run_campaign_journaled` sets one up.
 fn usage(header: &JournalHeader, trial: impl Fn(&mut Recorder)) -> (u64, u64) {
-    let mut shard = Recorder::with_capacities(0, 2);
+    let mut shard = Recorder::with_span_capacity(2);
     shard.enable_journal(header.clone());
     // warm-up: one-time caches (seed programs, workload text) fill here
     trial(&mut shard);

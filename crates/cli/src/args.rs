@@ -37,13 +37,9 @@ const WORKERS: FlagSpec = flag("workers", Some("N"), "worker threads (default: a
 const METRICS: FlagSpec = flag(
     "metrics",
     Some("PATH"),
-    "write metrics CSV to PATH (+ PATH.trace.jsonl / PATH.trace.json when recorded)",
+    "write metrics CSV to PATH (+ the PATH.trace.json Chrome trace when recorded)",
 );
-const TRACE_CAPACITY: FlagSpec = flag(
-    "trace-capacity",
-    Some("N"),
-    "resize the bounded trace and span rings",
-);
+const TRACE_CAPACITY: FlagSpec = flag("trace-capacity", Some("N"), "resize the bounded span ring");
 const JOURNAL: FlagSpec = flag(
     "journal",
     Some("PATH"),
@@ -178,7 +174,7 @@ pub(crate) const VM: CommandSpec = CommandSpec {
 pub(crate) const STATS: CommandSpec = CommandSpec {
     name: "stats",
     usage: "vds stats <scheme> [rounds] [fault-round]",
-    about: "run a micro VDS and print its metrics and event trace",
+    about: "run a micro VDS and print its metrics",
     flags: DUPLEX_FLAGS,
 };
 
@@ -217,7 +213,7 @@ pub(crate) const SWEEP: CommandSpec = CommandSpec {
 pub(crate) const CAMPAIGN: CommandSpec = CommandSpec {
     name: "campaign",
     usage: "vds campaign [--trials N] [--scheme NAME] [--journal PATH] [--metrics PATH]",
-    about: "run a fault campaign and write its journal, metrics and trace files",
+    about: "run a fault campaign and write its journal, metrics and Chrome trace files",
     flags: &[
         TRIALS, ROUNDS, SEED, WORKERS, SCHEME, METRICS, JOURNAL, LOG_LEVEL, WORKLOAD,
     ],

@@ -174,12 +174,7 @@ fn campaign(opts: &CampaignOpts, f: &Flags) -> Result<String, CliError> {
         out.push_str(&tracker.report().render_text());
     }
     if let Some(path) = &f.metrics {
-        out.push_str(&write_metrics(
-            path,
-            rec.registry(),
-            Some(rec.trace()),
-            Some(rec.spans()),
-        )?);
+        out.push_str(&write_metrics(path, rec.registry(), Some(rec.spans()))?);
     }
     if let Some(path) = &f.journal {
         crate::write_atomic(path, rec.journal().to_jsonl().as_bytes())

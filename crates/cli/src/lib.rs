@@ -12,7 +12,7 @@
 //! vds alpha [rounds|prog.s]         per-cycle α-attribution ledger
 //! vds duplex <scheme> [rounds] [fault-round]
 //!                                   run a micro VDS, optionally injecting a fault
-//! vds stats <scheme> [rounds] [at]  run a micro VDS and print its metrics/trace
+//! vds stats <scheme> [rounds] [at]  run a micro VDS and print its metrics
 //! vds report <scheme> [rounds] [at] run a micro VDS, print folded span stacks
 //! vds flowchart <scheme>            print a recovery flow chart as Graphviz DOT
 //! vds experiment <id>               regenerate a paper artefact (e1..e18, all)
@@ -27,12 +27,11 @@
 //! accept `--rounds N`, `--seed N`, `--workers N` and `--metrics PATH`
 //! flags (both `--flag value` and `--flag=value` spellings); the old
 //! positional forms keep working. `--metrics` writes the run's metric
-//! registry as CSV to PATH, the event trace as JSON lines to
-//! `PATH.trace.jsonl` when one was recorded, and the profiler spans as
-//! Chrome trace-event JSON to `PATH.trace.json` when any were recorded —
-//! all byte-identical for a fixed seed regardless of worker count.
-//! `--trace-capacity N` resizes the bounded trace/span rings; `vds stats`
-//! warns when records were dropped. `vds bench` writes the performance
+//! registry as CSV to PATH and the profiler spans as Chrome trace-event
+//! JSON to `PATH.trace.json` when any were recorded — both
+//! byte-identical for a fixed seed regardless of worker count.
+//! `--trace-capacity N` resizes the bounded span ring; `vds stats` warns
+//! when spans were dropped. `vds bench` writes the performance
 //! trajectory (`--out PATH`, default the next free `BENCH_<n>.json`) and
 //! `vds bench --check BASELINE.json` exits nonzero on work-counter drift
 //! or a throughput regression against the committed baseline.
@@ -96,7 +95,7 @@ USAGE:
     vds duplex <scheme> [rounds] [at]   run a micro VDS (fault at round `at`)
     vds vm <asm|run|duplex> <program>   assemble, run or duplex a bytecode-VM seed program
                                         (checksum, sort, matmul, strhash)
-    vds stats <scheme> [rounds] [at]    run a micro VDS, print metrics + trace
+    vds stats <scheme> [rounds] [at]    run a micro VDS, print its metrics
     vds report <scheme> [rounds] [at]   run a micro VDS, print folded span stacks
     vds flowchart <scheme>              recovery flow chart as DOT
     vds experiment <e1..e18|all>        regenerate a paper artefact
@@ -114,9 +113,9 @@ FLAGS (alpha / duplex / stats / report / experiment / bench / campaign; `--flag 
     --rounds N           size knob: rounds, trials or samples
     --seed N             seed override for seeded runs
     --workers N          worker threads for campaign-style experiments
-    --metrics PATH       write metrics CSV to PATH (+ PATH.trace.jsonl /
-                         PATH.trace.json when a trace / spans were recorded)
-    --trace-capacity N   resize the bounded trace and span rings
+    --metrics PATH       write metrics CSV to PATH (+ the PATH.trace.json
+                         Chrome trace when spans were recorded)
+    --trace-capacity N   resize the bounded span ring
     --out PATH           bench: write BENCH json to PATH (default BENCH_<n>.json)
     --check PATH         bench: compare against a baseline; exit 1 on drift
     --threshold FRAC     bench: allowed relative throughput drop for --check (default 0.5)
@@ -181,24 +180,16 @@ pub(crate) fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     vds_obs::write_atomic(std::path::Path::new(path), bytes)
 }
 
-/// Write the registry as CSV to `path` and, when a trace / spans were
-/// recorded, their JSON renderings next to it; returns a printable
-/// confirmation.
+/// Write the registry as CSV to `path` and, when spans were recorded,
+/// their Chrome trace next to it; returns a printable confirmation.
 fn write_metrics(
     path: &str,
     registry: &vds_obs::Registry,
-    trace: Option<&vds_obs::Trace>,
     spans: Option<&vds_obs::SpanSet>,
 ) -> Result<String, CliError> {
     write_atomic(path, registry.to_csv().as_bytes())
         .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
     let mut note = format!("metrics CSV written to {path}\n");
-    if let Some(t) = trace.filter(|t| !t.is_empty()) {
-        let tpath = format!("{path}.trace.jsonl");
-        write_atomic(&tpath, t.to_jsonl().as_bytes())
-            .map_err(|e| CliError::runtime(format!("cannot write `{tpath}`: {e}")))?;
-        let _ = writeln!(note, "trace ({} events) written to {tpath}", t.len());
-    }
     if let Some(s) = spans.filter(|s| !s.is_empty()) {
         let spath = format!("{path}.trace.json");
         write_atomic(&spath, s.to_chrome_json().as_bytes())
@@ -222,7 +213,7 @@ fn finish_recorded(
     mut rec: vds_obs::Recorder,
     f: &Flags,
     out: &mut String,
-    render: impl FnOnce(&mut String, &str, &vds_obs::Registry, &vds_obs::Trace, &vds_obs::SpanSet),
+    render: impl FnOnce(&mut String, &str, &vds_obs::Registry, &vds_obs::SpanSet),
 ) -> Result<(), CliError> {
     rec.export_journal_metrics();
     let journal_note = match &f.journal {
@@ -237,12 +228,12 @@ fn finish_recorded(
         None => None,
     };
     let journal_summary = rec.journal().summary_json();
-    let (registry, trace, spans) = rec.into_parts();
-    render(out, &journal_summary, &registry, &trace, &spans);
+    let (registry, spans) = rec.into_parts();
+    render(out, &journal_summary, &registry, &spans);
     let metrics_note = f
         .metrics
         .as_deref()
-        .map(|path| write_metrics(path, &registry, Some(&trace), Some(&spans)))
+        .map(|path| write_metrics(path, &registry, Some(&spans)))
         .transpose()?;
     for note in [metrics_note, journal_note].into_iter().flatten() {
         if f.json {
@@ -477,7 +468,7 @@ fn cmd_alpha(args: &[String]) -> Result<String, CliError> {
     if let Some(path) = &f.metrics {
         let mut reg = vds_obs::Registry::new();
         report.export_metrics(&mut reg);
-        let note = write_metrics(path, &reg, None, None)?;
+        let note = write_metrics(path, &reg, None)?;
         if f.json {
             vds_obs::log_info!("cli", "{}", note.trim_end());
         } else {
@@ -511,14 +502,14 @@ pub(crate) fn micro_journal_header(
 enum DuplexMode {
     /// `vds duplex` — report + oracle verdict only.
     Plain,
-    /// `vds stats` — the same run with metrics and event trace printed.
+    /// `vds stats` — the same run with its metrics printed.
     Stats,
     /// `vds report` — the same run with folded span stacks printed.
     Report,
 }
 
 /// Backs `vds duplex` (report + oracle verdict), `vds stats` (the same
-/// run with the metric registry and event trace printed) and `vds report`
+/// run with the metric registry printed) and `vds report`
 /// (the same run with folded profiler stacks printed).
 fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
     use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
@@ -588,7 +579,7 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
         || f.journal.is_some();
     let (r, img, rec) = if record {
         let mut recorder = match f.trace_capacity {
-            Some(cap) => vds_obs::Recorder::with_trace_capacity(cap),
+            Some(cap) => vds_obs::Recorder::with_span_capacity(cap),
             None => vds_obs::Recorder::new(),
         };
         recorder.enable_journal(micro_journal_header(&cfg, rounds, fault.as_ref()));
@@ -608,21 +599,10 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
     };
     let mut out = format!("{r}\n{verdict} versus the oracle\n");
     if let Some(rec) = rec {
-        finish_recorded(rec, &f, &mut out, |out, journal, registry, trace, spans| {
+        finish_recorded(rec, &f, &mut out, |out, journal, registry, spans| {
             if mode == DuplexMode::Stats {
                 // overflow reporting goes through the structured-logging
                 // facade (stderr JSONL), keeping stdout clean for --json
-                if trace.dropped() > 0 {
-                    vds_obs::logging::log_with(
-                        vds_obs::Level::Warn,
-                        "cli",
-                        "trace records dropped — raise --trace-capacity",
-                        &[
-                            ("dropped", trace.dropped().into()),
-                            ("capacity", (trace.capacity() as u64).into()),
-                        ],
-                    );
-                }
                 if spans.dropped() > 0 {
                     vds_obs::logging::log_with(
                         vds_obs::Level::Warn,
@@ -647,7 +627,6 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
                     out.push('\n');
                 } else {
                     let _ = write!(out, "\n---- metrics ----\n{registry}");
-                    let _ = write!(out, "---- trace ----\n{trace}");
                 }
             }
             if mode == DuplexMode::Report {
@@ -699,7 +678,7 @@ fn cmd_experiment(args: &[String]) -> Result<String, CliError> {
         spans.extend_from(&r.spans);
     }
     if let Some(path) = &f.metrics {
-        out.push_str(&write_metrics(path, &merged, None, Some(&spans))?);
+        out.push_str(&write_metrics(path, &merged, Some(&spans))?);
     }
     Ok(out)
 }
@@ -991,24 +970,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_prints_metrics_and_trace() {
+    fn stats_prints_metrics() {
         let out = run(&["stats", "smt-det", "12", "4"]).unwrap();
         assert!(out.contains("output CORRECT"), "{out}");
         assert!(out.contains("---- metrics ----"), "{out}");
         assert!(out.contains("vds.detections"), "{out}");
         assert!(out.contains("smt.cycles"), "{out}");
-        assert!(out.contains("---- trace ----"), "{out}");
-        assert!(out.contains("detect"), "{out}");
+        assert!(!out.contains("---- trace ----"), "{out}");
     }
 
     #[test]
-    fn duplex_metrics_flag_writes_csv_and_trace() {
+    fn duplex_metrics_flag_writes_csv_and_chrome_trace() {
         let dir = std::env::temp_dir().join("vds-cli-metrics");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("duplex.csv");
         // drop leftovers from other configurations so a stale trace file
         // can't mask a missing write
-        let _ = std::fs::remove_file(dir.join("duplex.csv.trace.jsonl"));
+        let _ = std::fs::remove_file(dir.join("duplex.csv.trace.json"));
         let p = path.to_str().unwrap();
         let out = run(&["duplex", "smt-det", "12", "4", "--metrics", p]).unwrap();
         assert!(
@@ -1018,9 +996,9 @@ mod tests {
         let csv = std::fs::read_to_string(&path).unwrap();
         assert!(csv.starts_with("kind,name,field,value"), "{csv}");
         assert!(csv.contains("counter,vds.detections,value,1"), "{csv}");
-        let trace = std::fs::read_to_string(dir.join("duplex.csv.trace.jsonl")).unwrap();
-        assert!(trace.contains("\"kind\":\"trace_header\""), "{trace}");
-        assert!(trace.contains("\"event\":\"detect\""), "{trace}");
+        let trace = std::fs::read_to_string(dir.join("duplex.csv.trace.json")).unwrap();
+        assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");
+        assert!(trace.contains("\"name\":\"recovery\""), "{trace}");
     }
 
     #[test]
@@ -1047,13 +1025,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_warns_when_trace_ring_overflows() {
+    fn stats_warns_when_span_ring_overflows() {
         // overflow reporting goes through the structured-logging facade
         let cap = vds_obs::logging::capture();
         let out = run(&["stats", "smt-det", "40", "--trace-capacity", "8"]).unwrap();
         let logged = cap.take();
         assert!(logged.contains("\"level\":\"warn\""), "{logged}");
-        assert!(logged.contains("trace records dropped"), "{logged}");
+        assert!(logged.contains("span records dropped"), "{logged}");
         assert!(logged.contains("\"capacity\":8"), "{logged}");
         assert!(!out.contains("WARNING"), "stdout stays clean: {out}");
         // a roomy ring stays silent

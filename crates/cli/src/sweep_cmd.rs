@@ -131,7 +131,7 @@ pub(crate) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
         }
     }
     if let Some(path) = &f.metrics {
-        let note = write_metrics(path, &outcome.registry, None, None)?;
+        let note = write_metrics(path, &outcome.registry, None)?;
         if f.json {
             log_info!("sweep", "{}", note.trim_end());
         } else {

@@ -262,7 +262,7 @@ fn run_vm_duplex_cli(
     let record = f.metrics.is_some() || f.trace_capacity.is_some() || f.journal.is_some() || f.json;
     let (r, img, rec) = if record {
         let mut recorder = match f.trace_capacity {
-            Some(cap) => vds_obs::Recorder::with_trace_capacity(cap),
+            Some(cap) => vds_obs::Recorder::with_span_capacity(cap),
             None => vds_obs::Recorder::new(),
         };
         recorder.enable_journal(vm_journal_header(&cfg, rounds, fault.as_ref()));
@@ -284,7 +284,7 @@ fn run_vm_duplex_cli(
         scheme.name()
     );
     if let Some(rec) = rec {
-        finish_recorded(rec, f, &mut out, |out, journal, registry, _, _| {
+        finish_recorded(rec, f, &mut out, |out, journal, registry, _| {
             if f.json {
                 *out = vds_obs::JsonObj::report("vm-duplex")
                     .str("program", sp.name)

@@ -1,5 +1,5 @@
 //! Cross-crate determinism of the observability layer, end to end
-//! through the CLI: for a fixed seed the exported metrics CSV and event
+//! through the CLI: for a fixed seed the exported metrics CSV and Chrome
 //! trace must be byte-identical across consecutive runs and across
 //! worker counts (campaign partitioning uses fixed logical shards, so
 //! `--workers` may change wall-clock but never content).
@@ -36,8 +36,8 @@ fn duplex_exports_are_bytewise_reproducible() {
     let (csv_a, csv_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
     assert!(!csv_a.is_empty());
     assert_eq!(csv_a, csv_b, "metrics CSV differs between identical runs");
-    let trace_a = std::fs::read(a.with_extension("csv.trace.jsonl")).unwrap();
-    let trace_b = std::fs::read(b.with_extension("csv.trace.jsonl")).unwrap();
+    let trace_a = std::fs::read(a.with_extension("csv.trace.json")).unwrap();
+    let trace_b = std::fs::read(b.with_extension("csv.trace.json")).unwrap();
     assert!(!trace_a.is_empty());
     assert_eq!(trace_a, trace_b, "trace differs between identical runs");
 }

@@ -22,7 +22,7 @@ use vds_analytic::multithread::alpha_k;
 use vds_analytic::Params;
 use vds_desim::trace::SpanKind;
 use vds_obs::journal::Verdict;
-use vds_obs::{digest_words128, obs_event, Digest128, NoopRecorder, Record, SpanRecord, Value};
+use vds_obs::{digest_words128, Digest128, NoopRecorder, Record, SpanRecord, Value};
 use vds_predictor::{FaultPredictor, Suspect};
 
 /// Configuration of an abstract VDS run.
@@ -355,8 +355,8 @@ impl Backend for Abstract<'_, '_> {
     /// The stretch loop: the clock, normal time and RNG stay in locals,
     /// and each round performs the same float operations in the same
     /// order as a lone round, with the same draw order (V1 draw, V1
-    /// classify, V2 draw, V2 classify). Timeline spans and `round` events
-    /// sit on cold branches.
+    /// classify, V2 draw, V2 classify). Timeline spans sit on cold
+    /// branches.
     fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, last: u32) -> (u32, Round) {
         // recovery and rollback always leave both versions clean, so a
         // round is a detection exactly when it draws a fault
@@ -396,10 +396,6 @@ impl Backend for Abstract<'_, '_> {
             if hit != [false, false] {
                 break (stopped, hit);
             }
-            obs_event!(
-                l.rec, clock, "vds", "round",
-                "round" => u64::from(round), "comparison" => "match",
-            );
             if round >= last {
                 break (false, hit);
             }
@@ -444,15 +440,6 @@ impl Backend for Abstract<'_, '_> {
         } else {
             Verdict::Match
         };
-        if let Verdict::Trap | Verdict::Mismatch = verdict {
-            obs_event!(
-                l.rec, clock, "vds", "detect",
-                "round" => u64::from(round),
-                "v1_corrupt" => self.corrupt[0],
-                "v2_corrupt" => self.corrupt[1],
-                "crash_evidence" => self.crash.is_some(),
-            );
-        }
         let r = Round {
             verdict,
             time: clock,
@@ -536,12 +523,6 @@ impl Backend for Abstract<'_, '_> {
             let progress = self.roll_forward(l, i);
             self.corrupt = [false, false];
             self.crash = None;
-            obs_event!(
-                l.rec, self.clock, "vds", "recovery",
-                "round" => u64::from(i),
-                "scheme" => self.cfg.scheme.name(),
-                "rollforward_progress" => u64::from(progress),
-            );
             progress
         } else {
             0
@@ -599,11 +580,10 @@ pub fn run(
     run_with_predictor(cfg, fault_model, target_rounds, seed, None)
 }
 
-/// [`run`], recording into `rec`: per-round / detection / checkpoint /
-/// recovery / rollback events at simulated time, the report mirrored
-/// under `vds.*` with per-phase simulated-time gauges, and — when the
-/// recorder's flight-recorder journal is enabled — one journal entry per
-/// executed round with synthetic per-version digests.
+/// [`run`], recording into `rec`: the report mirrored under `vds.*` with
+/// per-phase simulated-time gauges, and — when the recorder's
+/// flight-recorder journal is enabled — one journal entry per executed
+/// round with synthetic per-version digests.
 pub fn run_with_recorder<R: Record>(
     cfg: &AbstractConfig,
     fault_model: FaultModel,
@@ -1059,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_mirrors_report_and_traces_events() {
+    fn recorded_run_mirrors_report_and_journals_the_recovery() {
         let c = cfg(Scheme::SmtProbabilistic);
         let fm = FaultModel::PerRound { q: 0.05 };
         let (r, rec) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
@@ -1068,10 +1048,6 @@ mod tests {
         assert_eq!(reg.counter("vds.detections"), r.detections);
         assert_eq!(reg.counter("vds.checkpoints"), r.checkpoints);
         assert_eq!(reg.gauge_value("vds.time.total"), Some(r.total_time));
-        let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
-        assert!(events.contains(&"round"));
-        assert!(events.contains(&"detect"));
-        assert!(events.contains(&"checkpoint"));
         // plain run and recorded run agree on the simulation itself
         let plain = run(&c, fm, 200, 5);
         assert_eq!(plain.total_time, r.total_time);
@@ -1079,7 +1055,22 @@ mod tests {
         // and two recorded runs export byte-identical metrics
         let (_, rec2) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
         assert_eq!(rec.registry().to_csv(), rec2.registry().to_csv());
-        assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
+        assert_eq!(rec.spans().to_chrome_json(), rec2.spans().to_chrome_json());
+        // one detected fault: the journal carries it and its recovery
+        let mut rec = Recorder::new();
+        rec.enable_journal(vds_obs::JournalHeader::new(
+            "abstract",
+            c.scheme.name(),
+            5,
+            c.params.s,
+            30,
+        ));
+        let one = FaultModel::OneShot {
+            round: 4,
+            victim: Victim::V2,
+        };
+        let (r, rec) = run_with_recorder(&c, one, 30, 5, rec);
+        crate::duplex::assert_recovered_once(&r, rec.journal());
     }
 
     #[test]

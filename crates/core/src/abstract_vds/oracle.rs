@@ -4,7 +4,7 @@
 //! ledger on every round, driven by the per-round driver
 //! ([`Duplex::run_per_round`]). The property below holds the stretch
 //! driver and the stretch loop to it: report (floats by bits), timeline,
-//! trace, registry and journal bytes.
+//! registry, span and journal bytes.
 
 use super::*;
 
@@ -122,24 +122,6 @@ impl PerRound<'_, '_> {
         } else {
             Verdict::Match
         };
-        match verdict {
-            Verdict::Match => {
-                obs_event!(
-                    l.rec, a.clock, "vds", "round",
-                    "round" => u64::from(i), "comparison" => "match",
-                );
-            }
-            Verdict::Trap | Verdict::Mismatch => {
-                obs_event!(
-                    l.rec, a.clock, "vds", "detect",
-                    "round" => u64::from(i),
-                    "v1_corrupt" => a.corrupt[0],
-                    "v2_corrupt" => a.corrupt[1],
-                    "crash_evidence" => a.crash.is_some(),
-                );
-            }
-            Verdict::Hang => {}
-        }
         Round {
             verdict,
             time: a.clock,
@@ -296,9 +278,8 @@ mod tests {
         (floats.map(f64::to_bits).to_vec(), format!("{r:?}"))
     }
 
-    fn outputs(rec: &Recorder) -> [String; 4] {
+    fn outputs(rec: &Recorder) -> [String; 3] {
         [
-            rec.trace().to_jsonl(),
             rec.registry().to_csv(),
             rec.spans().to_chrome_json(),
             rec.journal().to_jsonl(),

@@ -28,7 +28,7 @@
 use crate::report::RunReport;
 use crate::Scheme;
 use vds_obs::journal::{Action, RoundEntry, Verdict};
-use vds_obs::{obs_end_span, obs_event, obs_span, Digest128, Record, SpanGuard};
+use vds_obs::{obs_end_span, obs_span, Digest128, Record, SpanGuard};
 
 /// What one executed normal round hands back to the protocol.
 pub(crate) struct Round {
@@ -72,7 +72,7 @@ pub(crate) enum StopRule {
 
 /// An execution model the protocol can drive.
 pub(crate) trait Backend {
-    /// Component name on the backend's obs events.
+    /// Component name on the backend's obs spans.
     const COMPONENT: &'static str;
     /// Whether the backend records obs phase spans (the abstract backend
     /// draws its Figure 1 timeline instead).
@@ -87,14 +87,13 @@ pub(crate) trait Backend {
     /// Current simulated time.
     fn now(&self) -> f64;
     /// Execute interval rounds `i..=last` on the active pair (injecting
-    /// any scheduled fault), charging each round's cost, comparing, and
-    /// emitting the backend's round events. Stops after the first round
-    /// whose verdict is not a match, or after round `last`; returns how
-    /// many rounds ran and the last one's outcome (every earlier round
-    /// matched). A backend may run fewer rounds than asked, but at least
-    /// one. The ledger is booked only after the call, so a backend whose
-    /// rounds read it (fault tracking, committed counts) runs one round
-    /// per call.
+    /// any scheduled fault), charging each round's cost and comparing.
+    /// Stops after the first round whose verdict is not a match, or
+    /// after round `last`; returns how many rounds ran and the last
+    /// one's outcome (every earlier round matched). A backend may run
+    /// fewer rounds than asked, but at least one. The ledger is booked
+    /// only after the call, so a backend whose rounds read it (fault
+    /// tracking, committed counts) runs one round per call.
     fn execute_until<R: Record>(&mut self, l: &mut Ledger<R>, i: u32, last: u32) -> (u32, Round);
     /// Per-version digests for a journal entry whose round did not
     /// compute them.
@@ -456,10 +455,6 @@ impl<B: Backend, R: Record> Duplex<B, R> {
         self.b.checkpoint(&mut self.l);
         self.l.rounds_since = 0;
         self.l.report.checkpoints += 1;
-        obs_event!(
-            self.l.rec, self.b.now(), B::COMPONENT, "checkpoint",
-            "number" => self.l.report.checkpoints,
-        );
     }
 
     fn recover(&mut self, i: u32) {
@@ -498,31 +493,7 @@ impl<B: Backend, R: Record> Duplex<B, R> {
         self.l.rounds_since = 0;
         self.b.restore();
         self.l.consecutive_rollbacks += 1;
-        let t = self.b.now();
-        let rule = self.b.stop_rule();
-        match rule {
-            _ if stopped => {
-                obs_event!(
-                    self.l.rec, t, B::COMPONENT, "processor_stop",
-                    "round" => i, "rounds_lost" => lost,
-                );
-            }
-            // the counter the stop rule watches rides on the event
-            StopRule::Attempts { .. } => {
-                obs_event!(
-                    self.l.rec, t, B::COMPONENT, "rollback",
-                    "round" => i, "rounds_lost" => lost,
-                    "consecutive" => self.l.consecutive_rollbacks,
-                );
-            }
-            StopRule::Stall => {
-                obs_event!(
-                    self.l.rec, t, B::COMPONENT, "rollback",
-                    "round" => i, "rounds_lost" => lost,
-                );
-            }
-        }
-        match rule {
+        match self.b.stop_rule() {
             StopRule::Attempts {
                 max_consecutive_rollbacks,
             } if self.l.consecutive_rollbacks > max_consecutive_rollbacks => self.shutdown(),
@@ -533,9 +504,42 @@ impl<B: Backend, R: Record> Duplex<B, R> {
     /// Fail-safe shutdown.
     fn shutdown(&mut self) {
         self.l.report.shutdown = true;
-        obs_event!(self.l.rec, self.b.now(), B::COMPONENT, "shutdown");
         self.l.action(Action::Shutdown, 0);
     }
+}
+
+/// Check a journaled run with one injected fault, detected and recovered
+/// without a rollback: the journal carries the fault, a non-`Match`
+/// verdict no earlier than the fault, and a `Recover` action on that
+/// row whose roll-forward is the progress the report committed beyond
+/// the rounds the journal executed.
+#[cfg(test)]
+pub(crate) fn assert_recovered_once(r: &RunReport, journal: &vds_obs::Journal) {
+    assert_eq!(
+        (
+            r.faults_injected,
+            r.detections,
+            r.recoveries_ok,
+            r.rollbacks
+        ),
+        (1, 1, 1, 0),
+        "{r}"
+    );
+    let e = journal.entries();
+    let faulted: Vec<usize> = (0..e.len()).filter(|&k| e[k].fault.is_some()).collect();
+    let detected: Vec<usize> = (0..e.len())
+        .filter(|&k| e[k].verdict != Verdict::Match)
+        .collect();
+    assert_eq!(faulted.len(), 1, "{e:?}");
+    assert_eq!(detected.len(), 1, "{e:?}");
+    let (f, d) = (faulted[0], detected[0]);
+    assert!(f <= d, "detected before injected: {e:?}");
+    assert_eq!(e[f].fault_id, Some(0));
+    assert_eq!(e[d].action, Action::Recover, "{:?}", e[d]);
+    let progress = r.committed_rounds - e.len() as u64;
+    assert_eq!(u64::from(e[d].rollforward), progress, "{r}");
+    assert_eq!(r.rollforward_hits, u64::from(progress > 0), "{r}");
+    assert_eq!(e.last().map(|e| e.committed), Some(r.committed_rounds));
 }
 
 #[cfg(test)]

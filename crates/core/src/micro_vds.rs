@@ -38,7 +38,7 @@ use rand::{Rng as _, SeedableRng};
 use vds_checkpoint::digest::{digest_words, StateDigest};
 use vds_fault::model::FaultKind;
 use vds_obs::journal::Verdict;
-use vds_obs::{obs_end_span, obs_event, obs_span, obs_span_on};
+use vds_obs::{obs_end_span, obs_span, obs_span_on};
 use vds_obs::{NoopRecorder, Record};
 use vds_sched::{Machine, ProcId, ProcOutcome};
 use vds_smtsim::core::{CoreConfig, SavedContext, ThreadId, ThreadState};
@@ -244,10 +244,6 @@ impl Micro {
         // a masked flip (r0 / out-of-range site) changed no state: it can
         // never be detected nor corrupt the output
         l.track_fault(t, effect == vds_fault::inject::InjectionEffect::Masked);
-        obs_event!(
-            l.rec, t, "micro", "fault_injected",
-            "round" => i, "version" => version,
-        );
     }
 
     /// Book one active version's round outcome: trap evidence, or a hang
@@ -573,7 +569,6 @@ impl Backend for Micro {
         let t = self.m.cycles() as f64;
         obs_end_span!(l.rec, cmp_g, t);
         let (verdict, digests) = if self.trap_evidence.is_some() || !hung.is_empty() {
-            obs_event!(l.rec, t, "micro", "detect", "round" => i, "evidence" => "trap");
             let v = if hung.is_empty() {
                 Verdict::Trap
             } else {
@@ -582,13 +577,12 @@ impl Backend for Micro {
             (v, None)
         } else {
             let (da, db) = (self.window_digest_of(a), self.window_digest_of(b));
-            if da != db {
-                obs_event!(l.rec, t, "micro", "detect", "round" => i, "evidence" => "mismatch");
-                (Verdict::Mismatch, Some((da, db)))
+            let v = if da != db {
+                Verdict::Mismatch
             } else {
-                obs_event!(l.rec, t, "micro", "round", "round" => i, "comparison" => "match");
-                (Verdict::Match, Some((da, db)))
-            }
+                Verdict::Match
+            };
+            (v, Some((da, db)))
         };
         let outcome = if verdict == Verdict::Match {
             "commit"
@@ -702,12 +696,6 @@ impl Backend for Micro {
         for v in self.active {
             self.transplant(v, &resume_img);
         }
-        obs_event!(
-            l.rec, self.m.cycles() as f64, "micro", "recovery",
-            "round" => i,
-            "scheme" => self.cfg.scheme.name(),
-            "rollforward_progress" => progress,
-        );
         Recovery::Recovered { progress }
     }
 
@@ -744,13 +732,12 @@ pub fn run_micro(cfg: &MicroConfig, fault: Option<MicroFault>, target_rounds: u6
     run_micro_with_recorder(cfg, fault, target_rounds, NoopRecorder).0
 }
 
-/// [`run_micro`], recording into `rec` — round / detection / checkpoint
-/// / recovery / rollback events at cycle time, the report mirrored under
-/// `vds.*`, the SMT core's cycle-level counters (per-thread stalls,
-/// cache hits/misses) under `smt.*`, and the flight-recorder journal when
-/// enabled — and returning the final data-memory image of the first
-/// active version (for output-correctness audits against
-/// [`crate::workload::oracle`]).
+/// [`run_micro`], recording into `rec` — phase spans at cycle time, the
+/// report mirrored under `vds.*`, the SMT core's cycle-level counters
+/// (per-thread stalls, cache hits/misses) under `smt.*`, and the
+/// flight-recorder journal when enabled — and returning the final
+/// data-memory image of the first active version (for
+/// output-correctness audits against [`crate::workload::oracle`]).
 pub fn run_micro_with_recorder<R: Record>(
     cfg: &MicroConfig,
     fault: Option<MicroFault>,
@@ -1088,10 +1075,14 @@ mod tests {
     }
 
     #[test]
-    fn recorded_micro_run_exports_metrics_and_trace() {
+    fn recorded_micro_run_exports_metrics_and_journals_the_recovery() {
         let cfg = MicroConfig::new(Scheme::SmtDeterministic, 10);
-        let (r, _, rec) =
-            run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, Recorder::new());
+        let mut rec = Recorder::new();
+        rec.enable_journal(vds_obs::JournalHeader::new(
+            "micro", "smt-det", cfg.seed, 10, 15,
+        ));
+        let (r, _, rec) = run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, rec);
+        crate::duplex::assert_recovered_once(&r, rec.journal());
         let reg = rec.registry();
         assert_eq!(reg.counter("vds.committed_rounds"), r.committed_rounds);
         assert_eq!(reg.counter("vds.detections"), 1);
@@ -1101,14 +1092,8 @@ mod tests {
         let (_, _, rec2) =
             run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, Recorder::new());
         assert_eq!(rec.registry().to_csv(), rec2.registry().to_csv());
-        assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
         assert_eq!(rec.spans().to_chrome_json(), rec2.spans().to_chrome_json());
         assert_eq!(rec.spans().to_folded(), rec2.spans().to_folded());
-        let events: Vec<&str> = rec.trace().records().map(|e| e.event).collect();
-        assert!(events.contains(&"fault_injected"));
-        assert!(events.contains(&"detect"));
-        assert!(events.contains(&"recovery"));
-        assert!(events.contains(&"round"));
         // span layer: every phase shows up, exports are deterministic,
         // and the rollups landed in the registry
         let names: Vec<&str> = rec.spans().records().map(|s| s.name).collect();

@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_fault::vm::VmFaultSite;
 use vds_obs::journal::Verdict;
-use vds_obs::{obs_end_span, obs_event, obs_span};
+use vds_obs::{obs_end_span, obs_span};
 use vds_obs::{Digest128, Digester128, NoopRecorder, Record};
 use vds_vm::{run_round, FaultPlan, Outcome, Program, SeedProgram, StateFlip, Vm};
 
@@ -199,10 +199,6 @@ impl VmDuplex {
         let slot = f.victim.index();
         l.inject(1, || format!("{}@v{}", f.site.spec_string(), slot + 1));
         let t = self.sim_time;
-        obs_event!(
-            l.rec, t, "vm", "fault_injected",
-            "round" => i, "version" => slot,
-        );
         // Mid-execution step: early enough to land inside every seed
         // program's main loop, late enough to hit post-reset live state.
         let at_step = self.rng.gen_range(1..150u64);
@@ -281,14 +277,7 @@ impl Backend for VmDuplex {
         };
         let outcome = match verdict {
             Verdict::Match => "commit",
-            Verdict::Mismatch => {
-                obs_event!(l.rec, t, "vm", "detect", "round" => i, "evidence" => "mismatch");
-                "detect"
-            }
-            Verdict::Trap | Verdict::Hang => {
-                obs_event!(l.rec, t, "vm", "detect", "round" => i, "evidence" => "trap");
-                "detect"
-            }
+            Verdict::Mismatch | Verdict::Trap | Verdict::Hang => "detect",
         };
         obs_end_span!(l.rec, round_g, t, "round" => i, "outcome" => outcome);
         let r = Round {
@@ -323,7 +312,7 @@ impl Backend for VmDuplex {
     /// disagreement after a clean retry means the checkpoint itself was
     /// corrupted — the duplex cannot make progress and rolls back,
     /// surrendering the interval.
-    fn recover<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Recovery {
+    fn recover<R: Record>(&mut self, _: &mut Ledger<R>, i: u32) -> Recovery {
         self.restore();
         let mut cost = 0u64;
         let mut clean = true;
@@ -341,10 +330,6 @@ impl Backend for VmDuplex {
         if !clean || self.digest_of(0) != self.digest_of(1) {
             return Recovery::Rollback;
         }
-        obs_event!(
-            l.rec, self.sim_time, "vm", "recovery",
-            "round" => i, "scheme" => self.cfg.scheme.name(),
-        );
         Recovery::Recovered { progress: 0 }
     }
 
@@ -372,7 +357,7 @@ pub fn run_vm_duplex(cfg: &VmConfig, fault: Option<VmFault>, target_rounds: u64)
     run_vm_duplex_with_recorder(cfg, fault, target_rounds, NoopRecorder).0
 }
 
-/// [`run_vm_duplex`], recording into `rec` (metrics, event trace, spans
+/// [`run_vm_duplex`], recording into `rec` (metrics, spans
 /// and the flight-recorder journal when enabled) and returning variant
 /// 1's final data-memory image (for output-correctness audits against
 /// [`vds_vm::SeedProgram::oracle`]).
@@ -656,6 +641,19 @@ mod tests {
         for (k, e) in j.entries().iter().enumerate() {
             assert_eq!(e.seq, k as u64);
         }
+    }
+
+    #[test]
+    fn journal_carries_the_detected_fault_and_its_recovery() {
+        let f = VmFault {
+            at_round: 4,
+            victim: Victim::V2,
+            site: VmFaultSite::Pc { bit: 9 },
+        };
+        let mut rec = Recorder::new();
+        rec.enable_journal(vds_obs::JournalHeader::new("vm", "smt-det", 2024, 8, 15));
+        let (r, _, rec) = run_vm_duplex_with_recorder(&cfg("matmul"), Some(f), 15, rec);
+        crate::duplex::assert_recovered_once(&r, rec.journal());
     }
 
     #[test]

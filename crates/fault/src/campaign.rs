@@ -209,13 +209,10 @@ where
                 let (lo, hi) = shard_bounds(n, shards, s);
                 let mut local = CampaignReport::default();
                 let mut rec = if record {
-                    // metrics + spans only: per-shard traces would
-                    // interleave by completion order; the shard_done
-                    // event below is emitted with the shard index as its
-                    // time instead. Span merging is shard-ordered, so a
-                    // shard keeps exactly its own spans (one per shard
-                    // plus one per trial) on the trial-index time axis.
-                    Recorder::with_capacities(0, (hi - lo) as usize + 1)
+                    // Span merging is shard-ordered, so a shard keeps
+                    // exactly its own spans (one per shard plus one per
+                    // trial) on the trial-index time axis.
+                    Recorder::with_span_capacity((hi - lo) as usize + 1)
                 } else {
                     Recorder::disabled()
                 };
@@ -252,22 +249,11 @@ where
     if let Some(h) = journal {
         rec.enable_journal(h.clone());
     }
-    for (s, slot) in slots.into_iter().enumerate() {
+    for slot in slots {
         let (shard_report, shard_rec) = slot
             .into_inner()
             .unwrap()
             .expect("every logical shard completes");
-        if record {
-            rec.event(
-                s as f64,
-                "campaign",
-                "shard_done",
-                vec![
-                    ("shard", (s as u64).into()),
-                    ("trials", shard_report.trials.into()),
-                ],
-            );
-        }
         report.merge(&shard_report);
         rec.merge(shard_rec);
     }
@@ -417,7 +403,8 @@ mod tests {
                 .count(),
             300
         );
-        assert_eq!(reca.trace().len(), LOGICAL_SHARDS as usize);
+        let shards = reca.spans().records().filter(|r| r.name == "shard");
+        assert_eq!(shards.count(), LOGICAL_SHARDS as usize);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 
 use crate::journal::RoundEntry;
 use crate::recorder::Recorder;
-use crate::span::{SpanGuard, SpanRecord};
-use crate::trace::Value;
+use crate::span::{SpanGuard, SpanRecord, Value};
 
 /// The facade instrumented code is generic over.
 ///
@@ -39,14 +38,6 @@ pub trait Record {
     /// [`NoopRecorder`]; the runtime enabled flag for [`Recorder`].
     #[inline]
     fn is_active(&self) -> bool {
-        false
-    }
-
-    /// Whether trace events are kept, not just counted as dropped: the
-    /// `obs_event!` macro builds an event's field list only when this
-    /// holds. Constant `false` for [`NoopRecorder`].
-    #[inline]
-    fn keeps_events(&self) -> bool {
         false
     }
 
@@ -84,17 +75,6 @@ pub trait Record {
     /// (log-bucket counts; exact, order-invariant shard merges).
     #[inline]
     fn observe_hist(&mut self, _name: &str, _x: f64) {}
-
-    /// Emit a trace event at simulated time `sim_time`.
-    #[inline]
-    fn event(
-        &mut self,
-        _sim_time: f64,
-        _component: &'static str,
-        _event: &'static str,
-        _fields: Vec<(&'static str, Value)>,
-    ) {
-    }
 
     /// Open a span at simulated time `begin` on lane (tid) 0.
     #[inline]
@@ -166,11 +146,6 @@ impl Record for Recorder {
     }
 
     #[inline]
-    fn keeps_events(&self) -> bool {
-        Recorder::keeps_events(self)
-    }
-
-    #[inline]
     fn keeps_span_fields(&self) -> bool {
         Recorder::keeps_span_fields(self)
     }
@@ -198,17 +173,6 @@ impl Record for Recorder {
     #[inline]
     fn observe_hist(&mut self, name: &str, x: f64) {
         Recorder::observe_hist(self, name, x);
-    }
-
-    #[inline]
-    fn event(
-        &mut self,
-        sim_time: f64,
-        component: &'static str,
-        event: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
-        Recorder::event(self, sim_time, component, event, fields);
     }
 
     #[inline]
@@ -285,21 +249,6 @@ macro_rules! obs_hist {
     };
 }
 
-/// Emit a trace event iff the recorder is active. The field list is
-/// written `key => value, …` and is only materialised (allocated) when
-/// the event is actually kept; a recorder that keeps no events gets the
-/// event without its fields, which it only counts as dropped.
-#[macro_export]
-macro_rules! obs_event {
-    ($rec:expr, $t:expr, $comp:expr, $ev:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        if $rec.keeps_events() {
-            $rec.event($t, $comp, $ev, vec![$(($k, $crate::Value::from($v))),*]);
-        } else if $rec.is_active() {
-            $rec.event($t, $comp, $ev, Vec::new());
-        }
-    };
-}
-
 /// Open a span (lane 0) iff the recorder is active; evaluates to a
 /// [`SpanGuard`] (inert when inactive).
 #[macro_export]
@@ -348,9 +297,8 @@ mod tests {
         obs_count!(rec, "c", 2);
         obs_gauge!(rec, "g", 1.5);
         obs_hist!(rec, "h", 0.25);
-        obs_event!(rec, 1.0, "t", "e", "round" => 3u64, "ok" => true);
         let g = obs_span!(rec, "t", "phase", 0.0);
-        obs_end_span!(rec, g, 2.0, "n" => 1u64);
+        obs_end_span!(rec, g, 2.0, "n" => 1u64, "ok" => true);
         let g2 = obs_span_on!(rec, 1, "t", "lane", 0.5);
         rec.end_span(g2, 1.0);
         rec.bump("c");
@@ -372,26 +320,13 @@ mod tests {
         assert_eq!(rec.registry().counter("c"), 3);
         assert_eq!(rec.registry().gauge_value("g"), Some(1.5));
         assert_eq!(rec.registry().histogram("h").unwrap().count(), 1);
-        assert_eq!(rec.trace().len(), 1);
         assert_eq!(rec.spans().len(), 2);
-    }
-
-    #[test]
-    fn a_recorder_without_a_trace_still_counts_dropped_events() {
-        let mut kept = Recorder::with_capacities(0, 8);
-        let mut direct = Recorder::with_capacities(0, 8);
-        assert!(kept.is_active() && !kept.keeps_events());
-        emit(&mut kept);
-        direct.event(1.0, "t", "e", vec![("round", 3u64.into())]);
-        assert_eq!(kept.trace(), direct.trace());
-        assert_eq!(kept.trace().dropped(), 1);
-        assert_eq!(kept.spans().len(), 2);
     }
 
     #[test]
     fn a_registry_only_recorder_keeps_spans_without_fields() {
         let mut rec = Recorder::registry_only();
-        assert!(rec.is_active() && !rec.keeps_events() && !rec.keeps_span_fields());
+        assert!(rec.is_active() && !rec.keeps_span_fields());
         emit(&mut rec);
         rec.record_span(SpanRecord {
             begin: 0.0,
@@ -403,7 +338,6 @@ mod tests {
         });
         assert_eq!(rec.spans().len(), 3);
         assert!(rec.spans().records().all(|r| r.fields.is_empty()));
-        assert!(rec.trace().is_empty());
         assert_eq!(rec.registry().counter("c"), 3);
     }
 
@@ -415,7 +349,6 @@ mod tests {
         let mut rec = Recorder::disabled();
         emit(&mut rec);
         assert!(rec.registry().is_empty());
-        assert!(rec.trace().is_empty());
         assert_eq!(rec.spans().len(), 0);
     }
 

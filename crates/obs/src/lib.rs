@@ -3,10 +3,10 @@
 
 //! # vds-obs — the deterministic observability layer
 //!
-//! Zero-dependency metrics and tracing for the VDS-SMT reproduction. The
-//! paper's entire contribution is *performance estimation*, so every
-//! backend must be able to say where simulated time goes — cheaply, and
-//! reproducibly.
+//! Zero-dependency metrics, spans and journals for the VDS-SMT
+//! reproduction. The paper's entire contribution is *performance
+//! estimation*, so every backend must be able to say where simulated
+//! time goes — cheaply, and reproducibly.
 //!
 //! Four pieces:
 //!
@@ -27,17 +27,16 @@
 //!   ([`PairLedger`]) that decompose measured SMT contention into
 //!   per-cause stall deltas under an exact conservation invariant, with
 //!   text/JSON/registry surfaces ([`AlphaReport`]).
-//! * [`Trace`] — a bounded ring buffer of `(sim_time, component, event,
-//!   fields)` records with a JSON-lines exporter.
 //! * [`SpanSet`] — a bounded ring buffer of `(begin, end, component,
 //!   name, tid, fields)` phase spans with three exporters: Chrome
 //!   trace-event JSON ([`SpanSet::to_chrome_json`], loadable in
 //!   Perfetto/`chrome://tracing`), folded stacks for flamegraph tools
 //!   ([`SpanSet::to_folded`]), and per-phase self/total rollups into the
 //!   registry ([`SpanSet::rollup_into`]).
-//! * [`Journal`] — the execution flight recorder: one schema-versioned
-//!   entry per simulated round (per-version state digests, comparator
-//!   verdict, scheduler decision, recovery action, injected fault), with
+//! * [`Journal`] — the execution flight recorder, and the one per-round
+//!   record of the protocol: one schema-versioned entry per simulated
+//!   round (per-version state digests, comparator verdict, scheduler
+//!   decision, recovery action, injected fault), with
 //!   a JSONL codec and a linear-scan first-divergence diff
 //!   ([`Journal::first_divergence`]) behind `vds replay` / `vds audit`.
 //! * [`Recorder`] — the concrete sink; a disabled recorder costs one
@@ -48,15 +47,15 @@
 //!   zero-sized [`NoopRecorder`] monomorphizes instrumentation away
 //!   entirely on uninstrumented runs.
 //!
-//! Every export is a file: the registry as CSV or JSON, the trace as
-//! JSON lines, the spans as Chrome trace JSON, the journal as JSONL.
+//! Every export is a file: the registry as CSV or JSON, the spans as
+//! Chrome trace JSON, the journal as JSONL.
 //! [`logging`] is the leveled JSONL-on-stderr facade (`log_warn!` &
 //! friends, `VDS_LOG` / `--log-level`).
 //!
 //! **Determinism contract:** for a fixed seed, the content of a
-//! recorder's registry, trace, spans and journal — and therefore the
+//! recorder's registry, spans and journal — and therefore the
 //! bytes of [`Registry::to_csv`] / [`Registry::to_jsonl`] /
-//! [`Trace::to_jsonl`] / [`SpanSet::to_chrome_json`] /
+//! [`SpanSet::to_chrome_json`] /
 //! [`SpanSet::to_folded`] / [`Journal::to_jsonl`] — are identical
 //! across runs and across worker counts, provided parallel shards are
 //! merged in a fixed order (see `vds-fault`'s logical shards). Host
@@ -73,7 +72,6 @@
 //! let mut rec = Recorder::new();
 //! rec.bump("core.rounds.committed");
 //! rec.observe("core.recovery_time", 12.5);
-//! rec.event(3.0, "core", "fault_detected", vec![("round", 3u64.into())]);
 //! assert_eq!(rec.registry().counter("core.rounds.committed"), 1);
 //! let csv = rec.registry().to_csv();
 //! assert!(csv.contains("counter,core.rounds.committed,value,1"));
@@ -92,7 +90,6 @@ pub mod recorder;
 pub mod registry;
 pub mod span;
 pub mod summary;
-pub mod trace;
 
 pub use alpha::{AlphaReport, CycleSnapshot, PairLedger, STALL_KINDS};
 pub use atomic_file::write_atomic;
@@ -108,8 +105,7 @@ pub use journal::{
 };
 pub use json::{json_array, JsonObj, REPORT_SCHEMA};
 pub use logging::Level;
-pub use recorder::{Recorder, Stopwatch, DEFAULT_TRACE_CAPACITY};
+pub use recorder::{Recorder, Stopwatch};
 pub use registry::{KeyPrefix, Registry};
-pub use span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
+pub use span::{SpanGuard, SpanRecord, SpanSet, Value, DEFAULT_SPAN_CAPACITY};
 pub use summary::Summary;
-pub use trace::{Trace, TraceRecord, Value};

@@ -2,12 +2,12 @@
 //!
 //! The simulation's *results* flow through the deterministic exporters;
 //! everything a human or a log collector needs to know about the
-//! *process* (dropped trace records, server lifecycle, campaign
-//! milestones) goes through this facade instead of ad-hoc `eprintln!`.
+//! *process* (dropped span records, files written, torn journal lines)
+//! goes through this facade instead of ad-hoc `eprintln!`.
 //! One line per event, machine-parseable:
 //!
 //! ```text
-//! {"ts":1722945600.123,"level":"warn","component":"cli","msg":"trace records dropped","dropped":40,"capacity":8}
+//! {"ts":1722945600.123,"level":"warn","component":"cli","msg":"span records dropped — raise --trace-capacity","dropped":236,"capacity":8}
 //! ```
 //!
 //! The threshold is process-global: set it with [`set_level`] /
@@ -23,7 +23,7 @@
 //! output with [`capture`].
 
 use crate::registry::json_escape;
-use crate::trace::Value;
+use crate::span::Value;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -35,7 +35,7 @@ pub enum Level {
     Error,
     /// Results are fine but something needs operator attention.
     Warn,
-    /// Lifecycle milestones (server started, campaign finished).
+    /// Milestones (a file written, a campaign finished).
     Info,
     /// High-volume diagnostics.
     Debug,

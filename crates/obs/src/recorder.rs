@@ -1,25 +1,21 @@
 //! The [`Recorder`] handle: the single object components accept to emit
-//! metrics and trace events.
+//! metrics, spans and journal entries.
 //!
-//! A recorder bundles a [`Registry`] and a [`Trace`] behind an enabled
-//! flag, so instrumented code takes `&mut Recorder` unconditionally and a
-//! disabled recorder costs one branch per call site. Recorders are plain
-//! owned values: parallel code gives each shard its own recorder and
-//! merges them in a fixed order, which keeps content deterministic for a
-//! fixed seed regardless of worker count.
+//! A recorder bundles a [`Registry`], a [`SpanSet`] and a [`Journal`]
+//! behind an enabled flag, so instrumented code takes `&mut Recorder`
+//! unconditionally and a disabled recorder costs one branch per call
+//! site. Recorders are plain owned values: parallel code gives each
+//! shard its own recorder and merges them in a fixed order, which keeps
+//! content deterministic for a fixed seed regardless of worker count.
 
 use crate::conformance::{ConformanceTracker, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
 use crate::forensics::ForensicsTracker;
 use crate::journal::{Journal, JournalHeader, RoundEntry};
 use crate::registry::Registry;
-use crate::span::{SpanGuard, SpanRecord, SpanSet, DEFAULT_SPAN_CAPACITY};
-use crate::trace::{Trace, TraceRecord, Value};
+use crate::span::{SpanGuard, SpanRecord, SpanSet, Value, DEFAULT_SPAN_CAPACITY};
 use std::time::Instant;
 
-/// Default trace capacity for enabled recorders.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Metrics + trace + span + journal sink handed through the stack.
+/// Metrics + span + journal sink handed through the stack.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recorder {
     enabled: bool,
@@ -27,44 +23,36 @@ pub struct Recorder {
     /// for its registry rolls spans up without them.
     span_fields: bool,
     registry: Registry,
-    trace: Trace,
     spans: SpanSet,
     journal: Journal,
 }
 
 impl Recorder {
-    /// Enabled recorder with the default trace and span capacities.
+    /// Enabled recorder with the default span capacity.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
+        Self::with_span_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// Enabled recorder with an explicit trace capacity, mirrored onto
-    /// the span ring (0 = metrics only).
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Self::with_capacities(capacity, capacity)
-    }
-
-    /// Enabled recorder with independent trace and span capacities
-    /// (campaign shards keep spans but skip per-trial event traces).
-    pub fn with_capacities(trace_capacity: usize, span_capacity: usize) -> Self {
+    /// Enabled recorder keeping at most `capacity` spans (0 = metrics
+    /// and journal only).
+    pub fn with_span_capacity(capacity: usize) -> Self {
         Recorder {
             enabled: true,
             span_fields: true,
             registry: Registry::new(),
-            trace: Trace::with_capacity(trace_capacity),
-            spans: SpanSet::with_capacity(span_capacity),
+            spans: SpanSet::with_capacity(capacity),
             journal: Journal::disabled(),
         }
     }
 
     /// Enabled recorder for a run of which only the registry (span
     /// rollups included) and the journal are kept, as a campaign trial's
-    /// ([`Recorder::adopt_run`]): no event trace, and spans kept for the
-    /// rollup alone, without their fields.
+    /// ([`Recorder::adopt_run`]): spans are kept for the rollup alone,
+    /// without their fields.
     pub fn registry_only() -> Self {
         Recorder {
             span_fields: false,
-            ..Self::with_capacities(0, DEFAULT_SPAN_CAPACITY)
+            ..Self::new()
         }
     }
 
@@ -74,7 +62,6 @@ impl Recorder {
             enabled: false,
             span_fields: false,
             registry: Registry::new(),
-            trace: Trace::with_capacity(0),
             spans: SpanSet::with_capacity(0),
             journal: Journal::disabled(),
         }
@@ -90,12 +77,6 @@ impl Recorder {
     /// concrete `Recorder` without importing the trait.
     pub fn is_active(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether trace events are kept: the recorder is enabled and its
-    /// trace has room for at least one record.
-    pub fn keeps_events(&self) -> bool {
-        self.enabled && self.trace.capacity() > 0
     }
 
     /// Whether spans keep the key/value fields they are closed with.
@@ -140,24 +121,6 @@ impl Recorder {
     pub fn observe_hist(&mut self, name: &str, x: f64) {
         if self.enabled {
             self.registry.observe_hist(name, x);
-        }
-    }
-
-    /// Emit a trace event at simulated time `sim_time`.
-    pub fn event(
-        &mut self,
-        sim_time: f64,
-        component: &'static str,
-        event: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
-        if self.enabled {
-            self.trace.push(TraceRecord {
-                sim_time,
-                component,
-                event,
-                fields,
-            });
         }
     }
 
@@ -239,11 +202,6 @@ impl Recorder {
         &self.registry
     }
 
-    /// Read access to the collected trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Turn on the execution flight recorder for this recorder's run.
     /// No-op on a disabled recorder.
     pub fn enable_journal(&mut self, header: JournalHeader) {
@@ -282,7 +240,7 @@ impl Recorder {
     /// Adopt a finished run's recording as campaign trial `lane`: merge
     /// its registry into this one and move its journal entries over under
     /// lane `lane` (kept only if this recorder's journal is enabled). Its
-    /// trace and spans are dropped.
+    /// spans are dropped.
     pub fn adopt_run(&mut self, run: Recorder, lane: u64) {
         if self.enabled {
             self.registry.merge(&run.registry);
@@ -319,19 +277,18 @@ impl Recorder {
         self.journal = journal;
     }
 
-    /// Consume the recorder, returning its registry, trace and spans.
-    pub fn into_parts(self) -> (Registry, Trace, SpanSet) {
-        (self.registry, self.trace, self.spans)
+    /// Consume the recorder, returning its registry and spans.
+    pub fn into_parts(self) -> (Registry, SpanSet) {
+        (self.registry, self.spans)
     }
 
     /// Merge another recorder's content into this one (counters add,
-    /// gauges max, summaries merge, traces/spans/journal entries
+    /// gauges max, summaries merge, spans and journal entries
     /// concatenate). Merge shards in a fixed order for
     /// bit-reproducibility.
     pub fn merge(&mut self, other: Recorder) {
         if self.enabled {
             self.registry.merge(&other.registry);
-            self.trace.extend_from(&other.trace);
             self.spans.extend_from(&other.spans);
             self.journal.extend_from(other.journal);
         }
@@ -391,9 +348,10 @@ mod tests {
         r.bump("c");
         r.gauge("g", 1.0);
         r.observe("s", 2.0);
-        r.event(0.0, "t", "e", vec![]);
+        let g = r.span("t", "p", 0.0);
+        r.end_span(g, 1.0);
         assert!(r.registry().is_empty());
-        assert!(r.trace().is_empty());
+        assert!(r.spans().is_empty());
     }
 
     #[test]
@@ -402,9 +360,10 @@ mod tests {
         r.bump("c");
         r.count("c", 2);
         r.observe("s", 5.0);
-        r.event(1.0, "t", "e", vec![("k", 7u64.into())]);
+        let g = r.span("t", "p", 1.0);
+        r.end_span_with(g, 2.0, vec![("k", 7u64.into())]);
         assert_eq!(r.registry().counter("c"), 3);
-        assert_eq!(r.trace().len(), 1);
+        assert_eq!(r.spans().len(), 1);
     }
 
     #[test]
@@ -413,9 +372,10 @@ mod tests {
         a.bump("c");
         let mut b = Recorder::new();
         b.bump("c");
-        b.event(2.0, "t", "e", vec![]);
+        let g = b.span("t", "p", 2.0);
+        b.end_span(g, 3.0);
         a.merge(b);
         assert_eq!(a.registry().counter("c"), 2);
-        assert_eq!(a.trace().len(), 1);
+        assert_eq!(a.spans().len(), 1);
     }
 }

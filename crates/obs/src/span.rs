@@ -2,8 +2,8 @@
 //! exporters.
 //!
 //! A [`SpanSet`] records `(begin, end, component, name, tid, fields)`
-//! intervals of *simulated* time in a bounded ring buffer, mirroring the
-//! [`crate::Trace`] design (always-on, bounded memory, dropped counter).
+//! intervals of *simulated* time in a bounded ring buffer (always-on,
+//! bounded memory, dropped counter).
 //! Spans answer the question flat counters cannot: where inside a VDS
 //! round does the time go — `round ⊃ compute ⊃ compare ⊃ checkpoint ⊃
 //! recovery ⊃ roll-forward` — per hardware thread.
@@ -28,9 +28,89 @@
 //! worker counts (see `vds-fault`'s logical shards).
 
 use crate::registry::{fmt_f64, json_escape, Registry};
-use crate::trace::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
+
+/// A field value attached to a span (or a structured log line).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Floating point.
+    F64(f64),
+    /// Short string (outcome names, labels).
+    Str(&'static str),
+    /// Owned string (runtime-built labels, e.g. timeline annotations).
+    Owned(String),
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::U64(v)
+    }
+}
+impl From<u32> for Value {
+    fn from(v: u32) -> Self {
+        Value::U64(u64::from(v))
+    }
+}
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::U64(v as u64)
+    }
+}
+impl From<i64> for Value {
+    fn from(v: i64) -> Self {
+        Value::I64(v)
+    }
+}
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::F64(v)
+    }
+}
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(v)
+    }
+}
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Owned(v)
+    }
+}
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Str(if v { "true" } else { "false" })
+    }
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::U64(v) => write!(f, "{v}"),
+            Value::I64(v) => write!(f, "{v}"),
+            Value::F64(v) => write!(f, "{}", fmt_f64(*v)),
+            Value::Str(v) => write!(f, "{v}"),
+            Value::Owned(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+impl Value {
+    pub(crate) fn to_json(&self) -> String {
+        match self {
+            Value::U64(v) => v.to_string(),
+            Value::I64(v) => v.to_string(),
+            Value::F64(v) if v.is_finite() => format!("{v}"),
+            Value::F64(v) => format!("\"{}\"", fmt_f64(*v)),
+            Value::Str(v) => format!("\"{}\"", json_escape(v)),
+            Value::Owned(v) => format!("\"{}\"", json_escape(v)),
+        }
+    }
+}
 
 /// Default span capacity for enabled recorders.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;

@@ -99,13 +99,6 @@ impl SeedProgram {
         m
     }
 
-    /// Apply one round's full data-memory effect in pure Rust. The
-    /// caller must have set `mem[ADDR_ROUND]` first, mirroring
-    /// [`crate::run_round`].
-    pub fn oracle_step(&self, mem: &mut [u32]) {
-        (self.oracle_fn)(mem);
-    }
-
     /// Full-run oracle: the exact data memory after `rounds` clean
     /// rounds from the seeded initial memory.
     #[must_use]

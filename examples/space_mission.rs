@@ -3,9 +3,9 @@
 //! due to radiation, and repair is impossible" — a VDS must detect *and
 //! tolerate* faults on its own.
 //!
-//! This example runs a long science-processing campaign under a bursty
-//! radiation environment (clustered transients, occasional crashes) on
-//! all recovery schemes, with a fault-history predictor driving the
+//! This example runs a long science-processing campaign under a harsh
+//! radiation environment (independent upsets at q = 1.5% per round, 30%
+//! of them crashes) on all recovery schemes, with a fault-history predictor driving the
 //! predictive scheme's picks, and reports mission-level metrics:
 //! throughput, recovery overhead, rollbacks and the predictive scheme's
 //! silent-corruption exposure.
@@ -22,16 +22,14 @@ use vds::predictor::predictors::{LastOutcome, SaturatingCounter};
 fn main() {
     let params = Params::paper_default();
     let mission_rounds = 200_000;
-    // Clustered environment: bursts of correlated upsets with occasional
-    // crash faults (modelled by the engine's per-round + crash mix).
+    // Each round independently draws an upset with probability q; a
+    // `crash_fraction` share of the upsets crash the version outright.
     let env = FaultModel::PerRoundWithCrashes {
         q: 0.015,
         crash_fraction: 0.3,
     };
 
-    println!(
-        "mission: {mission_rounds} science rounds, bursty radiation (q=1.5%/round, 30% crashes)"
-    );
+    println!("mission: {mission_rounds} science rounds, i.i.d. upsets (q=1.5%/round, 30% crashes)");
     println!(
         "{:<16} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7}",
         "scheme", "time", "thruput", "recov", "rollback", "rf-hits", "silent"

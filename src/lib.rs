@@ -19,7 +19,7 @@
 //! | [`checkpoint`] | `vds-checkpoint` | state-digest names used by the micro engine |
 //! | [`predictor`] | `vds-predictor` | fault-version prediction (§4/§5) |
 //! | [`desim`] | `vds-desim` | seed derivation, Figure 1 span rendering, figure surfaces |
-//! | [`obs`] | `vds-obs` | deterministic metrics, event traces, profiler spans |
+//! | [`obs`] | `vds-obs` | deterministic metrics, profiler spans, flight-recorder journal |
 //! | [`sweep`] | `vds-sweep` | deterministic parallel parameter sweeps with resume |
 //!
 //! ## Quick start

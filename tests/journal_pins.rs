@@ -4,11 +4,11 @@
 //! Each case runs one engine with an enabled journal and pins three
 //! Digest128 values: one over the full JSONL bytes of the journal
 //! (header plus every round entry), one over the `Debug` rendering of the
-//! run report, and one over the recorder's event trace, span set and
-//! metric registry. Together they freeze the protocol's observable
-//! behaviour — verdicts, actions, roll-forward rounds, committed counts,
-//! simulated times, fault ids and fault outcomes, plus every obs event
-//! name, field and order — so any refactor of the engines must reproduce
+//! run report, and one over the recorder's span set (Chrome trace bytes)
+//! and metric registry (CSV bytes). Together they freeze the protocol's
+//! observable behaviour — verdicts, actions, roll-forward rounds,
+//! committed counts, simulated times, fault ids and fault outcomes, plus
+//! every span and metric — so any refactor of the engines must reproduce
 //! them exactly. Every case checks all three digests.
 //!
 //! The cases cover every protocol edge: recovery with and without
@@ -43,8 +43,7 @@ type Fingerprint = [String; 3];
 
 fn fingerprint(report: &RunReport, rec: &Recorder) -> Fingerprint {
     let obs = format!(
-        "{}{}{}",
-        rec.trace().to_jsonl(),
+        "{}{}",
         rec.spans().to_chrome_json(),
         rec.registry().to_csv()
     );
@@ -233,38 +232,38 @@ fn vm_cases() -> Vec<(String, Fingerprint)> {
 
 /// One case per line: name, then the journal, report and obs digests.
 const PINS: &str = "\
-abstract/conventional/per-round 3451b0d2143dacdd8db9c3fd6ec86098 90a544870b5d372a3cf634930578443e 2a22ed85e2b34c3ad59e8b9237d6fec7
-abstract/conventional/mission a680c0e998ab2549ea9dad9583728c3e 149b538b49d5b127106ada6bfe30298e 0b69260c95d817aeea0dc47307cf3f52
-abstract/smt-det/per-round c6b7c662f46b2d08a2055973f33f2e34 2b935c971dc5b4afcd7ca302f61f8ff4 3096ebaf568e03b566867cc1ad151152
-abstract/smt-det/mission 7f0c4acddc675e1f1c43be5fee2e06e2 b3f8535c1ab0b1feec96976ee01c0d65 2804f4556132330fbda3517c07281b93
-abstract/smt-prob/per-round 5a69f7b27ede6591085a907129a9f1ca 459487d9288ef8bad04e0a2cd9daa7e7 4c1feb93e00bc19dbdd7b315b825d5a8
-abstract/smt-prob/mission 2a84bb11fe49d0e763760248dc1d83eb d4ef67ad2213ca1912654d14d053acf8 349129e001cb2a92a55cb66e184329ed
-abstract/smt-pred/per-round bccca784b78c6b3a54ccab2760d93e1e 1163b5f3ae31a3bb6af3e1ff6ce314e8 beb0a2a79739bc5809f550fa9d946ec1
-abstract/smt-pred/mission fcfef19afd4f189f3e4cd0a62d4bc5f1 1bbfb6c20b1729409b174eb7a5da0703 9cd3f899165ed48f3c6555e1d156c2d0
-abstract/smt-boost3/per-round 3b891f1a856daaefa04a151f81bb6595 bc69bebb19f6ef4fcb8112966b060aff fb700a04928facd31d21a7cb762f03d8
-abstract/smt-boost3/mission 2d9c7a9db405014be15973153a00518e c95c8a3d8d1b2d6c5487f711fd4b909e 36b598d1b235f889e423b2081343e680
-abstract/smt-boost5/per-round 370f6af6801c2ad473c4b712d4813392 f87a6d934698c4fd4b460a856222f9ef e9f65e9ceafe19408587fd6f049a5b9a
-abstract/smt-boost5/mission ad57aab0065aed9cf1406e28c22e265d c74db31feba9440af5aecd0bcbb380d8 512441685ad31e99b0163127d4db0c8d
-abstract/conventional/rollback-shutdown 2afd433d809db178ba5181e1d6f32759 8b88e2405b84c3b1dc4fa515d889696d b7b2893acf60a6d1e7610c58c43860a1
-abstract/conventional/stop-shutdown 82b8781c41b0e864303dcdd10c891296 9a7cb35c6c2cdcf9ba545e143ffaf8a6 b6a05a4f9dfc187c7fbc23bc0e35904a
-micro/conventional/mem 2f641ce9048c2c668bda0752b0984622 0a29cfe08ffb17e2b151586266880d3a 7e1a4a57b13bf7512bc3e44cae8d2502
-micro/conventional/crash a8d836fc7091f4f2cfebe9c53746f94d c1d8d03912cbf5c8c59b53e98c2b99d6 37c1d998f273508dcb5b8b44d4e26a33
-micro/smt-det/mem e184f564110dfabaec5d23113419e5ba ecc72f42cca6a64a5d0e988e9b14671c da655e1e96570a7672508b9b1c055ad0
-micro/smt-det/crash 4402d0e5c6b7ec5682c69030dcb6d7ce c1f7790c938ecf2ddc47e2c7a23e0e86 d11b85ca5f6cb806618f6dea7ff8f211
-micro/smt-prob/mem d6b3687e4cb0b37f5607c4d8530e46b9 d9ac8fdc26d6efcce5c226e9874545a8 ca6485c6ff2ee9552a64f71d2290d387
-micro/smt-prob/crash fffee188cdc8ebab61b2fca263158648 5ea279cac8b24bb22247a8b12719ecff 462fe823ed940418ed7df05bcc6c33e9
-micro/smt-pred/mem dca44f7bee9166787a3e924f2add6e21 6c32f3290e849206fb28b10b4d748601 d39cefdefd6844c14acba3b039bd67bd
-micro/smt-pred/crash 7cb9925a4db01d43150e0777e7162521 bc25e941aef39abfafe501a02917bdf2 17b9c2b838a13565833da8463a0e1c28
-micro/smt-boost3/mem 91b085e8392ada0e7a86bf55378b5a32 a8cb4686ed30e0f91323b238bfa411cb d0fb6d73e87be9f187e79defa14eff20
-micro/smt-boost3/crash 8bd4f9de7d37d89214b147e56783e86e 26f207ba86fe4f7035a9f46f790ed6c1 5001be713a57f592c95c34cd24a0770f
-vm/conventional/checksum cd3d50c95e40c6de734f8db5e32604a5 2ffb27e36d3c1ee1c2dbc58e265ece9b 4d98d0e8aa0276daea891c69f2e55cd2
-vm/conventional/sort f86a06e77c6c0386a30f4d1477a6e374 a7ae52d77890084f187633bddf8b424c 4e76cc564a27a02c7a4cb63e0f4529d7
-vm/conventional/matmul 7f8e6a80cb7ee84281ab4b9816bb6f8f 83239df80c8ef8b17d1f901e297213e7 4a59c6130dd11236fc5844cbb9a60a6c
-vm/conventional/strhash 0fee397643ec6669fc7212edf1e465ec e207dd8a36256b6a611686e63f8a625c aba7dd89f16e23dea9c95c4dc55b02a4
-vm/smt-det/checksum 3dc2f2a122843654fe3ed4a16386ecbe f730c4e4ed8e4d0f8a2721b1de5c4f8c c85aa1126f6a53a409be3abce354ce80
-vm/smt-det/sort fe21d2cd99ccba486aa057dc03a10fbb 571b4bcf7ce063033745c472c86abdbb e03c538cdf38c6a56bb4e31b393d1107
-vm/smt-det/matmul e44db10d1179c12bd2758d710fd5c6cd e3da9a1c73bb4109523c1f181a1e0c08 213d413ea386c3b495c2b29537a55170
-vm/smt-det/strhash 95a6e277f1f93bda82a12b23ade04998 bba848b7cf42a946a71ba0647d7bbfa7 32bebb61d807f0c271f909f7e2c1fd42
+abstract/conventional/per-round 3451b0d2143dacdd8db9c3fd6ec86098 90a544870b5d372a3cf634930578443e db54ba4642add80cd0c318540637cc4a
+abstract/conventional/mission a680c0e998ab2549ea9dad9583728c3e 149b538b49d5b127106ada6bfe30298e 8687e2cbcf12125a2505015ddf98cd76
+abstract/smt-det/per-round c6b7c662f46b2d08a2055973f33f2e34 2b935c971dc5b4afcd7ca302f61f8ff4 7f66e41cb0c3b2a9926ab42a2498497c
+abstract/smt-det/mission 7f0c4acddc675e1f1c43be5fee2e06e2 b3f8535c1ab0b1feec96976ee01c0d65 24cd555e1e2b8ddd57b5bbd91c56f018
+abstract/smt-prob/per-round 5a69f7b27ede6591085a907129a9f1ca 459487d9288ef8bad04e0a2cd9daa7e7 a424d127967507221b9f63ab4d578ead
+abstract/smt-prob/mission 2a84bb11fe49d0e763760248dc1d83eb d4ef67ad2213ca1912654d14d053acf8 6ef6539e9b74cc86e2dc9614fbaf1171
+abstract/smt-pred/per-round bccca784b78c6b3a54ccab2760d93e1e 1163b5f3ae31a3bb6af3e1ff6ce314e8 69b121c6be1f1b7410ef553fa2039db2
+abstract/smt-pred/mission fcfef19afd4f189f3e4cd0a62d4bc5f1 1bbfb6c20b1729409b174eb7a5da0703 24aeb68716d10441790873459c119088
+abstract/smt-boost3/per-round 3b891f1a856daaefa04a151f81bb6595 bc69bebb19f6ef4fcb8112966b060aff a900b79080b72d4f69d6ce2d4cb3715b
+abstract/smt-boost3/mission 2d9c7a9db405014be15973153a00518e c95c8a3d8d1b2d6c5487f711fd4b909e 657ecf94c772e0bac3dfe8bd29ed71cf
+abstract/smt-boost5/per-round 370f6af6801c2ad473c4b712d4813392 f87a6d934698c4fd4b460a856222f9ef f3f1c245f8f8abf8af29e3afc4d0f849
+abstract/smt-boost5/mission ad57aab0065aed9cf1406e28c22e265d c74db31feba9440af5aecd0bcbb380d8 c8ff4f17df79d87c2f28df368155e7e6
+abstract/conventional/rollback-shutdown 2afd433d809db178ba5181e1d6f32759 8b88e2405b84c3b1dc4fa515d889696d 118340be73172b2f95096e35a631488f
+abstract/conventional/stop-shutdown 82b8781c41b0e864303dcdd10c891296 9a7cb35c6c2cdcf9ba545e143ffaf8a6 4655825a080c808716d8165230a8d223
+micro/conventional/mem 2f641ce9048c2c668bda0752b0984622 0a29cfe08ffb17e2b151586266880d3a 83ffcce115efa1c36509c99f567582ce
+micro/conventional/crash a8d836fc7091f4f2cfebe9c53746f94d c1d8d03912cbf5c8c59b53e98c2b99d6 ca28f4a6db007bbe5096b1d5db457345
+micro/smt-det/mem e184f564110dfabaec5d23113419e5ba ecc72f42cca6a64a5d0e988e9b14671c 06eb838426c0c89248c6bc981fec192c
+micro/smt-det/crash 4402d0e5c6b7ec5682c69030dcb6d7ce c1f7790c938ecf2ddc47e2c7a23e0e86 6045ff697b742c0f68c1be6872ec25d0
+micro/smt-prob/mem d6b3687e4cb0b37f5607c4d8530e46b9 d9ac8fdc26d6efcce5c226e9874545a8 d2d452decc53f9a3b71a6bef830d9823
+micro/smt-prob/crash fffee188cdc8ebab61b2fca263158648 5ea279cac8b24bb22247a8b12719ecff 7559390b9369f184854cf8c21c78175c
+micro/smt-pred/mem dca44f7bee9166787a3e924f2add6e21 6c32f3290e849206fb28b10b4d748601 a44ee0df6e8a02d64ff75995243aa065
+micro/smt-pred/crash 7cb9925a4db01d43150e0777e7162521 bc25e941aef39abfafe501a02917bdf2 411406add05776b1c85bbfec63daad3d
+micro/smt-boost3/mem 91b085e8392ada0e7a86bf55378b5a32 a8cb4686ed30e0f91323b238bfa411cb ee247aeff36e9ccf7bd98c6d6bc06b5d
+micro/smt-boost3/crash 8bd4f9de7d37d89214b147e56783e86e 26f207ba86fe4f7035a9f46f790ed6c1 25118e814d5c7dd7f6dfc3a60e2723c4
+vm/conventional/checksum cd3d50c95e40c6de734f8db5e32604a5 2ffb27e36d3c1ee1c2dbc58e265ece9b dcee6eaf51f116e850c3bd46aab4ff75
+vm/conventional/sort f86a06e77c6c0386a30f4d1477a6e374 a7ae52d77890084f187633bddf8b424c 42ab4fe47d37bf198e299870c17884bf
+vm/conventional/matmul 7f8e6a80cb7ee84281ab4b9816bb6f8f 83239df80c8ef8b17d1f901e297213e7 11a337fc5803306f5c89cf063c1d7047
+vm/conventional/strhash 0fee397643ec6669fc7212edf1e465ec e207dd8a36256b6a611686e63f8a625c bc0b6afce6b4a601c567e79f3ed86e5b
+vm/smt-det/checksum 3dc2f2a122843654fe3ed4a16386ecbe f730c4e4ed8e4d0f8a2721b1de5c4f8c 425c868a0406c394eeddda34d8c8691d
+vm/smt-det/sort fe21d2cd99ccba486aa057dc03a10fbb 571b4bcf7ce063033745c472c86abdbb e8ea91012e94e32ae6e1a77cf8c7b53d
+vm/smt-det/matmul e44db10d1179c12bd2758d710fd5c6cd e3da9a1c73bb4109523c1f181a1e0c08 f56ba3b9cd915886edf93b035b5fbc7e
+vm/smt-det/strhash 95a6e277f1f93bda82a12b23ade04998 bba848b7cf42a946a71ba0647d7bbfa7 9bf62da72ad6a80bc669900c1bd7345a
 ";
 
 fn line(name: &str, [j, r, o]: &Fingerprint) -> String {

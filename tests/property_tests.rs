@@ -239,9 +239,6 @@ enum ObsOp {
         pick: u8,
         at: u16,
     },
-    Event {
-        at: u16,
-    },
     Push {
         comp: u8,
         name: u8,
@@ -265,7 +262,6 @@ fn arb_obs_op() -> impl Strategy<Value = ObsOp> {
             }
         }),
         (any::<u8>(), any::<u16>()).prop_map(|(pick, at)| ObsOp::End { pick, at }),
-        any::<u16>().prop_map(|at| ObsOp::Event { at }),
         (any::<u8>(), any::<u8>(), 0u8..3, any::<u16>(), any::<u16>()).prop_map(
             |(comp, name, tid, begin, len)| ObsOp::Push {
                 comp,
@@ -280,7 +276,7 @@ fn arb_obs_op() -> impl Strategy<Value = ObsOp> {
 
 /// Replay a workload into a fresh recorder.
 fn replay_obs(ops: &[ObsOp]) -> vds::obs::Recorder {
-    let mut rec = vds::obs::Recorder::with_trace_capacity(64);
+    let mut rec = vds::obs::Recorder::with_span_capacity(64);
     let mut open: Vec<vds::obs::SpanGuard> = Vec::new();
     for op in ops {
         match op {
@@ -300,7 +296,6 @@ fn replay_obs(ops: &[ObsOp]) -> vds::obs::Recorder {
                     rec.end_span_with(g, f64::from(*at), vec![("at", u64::from(*at).into())]);
                 }
             }
-            ObsOp::Event { at } => rec.event(f64::from(*at), "alpha", "tick", vec![]),
             ObsOp::Push {
                 comp,
                 name,
@@ -365,7 +360,7 @@ fn assert_chrome_well_nested(json: &str) {
 }
 
 proptest! {
-    // Any sequence of span/event calls exports a well-nested Chrome
+    // Any sequence of span calls exports a well-nested Chrome
     // trace, and export bytes are identical across two identical runs.
     #[test]
     fn span_exports_are_well_nested_and_deterministic(
@@ -378,7 +373,6 @@ proptest! {
         let rec2 = replay_obs(&ops);
         prop_assert_eq!(&json, &rec2.spans().to_chrome_json());
         prop_assert_eq!(rec.spans().to_folded(), rec2.spans().to_folded());
-        prop_assert_eq!(rec.trace().to_jsonl(), rec2.trace().to_jsonl());
     }
 
     // Campaign span/metric exports are byte-identical across --workers 1
