@@ -1,4 +1,5 @@
-//! The fault campaigns `vds campaign` records and `vds replay` re-runs.
+//! The runs `vds` records and `vds replay` re-runs ([`Recording`]), and
+//! the fault campaigns among them.
 //!
 //! A recorded campaign must be representative (real faults against the
 //! real cycle-level VDS, like E10, or against a bytecode-VM duplex),
@@ -11,11 +12,13 @@
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
-use vds_core::workload;
+use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
+use vds_core::{workload, RunReport};
 use vds_core::{Scheme, Victim};
-use vds_fault::campaign::TrialResult;
+use vds_fault::campaign::{run_campaign_journaled, CampaignReport, TrialResult};
 use vds_fault::model::{sample_transient_site, FaultKind};
-use vds_obs::{JournalHeader, Recorder};
+use vds_fault::VmFaultSite;
+use vds_obs::{JournalHeader, Record, Recorder};
 
 /// One instrumented trial of the micro campaign: a transient fault at a
 /// random round/site against the diversified micro VDS under `scheme`
@@ -132,25 +135,18 @@ pub fn trial_label(report: &vds_core::report::RunReport) -> &'static str {
 }
 
 /// The journal header describing a [`campaign_trial_for`] campaign under
-/// `scheme`, so recordings and `vds replay` re-runs agree on the run's
-/// identity. `s` mirrors the trial's fixed configuration, and the header
-/// records the scheme so replay and the conformance tracker price the
-/// rounds with the right closed forms.
+/// `scheme`: [`Recording::header`] of that campaign.
 pub fn campaign_journal_header_for(
     scheme: Scheme,
     trials: u64,
     base_seed: u64,
     target_rounds: u64,
 ) -> JournalHeader {
-    let cfg = MicroConfig::new(scheme, 8);
-    JournalHeader::new("campaign", scheme.name(), base_seed, cfg.s, target_rounds)
-        .with_meta("trials", &trials.to_string())
+    Recording::campaign(None, scheme, trials, base_seed, target_rounds).header()
 }
 
-/// The journal header for a [`vm_campaign_trial_for`] campaign. Backend
-/// `vm` with a `trials` meta key distinguishes it from a single
-/// `vds vm duplex` recording (same backend, no `trials`); `vds replay`
-/// dispatches on exactly that.
+/// The journal header for a [`vm_campaign_trial_for`] campaign:
+/// [`Recording::header`] of that campaign.
 pub fn vm_campaign_journal_header_for(
     program: &str,
     scheme: Scheme,
@@ -158,10 +154,297 @@ pub fn vm_campaign_journal_header_for(
     base_seed: u64,
     target_rounds: u64,
 ) -> JournalHeader {
-    let cfg = vds_core::vm_vds::VmConfig::new(program);
-    JournalHeader::new("vm", scheme.name(), base_seed, cfg.s, target_rounds)
-        .with_meta("program", program)
-        .with_meta("trials", &trials.to_string())
+    Recording::campaign(Some(program), scheme, trials, base_seed, target_rounds).header()
+}
+
+/// The component every campaign span and metric is keyed on. The
+/// `vds campaign` metrics CSV and Chrome trace bytes depend on it, and
+/// `crates/bench/tests/campaign_pins.rs` pins them under this name.
+const CAMPAIGN_COMPONENT: &str = "serve";
+
+/// The journal header fields every [`Recording`] carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunParams {
+    /// Recovery scheme.
+    pub scheme: Scheme,
+    /// Root seed; a campaign's trials derive theirs from it.
+    pub seed: u64,
+    /// Checkpoint interval in rounds; a campaign's trials fix theirs.
+    pub s: u32,
+    /// Target committed rounds, per trial for a campaign.
+    pub rounds: u64,
+}
+
+/// A run `vds` records, as its journal header describes it.
+///
+/// Every command that writes a journal builds one and runs it with
+/// [`Recording::record`], which journals under [`Recording::header`];
+/// `vds replay` rebuilds it with [`Recording::from_header`] and records
+/// it again. DESIGN.md tables the four header kinds this writes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Recording {
+    /// One micro-VDS run (`vds duplex`, `stats`, `report`) and its fault.
+    Micro(RunParams, Option<MicroFault>),
+    /// One bytecode-VM duplex run of a seed program (`vds vm duplex`,
+    /// `vds duplex --workload vm:<program>`) and its fault.
+    Vm(RunParams, String, Option<VmFault>),
+    /// A fault campaign (`vds campaign`): its trial count of
+    /// [`campaign_trial_for`] runs, or of [`vm_campaign_trial_for`] runs
+    /// on a seed program.
+    Campaign(RunParams, Option<String>, u64),
+}
+
+/// What running a [`Recording`] produced.
+#[derive(Debug, Clone)]
+pub enum Outcome {
+    /// A single run's report, and whether its output matches the
+    /// workload's pure-Rust oracle.
+    Run(RunReport, bool),
+    /// A campaign's aggregated trial outcomes.
+    Campaign(CampaignReport),
+}
+
+impl Recording {
+    /// A campaign over micro trials (`program` `None`) or VM trials, at
+    /// the interval its trials fix.
+    pub fn campaign(
+        program: Option<&str>,
+        scheme: Scheme,
+        trials: u64,
+        seed: u64,
+        rounds: u64,
+    ) -> Recording {
+        let params = RunParams {
+            scheme,
+            seed,
+            s: trial_interval(program),
+            rounds,
+        };
+        Recording::Campaign(params, program.map(str::to_string), trials)
+    }
+
+    /// The header fields this recording carries.
+    pub fn params(&self) -> &RunParams {
+        match self {
+            Recording::Micro(p, _) | Recording::Vm(p, ..) | Recording::Campaign(p, ..) => p,
+        }
+    }
+
+    /// The journal header of this run: everything
+    /// [`Recording::from_header`] needs to rebuild it.
+    pub fn header(&self) -> JournalHeader {
+        let p = self.params();
+        let backend = match self {
+            Recording::Micro(..) => "micro",
+            Recording::Campaign(_, None, _) => "campaign",
+            _ => "vm",
+        };
+        let h = JournalHeader::new(backend, p.scheme.name(), p.seed, p.s, p.rounds);
+        match self {
+            Recording::Micro(_, fault) => with_fault(
+                h,
+                fault.map(|f| (f.kind.spec_string(), f.at_round, f.victim)),
+            ),
+            Recording::Vm(_, program, fault) => with_fault(
+                h.with_meta("program", program),
+                fault.map(|f| (f.site.spec_string(), f.at_round, f.victim)),
+            ),
+            Recording::Campaign(_, program, trials) => match program {
+                Some(program) => h.with_meta("program", program),
+                None => h,
+            }
+            .with_meta("trials", &trials.to_string()),
+        }
+    }
+
+    /// Rebuild the run a journal header describes. Refuses, with a
+    /// one-line message, a header naming an unknown scheme or program or
+    /// a malformed fault, one [`Recording::check`] refuses, and any other
+    /// header [`Recording::header`] would not write back unchanged.
+    pub fn from_header(h: &JournalHeader) -> Result<Recording, String> {
+        let scheme = Scheme::ALL
+            .into_iter()
+            .find(|sc| sc.name() == h.scheme)
+            .ok_or_else(|| format!("journal header has unknown scheme `{}`", h.scheme))?;
+        let p = RunParams {
+            scheme,
+            seed: h.seed,
+            s: h.s,
+            rounds: h.target_rounds,
+        };
+        let program = || match h.meta("program") {
+            Some(name) if vds_vm::seed_program(name).is_some() => Ok(name.to_string()),
+            Some(name) => Err(format!("journal header names unknown program `{name}`")),
+            None => Err("vm journal header has no program meta".to_string()),
+        };
+        let r = match (h.backend.as_str(), h.meta("trials")) {
+            ("micro", _) => Recording::Micro(
+                p,
+                fault_meta(h, FaultKind::parse_spec)?.map(|(kind, at_round, victim)| MicroFault {
+                    at_round,
+                    victim,
+                    kind,
+                }),
+            ),
+            ("vm", None) => Recording::Vm(
+                p,
+                program()?,
+                fault_meta(h, VmFaultSite::parse_spec)?.map(|(site, at_round, victim)| VmFault {
+                    at_round,
+                    victim,
+                    site,
+                }),
+            ),
+            (backend @ ("campaign" | "vm"), trials) => Recording::Campaign(
+                p,
+                if backend == "vm" {
+                    Some(program()?)
+                } else {
+                    None
+                },
+                trials
+                    .and_then(|t| t.parse().ok())
+                    .ok_or("journal header has no valid trials meta")?,
+            ),
+            (other, _) => {
+                return Err(format!(
+                    "cannot replay `{other}` journals (replayable backends: micro, campaign, vm)"
+                ))
+            }
+        };
+        r.check()?;
+        let written = r.header();
+        if written.meta != h.meta {
+            return Err(format!(
+                "journal header has meta {:?}, but its run records {:?}",
+                h.meta, written.meta
+            ));
+        }
+        Ok(r)
+    }
+
+    /// Refuse what this recording's engine cannot run. The micro VDS runs
+    /// the 1–3-thread schemes, and campaigns keep to them over either
+    /// workload; a single VM run takes every scheme. A campaign's `s` must
+    /// be the interval its trials fix.
+    pub fn check(&self) -> Result<(), String> {
+        let p = self.params();
+        if p.scheme == Scheme::SmtBoosted5 && !matches!(self, Recording::Vm(..)) {
+            return Err(
+                "smt-boost5 runs on the abstract backend only (micro-capable \
+                        schemes: conventional, smt-det, smt-prob, smt-pred, smt-boost3)"
+                    .to_string(),
+            );
+        }
+        match self {
+            Recording::Campaign(_, program, _) if trial_interval(program.as_deref()) != p.s => {
+                Err(format!(
+                    "journal header has s = {}, but its trials run at s = {}",
+                    p.s,
+                    trial_interval(program.as_deref())
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Run the recording, journaled under [`Recording::header`]. A single
+    /// run records into `rec`; a campaign shards its trials over `workers`
+    /// threads and returns the recorder [`run_campaign_journaled`] merges
+    /// them into, dropping `rec`.
+    pub fn record(&self, mut rec: Recorder, workers: usize) -> (Outcome, Recorder) {
+        let Recording::Campaign(p, program, trials) = self else {
+            rec.enable_journal(self.header());
+            let (report, correct, rec) = self.run_single(rec);
+            return (Outcome::Run(report, correct), rec);
+        };
+        let trial = |i, rec: &mut Recorder| match program {
+            Some(program) => vm_campaign_trial_for(program, p.scheme, i, p.seed, p.rounds, rec),
+            None => campaign_trial_for(p.scheme, i, p.seed, p.rounds, rec),
+        };
+        let header = self.header();
+        let (report, rec) =
+            run_campaign_journaled(CAMPAIGN_COMPONENT, *trials, workers, None, &header, trial);
+        (Outcome::Campaign(report), rec)
+    }
+
+    /// Run a single run into `rec` (the zero-sized
+    /// [`vds_obs::NoopRecorder`] for an unrecorded run): its report,
+    /// whether its output matches the oracle, and the recorder.
+    ///
+    /// # Panics
+    ///
+    /// On a campaign, which runs only through [`Recording::record`].
+    pub fn run_single<R: Record>(&self, rec: R) -> (RunReport, bool, R) {
+        match self {
+            Recording::Micro(p, fault) => {
+                let cfg = MicroConfig {
+                    seed: p.seed,
+                    ..MicroConfig::new(p.scheme, p.s)
+                };
+                let (report, img, rec) = run_micro_with_recorder(&cfg, *fault, p.rounds, rec);
+                let (_, want) = workload::oracle(report.committed_rounds as u32);
+                let state = workload::ADDR_STATE as usize
+                    ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize;
+                (report, img[state] == want[..], rec)
+            }
+            Recording::Vm(p, program, fault) => {
+                let cfg = VmConfig {
+                    scheme: p.scheme,
+                    seed: p.seed,
+                    s: p.s,
+                    ..VmConfig::new(program)
+                };
+                let (report, img, rec) = run_vm_duplex_with_recorder(&cfg, *fault, p.rounds, rec);
+                let correct = vds_vm::seed_program(program)
+                    .is_some_and(|sp| img == sp.oracle(p.seed, report.committed_rounds as u32));
+                (report, correct, rec)
+            }
+            Recording::Campaign(..) => panic!("a campaign runs only through Recording::record"),
+        }
+    }
+}
+
+/// The checkpoint interval a campaign's trials fix: `s` of
+/// [`campaign_trial_for`]'s `MicroConfig::new(scheme, 8)`, or of
+/// [`vm_campaign_trial_for`]'s `VmConfig::new(program)`.
+fn trial_interval(program: Option<&str>) -> u32 {
+    program.map_or(8, |p| VmConfig::new(p).s)
+}
+
+/// A single run's header with its fault (spec, round, victim) appended
+/// as the `fault`, `fault_round` and `fault_victim` meta keys.
+fn with_fault(h: JournalHeader, fault: Option<(String, u32, Victim)>) -> JournalHeader {
+    match fault {
+        Some((spec, at_round, victim)) => h
+            .with_meta("fault", &spec)
+            .with_meta("fault_round", &at_round.to_string())
+            .with_meta("fault_victim", &format!("v{}", victim.index() + 1)),
+        None => h,
+    }
+}
+
+/// Read a single run's fault meta back, parsing the `fault` spec with
+/// the backend's `parse`: `None` when the header names no fault.
+fn fault_meta<T>(
+    h: &JournalHeader,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<(T, u32, Victim)>, String> {
+    let Some(spec) = h.meta("fault") else {
+        return Ok(None);
+    };
+    let site =
+        parse(spec).ok_or_else(|| format!("journal header has malformed fault spec `{spec}`"))?;
+    let at_round = h.meta("fault_round").and_then(|r| r.parse().ok());
+    let victim = match h.meta("fault_victim") {
+        Some("v1") => Some(Victim::V1),
+        Some("v2") => Some(Victim::V2),
+        _ => None,
+    };
+    match (at_round, victim) {
+        (Some(at_round), Some(victim)) => Ok(Some((site, at_round, victim))),
+        _ => Err("journal header has a fault but no valid fault_round and fault_victim".into()),
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +540,119 @@ mod tests {
                 + reg.counter("faults.escaped"),
             injected
         );
+    }
+
+    #[test]
+    fn every_recording_survives_its_header() {
+        // fault specs round-trip in vds-fault; here every variant under
+        // every scheme, single runs with no fault and with one per victim
+        let mem = FaultKind::Transient(vds_fault::model::FaultSite::Memory { addr: 4, bit: 9 });
+        let pc = VmFaultSite::Pc { bit: 9 };
+        for (i, scheme) in Scheme::ALL.into_iter().enumerate() {
+            let (seed, rounds) = (i as u64 * 7, 10 + i as u64);
+            let p = RunParams {
+                scheme,
+                seed,
+                s: 3 + i as u32,
+                rounds,
+            };
+            let mut all = vec![
+                Recording::Micro(p, None),
+                Recording::campaign(None, scheme, 24, seed, rounds),
+            ];
+            for victim in [Victim::V1, Victim::V2] {
+                let (at_round, kind, site) = (2, mem, pc);
+                all.push(Recording::Micro(
+                    p,
+                    Some(MicroFault {
+                        at_round,
+                        victim,
+                        kind,
+                    }),
+                ));
+                for sp in vds_vm::SEED_PROGRAMS {
+                    let fault = VmFault {
+                        at_round,
+                        victim,
+                        site,
+                    };
+                    all.push(Recording::Vm(p, sp.name.to_string(), Some(fault)));
+                }
+            }
+            for sp in vds_vm::SEED_PROGRAMS {
+                all.push(Recording::Vm(p, sp.name.to_string(), None));
+                all.push(Recording::campaign(Some(sp.name), scheme, 5, seed, rounds));
+            }
+            for r in all {
+                let back = Recording::from_header(&r.header());
+                if scheme == Scheme::SmtBoosted5 && !matches!(r, Recording::Vm(..)) {
+                    assert!(back
+                        .unwrap_err()
+                        .starts_with("smt-boost5 runs on the abstract"));
+                } else {
+                    assert_eq!(back, Ok(r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_header_lines_are_pinned() {
+        // as `vds duplex smt-det 15 4`, `vds duplex smt-det 12`, `vds vm
+        // duplex strhash 12 4` and `vds campaign --trials 24 --rounds 30
+        // --seed 42` (micro trials and `--workload vm:checksum`) write
+        // them; each reads back into its variant and writes back unchanged
+        let pins = [
+            r#"{"kind":"journal_header","schema":2,"backend":"micro","scheme":"smt-det","seed":2024,"s":10,"target_rounds":15,"meta":{"fault":"transient:mem:4:9","fault_round":"4","fault_victim":"v2"}}"#,
+            r#"{"kind":"journal_header","schema":2,"backend":"micro","scheme":"smt-det","seed":2024,"s":10,"target_rounds":12,"meta":{}}"#,
+            r#"{"kind":"journal_header","schema":2,"backend":"vm","scheme":"smt-det","seed":2024,"s":8,"target_rounds":12,"meta":{"program":"strhash","fault":"vm:reg:1:5","fault_round":"4","fault_victim":"v2"}}"#,
+            r#"{"kind":"journal_header","schema":2,"backend":"campaign","scheme":"smt-prob","seed":42,"s":8,"target_rounds":30,"meta":{"trials":"24"}}"#,
+            r#"{"kind":"journal_header","schema":2,"backend":"vm","scheme":"smt-prob","seed":42,"s":8,"target_rounds":30,"meta":{"program":"checksum","trials":"24"}}"#,
+        ];
+        let variant = |r: &Recording| match r {
+            Recording::Micro(..) => "micro",
+            Recording::Vm(..) => "vm",
+            Recording::Campaign(..) => "campaign",
+        };
+        let variants = ["micro", "micro", "vm", "campaign", "campaign"];
+        for (line, want) in pins.into_iter().zip(variants) {
+            let line = format!("{line}\n");
+            let read = vds_obs::Journal::from_jsonl(&line).unwrap();
+            let r = Recording::from_header(read.header().unwrap()).unwrap();
+            assert_eq!(variant(&r), want, "{r:?}");
+            assert_eq!(vds_obs::Journal::enabled(r.header()).to_jsonl(), line);
+        }
+    }
+
+    #[test]
+    fn headers_no_run_matches_are_refused_in_one_line() {
+        // the malformed-fault and campaign-`s` refusals are pinned through
+        // `vds replay` in vds-cli's audit tests
+        let micro = JournalHeader::new("micro", "smt-det", 2024, 8, 12);
+        let cases = [
+            (
+                micro
+                    .clone()
+                    .with_meta("fault", "crash")
+                    .with_meta("fault_round", "3"),
+                "journal header has a fault but no valid fault_round and fault_victim",
+            ),
+            (
+                micro.with_meta("trials", "4"),
+                r#"journal header has meta [("trials", "4")], but its run records []"#,
+            ),
+            (
+                JournalHeader::new("vm", "smt-det", 2024, 8, 12).with_meta("program", "bogus"),
+                "journal header names unknown program `bogus`",
+            ),
+            (
+                JournalHeader::new("abstract", "smt-det", 2024, 8, 12),
+                "cannot replay `abstract` journals (replayable backends: micro, campaign, vm)",
+            ),
+        ];
+        for (h, msg) in cases {
+            assert_eq!(Recording::from_header(&h), Err(msg.to_string()));
+        }
     }
 
     #[test]

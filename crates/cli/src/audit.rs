@@ -1,19 +1,17 @@
 //! `vds replay` and `vds audit diff` — consumers of the flight-recorder
 //! journal.
 //!
-//! `vds replay <journal>` re-executes the run described by the journal's
-//! header (backend, scheme, seed, `s`, target rounds, fault meta) and
-//! asserts digest-for-digest agreement with the recorded entries: any
+//! `vds replay <journal>` rebuilds the run the journal's header describes
+//! ([`Recording::from_header`]), records it again and asserts
+//! digest-for-digest agreement with the recorded entries: any
 //! nondeterminism, code drift or file tampering surfaces as a structured
 //! first-divergence report. `vds audit diff <a> <b>` compares two
 //! recordings directly, scanning to the first divergent round;
 //! it exits 0 when they are identical and 1 with the report otherwise.
 
-use crate::{parse_scheme, read_journal_tolerant, CliError};
-use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
-use vds_core::Victim;
-use vds_fault::model::FaultKind;
-use vds_obs::{Journal, JournalHeader, Recorder};
+use crate::{read_journal_tolerant, CliError};
+use vds_bench::live::Recording;
+use vds_obs::Recorder;
 
 /// `vds replay <journal>` — re-execute and verify a recording.
 pub(crate) fn cmd_replay(args: &[String]) -> Result<String, CliError> {
@@ -31,13 +29,13 @@ pub(crate) fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     let recorded = read_journal_tolerant(path)?;
     let header = recorded
         .header()
-        .ok_or_else(|| CliError::runtime(format!("`{path}` has no journal header to replay")))?
-        .clone();
+        .ok_or_else(|| CliError::runtime(format!("`{path}` has no journal header to replay")))?;
+    let recording = Recording::from_header(header).map_err(CliError::runtime)?;
     let workers = f
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let replayed = re_execute(&header, workers)?;
-    match recorded.first_divergence(&replayed) {
+    let (_, replayed) = recording.record(Recorder::new(), workers);
+    match recorded.first_divergence(replayed.journal()) {
         None => Ok(format!(
             "replay OK: {path} — {} rounds re-executed digest-for-digest \
              (backend {}, scheme {}, seed {})\n",
@@ -97,157 +95,9 @@ pub(crate) fn cmd_audit(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Re-run the recorded configuration, producing a fresh journal.
-fn re_execute(header: &JournalHeader, workers: usize) -> Result<Journal, CliError> {
-    match header.backend.as_str() {
-        "micro" => replay_micro(header),
-        "campaign" => replay_campaign(header, workers),
-        "vm" => replay_vm(header, workers),
-        other => Err(CliError::runtime(format!(
-            "cannot replay `{other}` journals (replayable backends: micro, campaign, vm)"
-        ))),
-    }
-}
-
-fn replay_micro(header: &JournalHeader) -> Result<Journal, CliError> {
-    let scheme = parse_scheme(&header.scheme)?;
-    if scheme == vds_core::Scheme::SmtBoosted5 {
-        return Err(CliError::runtime(
-            "micro journals cannot use smt-boost5 (abstract backend only)",
-        ));
-    }
-    let mut cfg = MicroConfig::new(scheme, header.s);
-    cfg.seed = header.seed;
-    let fault = match header.meta("fault") {
-        Some(spec) => {
-            let kind = FaultKind::parse_spec(spec).ok_or_else(|| {
-                CliError::runtime(format!("journal header has malformed fault spec `{spec}`"))
-            })?;
-            let at_round = header
-                .meta("fault_round")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    CliError::runtime("journal header has a fault but no valid fault_round")
-                })?;
-            let victim = match header.meta("fault_victim") {
-                Some("v1") => Victim::V1,
-                Some("v2") | None => Victim::V2,
-                Some(other) => {
-                    return Err(CliError::runtime(format!(
-                        "journal header has unknown fault_victim `{other}`"
-                    )))
-                }
-            };
-            Some(MicroFault {
-                at_round,
-                victim,
-                kind,
-            })
-        }
-        None => None,
-    };
-    let mut rec = Recorder::new();
-    rec.enable_journal(header.clone());
-    let (_, _, rec) = run_micro_with_recorder(&cfg, fault, header.target_rounds, rec);
-    Ok(rec.journal().clone())
-}
-
-fn replay_campaign(header: &JournalHeader, workers: usize) -> Result<Journal, CliError> {
-    use vds_bench::live::campaign_trial_for;
-    use vds_fault::campaign::run_campaign_journaled;
-    // campaign journals record the campaign under the scheme the header
-    // names (`vds campaign --scheme`); anything micro-capable replays
-    let scheme = parse_scheme(&header.scheme)?;
-    if scheme == vds_core::Scheme::SmtBoosted5 {
-        return Err(CliError::runtime(
-            "campaign journals cannot use smt-boost5 (abstract backend only)",
-        ));
-    }
-    let trials: u64 = header
-        .meta("trials")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| CliError::runtime("campaign journal header has no valid trials meta"))?;
-    let (base_seed, target_rounds) = (header.seed, header.target_rounds);
-    let (_, rec) = run_campaign_journaled("replay", trials, workers, None, header, |i, rec| {
-        campaign_trial_for(scheme, i, base_seed, target_rounds, rec)
-    });
-    Ok(rec.journal().clone())
-}
-
-/// Replay a bytecode-VM recording. A `trials` meta key marks a
-/// campaign over the VM workload; without it the journal is a single
-/// `vds vm duplex` run.
-fn replay_vm(header: &JournalHeader, workers: usize) -> Result<Journal, CliError> {
-    use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
-    use vds_fault::vm::VmFaultSite;
-    let scheme = parse_scheme(&header.scheme)?;
-    let program = header
-        .meta("program")
-        .ok_or_else(|| CliError::runtime("vm journal header has no program meta"))?;
-    if vds_vm::seed_program(program).is_none() {
-        return Err(CliError::runtime(format!(
-            "vm journal names unknown program `{program}`"
-        )));
-    }
-    if let Some(trials) = header.meta("trials") {
-        use vds_fault::campaign::run_campaign_journaled;
-        let trials: u64 = trials
-            .parse()
-            .map_err(|_| CliError::runtime("vm journal header has no valid trials meta"))?;
-        let (base_seed, target_rounds) = (header.seed, header.target_rounds);
-        let program = program.to_string();
-        let (_, rec) = run_campaign_journaled("replay", trials, workers, None, header, |i, rec| {
-            vds_bench::live::vm_campaign_trial_for(
-                &program,
-                scheme,
-                i,
-                base_seed,
-                target_rounds,
-                rec,
-            )
-        });
-        return Ok(rec.journal().clone());
-    }
-    let mut cfg = VmConfig::new(program);
-    cfg.scheme = scheme;
-    cfg.seed = header.seed;
-    cfg.s = header.s;
-    let fault = match header.meta("fault") {
-        Some(spec) => {
-            let site = VmFaultSite::parse_spec(spec).ok_or_else(|| {
-                CliError::runtime(format!("journal header has malformed fault spec `{spec}`"))
-            })?;
-            let at_round = header
-                .meta("fault_round")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    CliError::runtime("journal header has a fault but no valid fault_round")
-                })?;
-            let victim = match header.meta("fault_victim") {
-                Some("v1") => Victim::V1,
-                Some("v2") | None => Victim::V2,
-                Some(other) => {
-                    return Err(CliError::runtime(format!(
-                        "journal header has unknown fault_victim `{other}`"
-                    )))
-                }
-            };
-            Some(VmFault {
-                at_round,
-                victim,
-                site,
-            })
-        }
-        None => None,
-    };
-    let mut rec = Recorder::new();
-    rec.enable_journal(header.clone());
-    let (_, _, rec) = run_vm_duplex_with_recorder(&cfg, fault, header.target_rounds, rec);
-    Ok(rec.journal().clone())
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{Recorder, Recording};
     use crate::{dispatch, CliError};
 
     fn run(args: &[&str]) -> Result<String, CliError> {
@@ -365,6 +215,53 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_a_campaign_header_whose_s_is_not_the_trials_interval() {
+        for (name, workload, s) in [("micro", "", "9"), ("vm", "--workload vm:sort", "3")] {
+            let p = tmp(&format!("s-edit-{name}.journal.jsonl"));
+            let ps = p.to_str().unwrap();
+            let args =
+                format!("campaign --trials 4 --rounds 20 --seed 3 --journal {ps} {workload}");
+            run(&args.split_whitespace().collect::<Vec<_>>()).unwrap();
+            let text = std::fs::read_to_string(&p).unwrap();
+            std::fs::write(&p, text.replacen("\"s\":8", &format!("\"s\":{s}"), 1)).unwrap();
+            let e = run(&["replay", ps]).unwrap_err();
+            assert_eq!(e.code, 1, "{name}");
+            let want = format!("journal header has s = {s}, but its trials run at s = 8");
+            assert_eq!(e.msg, want);
+        }
+    }
+
+    #[test]
+    fn replay_holds_a_header_to_the_schemes_its_engine_runs() {
+        use vds_obs::{Journal, JournalHeader};
+        // smt-boost5 is refused by a micro run and by campaigns over
+        // either workload...
+        let micro = JournalHeader::new("micro", "smt-boost5", 2024, 10, 12);
+        let campaign = JournalHeader::new("campaign", "smt-boost5", 3, 8, 20);
+        let vm = JournalHeader::new("vm", "smt-boost5", 3, 8, 20).with_meta("program", "sort");
+        let campaigns = [campaign, vm].map(|h| h.with_meta("trials", "4"));
+        for (i, header) in [micro].into_iter().chain(campaigns).enumerate() {
+            let p = tmp(&format!("boost5-{i}.journal.jsonl"));
+            std::fs::write(&p, Journal::enabled(header).to_jsonl()).unwrap();
+            let e = run(&["replay", p.to_str().unwrap()]).unwrap_err();
+            assert_eq!(e.code, 1, "{}", e.msg);
+            let refusal = "smt-boost5 runs on the abstract backend only";
+            assert!(
+                e.msg.starts_with(refusal) && !e.msg.contains('\n'),
+                "{}",
+                e.msg
+            );
+        }
+        // ...while a single VM run records and replays under it
+        let p = tmp("boost5-vm.journal.jsonl");
+        let ps = p.to_str().unwrap();
+        let args = format!("vm duplex sort 10 3 --scheme smt-boost5 --journal {ps}");
+        run(&args.split_whitespace().collect::<Vec<_>>()).unwrap();
+        let ok = run(&["replay", ps]).unwrap();
+        assert!(ok.contains("replay OK"), "{ok}");
+    }
+
+    #[test]
     fn audit_diff_requires_headers_on_both_journals() {
         // a real recording vs a headerless file: one clear runtime error
         // naming the offending path, never a panic
@@ -439,13 +336,9 @@ mod tests {
 
     #[test]
     fn vm_campaign_journals_replay_and_reject_tampering() {
-        use vds_bench::live::{vm_campaign_journal_header_for, vm_campaign_trial_for};
-        use vds_fault::campaign::run_campaign_journaled;
         let scheme = vds_core::Scheme::SmtProbabilistic;
-        let header = vm_campaign_journal_header_for("matmul", scheme, 4, 11, 16);
-        let (_, rec) = run_campaign_journaled("serve", 4, 2, None, &header, |i, rec| {
-            vm_campaign_trial_for("matmul", scheme, i, 11, 16, rec)
-        });
+        let campaign = Recording::campaign(Some("matmul"), scheme, 4, 11, 16);
+        let (_, rec) = campaign.record(Recorder::new(), 2);
         let p = tmp("vm-campaign.journal.jsonl");
         std::fs::write(&p, rec.journal().to_jsonl()).unwrap();
         let ok = run(&["replay", p.to_str().unwrap(), "--workers", "3"]).unwrap();
@@ -461,13 +354,8 @@ mod tests {
 
     #[test]
     fn campaign_replay_honours_the_header_scheme() {
-        use vds_bench::live::{campaign_journal_header_for, campaign_trial_for};
-        use vds_fault::campaign::run_campaign_journaled;
         let scheme = vds_core::Scheme::SmtDeterministic;
-        let header = campaign_journal_header_for(scheme, 4, 42, 20);
-        let (_, rec) = run_campaign_journaled("serve", 4, 2, None, &header, |i, rec| {
-            campaign_trial_for(scheme, i, 42, 20, rec)
-        });
+        let (_, rec) = Recording::campaign(None, scheme, 4, 42, 20).record(Recorder::new(), 2);
         let p = tmp("det-campaign.journal.jsonl");
         std::fs::write(&p, rec.journal().to_jsonl()).unwrap();
         let ok = run(&["replay", p.to_str().unwrap(), "--workers", "2"]).unwrap();

@@ -10,14 +10,8 @@
 //! `vds faults` and `vds conformance` read the journal afterwards.
 
 use crate::{write_metrics, CliError, Flags};
-use std::fmt::Write as _;
-use vds_fault::campaign::run_campaign_journaled;
+use vds_bench::live::{Outcome, Recording};
 use vds_obs::log_info;
-
-/// The component every campaign span and metric is keyed on. The metrics
-/// CSV and Chrome trace bytes depend on it, and
-/// `crates/bench/tests/campaign_pins.rs` pins them under this name.
-const COMPONENT: &str = "serve";
 
 pub(crate) fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let f = crate::args::CAMPAIGN.parse(args)?;
@@ -34,116 +28,46 @@ pub(crate) fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
 /// Resolved `vds campaign` options.
 #[derive(Debug)]
 struct CampaignOpts {
-    trials: u64,
-    target_rounds: u64,
-    seed: u64,
+    recording: Recording,
+    /// `--workload vm:<program>`: the seed program the trials run instead
+    /// of the micro workload.
+    vm_program: Option<&'static str>,
     workers: usize,
-    scheme: vds_core::Scheme,
-    /// `--workload vm:<program>`: run the campaign trials against the
-    /// bytecode-VM seed program instead of the micro workload.
-    vm_program: Option<String>,
 }
 
 impl CampaignOpts {
     fn from_flags(f: &Flags) -> Result<CampaignOpts, CliError> {
         let vm_program = match f.workload.as_deref() {
-            Some(w) => {
-                let name = w.strip_prefix("vm:").ok_or_else(|| {
-                    CliError::usage(format!(
-                        "--workload: `{w}` is not a workload (vm:<program>, e.g. vm:checksum)"
-                    ))
-                })?;
-                if vds_vm::seed_program(name).is_none() {
-                    return Err(CliError::usage(format!(
-                        "--workload: unknown program `{name}` (known: {})",
-                        vds_vm::SEED_PROGRAMS
-                            .iter()
-                            .map(|p| p.name)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )));
-                }
-                Some(name.to_string())
-            }
+            Some(w) => Some(crate::vm_cmd::workload_program(w)?.name),
             None => None,
         };
         let scheme = match f.scheme.as_deref() {
-            Some(name) => {
-                let s = crate::parse_scheme(name)?;
-                if s == vds_core::Scheme::SmtBoosted5 {
-                    return Err(CliError::usage(
-                        "campaign: smt-boost5 runs on the abstract backend only \
-                         (micro-capable schemes: conventional, smt-det, smt-prob, \
-                         smt-pred, smt-boost3)",
-                    ));
-                }
-                s
-            }
+            Some(name) => crate::parse_scheme(name)?,
             None => vds_core::Scheme::SmtProbabilistic,
         };
+        let (trials, seed) = (f.trials.unwrap_or(200), f.seed.unwrap_or(1));
+        let recording =
+            Recording::campaign(vm_program, scheme, trials, seed, f.rounds.unwrap_or(40));
+        recording
+            .check()
+            .map_err(|e| CliError::usage(format!("campaign: {e}")))?;
         Ok(CampaignOpts {
-            trials: f.trials.unwrap_or(200),
-            target_rounds: f.rounds.unwrap_or(40),
-            seed: f.seed.unwrap_or(1),
+            recording,
+            vm_program,
             workers: f
                 .workers
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get())),
-            scheme,
-            vm_program,
         })
     }
 }
 
 fn campaign(opts: &CampaignOpts, f: &Flags) -> Result<String, CliError> {
     let started = std::time::Instant::now();
-    let (base_seed, target_rounds, scheme) = (opts.seed, opts.target_rounds, opts.scheme);
-    // the VM workload swaps the per-trial body and journal header; the
-    // campaign plumbing (sharding, journal adoption) is identical either way
-    let (report, rec) = match &opts.vm_program {
-        Some(program) => {
-            let header = vds_bench::live::vm_campaign_journal_header_for(
-                program,
-                scheme,
-                opts.trials,
-                base_seed,
-                target_rounds,
-            );
-            run_campaign_journaled(
-                COMPONENT,
-                opts.trials,
-                opts.workers,
-                None,
-                &header,
-                |i, rec| {
-                    vds_bench::live::vm_campaign_trial_for(
-                        program,
-                        scheme,
-                        i,
-                        base_seed,
-                        target_rounds,
-                        rec,
-                    )
-                },
-            )
-        }
-        None => {
-            let header = vds_bench::live::campaign_journal_header_for(
-                scheme,
-                opts.trials,
-                base_seed,
-                target_rounds,
-            );
-            run_campaign_journaled(
-                COMPONENT,
-                opts.trials,
-                opts.workers,
-                None,
-                &header,
-                |i, rec| {
-                    vds_bench::live::campaign_trial_for(scheme, i, base_seed, target_rounds, rec)
-                },
-            )
-        }
+    let (Outcome::Campaign(report), rec) = opts
+        .recording
+        .record(vds_obs::Recorder::new(), opts.workers)
+    else {
+        unreachable!("a campaign records a campaign report")
     };
     log_info!(
         "campaign",
@@ -152,13 +76,13 @@ fn campaign(opts: &CampaignOpts, f: &Flags) -> Result<String, CliError> {
         started.elapsed().as_secs_f64()
     );
 
-    let workload = match &opts.vm_program {
+    let workload = match opts.vm_program {
         Some(p) => format!(", workload vm:{p}"),
         None => String::new(),
     };
     let mut out = format!(
         "vds campaign — scheme {}{workload}\n{report}",
-        scheme.name()
+        opts.recording.params().scheme.name()
     );
     // price the campaign journal against the closed forms, then
     // reconstruct every fault's lifecycle from it (the registry already
@@ -177,13 +101,7 @@ fn campaign(opts: &CampaignOpts, f: &Flags) -> Result<String, CliError> {
         out.push_str(&write_metrics(path, rec.registry(), Some(rec.spans()))?);
     }
     if let Some(path) = &f.journal {
-        crate::write_atomic(path, rec.journal().to_jsonl().as_bytes())
-            .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
-        let _ = writeln!(
-            out,
-            "journal ({} rounds) written to {path} — replay with `vds replay {path}`",
-            rec.journal().len()
-        );
+        out.push_str(&crate::write_journal(path, rec.journal())?);
     }
     Ok(out)
 }
@@ -194,9 +112,10 @@ mod tests {
 
     #[test]
     fn campaign_opts_defaults_and_overrides() {
+        use vds_core::Scheme;
         let d = CampaignOpts::from_flags(&Flags::default()).unwrap();
-        assert_eq!((d.trials, d.target_rounds, d.seed), (200, 40, 1));
-        assert_eq!(d.scheme, vds_core::Scheme::SmtProbabilistic);
+        let want = Recording::campaign(None, Scheme::SmtProbabilistic, 200, 1, 40);
+        assert_eq!(d.recording, want);
         let f = Flags {
             trials: Some(12),
             rounds: Some(25),
@@ -205,8 +124,8 @@ mod tests {
             ..Flags::default()
         };
         let o = CampaignOpts::from_flags(&f).unwrap();
-        assert_eq!((o.trials, o.target_rounds, o.seed), (12, 25, 7));
-        assert_eq!(o.scheme, vds_core::Scheme::SmtDeterministic);
+        let want = Recording::campaign(None, Scheme::SmtDeterministic, 12, 7, 25);
+        assert_eq!(o.recording, want);
     }
 
     #[test]
@@ -216,7 +135,7 @@ mod tests {
             ..Flags::default()
         };
         let o = CampaignOpts::from_flags(&f).unwrap();
-        assert_eq!(o.vm_program.as_deref(), Some("matmul"));
+        assert_eq!(o.vm_program, Some("matmul"));
         for bad in ["micro:matmul", "vm:bogus"] {
             let f = Flags {
                 workload: Some(bad.into()),
@@ -229,13 +148,17 @@ mod tests {
 
     #[test]
     fn campaign_rejects_the_abstract_only_scheme() {
-        let f = Flags {
-            scheme: Some("smt-boost5".into()),
-            ..Flags::default()
-        };
-        let e = CampaignOpts::from_flags(&f).unwrap_err();
-        assert_eq!(e.code, 2);
-        assert!(e.msg.contains("abstract backend only"), "{}", e.msg);
+        // over either workload, as `vds replay` refuses such a header
+        for workload in [None, Some("vm:sort".to_string())] {
+            let f = Flags {
+                scheme: Some("smt-boost5".into()),
+                workload,
+                ..Flags::default()
+            };
+            let e = CampaignOpts::from_flags(&f).unwrap_err();
+            assert_eq!(e.code, 2);
+            assert!(e.msg.contains("abstract backend only"), "{}", e.msg);
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! `main.rs` only forwards `std::env::args`.
 
 use std::fmt::Write as _;
+use vds_bench::live::{Outcome, Recording, RunParams};
 
 mod args;
 mod audit;
@@ -180,6 +181,16 @@ pub(crate) fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     vds_obs::write_atomic(std::path::Path::new(path), bytes)
 }
 
+/// Write `journal` to `path`; returns a printable confirmation.
+fn write_journal(path: &str, journal: &vds_obs::Journal) -> Result<String, CliError> {
+    write_atomic(path, journal.to_jsonl().as_bytes())
+        .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
+    Ok(format!(
+        "journal ({} rounds) written to {path} — replay with `vds replay {path}`\n",
+        journal.len()
+    ))
+}
+
 /// Write the registry as CSV to `path` and, when spans were recorded,
 /// their Chrome trace next to it; returns a printable confirmation.
 fn write_metrics(
@@ -216,17 +227,11 @@ fn finish_recorded(
     render: impl FnOnce(&mut String, &str, &vds_obs::Registry, &vds_obs::SpanSet),
 ) -> Result<(), CliError> {
     rec.export_journal_metrics();
-    let journal_note = match &f.journal {
-        Some(path) => {
-            write_atomic(path, rec.journal().to_jsonl().as_bytes())
-                .map_err(|e| CliError::runtime(format!("cannot write `{path}`: {e}")))?;
-            Some(format!(
-                "journal ({} rounds) written to {path} — replay with `vds replay {path}`\n",
-                rec.journal().len()
-            ))
-        }
-        None => None,
-    };
+    let journal_note = f
+        .journal
+        .as_deref()
+        .map(|path| write_journal(path, rec.journal()))
+        .transpose()?;
     let journal_summary = rec.journal().summary_json();
     let (registry, spans) = rec.into_parts();
     render(out, &journal_summary, &registry, &spans);
@@ -243,6 +248,53 @@ fn finish_recorded(
         }
     }
     Ok(())
+}
+
+/// The `[rounds] [fault-round]` positionals of `duplex`, `stats`,
+/// `report` and `vm duplex`: the target rounds (from `--rounds` when
+/// given, which leaves its slot to the fault round, else 30) and the
+/// round to inject the fault at, if any.
+fn rounds_and_fault_round<'a>(
+    mut rest: impl Iterator<Item = &'a String>,
+    f: &Flags,
+    what: &str,
+) -> Result<(u64, Option<u32>), CliError> {
+    let rounds = match f.rounds {
+        Some(n) => n,
+        None => rest
+            .next()
+            .map_or(Ok(30), |s| parse_num(s, "round count"))?,
+    };
+    let at = rest
+        .next()
+        .map(|s| parse_num(s, "fault round"))
+        .transpose()?;
+    if rest.next().is_some() {
+        return Err(CliError::usage(format!("{what}: too many arguments")));
+    }
+    Ok((rounds, at))
+}
+
+/// Run a single-run recording (`duplex`, `stats`, `report`, `vm
+/// duplex`) once [`Recording::check`] passes it: journaled
+/// into a live recorder, its span ring sized by `--trace-capacity`, when
+/// `record`, else on the zero-sized `NoopRecorder`. Returns the report,
+/// the oracle verdict and a recorded run's recorder.
+fn run_duplex(
+    recording: &Recording,
+    record: bool,
+    f: &Flags,
+) -> Result<(vds_core::RunReport, bool, Option<vds_obs::Recorder>), CliError> {
+    recording.check().map_err(CliError::usage)?;
+    if !record {
+        let (r, correct, _) = recording.run_single(vds_obs::NoopRecorder);
+        return Ok((r, correct, None));
+    }
+    let capacity = f.trace_capacity.unwrap_or(vds_obs::DEFAULT_SPAN_CAPACITY);
+    match recording.record(vds_obs::Recorder::with_span_capacity(capacity), 1) {
+        (Outcome::Run(report, correct), rec) => Ok((report, correct, Some(rec))),
+        (Outcome::Campaign(_), _) => unreachable!("a single run records a run report"),
+    }
 }
 
 fn parse_scheme(s: &str) -> Result<vds_core::Scheme, CliError> {
@@ -478,25 +530,6 @@ fn cmd_alpha(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The journal header describing a micro duplex run: everything `vds
-/// replay` needs to re-execute it (scheme, seed, `s`, target rounds and
-/// the injected fault, if any) lives in the header, so a journal file is
-/// self-describing.
-pub(crate) fn micro_journal_header(
-    cfg: &vds_core::micro_vds::MicroConfig,
-    rounds: u64,
-    fault: Option<&vds_core::micro_vds::MicroFault>,
-) -> vds_obs::JournalHeader {
-    let mut h = vds_obs::JournalHeader::new("micro", cfg.scheme.name(), cfg.seed, cfg.s, rounds);
-    if let Some(fl) = fault {
-        h = h
-            .with_meta("fault", &fl.kind.spec_string())
-            .with_meta("fault_round", &fl.at_round.to_string())
-            .with_meta("fault_victim", &format!("v{}", fl.victim.index() + 1));
-    }
-    h
-}
-
 /// The three faces of a recorded micro-VDS run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DuplexMode {
@@ -512,13 +545,13 @@ enum DuplexMode {
 /// run with the metric registry printed) and `vds report`
 /// (the same run with folded profiler stacks printed).
 fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
-    use vds_core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
-    use vds_core::{workload, Victim};
+    use vds_core::micro_vds::MicroFault;
+    use vds_core::Victim;
     use vds_fault::model::{FaultKind, FaultSite};
-    let spec = match mode {
-        DuplexMode::Plain => &args::DUPLEX,
-        DuplexMode::Stats => &args::STATS,
-        DuplexMode::Report => &args::REPORT,
+    let (spec, what) = match mode {
+        DuplexMode::Plain => (&args::DUPLEX, "duplex"),
+        DuplexMode::Stats => (&args::STATS, "stats"),
+        DuplexMode::Report => (&args::REPORT, "report"),
     };
     let f = spec.parse(args)?;
     if f.help {
@@ -529,70 +562,31 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
     if let Some(w) = &f.workload {
         return vm_cmd::duplex_via_workload(&f, w);
     }
-    let what = match mode {
-        DuplexMode::Plain => "duplex",
-        DuplexMode::Stats => "stats",
-        DuplexMode::Report => "report",
-    };
     let scheme = parse_scheme(
         f.positional
             .first()
             .ok_or_else(|| CliError::usage(format!("{what}: missing scheme")))?,
     )?;
-    if scheme == vds_core::Scheme::SmtBoosted5 {
-        return Err(CliError::usage(
-            "smt-boost5 runs on the abstract backend only (try `vds experiment e13`)",
-        ));
-    }
-    // positionals after the scheme fill the slots `--rounds` leaves
-    // unclaimed, so `duplex --rounds 15 smt-det 4` still faults at round 4
-    let mut rest = f.positional.iter().skip(1);
-    let rounds: u64 = match f.rounds {
-        Some(n) => n,
-        None => match rest.next() {
-            Some(s) => parse_num(s, "round count")?,
-            None => 30,
-        },
+    let (rounds, at) = rounds_and_fault_round(f.positional.iter().skip(1), &f, what)?;
+    let fault = at.map(|at_round| MicroFault {
+        at_round,
+        victim: Victim::V2,
+        kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
+    });
+    let params = RunParams {
+        scheme,
+        seed: f.seed.unwrap_or(vds_core::DEFAULT_SEED),
+        s: 10,
+        rounds,
     };
-    let mut cfg = MicroConfig::new(scheme, 10);
-    if let Some(seed) = f.seed {
-        cfg.seed = seed;
-    }
-    let fault = match rest.next() {
-        Some(s) => {
-            let at: u32 = parse_num(s, "fault round")?;
-            Some(MicroFault {
-                at_round: at,
-                victim: Victim::V2,
-                kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
-            })
-        }
-        None => None,
-    };
-    if rest.next().is_some() {
-        return Err(CliError::usage(format!("{what}: too many arguments")));
-    }
+    let recording = Recording::Micro(params, fault);
     // recording costs a little time, so the plain path stays unrecorded
     let record = mode != DuplexMode::Plain
         || f.metrics.is_some()
         || f.trace_capacity.is_some()
         || f.journal.is_some();
-    let (r, img, rec) = if record {
-        let mut recorder = match f.trace_capacity {
-            Some(cap) => vds_obs::Recorder::with_span_capacity(cap),
-            None => vds_obs::Recorder::new(),
-        };
-        recorder.enable_journal(micro_journal_header(&cfg, rounds, fault.as_ref()));
-        let (r, img, rec) = run_micro_with_recorder(&cfg, fault, rounds, recorder);
-        (r, img, Some(rec))
-    } else {
-        let (r, img, _) = run_micro_with_recorder(&cfg, fault, rounds, vds_obs::NoopRecorder);
-        (r, img, None)
-    };
-    let (_, want) = workload::oracle(r.committed_rounds as u32);
-    let got = &img
-        [workload::ADDR_STATE as usize..(workload::ADDR_STATE + workload::STATE_WORDS) as usize];
-    let verdict = if got == &want[..] {
+    let (r, correct, rec) = run_duplex(&recording, record, &f)?;
+    let verdict = if correct {
         "output CORRECT"
     } else {
         "output WRONG"
@@ -617,10 +611,7 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
                 if f.json {
                     // one serializer with every other `--json` report
                     *out = vds_obs::JsonObj::report("stats")
-                        .str(
-                            "verdict",
-                            if got == &want[..] { "correct" } else { "wrong" },
-                        )
+                        .str("verdict", if correct { "correct" } else { "wrong" })
                         .raw("journal", journal)
                         .raw("metrics", &registry.to_json_object())
                         .finish();
@@ -726,67 +717,58 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
     let report = perf::run_suite_with(workers, f.seed, f.rounds);
-    if f.json {
-        // machine-readable form: exactly the BENCH_<n>.json bytes
-        let json = report.to_json();
-        if let Some(p) = &f.out {
-            write_atomic(p, json.as_bytes())
-                .map_err(|e| CliError::runtime(format!("cannot write `{p}`: {e}")))?;
-        }
-        if let Some(base_path) = &f.check {
-            let base = BenchReport::from_json(&read_file(base_path)?)
-                .map_err(|e| CliError::runtime(format!("cannot parse `{base_path}`: {e}")))?;
-            let issues = perf::check(&report, &base, threshold);
-            if !issues.is_empty() {
-                let mut msg = format!("bench check FAILED against {base_path}:\n");
-                for issue in &issues {
-                    let _ = writeln!(msg, "  - {issue}");
-                }
-                return Err(CliError::runtime(msg));
-            }
-        }
-        return Ok(json);
-    }
-    let mut out = format!(
-        "vds bench — pinned perf suite, schema v{}\n{:<5} {:>10} {:>11} {:>12} {:>10}\n",
-        report.schema_version, "id", "sim_rounds", "host_ms", "work_units", "work/ms"
-    );
-    for e in &report.experiments {
-        let _ = writeln!(
-            out,
-            "{:<5} {:>10} {:>11.3} {:>12} {:>10.1}",
-            e.id,
-            e.sim_rounds,
-            e.host_ms,
-            e.work_units,
-            e.work_per_ms()
+    let json = report.to_json();
+    // `--json` prints exactly the BENCH_<n>.json bytes and writes them only
+    // to `--out`; the table form also writes a trajectory point to the
+    // next free BENCH_<n>.json slot unless `--check` alone was asked for
+    let (mut out, out_path) = if f.json {
+        (json.clone(), f.out.clone())
+    } else {
+        let mut table = format!(
+            "vds bench — pinned perf suite, schema v{}\n{:<5} {:>10} {:>11} {:>12} {:>10}\n",
+            report.schema_version, "id", "sim_rounds", "host_ms", "work_units", "work/ms"
         );
-    }
-    // --check without --out only compares; otherwise a trajectory point
-    // is written (to --out, or the next free BENCH_<n>.json slot)
-    let out_path = match (&f.out, &f.check) {
-        (Some(p), _) => Some(p.clone()),
-        (None, Some(_)) => None,
-        (None, None) => Some(next_bench_path()),
+        for e in &report.experiments {
+            let _ = writeln!(
+                table,
+                "{:<5} {:>10} {:>11.3} {:>12} {:>10.1}",
+                e.id,
+                e.sim_rounds,
+                e.host_ms,
+                e.work_units,
+                e.work_per_ms()
+            );
+        }
+        let path = match (&f.out, &f.check) {
+            (Some(p), _) => Some(p.clone()),
+            (None, Some(_)) => None,
+            (None, None) => Some(next_bench_path()),
+        };
+        (table, path)
     };
     if let Some(p) = &out_path {
-        write_atomic(p, report.to_json().as_bytes())
+        write_atomic(p, json.as_bytes())
             .map_err(|e| CliError::runtime(format!("cannot write `{p}`: {e}")))?;
-        let _ = writeln!(out, "bench report written to {p}");
+        if !f.json {
+            let _ = writeln!(out, "bench report written to {p}");
+        }
     }
     if let Some(base_path) = &f.check {
         let base = BenchReport::from_json(&read_file(base_path)?)
             .map_err(|e| CliError::runtime(format!("cannot parse `{base_path}`: {e}")))?;
         let issues = perf::check(&report, &base, threshold);
-        if issues.is_empty() {
-            let _ = writeln!(out, "bench check OK against {base_path}");
-        } else {
-            let mut msg = out;
+        if !issues.is_empty() {
+            // the failure report follows the table, or stands alone
+            // under `--json`
+            let mut msg = if f.json { String::new() } else { out };
             let _ = writeln!(msg, "bench check FAILED against {base_path}:");
             for issue in &issues {
                 let _ = writeln!(msg, "  - {issue}");
             }
             return Err(CliError::runtime(msg));
+        }
+        if !f.json {
+            let _ = writeln!(out, "bench check OK against {base_path}");
         }
     }
     Ok(out)

@@ -14,9 +14,12 @@
 //! `vds duplex --workload vm:<program>` routes here too, so the micro
 //! and VM workloads share one flag vocabulary.
 
-use crate::{args, finish_recorded, parse_num, CliError, Flags};
+use crate::{
+    args, finish_recorded, parse_num, rounds_and_fault_round, run_duplex, CliError, Flags,
+};
 use std::fmt::Write as _;
-use vds_core::vm_vds::{run_vm_duplex_with_recorder, VmConfig, VmFault};
+use vds_bench::live::{Recording, RunParams};
+use vds_core::vm_vds::{VmConfig, VmFault};
 use vds_core::Victim;
 use vds_fault::vm::VmFaultSite;
 use vds_vm::{run_round, seed_program, Outcome, SeedProgram, Vm};
@@ -34,6 +37,22 @@ fn lookup_program(name: &str) -> Result<&'static SeedProgram, CliError> {
     seed_program(name).ok_or_else(|| {
         CliError::usage(format!(
             "vm: unknown program `{name}` (known: {})",
+            known_programs()
+        ))
+    })
+}
+
+/// The seed program a `--workload vm:<program>` flag names (`vds duplex`,
+/// `vds campaign`).
+pub(crate) fn workload_program(workload: &str) -> Result<&'static SeedProgram, CliError> {
+    let name = workload.strip_prefix("vm:").ok_or_else(|| {
+        CliError::usage(format!(
+            "--workload: `{workload}` is not a workload (vm:<program>, e.g. vm:checksum)"
+        ))
+    })?;
+    seed_program(name).ok_or_else(|| {
+        CliError::usage(format!(
+            "--workload: unknown program `{name}` (known: {})",
             known_programs()
         ))
     })
@@ -58,25 +77,6 @@ pub(crate) fn parse_vm_fault_spec(spec: &str) -> Result<(VmFaultSite, Victim), C
         ))
     })?;
     Ok((site, victim))
-}
-
-/// The journal header describing a VM duplex run: program, scheme,
-/// seed, `s`, target rounds and the injected fault all live in the
-/// header, so `vds replay` can re-execute the run from the file alone.
-pub(crate) fn vm_journal_header(
-    cfg: &VmConfig,
-    rounds: u64,
-    fault: Option<&VmFault>,
-) -> vds_obs::JournalHeader {
-    let mut h = vds_obs::JournalHeader::new("vm", cfg.scheme.name(), cfg.seed, cfg.s, rounds)
-        .with_meta("program", &cfg.program);
-    if let Some(fl) = fault {
-        h = h
-            .with_meta("fault", &fl.site.spec_string())
-            .with_meta("fault_round", &fl.at_round.to_string())
-            .with_meta("fault_victim", &format!("v{}", fl.victim.index() + 1));
-    }
-    h
 }
 
 /// `vds vm <asm|run|duplex> …` dispatch.
@@ -177,71 +177,33 @@ fn cmd_vm_duplex(sp: &SeedProgram, f: &Flags) -> Result<String, CliError> {
         Some(name) => crate::parse_scheme(name)?,
         None => vds_core::Scheme::SmtDeterministic,
     };
-    let mut rest = f.positional.iter().skip(2);
-    let rounds: u64 = match f.rounds {
-        Some(n) => n,
-        None => match rest.next() {
-            Some(s) => parse_num(s, "round count")?,
-            None => 30,
-        },
-    };
-    let fault_round: Option<u32> = match rest.next() {
-        Some(s) => Some(parse_num(s, "fault round")?),
-        None => None,
-    };
-    if rest.next().is_some() {
-        return Err(CliError::usage("vm duplex: too many arguments"));
-    }
-    run_vm_duplex_cli(sp, scheme, rounds, fault_round, f)
+    run_vm_duplex_cli(sp, scheme, f.positional.iter().skip(2), "vm duplex", f)
 }
 
 /// `vds duplex <scheme> [rounds] [fault-round] --workload vm:<program>`:
 /// the micro command's positional grammar routed onto the VM engine.
 pub(crate) fn duplex_via_workload(f: &Flags, workload: &str) -> Result<String, CliError> {
-    let Some(name) = workload.strip_prefix("vm:") else {
-        return Err(CliError::usage(format!(
-            "--workload: `{workload}` is not a workload (vm:<program>, e.g. vm:checksum)"
-        )));
-    };
-    let sp = lookup_program(name)?;
+    let sp = workload_program(workload)?;
     let scheme = crate::parse_scheme(
         f.positional
             .first()
             .ok_or_else(|| CliError::usage("duplex: missing scheme"))?,
     )?;
-    let mut rest = f.positional.iter().skip(1);
-    let rounds: u64 = match f.rounds {
-        Some(n) => n,
-        None => match rest.next() {
-            Some(s) => parse_num(s, "round count")?,
-            None => 30,
-        },
-    };
-    let fault_round: Option<u32> = match rest.next() {
-        Some(s) => Some(parse_num(s, "fault round")?),
-        None => None,
-    };
-    if rest.next().is_some() {
-        return Err(CliError::usage("duplex: too many arguments"));
-    }
-    run_vm_duplex_cli(sp, scheme, rounds, fault_round, f)
+    run_vm_duplex_cli(sp, scheme, f.positional.iter().skip(1), "duplex", f)
 }
 
-/// The shared VM duplex runner: build the config and fault, run
-/// (recorded when any recording surface is requested), price the
-/// journal, and render the same report shape as `vds duplex`.
-fn run_vm_duplex_cli(
+/// The shared VM duplex runner: read the `[rounds] [fault-round]`
+/// positionals in `rest`, build the recording, run it (recorded when any
+/// recording surface is requested), price the journal, and render the
+/// same report shape as `vds duplex`.
+fn run_vm_duplex_cli<'a>(
     sp: &SeedProgram,
     scheme: vds_core::Scheme,
-    rounds: u64,
-    fault_round: Option<u32>,
+    rest: impl Iterator<Item = &'a String>,
+    what: &str,
     f: &Flags,
 ) -> Result<String, CliError> {
-    let mut cfg = VmConfig::new(sp.name);
-    cfg.scheme = scheme;
-    if let Some(seed) = f.seed {
-        cfg.seed = seed;
-    }
+    let (rounds, fault_round) = rounds_and_fault_round(rest, f, what)?;
     let fault = match (&f.fault, fault_round) {
         (None, None) => None,
         (spec, at) => {
@@ -259,21 +221,16 @@ fn run_vm_duplex_cli(
             })
         }
     };
-    let record = f.metrics.is_some() || f.trace_capacity.is_some() || f.journal.is_some() || f.json;
-    let (r, img, rec) = if record {
-        let mut recorder = match f.trace_capacity {
-            Some(cap) => vds_obs::Recorder::with_span_capacity(cap),
-            None => vds_obs::Recorder::new(),
-        };
-        recorder.enable_journal(vm_journal_header(&cfg, rounds, fault.as_ref()));
-        let (r, img, rec) = run_vm_duplex_with_recorder(&cfg, fault, rounds, recorder);
-        (r, img, Some(rec))
-    } else {
-        let (r, img, _) = run_vm_duplex_with_recorder(&cfg, fault, rounds, vds_obs::NoopRecorder);
-        (r, img, None)
+    let params = RunParams {
+        scheme,
+        seed: f.seed.unwrap_or(vds_core::DEFAULT_SEED),
+        s: VmConfig::new(sp.name).s,
+        rounds,
     };
-    let want = sp.oracle(cfg.seed, r.committed_rounds as u32);
-    let verdict = if img == want {
+    let recording = Recording::Vm(params, sp.name.to_string(), fault);
+    let record = f.metrics.is_some() || f.trace_capacity.is_some() || f.journal.is_some() || f.json;
+    let (r, correct, rec) = run_duplex(&recording, record, f)?;
+    let verdict = if correct {
         "output CORRECT"
     } else {
         "output WRONG"
@@ -288,7 +245,7 @@ fn run_vm_duplex_cli(
             if f.json {
                 *out = vds_obs::JsonObj::report("vm-duplex")
                     .str("program", sp.name)
-                    .str("verdict", if img == want { "correct" } else { "wrong" })
+                    .str("verdict", if correct { "correct" } else { "wrong" })
                     .raw("journal", journal)
                     .raw("metrics", &registry.to_json_object())
                     .finish();

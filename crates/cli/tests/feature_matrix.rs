@@ -3,7 +3,7 @@
 //!
 //! The engines are monomorphized against whichever recorder drives them:
 //! the zero-sized `NoopRecorder` (plain `vds duplex`), a live `Recorder`
-//! with a roomy trace ring, or one whose ring overflows (`vds stats
+//! with a roomy span ring, or one whose ring overflows (`vds stats
 //! --trace-capacity 4`). These tests compare those recorder types and
 //! pin the contract from three angles: recording depth must not change
 //! the journal, recording must not change the report, and the digests
@@ -22,7 +22,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 /// A plain `vds duplex` journal (no live trace) and a `vds stats` journal
-/// with a deliberately tiny trace ring (heavy hot-path activity and
+/// with a deliberately tiny span ring (heavy hot-path activity and
 /// overflow) must be byte-identical: the recorder is write-only.
 #[test]
 fn journal_is_independent_of_recording_depth() {

@@ -1,5 +1,10 @@
 //! VDS scheme selection and fault plans.
 
+/// Root seed of a micro or VM run unless `--seed` (or the caller) says
+/// otherwise: [`crate::micro_vds::MicroConfig::new`] and
+/// [`crate::vm_vds::VmConfig::new`] start from it.
+pub const DEFAULT_SEED: u64 = 2024;
+
 /// Which recovery scheme (and hence which processor architecture and
 /// execution model) the VDS uses.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -51,5 +51,5 @@ pub mod report;
 pub mod vm_vds;
 pub mod workload;
 
-pub use config::{FaultModel, Scheme, Victim};
+pub use config::{FaultModel, Scheme, Victim, DEFAULT_SEED};
 pub use report::RunReport;

@@ -102,7 +102,7 @@ impl MicroConfig {
             cmp_cycles: 30,
             ckpt_cycles: 120,
             p_correct: 0.5,
-            seed: 2024,
+            seed: crate::DEFAULT_SEED,
             core,
             workload_rounds: 1_000_000,
             diversity: true,
