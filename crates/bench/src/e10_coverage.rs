@@ -27,7 +27,7 @@ fn trial(seed: u64, diversity: bool, target_rounds: u64) -> TrialResult {
     cfg.diversity = diversity;
     let victim = if rng.gen() { Victim::V1 } else { Victim::V2 };
     let at_round = rng.gen_range(1..=cfg.s);
-    let text_len = workload::build(4).text.len() as u32 + 8; // approx; sites clamp
+    let text_len = workload::text_len() as u32 + 8; // approx; sites clamp
     let kind = match rng.gen_range(0..10u32) {
         0..=5 => FaultKind::Transient(sample_transient_site(
             &mut rng,

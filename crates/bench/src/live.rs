@@ -47,7 +47,7 @@ pub fn campaign_trial_for(
     cfg.seed = base_seed.wrapping_add(index);
     let victim = if rng.gen() { Victim::V1 } else { Victim::V2 };
     let at_round = rng.gen_range(1..=cfg.s);
-    let text_len = workload::build(4).text.len() as u32 + 8;
+    let text_len = workload::text_len() as u32 + 8;
     let site = sample_transient_site(&mut rng, workload::DMEM_WORDS as u32, text_len);
     let fault = MicroFault {
         at_round,

@@ -795,6 +795,27 @@ mod tests {
         );
     }
 
+    /// The SMT core replays repeated rounds rather than simulating them
+    /// (`Core::advance_until_block`): a fault-free pair settles into a
+    /// steady round within a few rounds, and from then on both of each
+    /// round's segments (up to the first yield, then to the second)
+    /// must replay, or the fast path has gone dead.
+    #[test]
+    fn steady_rounds_replay_in_the_smt_core() {
+        for scheme in [Scheme::SmtProbabilistic, Scheme::SmtBoosted3] {
+            let cfg = MicroConfig::new(scheme, 8);
+            let mut d = Duplex::new(Micro::new(cfg, None, true), NoopRecorder);
+            for _ in 0..40 {
+                d.step(1);
+            }
+            let replayed = d.backend().m.core().replayed_segments();
+            assert!(
+                replayed >= 2 * 30,
+                "{scheme:?}: {replayed} segments replayed"
+            );
+        }
+    }
+
     #[test]
     fn final_state_matches_oracle_fault_free() {
         let (r, img) = final_image(&MicroConfig::new(Scheme::SmtProbabilistic, 5), None, 7);

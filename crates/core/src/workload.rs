@@ -60,16 +60,25 @@ pub const STATE_WINDOW: std::ops::Range<u32> = 0..ADDR_TABLE;
 /// into a copy.
 pub fn build(rounds: u32) -> Program {
     assert!(rounds >= 1);
-    static TEMPLATE: OnceLock<Program> = OnceLock::new();
-    let mut prog = TEMPLATE
-        .get_or_init(|| {
-            let prog = assemble(&source(1)).expect("workload must assemble");
-            debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
-            prog
-        })
-        .clone();
+    let mut prog = template().clone();
     prog.data[ADDR_REMAINING as usize] = rounds;
     prog
+}
+
+/// Instructions in the workload's text, whatever its round count,
+/// without the copy of the whole program [`build`] makes.
+pub fn text_len() -> usize {
+    template().text.len()
+}
+
+/// The workload assembled once, for one round.
+fn template() -> &'static Program {
+    static TEMPLATE: OnceLock<Program> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        let prog = assemble(&source(1)).expect("workload must assemble");
+        debug_assert!(matches!(prog.symbol("round"), Some(Symbol::Text(_))));
+        prog
+    })
 }
 
 /// Assembly source of the workload performing `rounds` rounds.
@@ -187,6 +196,7 @@ mod tests {
         for rounds in [1, 4, 40, 1_000_000] {
             let fresh = assemble(&source(rounds)).unwrap();
             assert_eq!(build(rounds), fresh, "rounds = {rounds}");
+            assert_eq!(text_len(), fresh.text.len(), "rounds = {rounds}");
         }
     }
 

@@ -32,7 +32,7 @@ impl Default for PredictorKind {
 }
 
 /// A branch predictor instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Predictor {
     /// See [`PredictorKind::StaticTaken`].
     StaticTaken,
@@ -99,6 +99,44 @@ impl Predictor {
             }
         }
         predicted == taken
+    }
+}
+
+// By hand so that `clone_from` reuses the table: a replaying core saves
+// each thread's predictor into the same copy each time, without
+// allocating.
+impl Clone for Predictor {
+    fn clone(&self) -> Self {
+        match self {
+            Predictor::StaticTaken => Predictor::StaticTaken,
+            Predictor::StaticNotTaken => Predictor::StaticNotTaken,
+            Predictor::Bimodal { table } => Predictor::Bimodal {
+                table: table.clone(),
+            },
+            Predictor::Gshare { table, history } => Predictor::Gshare {
+                table: table.clone(),
+                history: *history,
+            },
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Predictor::Bimodal { table }, Predictor::Bimodal { table: from }) => {
+                table.clone_from(from);
+            }
+            (
+                Predictor::Gshare { table, history },
+                Predictor::Gshare {
+                    table: from,
+                    history: h,
+                },
+            ) => {
+                table.clone_from(from);
+                *history = *h;
+            }
+            (this, source) => *this = source.clone(),
+        }
     }
 }
 

@@ -99,8 +99,11 @@ impl CacheStats {
     }
 }
 
+/// A line and when it was accessed: `(key, set, offset)`.
+pub(crate) type LineAt = (u64, u32, u32);
+
 /// A shared, timing-only, set-associative LRU cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets × ways` lines, set-major: set `s` is
@@ -147,6 +150,50 @@ impl Cache {
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Accesses so far: the LRU clock.
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    fn find(&self, set_idx: usize, key: u64) -> Option<usize> {
+        let ways = self.cfg.ways;
+        (set_idx * ways..(set_idx + 1) * ways).find(|&i| self.lines[i].key == key)
+    }
+
+    /// The lines accessed since the clock read `since`, as `(key, set,
+    /// last access − since)`. Stamps only grow, so these are the lines
+    /// whose stamp passed `since`.
+    pub(crate) fn touched_since(&self, since: u64) -> impl Iterator<Item = LineAt> + '_ {
+        let ways = self.cfg.ways;
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(move |(_, l)| l.key != EMPTY && l.stamp > since)
+            .map(move |(i, l)| (l.key, (i / ways) as u32, (l.stamp - since) as u32))
+    }
+
+    /// Whether every line of `lines` is present.
+    pub(crate) fn holds(&self, lines: &[LineAt]) -> bool {
+        lines
+            .iter()
+            .all(|&(key, set, _)| self.find(set as usize, key).is_some())
+    }
+
+    /// The effect of `hits` accesses that all hit, on `lines`, which are
+    /// present here, each last accessed at its offset from the first:
+    /// each line's stamp is the clock of its last access, and nothing
+    /// else moves but the clock and the hit count.
+    pub(crate) fn replay_hits(&mut self, lines: &[LineAt], hits: u64) {
+        for &(key, set, offset) in lines {
+            let i = self
+                .find(set as usize, key)
+                .expect("replayed line is present");
+            self.lines[i].stamp = self.clock + u64::from(offset);
+        }
+        self.clock += hits;
+        self.stats.hits += hits;
     }
 
     /// Invalidate everything (e.g. at a simulated context switch if the
@@ -206,6 +253,28 @@ impl Cache {
             stamp: self.clock,
         };
         false
+    }
+}
+
+// By hand so that `clone_from` reuses the buffers: a replaying core
+// saves its d-cache into the same copy each time, without allocating.
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            lines: self.lines.clone(),
+            evicted_by_other: self.evicted_by_other.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.cfg = source.cfg;
+        self.lines.clone_from(&source.lines);
+        self.line_shift = source.line_shift;
+        self.set_shift = source.set_shift;
+        self.clock = source.clock;
+        self.stats = source.stats;
+        self.evicted_by_other.clone_from(&source.evicted_by_other);
     }
 }
 

@@ -29,6 +29,51 @@
 //! diversity argument relies on. Transient faults are injected from
 //! outside by mutating [`Thread::regs`], [`Thread::dmem`] or program text
 //! (see `vds-fault`).
+//!
+//! ## Replayed repeats
+//!
+//! [`Core::step`] is the one definition of a cycle, and a VDS round on it
+//! repeats: once the caches are warm, a diversified pair runs the same
+//! instructions to the same cycles every round, only on other data.
+//! [`Core::advance_until_block`] therefore remembers each segment it
+//! simulates (from its call to the first yield, halt or trap) that
+//! missed in neither cache, under round-robin priority with no
+//! functional-unit fault installed. It keeps the stream of fetches that
+//! reached the text, in cycle-loop order, each with its thread and pc
+//! and whether it found its unit busy, trapped on its address or (a
+//! branch) was predicted correctly; the text each thread fetched from;
+//! and the segment's totals: cycles, counter and state-change deltas,
+//! i-cache hits, each thread's exit state, and the units it issued to.
+//!
+//! The key is the scheduling state the cycle loop reads besides text,
+//! data and caches: the thread count, the round-robin position, each
+//! unit's busy-until relative to now, and per thread its pc, state
+//! (`StalledUntil` relative to now), stall cause and fill buffer. A
+//! later call from an equal key, with the fetched text unchanged, every
+//! i-cache line the segment fetched still present and the segment
+//! ending before `limit`, is replayed: the stream runs through
+//! `Thread::apply`, the one definition of an instruction's
+//! architectural effect that the cycle loop executes too, with the real
+//! d-cache accesses and predictor updates in recorded order. Each event
+//! must match its pc, in-range address (a trap at the recorded
+//! address), d-cache hit and prediction outcome. The d-cache outcome is
+//! checked, not the address, because the micro workload's table load
+//! reads another word every round. Those are all the cycle loop's
+//! choices depend on, so the replayed run takes the recorded cycles,
+//! and the core books them: the totals, the exit states, the units'
+//! busy-until, and the pipeline windows the segment's first cycle
+//! syncs. The i-cache is restamped rather than accessed: with no miss
+//! nothing is evicted, and an access only moves the clock and its
+//! line's stamp to the clock, so each line ends stamped at the entry
+//! clock plus the offset of its last access in the segment, and LRU
+//! order is exactly what the cycle loop leaves.
+//!
+//! On the first mismatch the replay restores what it changed (registers,
+//! pcs, data memory, d-cache, predictors) and the cycle loop runs, and
+//! records the segment anew. Recorded segments take at most 40 KiB per
+//! core, oldest dropped first, and segments longer than the 4 KiB tape
+//! are not kept. There is no switch: the result is the cycle loop's or
+//! none.
 
 use crate::branch::{Predictor, PredictorKind};
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -36,6 +81,8 @@ use crate::encode::decode;
 use crate::isa::{FuClass, Instr, Reg};
 use crate::perf::{StallCause, ThreadCounters};
 use crate::program::Program;
+
+mod replay;
 
 /// Identifies a hardware thread context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -279,6 +326,89 @@ impl Thread {
         }
     }
 
+    /// The architectural effect of `instr`, the instruction at `pc`, on
+    /// the registers, data memory and pc, every result passed through
+    /// `corrupt` (the functional-unit faults): the one definition both
+    /// the cycle loop and the replay of a recorded segment execute.
+    /// Returns what is left for the pipeline to do.
+    #[inline]
+    fn apply(&mut self, instr: &Instr, corrupt: impl Fn(u32) -> u32) -> Effect {
+        let pc = self.pc;
+        let regs = &mut self.regs;
+        let mut next_pc = pc + 1;
+        let effect = match *instr {
+            Instr::Nop => Effect::Done,
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                regs[rd.idx()] = corrupt(op.apply(regs[rs1.idx()], regs[rs2.idx()]));
+                Effect::Done
+            }
+            Instr::AluImm { op, rd, rs1, imm } => {
+                regs[rd.idx()] = corrupt(op.apply(regs[rs1.idx()], imm));
+                Effect::Done
+            }
+            Instr::Lui { rd, imm } => {
+                regs[rd.idx()] = corrupt(u32::from(imm) << 16);
+                Effect::Done
+            }
+            Instr::Mul { op, rd, rs1, rs2 } => {
+                regs[rd.idx()] = corrupt(op.apply(regs[rs1.idx()], regs[rs2.idx()]));
+                Effect::Wait
+            }
+            Instr::Ld { rd, rs1, imm } => {
+                let addr = regs[rs1.idx()].wrapping_add(imm as u32);
+                match self.dmem.get(addr as usize) {
+                    Some(&v) => {
+                        regs[rd.idx()] = corrupt(v);
+                        Effect::Load { addr }
+                    }
+                    None => Effect::Violation { store: false, addr },
+                }
+            }
+            Instr::St { rs2, rs1, imm } => {
+                let addr = regs[rs1.idx()].wrapping_add(imm as u32);
+                match self.dmem.get_mut(addr as usize) {
+                    Some(slot) => {
+                        let old = std::mem::replace(slot, corrupt(regs[rs2.idx()]));
+                        Effect::Store { addr, old }
+                    }
+                    None => Effect::Violation { store: true, addr },
+                }
+            }
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } => {
+                let taken = cond.holds(regs[rs1.idx()], regs[rs2.idx()]);
+                if taken {
+                    next_pc = target;
+                }
+                Effect::Branch { pc, taken }
+            }
+            Instr::Jal { rd, target } => {
+                regs[rd.idx()] = corrupt(pc + 1);
+                next_pc = target;
+                Effect::Done
+            }
+            Instr::Jalr { rd, rs1, imm } => {
+                let dest = regs[rs1.idx()].wrapping_add(imm as u32);
+                regs[rd.idx()] = corrupt(pc + 1);
+                next_pc = dest;
+                Effect::Done
+            }
+            Instr::Yield => Effect::Yield,
+            // pc frozen at the halt
+            Instr::Halt => Effect::Halt,
+        };
+        // a trapping access leaves the pc on the faulting instruction
+        if !matches!(effect, Effect::Halt | Effect::Violation { .. }) {
+            self.pc = next_pc;
+        }
+        regs[0] = 0;
+        effect
+    }
+
     /// `true` if the thread may still make progress on its own.
     pub fn is_live(&self) -> bool {
         matches!(
@@ -300,6 +430,46 @@ impl Thread {
         d.push_word(self.pc);
         d.push_words(&self.dmem);
         d.finish()
+    }
+}
+
+/// Equal simulated state: everything but the pre-decoded text, a
+/// host-side cache.
+impl PartialEq for Thread {
+    fn eq(&self, other: &Self) -> bool {
+        let Thread {
+            regs,
+            pc,
+            prog,
+            dmem,
+            state,
+            counters,
+            predictor,
+            stall_cause,
+            fetch_fill,
+            decoded: _,
+        } = self;
+        (
+            regs,
+            pc,
+            prog,
+            dmem,
+            state,
+            counters,
+            predictor,
+            stall_cause,
+            fetch_fill,
+        ) == (
+            &other.regs,
+            &other.pc,
+            &other.prog,
+            &other.dmem,
+            &other.state,
+            &other.counters,
+            &other.predictor,
+            &other.stall_cause,
+            &other.fetch_fill,
+        )
     }
 }
 
@@ -361,6 +531,28 @@ enum Priority {
     Ranked,
 }
 
+/// What is left of an instruction for the pipeline once
+/// [`Thread::apply`] has done its architectural effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Effect {
+    /// Nothing.
+    Done,
+    /// A multi-cycle result the thread waits for.
+    Wait,
+    /// A load of in-range word `addr`.
+    Load { addr: u32 },
+    /// A store to in-range word `addr`, which held `old`.
+    Store { addr: u32, old: u32 },
+    /// A load or store outside the address space: nothing was written.
+    Violation { store: bool, addr: u32 },
+    /// A conditional branch at `pc`.
+    Branch { pc: u32, taken: bool },
+    /// `yield`.
+    Yield,
+    /// `halt`.
+    Halt,
+}
+
 /// Index of a unit-bearing functional-unit class into
 /// `Core::unit_free_at`; `None` for [`FuClass::None`].
 fn fu_slot(class: FuClass) -> Option<usize> {
@@ -408,6 +600,61 @@ pub struct Core {
     /// `state_changes` when the open windows were last brought in line
     /// with the thread states ([`Core::sync_windows`]).
     windows_synced: u64,
+    /// Segments recorded for [`Core::advance_until_block`] to replay.
+    memo: replay::Memo,
+}
+
+/// Equal simulated state, micro-architecture and recorded pipeline
+/// windows included: everything but host-side caches (the replay memo,
+/// the ICOUNT scratch order and the pre-decoded text).
+impl PartialEq for Core {
+    fn eq(&self, other: &Self) -> bool {
+        let Core {
+            cfg,
+            threads,
+            icache,
+            dcache,
+            cycle,
+            unit_free_at,
+            faults,
+            rr_offset,
+            record_windows,
+            windows,
+            open_windows,
+            windows_dropped,
+            order: _,
+            state_changes,
+            windows_synced,
+            memo: _,
+        } = self;
+        (cfg, threads, icache, dcache, cycle, unit_free_at, faults)
+            == (
+                &other.cfg,
+                &other.threads,
+                &other.icache,
+                &other.dcache,
+                &other.cycle,
+                &other.unit_free_at,
+                &other.faults,
+            )
+            && (
+                rr_offset,
+                record_windows,
+                windows,
+                open_windows,
+                windows_dropped,
+                state_changes,
+                windows_synced,
+            ) == (
+                &other.rr_offset,
+                &other.record_windows,
+                &other.windows,
+                &other.open_windows,
+                &other.windows_dropped,
+                &other.state_changes,
+                &other.windows_synced,
+            )
+    }
 }
 
 impl Core {
@@ -436,6 +683,7 @@ impl Core {
             order: Vec::new(),
             state_changes: 0,
             windows_synced: 0,
+            memo: replay::Memo::default(),
         }
     }
 
@@ -739,6 +987,7 @@ impl Core {
             let class = instr.fu_class();
             let Some(unit) = self.free_unit(class) else {
                 self.threads[tid].counters.stall(StallCause::FuBusy);
+                self.memo.mark(replay::BUSY);
                 continue;
             };
             if let Some(slot) = fu_slot(class) {
@@ -748,7 +997,6 @@ impl Core {
             issued += 1;
             self.threads[tid].counters.issued_cycles += 1;
             self.execute(tid, &instr, class, unit);
-            self.threads[tid].regs[0] = 0;
         }
         issued > 0
     }
@@ -781,6 +1029,7 @@ impl Core {
 
         let pc = t.pc;
         let Some(&word) = t.prog.text.get(pc as usize) else {
+            self.memo.fetched(tid, pc, false);
             t.state = ThreadState::Trapped(Trap::PcOutOfRange { pc });
             self.state_changes += 1;
             // The trap-transition cycle is neither an issue nor a
@@ -801,6 +1050,7 @@ impl Core {
             return None;
         }
         let instr = t.fetch_decoded(pc as usize, word);
+        self.memo.fetched(tid, pc, true);
         if instr.is_none() {
             t.state = ThreadState::Trapped(Trap::IllegalInstruction { pc });
             self.state_changes += 1;
@@ -851,14 +1101,29 @@ impl Core {
     /// stalled. A host loop that checks its threads after each call
     /// therefore sees exactly what it would see checking after every
     /// cycle, a few times per round instead of once per cycle.
+    ///
+    /// A segment this core has simulated before from the same scheduling
+    /// state is replayed instead of simulated cycle by cycle, with the
+    /// same result (see the module doc, *Replayed repeats*).
     pub fn advance_until_block(&mut self, limit: u64) {
+        if self.cycle >= limit || self.replay(limit) {
+            return;
+        }
         let changes = self.state_changes;
         while self.cycle < limit {
             self.advance(limit);
             if self.state_changes != changes {
-                return;
+                break;
             }
         }
+        self.end_tape();
+    }
+
+    /// How many segments [`Core::advance_until_block`] has replayed
+    /// rather than simulated: a host-side statistic that no simulated
+    /// quantity depends on.
+    pub fn replayed_segments(&self) -> u64 {
+        self.memo.hits()
     }
 
     /// Book the idle cycles `self.cycle + 1 ..= last`, in which no thread
@@ -885,46 +1150,30 @@ impl Core {
         }
     }
 
+    /// Issue `instr` for thread `tid` on unit `unit` of `class`: its
+    /// architectural effect ([`Thread::apply`]), then what that effect
+    /// costs the pipeline this cycle.
     fn execute(&mut self, tid: usize, instr: &Instr, class: FuClass, unit: usize) {
         let cycle = self.cycle;
         let cfg = &self.cfg;
         let faults = &self.faults;
-        let corrupt = |result: u32| {
+        let t = &mut self.threads[tid];
+        t.counters.retired += 1;
+        let effect = t.apply(instr, |result| {
             faults
                 .iter()
                 .filter(|f| f.class == class && f.unit == unit)
                 .fold(result, |v, f| f.corrupt(v))
-        };
-        let t = &mut self.threads[tid];
-        t.counters.retired += 1;
-        let pc = t.pc;
-        let mut next_pc = pc + 1;
-        match *instr {
-            Instr::Nop => {}
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                t.regs[rd.idx()] = corrupt(op.apply(t.regs[rs1.idx()], t.regs[rs2.idx()]));
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                t.regs[rd.idx()] = corrupt(op.apply(t.regs[rs1.idx()], imm));
-            }
-            Instr::Lui { rd, imm } => {
-                t.regs[rd.idx()] = corrupt(u32::from(imm) << 16);
-            }
-            Instr::Mul { op, rd, rs1, rs2 } => {
-                t.regs[rd.idx()] = corrupt(op.apply(t.regs[rs1.idx()], t.regs[rs2.idx()]));
+        });
+        match effect {
+            Effect::Done => {}
+            Effect::Wait => {
                 // blocking in-order: the thread waits for its own result
                 let wait = instr.fu_latency() - 1;
                 t.stall_until(cycle + u64::from(wait), StallCause::FuBusy);
             }
-            Instr::Ld { rd, rs1, imm } => {
+            Effect::Load { addr } => {
                 t.counters.loads += 1;
-                let addr = t.regs[rs1.idx()].wrapping_add(imm as u32);
-                let Some(&v) = t.dmem.get(addr as usize) else {
-                    t.state = ThreadState::Trapped(Trap::AccessViolation { addr });
-                    self.state_changes += 1;
-                    return;
-                };
-                t.regs[rd.idx()] = corrupt(v);
                 if self.dcache.access(tid as u8, addr) {
                     if cfg.load_use_delay > 0 {
                         let until = cycle + u64::from(cfg.load_use_delay);
@@ -934,34 +1183,29 @@ impl Core {
                     t.stall_until(cycle + u64::from(cfg.mem_latency), StallCause::DCache);
                 }
             }
-            Instr::St { rs2, rs1, imm } => {
+            Effect::Store { addr, .. } => {
                 t.counters.stores += 1;
-                let addr = t.regs[rs1.idx()].wrapping_add(imm as u32);
-                let Some(slot) = t.dmem.get_mut(addr as usize) else {
-                    t.state = ThreadState::Trapped(Trap::AccessViolation { addr });
-                    self.state_changes += 1;
-                    return;
-                };
-                *slot = corrupt(t.regs[rs2.idx()]);
                 let hit = self.dcache.access(tid as u8, addr);
                 if !hit && cfg.store_miss_latency > 0 {
                     let until = cycle + u64::from(cfg.store_miss_latency);
                     t.stall_until(until, StallCause::DCache);
                 }
             }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                t.counters.branches += 1;
-                let taken = cond.holds(t.regs[rs1.idx()], t.regs[rs2.idx()]);
-                let correct = t.predictor.update(pc, taken);
-                if taken {
-                    next_pc = target;
+            Effect::Violation { store, addr } => {
+                if store {
+                    t.counters.stores += 1;
+                } else {
+                    t.counters.loads += 1;
                 }
-                if !correct {
+                t.state = ThreadState::Trapped(Trap::AccessViolation { addr });
+                self.state_changes += 1;
+                self.memo.mark(replay::VIOLATION);
+            }
+            Effect::Branch { pc, taken } => {
+                t.counters.branches += 1;
+                if t.predictor.update(pc, taken) {
+                    self.memo.mark(replay::PREDICTED);
+                } else {
                     t.counters.mispredicts += 1;
                     if cfg.mispredict_penalty > 0 {
                         let until = cycle + u64::from(cfg.mispredict_penalty);
@@ -969,26 +1213,15 @@ impl Core {
                     }
                 }
             }
-            Instr::Jal { rd, target } => {
-                t.regs[rd.idx()] = corrupt(pc + 1);
-                next_pc = target;
-            }
-            Instr::Jalr { rd, rs1, imm } => {
-                let dest = t.regs[rs1.idx()].wrapping_add(imm as u32);
-                t.regs[rd.idx()] = corrupt(pc + 1);
-                next_pc = dest;
-            }
-            Instr::Yield => {
+            Effect::Yield => {
                 t.state = ThreadState::Yielded;
                 self.state_changes += 1;
             }
-            Instr::Halt => {
+            Effect::Halt => {
                 t.state = ThreadState::Halted;
                 self.state_changes += 1;
-                return; // pc frozen at the halt
             }
         }
-        t.pc = next_pc;
     }
 
     /// Run until no thread can make progress or `max_cycles` elapse.
@@ -1264,6 +1497,95 @@ mod tests {
         core.resume(t);
         assert_eq!(core.run_until_all_blocked(1000), RunOutcome::AllYielded);
         assert_eq!(core.thread(t).regs[1], 11);
+    }
+
+    /// A recorded segment replays only where the cycle loop would run it
+    /// whole and the same: ending before the limit, with every i-cache
+    /// line it fetched still present, and from the same fill buffers and
+    /// units' busy-until.
+    #[test]
+    fn replay_stands_aside_where_its_recording_does_not_hold() {
+        let prog = assemble(ROUND_LOOP).unwrap();
+        let mut fast = Core::new(CoreConfig::default());
+        let t = fast.add_thread(&prog, 16);
+        let mut scanned = fast.clone();
+        // to the next yield, or `limit`; resumes a yielded thread first
+        let run = |fast: &mut Core, scanned: &mut Core, limit: u64| {
+            for core in [&mut *fast, &mut *scanned] {
+                if core.thread(t).state == ThreadState::Yielded {
+                    core.resume(t);
+                }
+            }
+            fast.advance_until_block(limit);
+            let changes = scanned.state_changes;
+            while scanned.cycle < limit && scanned.state_changes == changes {
+                scanned.advance(limit);
+            }
+            assert!(*fast == *scanned, "cycle {}", scanned.cycle);
+        };
+        type Disturbance = (&'static str, fn(&mut Core));
+        let disturbances: [Disturbance; 4] = [
+            ("no room before the limit", |_| {}),
+            ("an evicted line", |core| core.icache.flush()),
+            ("a pending fill", |core| {
+                core.threads[0].fetch_fill = Some(core.threads[0].pc);
+            }),
+            ("a busy unit", |core| {
+                let busy = core.cycle + 4;
+                core.unit_free_at[0].fill(busy);
+            }),
+        ];
+        for (what, disturb) in disturbances {
+            let before = fast.replayed_segments();
+            for _ in 0..4 {
+                run(&mut fast, &mut scanned, u64::MAX);
+            }
+            let replayed = fast.replayed_segments();
+            assert!(replayed > before, "{what}: steady rounds replay");
+            disturb(&mut fast);
+            disturb(&mut scanned);
+            let limit = match what {
+                "no room before the limit" => fast.cycles() + 1,
+                _ => u64::MAX,
+            };
+            run(&mut fast, &mut scanned, limit);
+            assert_eq!(fast.replayed_segments(), replayed, "{what}");
+        }
+    }
+
+    /// A segment that ends in an access violation replays only to the
+    /// address it recorded.
+    #[test]
+    fn a_replayed_trap_is_at_the_recorded_address() {
+        let prog = assemble("ld r2, 0(r1)\nhalt\n").unwrap();
+        let mut fast = Core::new(CoreConfig::default());
+        let t = fast.add_thread(&prog, 16);
+        let mut scanned = fast.clone();
+        for (round, addr) in [100, 100, 100, 200].into_iter().enumerate() {
+            for core in [&mut fast, &mut scanned] {
+                let mut regs = [0; 16];
+                regs[1] = addr;
+                core.swap_context(
+                    t,
+                    SavedContext {
+                        regs,
+                        pc: 0,
+                        prog: prog.clone(),
+                        dmem: vec![0; 16],
+                        state: ThreadState::Ready,
+                    },
+                );
+            }
+            fast.advance_until_block(u64::MAX);
+            let changes = scanned.state_changes;
+            while scanned.state_changes == changes {
+                scanned.advance(u64::MAX);
+            }
+            assert!(fast == scanned, "round {round}");
+            let trap = Trap::AccessViolation { addr };
+            assert_eq!(fast.thread(t).state, ThreadState::Trapped(trap));
+        }
+        assert_eq!(fast.replayed_segments(), 1, "the third round replays");
     }
 
     #[test]

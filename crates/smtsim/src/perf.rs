@@ -69,6 +69,60 @@ impl ThreadCounters {
         }
     }
 
+    /// What each counter gained since `earlier`.
+    pub(crate) fn since(&self, earlier: &Self) -> Self {
+        let mut d = *self;
+        for (x, e) in d.fields_mut().into_iter().zip(earlier.fields()) {
+            *x -= e;
+        }
+        d
+    }
+
+    /// Add `delta` to each counter.
+    pub(crate) fn add(&mut self, delta: &Self) {
+        for (x, d) in self.fields_mut().into_iter().zip(delta.fields()) {
+            *x += d;
+        }
+    }
+
+    fn fields(&self) -> [u64; 13] {
+        let mut copy = *self;
+        copy.fields_mut().map(|x| *x)
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; 13] {
+        let ThreadCounters {
+            retired,
+            cycles,
+            issued_cycles,
+            stall_icache,
+            stall_dcache,
+            stall_fu,
+            stall_width,
+            stall_branch,
+            parked,
+            branches,
+            mispredicts,
+            loads,
+            stores,
+        } = self;
+        [
+            retired,
+            cycles,
+            issued_cycles,
+            stall_icache,
+            stall_dcache,
+            stall_fu,
+            stall_width,
+            stall_branch,
+            parked,
+            branches,
+            mispredicts,
+            loads,
+            stores,
+        ]
+    }
+
     /// Instructions per (active, non-parked) cycle.
     pub fn ipc(&self) -> f64 {
         let active = self.cycles.saturating_sub(self.parked);

@@ -3,49 +3,21 @@
 //! [`Core::advance`] books a stretch in which no thread is ready in one
 //! go instead of one [`Core::step`] per cycle, and
 //! [`Core::advance_until_block`] runs until a thread yields, halts or
-//! traps instead of returning to the host every cycle. Both are only
-//! allowed to be faster, never different: two clones of one core, one
-//! driven the slow way and one the fast way, must agree on everything
-//! observable — cycle count, per-thread counters, scheduling state,
-//! architectural state, cache statistics and exported pipeline spans —
-//! while the host resumes yielded threads late, parks threads mid-run,
-//! and (for the block-driven loop) corrupts text and swaps contexts.
+//! traps instead of returning to the host every cycle, replaying a
+//! segment it has recorded before. Both are only allowed to be faster,
+//! never different: two clones of one core, one driven the slow way and
+//! one the fast way, must agree on everything observable — cycle count,
+//! per-thread counters, scheduling state, architectural state, cache
+//! statistics and exported pipeline spans — and on the whole simulated
+//! state besides, while the host resumes yielded threads late, parks
+//! threads mid-run, and (for the block-driven loop) corrupts text, data
+//! and registers, swaps contexts and installs a functional-unit fault.
 
 mod common;
 
-use common::{cfg_for, kernel_for};
+use common::{assert_same, cfg_for, kernel_for, next, replay_matches_scan, spans};
 use proptest::prelude::*;
-use vds_obs::SpanRecord;
-use vds_smtsim::core::{Core, FetchPolicy, SavedContext, ThreadId, ThreadState};
-
-fn spans(core: &Core) -> Vec<SpanRecord> {
-    let mut rec = vds_obs::Recorder::new();
-    core.export_spans(&mut rec);
-    rec.spans().records().cloned().collect()
-}
-
-fn assert_same(stepped: &Core, fast: &Core, context: &str) {
-    assert_eq!(stepped.cycles(), fast.cycles(), "{context}: cycles");
-    for i in 0..stepped.thread_count() {
-        let (a, b) = (stepped.thread(ThreadId(i)), fast.thread(ThreadId(i)));
-        assert_eq!(a.counters, b.counters, "{context}: thread {i} counters");
-        assert_eq!(a.state, b.state, "{context}: thread {i} state");
-        assert_eq!(a.regs, b.regs, "{context}: thread {i} regs");
-        assert_eq!(a.pc, b.pc, "{context}: thread {i} pc");
-        assert_eq!(a.dmem, b.dmem, "{context}: thread {i} dmem");
-    }
-    assert_eq!(
-        stepped.icache_stats(),
-        fast.icache_stats(),
-        "{context}: icache"
-    );
-    assert_eq!(
-        stepped.dcache_stats(),
-        fast.dcache_stats(),
-        "{context}: dcache"
-    );
-    assert_eq!(spans(stepped), spans(fast), "{context}: spans");
-}
+use vds_smtsim::core::{Core, FetchPolicy, ThreadId, ThreadState};
 
 /// A thread's pipeline windows as `(begin, end, issued, retired)`.
 type Windows = Vec<(u64, u64, u64, u64)>;
@@ -114,14 +86,6 @@ fn exported_windows(core: &Core) -> Vec<Windows> {
         ));
     }
     out
-}
-
-/// xorshift64: the host's action stream, identical for both cores.
-fn next(x: u64) -> u64 {
-    let mut x = x | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^ (x << 17)
 }
 
 proptest! {
@@ -196,32 +160,6 @@ proptest! {
     }
 }
 
-fn blocked(state: ThreadState) -> bool {
-    matches!(
-        state,
-        ThreadState::Yielded | ThreadState::Halted | ThreadState::Trapped(_)
-    )
-}
-
-/// The per-cycle host loop [`Core::advance_until_block`] replaces:
-/// advance one call at a time and re-scan every thread after each,
-/// stopping once one has newly yielded, halted or trapped.
-fn per_cycle_until_block(core: &mut Core, limit: u64) {
-    while core.cycles() < limit {
-        let before: Vec<bool> = (0..core.thread_count())
-            .map(|i| blocked(core.thread(ThreadId(i)).state))
-            .collect();
-        core.advance(limit);
-        let newly = before
-            .iter()
-            .enumerate()
-            .any(|(i, &was)| !was && blocked(core.thread(ThreadId(i)).state));
-        if newly {
-            return;
-        }
-    }
-}
-
 proptest! {
     #[test]
     fn advance_until_block_stops_exactly_where_a_per_cycle_scan_does(
@@ -239,78 +177,15 @@ proptest! {
         if icount {
             cfg.fetch_policy = FetchPolicy::ICount;
         }
-        let mut scanned = Core::new(cfg);
-        scanned.set_window_recording(true);
+        let mut core = Core::new(cfg);
+        core.set_window_recording(true);
         let mut programs = Vec::new();
         for (k, kind) in [kinds.0, kinds.1, kinds.2].into_iter().take(threads).enumerate() {
-            let kernel = kernel_for(kind, size + 31 * k as u64, 4);
-            scanned.add_thread(&kernel.program(), kernel.dmem_words);
-            programs.push(kernel);
+            let kernel = kernel_for(kind, size + 31 * k as u64, 12);
+            let prog = kernel.program();
+            core.add_thread(&prog, kernel.dmem_words);
+            programs.push((prog, kernel.dmem_words));
         }
-        let mut fast = scanned.clone();
-        let mut rng = host;
-        for epoch in 0..300 {
-            let limit = scanned.cycles() + chunk;
-            per_cycle_until_block(&mut scanned, limit);
-            fast.advance_until_block(limit);
-            assert_same(&scanned, &fast, &format!("epoch {epoch} (chunk {chunk})"));
-
-            let mut running = false;
-            for (i, kernel) in programs.iter().enumerate() {
-                let t = ThreadId(i);
-                rng = next(rng);
-                match scanned.thread(t).state {
-                    ThreadState::Yielded if rng % 3 != 0 => {
-                        scanned.resume(t);
-                        fast.resume(t);
-                    }
-                    // a fault: the next fetch decodes an illegal word or
-                    // leaves the text section, or the next load or store
-                    // leaves the address space
-                    ThreadState::Ready | ThreadState::StalledUntil(_) if rng % 11 == 0 => {
-                        for core in [&mut scanned, &mut fast] {
-                            let th = core.thread_mut(t);
-                            match (rng >> 8) % 3 {
-                                0 => {
-                                    let pc = th.pc as usize % th.prog.text.len();
-                                    th.prog.text[pc] = 63 << 26;
-                                }
-                                1 => th.pc = th.prog.text.len() as u32 + 5,
-                                _ => th.regs[1..].fill(1 << 30),
-                            }
-                        }
-                    }
-                    ThreadState::Ready | ThreadState::StalledUntil(_) if rng % 5 == 0 => {
-                        let cycles = (rng >> 8) as u32 % 60;
-                        scanned.park_thread(t, cycles);
-                        fast.park_thread(t, cycles);
-                    }
-                    // a dead context gets a fresh process, as the OS
-                    // layer dispatches one
-                    ThreadState::Halted | ThreadState::Trapped(_) if rng % 2 == 0 => {
-                        let prog = kernel.program();
-                        for core in [&mut scanned, &mut fast] {
-                            let mut dmem = prog.data.clone();
-                            dmem.resize(kernel.dmem_words, 0);
-                            core.swap_context(t, SavedContext {
-                                regs: [0; 16],
-                                pc: prog.entry,
-                                prog: prog.clone(),
-                                dmem,
-                                state: ThreadState::Ready,
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-                running |= !matches!(
-                    scanned.thread(t).state,
-                    ThreadState::Halted | ThreadState::Trapped(_)
-                );
-            }
-            if !running {
-                break;
-            }
-        }
+        replay_matches_scan(core, &programs, chunk, host, 300);
     }
 }
