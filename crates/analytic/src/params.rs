@@ -71,20 +71,6 @@ impl Params {
     pub fn beta_from_c(&self) -> f64 {
         self.c / self.t
     }
-
-    /// Return a copy with a different α (convenient for sweeps).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self.validate();
-        self
-    }
-
-    /// Return a copy with a different checkpoint interval.
-    pub fn with_s(mut self, s: u32) -> Self {
-        self.s = s;
-        self.validate();
-        self
-    }
 }
 
 impl Default for Params {
@@ -113,14 +99,6 @@ mod tests {
         assert_eq!(p.c, 0.25);
         assert_eq!(p.t_cmp, 0.25);
         assert_eq!(p.beta_from_c(), 0.25);
-    }
-
-    #[test]
-    fn builders_preserve_other_fields() {
-        let p = Params::paper_default().with_alpha(0.5).with_s(40);
-        assert_eq!(p.alpha, 0.5);
-        assert_eq!(p.s, 40);
-        assert_eq!(p.c, 0.1);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! module centralizes the name → closed-form mapping so every consumer
 //! prices a scheme identically: normal-round time (Eq. 1 / Eq. 3),
 //! recovery time for a fault at in-interval round `i` (Eq. 2 / Eq. 5,
-//! boosted variants via `α_k`), and the steady-state recovery gain ḡ
-//! (Eqs. 7, 8, 13 and the boosted averages).
+//! boosted variants via `α_k`), the steady-state recovery gain ḡ
+//! (Eqs. 7, 8, 13 and the boosted averages), and the whole-run gain
+//! those predict for a run's measured phase times.
 
 use crate::multithread::{boosted_corr_time, gbar_boost3_exact, gbar_boost5_exact};
 use crate::params::Params;
 use crate::predictive::gbar_corr_exact;
 use crate::rollforward::{gbar_det_exact, gbar_prob_exact};
-use crate::timing::{t1_corr, t1_round, tht2_corr, tht2_round};
+use crate::timing::{g_round_exact, t1_corr, t1_round, tht2_corr, tht2_round};
 
 /// Every scheme label the engines emit, in canonical order.
 pub const SCHEME_NAMES: [&str; 6] = [
@@ -81,6 +82,42 @@ pub fn gbar(name: &str, p: &Params, p_correct: f64) -> Option<f64> {
     }
 }
 
+/// Simulated time a run spent in each phase, in the engine's own unit
+/// (only ratios enter [`predicted_gain`], so abstract time units and
+/// micro cycles both work).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// Normal (fault-free) rounds.
+    pub normal: f64,
+    /// Recovery: retry, roll-forward and vote.
+    pub recovery: f64,
+    /// Checkpoint writes.
+    pub checkpoint: f64,
+    /// The whole run. It may exceed the sum of the phases: the abstract
+    /// engine charges a rollback's restore cost to the clock only.
+    pub total: f64,
+}
+
+/// The closed-form whole-run gain of the named scheme over a
+/// conventional duplex, for a run with the given phase times: normal
+/// time valued at Eq. 4's `G_round` (1 for the conventional duplex),
+/// recovery time at the steady-state [`gbar`], checkpoint time at
+/// parity (both architectures pay it alike):
+///
+/// ```text
+/// (time_normal·G_round + time_recovery·ḡ + time_checkpoint) / total_time
+/// ```
+///
+/// `None` for an unknown label or a run with no elapsed time.
+pub fn predicted_gain(name: &str, p: &Params, p_correct: f64, t: &PhaseTimes) -> Option<f64> {
+    if t.total <= 0.0 {
+        return None;
+    }
+    let gbar = gbar(name, p, p_correct)?;
+    let g_round = if is_smt(name) { g_round_exact(p) } else { 1.0 };
+    Some((t.normal * g_round + t.recovery * gbar + t.checkpoint) / t.total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +150,30 @@ mod tests {
         );
         assert_eq!(gbar("smt-det", &p, 0.5), Some(gbar_det_exact(&p)));
         assert_eq!(gbar("smt-boost5", &p, 0.0), Some(gbar_boost5_exact(&p)));
+    }
+
+    #[test]
+    fn predicted_gain_blends_the_phases() {
+        let p = Params::paper_default();
+        let g = |name, normal, recovery, checkpoint, total| {
+            let t = PhaseTimes {
+                normal,
+                recovery,
+                checkpoint,
+                total,
+            };
+            predicted_gain(name, &p, 0.9, &t)
+        };
+        // normal rounds at G_round (1 for the conventional duplex),
+        // recovery at ḡ(p), checkpoints at parity, other time at zero
+        assert_eq!(g("conventional", 7.0, 0.0, 0.0, 7.0), Some(1.0));
+        assert_eq!(g("smt-det", 7.0, 0.0, 0.0, 7.0), Some(g_round_exact(&p)));
+        assert_eq!(
+            g("smt-prob", 0.0, 1.0, 0.0, 1.0),
+            Some(gbar_prob_exact(&p, 0.9))
+        );
+        assert_eq!(g("smt-pred", 0.0, 0.0, 2.0, 4.0), Some(0.5));
+        assert_eq!(g("smt-det", 1.0, 0.0, 0.0, 0.0), None);
+        assert_eq!(g("smt", 7.0, 0.0, 0.0, 7.0), None);
     }
 }

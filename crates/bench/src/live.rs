@@ -262,9 +262,7 @@ impl Recording {
     /// a malformed fault, one [`Recording::check`] refuses, and any other
     /// header [`Recording::header`] would not write back unchanged.
     pub fn from_header(h: &JournalHeader) -> Result<Recording, String> {
-        let scheme = Scheme::ALL
-            .into_iter()
-            .find(|sc| sc.name() == h.scheme)
+        let scheme = Scheme::from_name(&h.scheme)
             .ok_or_else(|| format!("journal header has unknown scheme `{}`", h.scheme))?;
         let p = RunParams {
             scheme,

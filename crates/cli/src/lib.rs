@@ -298,11 +298,7 @@ fn run_duplex(
 }
 
 fn parse_scheme(s: &str) -> Result<vds_core::Scheme, CliError> {
-    use vds_core::Scheme;
-    Scheme::ALL
-        .iter()
-        .copied()
-        .find(|sc| sc.name() == s)
+    vds_core::Scheme::from_name(s)
         .ok_or_else(|| CliError::usage(format!("unknown scheme `{s}` (see `vds` for the list)")))
 }
 

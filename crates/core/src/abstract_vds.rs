@@ -19,7 +19,7 @@ use crate::report::RunReport;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_analytic::multithread::alpha_k;
-use vds_analytic::Params;
+use vds_analytic::{timing, Params};
 use vds_desim::trace::SpanKind;
 use vds_obs::journal::Verdict;
 use vds_obs::{digest_words128, Digest128, NoopRecorder, Record, SpanRecord, Value};
@@ -240,10 +240,14 @@ impl<'a, 'p> Abstract<'a, 'p> {
         let p = &self.cfg.params;
         let i_f = f64::from(i);
         match self.cfg.scheme {
-            Scheme::Conventional => i_f * p.t + 2.0 * p.t_cmp,
+            Scheme::Conventional => timing::t1_corr(p, i),
             Scheme::SmtDeterministic | Scheme::SmtProbabilistic | Scheme::SmtPredictive => {
-                2.0 * i_f * p.alpha * p.t + 2.0 * p.t_cmp
+                timing::tht2_corr(p, i)
             }
+            // `multithread::boosted_corr_time` groups the product as
+            // `i·((k·α_k)·t)` and differs from this `((i·k)·α_k)·t` in
+            // the last ulp at some (α, k, i). Both are pinned: this one
+            // by the engine's clock, the closed form by `predicted_g`.
             Scheme::SmtBoosted3 => i_f * 3.0 * alpha_k(p.alpha, 3) * p.t + 2.0 * p.t_cmp,
             Scheme::SmtBoosted5 => i_f * 5.0 * alpha_k(p.alpha, 5) * p.t + 2.0 * p.t_cmp,
         }
@@ -656,7 +660,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vds_analytic::timing;
+    use vds_analytic::schemes;
     use vds_obs::journal::Action as JournalAction;
     use vds_obs::journal::Verdict as JournalVerdict;
     use vds_obs::Recorder;
@@ -706,6 +710,32 @@ mod tests {
             assert!(inc.vote_ok);
             assert_eq!(inc.progress, 0);
         }
+    }
+
+    #[test]
+    fn recovery_times_are_the_closed_forms() {
+        // On param-sweep's α axis at s = 40, the conventional and 2-thread
+        // arms are Eqs. 2 and 5 bit for bit. The boosted arms group
+        // `i·k·α_k·t` unlike `multithread::boosted_corr_time` and split
+        // from it in the last ulp at some points; both are pinned.
+        let mut split = 0;
+        for alpha in [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9] {
+            let params = Params::with_beta(alpha, 0.1, 40);
+            for scheme in Scheme::ALL {
+                let c = AbstractConfig::new(params, scheme);
+                let engine = Abstract::new(&c, FaultModel::None, 0, None);
+                for i in 1..=40 {
+                    let (got, name) = (engine.recovery_time(i), scheme.name());
+                    let want = schemes::corr_time(name, &params, i).unwrap();
+                    if scheme.threads_needed() <= 2 {
+                        assert_eq!(got, want, "{name} α={alpha} i={i}");
+                    }
+                    assert!((got - want).abs() < 1e-12, "{name} α={alpha} i={i}");
+                    split += usize::from(got != want);
+                }
+            }
+        }
+        assert!(split > 0, "no ulp split left: use the closed form");
     }
 
     #[test]

@@ -90,6 +90,11 @@ impl Scheme {
             Scheme::SmtBoosted5 => "smt-boost5",
         }
     }
+
+    /// The scheme whose [`Scheme::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|s| s.name() == name)
+    }
 }
 
 /// Which active version a fault corrupts.
@@ -177,6 +182,17 @@ mod tests {
         assert!(Scheme::SmtDeterministic.progress_guaranteed());
         assert!(!Scheme::SmtProbabilistic.progress_guaranteed());
         assert!(Scheme::SmtBoosted5.progress_guaranteed());
+    }
+
+    #[test]
+    fn names_are_the_analytic_labels_and_round_trip() {
+        let names = Scheme::ALL.map(Scheme::name);
+        assert_eq!(names, vds_analytic::schemes::SCHEME_NAMES);
+        for scheme in Scheme::ALL {
+            assert_eq!(Scheme::from_name(scheme.name()), Some(scheme));
+        }
+        assert_eq!(Scheme::from_name("SMT-DET"), None);
+        assert_eq!(Scheme::from_name(""), None);
     }
 
     #[test]

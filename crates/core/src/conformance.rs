@@ -1,21 +1,16 @@
 //! Run-level model conformance for the abstract engine.
 //!
-//! The abstract backend's [`RunReport`] already splits simulated time
-//! into normal processing, recovery and checkpointing phases. Each phase
-//! has a closed-form prediction of its gain over a conventional duplex:
-//! normal rounds run at `G_round` (Eq. 4), recovery at the scheme's
-//! steady-state `ḡ` (Eqs. 7 / 8 / 13, boosted averages), and checkpoint
-//! writes proceed at conventional speed (both architectures pay them
-//! alike). Blending the three by measured phase duration gives a
-//! *predicted* whole-run gain; the *measured* gain is the
-//! conventional-equivalent value of the committed work divided by the
-//! SMT time actually spent. Their difference is the run-level residual:
+//! The abstract backend's [`RunReport`] splits simulated time into
+//! normal processing, recovery and checkpointing phases, and
+//! [`vds_analytic::schemes::predicted_gain`] blends them at their
+//! closed-form gains over a conventional duplex (`G_round`, the scheme's
+//! steady-state `ḡ`, parity) into a *predicted* whole-run gain — the
+//! same blend every sweep cell is priced with. The *measured* gain is
+//! the conventional-equivalent value of the committed work divided by
+//! the SMT time actually spent:
 //!
 //! ```text
 //! measured_G  = (committed · T1_round + time_checkpoint) / total_time
-//! predicted_G = (time_normal · G_round
-//!               + time_recovery · ḡ(scheme)
-//!               + time_checkpoint · 1.0) / total_time
 //! residual    = measured_G − predicted_G
 //! ```
 //!
@@ -49,46 +44,15 @@ pub struct RunConformance {
     pub residual: f64,
 }
 
-/// Assess predicted-vs-measured gain for a completed abstract run.
+/// Assess predicted-vs-measured gain for a completed abstract run,
+/// pricing the closed forms at the run's own parameters and `p`.
 /// Returns `None` for an empty run (no simulated time elapsed).
 pub fn assess(cfg: &AbstractConfig, report: &RunReport) -> Option<RunConformance> {
-    assess_with_alpha(cfg, report, None)
-}
-
-/// [`assess`] with an optional *measured* α override: when `Some`, the
-/// closed forms (G_round, ḡ) are priced at the α-attribution ledger's
-/// contention factor instead of the configuration's parametric one
-/// (clamped into the model's `[0.5, 1]` domain). The measured gain is
-/// untouched — it comes from the run itself — so the residual isolates
-/// how much of the model error the parametric α was responsible for.
-pub fn assess_with_alpha(
-    cfg: &AbstractConfig,
-    report: &RunReport,
-    measured_alpha: Option<f64>,
-) -> Option<RunConformance> {
-    if report.total_time <= 0.0 {
-        return None;
-    }
-    let priced;
-    let p = match measured_alpha {
-        Some(a) => {
-            priced = cfg.params.with_alpha(a.clamp(0.5, 1.0));
-            &priced
-        }
-        None => &cfg.params,
-    };
-    let name = cfg.scheme.name();
+    let p = &cfg.params;
+    let predicted_g =
+        schemes::predicted_gain(cfg.scheme.name(), p, cfg.p_correct, &report.phase_times())?;
     let conv_equiv = report.committed_rounds as f64 * timing::t1_round(p) + report.time_checkpoint;
     let measured_g = conv_equiv / report.total_time;
-    let g_round = if schemes::is_smt(name) {
-        timing::g_round_exact(p)
-    } else {
-        1.0
-    };
-    let gbar = schemes::gbar(name, p, cfg.p_correct)?;
-    let predicted_g =
-        (report.time_normal * g_round + report.time_recovery * gbar + report.time_checkpoint)
-            / report.total_time;
     Some(RunConformance {
         predicted_g,
         measured_g,
@@ -173,28 +137,6 @@ mod tests {
         assert!(conf.residual.is_finite());
         assert!(conf.residual.abs() < 0.5, "residual {}", conf.residual);
         assert!(conf.predicted_g > 1.0); // SMT schemes beat the duplex
-    }
-
-    #[test]
-    fn measured_alpha_repricing_moves_only_the_prediction() {
-        let c = cfg(Scheme::SmtDeterministic);
-        let report = run(&c, FaultModel::None, 200, 7);
-        let parametric = assess(&c, &report).unwrap();
-        let measured = assess_with_alpha(&c, &report, Some(0.9)).unwrap();
-        assert_eq!(measured.measured_g, parametric.measured_g);
-        assert!(
-            (measured.predicted_g - parametric.predicted_g).abs() > 1e-6,
-            "repricing at α=0.9 left predicted_g at {}",
-            measured.predicted_g
-        );
-        // α=0.9 predicts less SMT gain than the paper's 0.65.
-        assert!(measured.predicted_g < parametric.predicted_g);
-        // Out-of-domain overrides clamp instead of panicking.
-        let clamped = assess_with_alpha(&c, &report, Some(2.0)).unwrap();
-        let at_one = assess_with_alpha(&c, &report, Some(1.0)).unwrap();
-        assert_eq!(clamped, at_one);
-        // None is exactly the parametric path.
-        assert_eq!(assess_with_alpha(&c, &report, None).unwrap(), parametric);
     }
 
     #[test]

@@ -1,17 +1,9 @@
-//! Measured-gain helpers: turning two run reports into the quantities
-//! the paper's equations predict, and sweeping incidents to validate the
-//! closed forms statistically.
+//! Measured-gain helpers: simulating recovery incidents one by one to
+//! measure the per-incident gains the paper's equations predict.
 
 use crate::abstract_vds::{simulate_incident, AbstractConfig};
 use crate::config::{Scheme, Victim};
 use vds_analytic::timing;
-use vds_analytic::Params;
-
-/// Ratio of throughputs (SMT over conventional) — the end-to-end gain a
-/// user of the system actually sees.
-pub fn throughput_gain(smt: &crate::RunReport, conv: &crate::RunReport) -> f64 {
-    smt.throughput() / conv.throughput()
-}
 
 /// Measured per-incident recovery gain for a fault at round `i`:
 /// `(T1_corr + progress·T1_round) / THT2_corr(measured)` — the exact
@@ -40,50 +32,35 @@ pub fn average_incident_gain(cfg: &AbstractConfig, p_correct: f64) -> f64 {
         / f64::from(s)
 }
 
-/// The analytic average the engine should match, evaluated with the same
-/// integral roll-forward progress the engine performs (the paper's
-/// real-valued `i/2`, `i/4` are replaced by their floors).
-pub fn analytic_average_integral(params: &Params, scheme: Scheme, p_correct: f64) -> f64 {
-    let s = params.s;
-    (1..=s)
-        .map(|i| {
-            let x = scheme
-                .rollforward_intent(i)
-                .floor()
-                .min(f64::from(s - i))
-                .max(0.0);
-            let hit = (timing::t1_corr(params, i) + x * timing::t1_round(params))
-                / recovery_denominator(params, scheme, i);
-            let miss = timing::t1_corr(params, i) / recovery_denominator(params, scheme, i);
-            if scheme == Scheme::Conventional {
-                // the reference architecture: gain over itself is 1
-                1.0
-            } else if scheme.progress_guaranteed() {
-                hit
-            } else {
-                p_correct * hit + (1.0 - p_correct) * miss
-            }
-        })
-        .sum::<f64>()
-        / f64::from(s)
-}
-
-fn recovery_denominator(params: &Params, scheme: Scheme, i: u32) -> f64 {
-    use vds_analytic::multithread::alpha_k;
-    let i_f = f64::from(i);
-    match scheme {
-        Scheme::Conventional => timing::t1_corr(params, i),
-        Scheme::SmtDeterministic | Scheme::SmtProbabilistic | Scheme::SmtPredictive => {
-            timing::tht2_corr(params, i)
-        }
-        Scheme::SmtBoosted3 => i_f * 3.0 * alpha_k(params.alpha, 3) * params.t + 2.0 * params.t_cmp,
-        Scheme::SmtBoosted5 => i_f * 5.0 * alpha_k(params.alpha, 5) * params.t + 2.0 * params.t_cmp,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::duplex::rollforward_window;
+    use vds_analytic::{schemes, Params};
+
+    /// The analytic average the engine should match, evaluated with the
+    /// same integral roll-forward progress the engine performs (the
+    /// paper's real-valued `i/2`, `i/4` are replaced by their floors).
+    fn analytic_average_integral(params: &Params, scheme: Scheme, p_correct: f64) -> f64 {
+        let s = params.s;
+        (1..=s)
+            .map(|i| {
+                let x = f64::from(rollforward_window(scheme, i, s));
+                let corr = schemes::corr_time(scheme.name(), params, i).unwrap();
+                let hit = (timing::t1_corr(params, i) + x * timing::t1_round(params)) / corr;
+                let miss = timing::t1_corr(params, i) / corr;
+                if scheme == Scheme::Conventional {
+                    // the reference architecture: gain over itself is 1
+                    1.0
+                } else if scheme.progress_guaranteed() {
+                    hit
+                } else {
+                    p_correct * hit + (1.0 - p_correct) * miss
+                }
+            })
+            .sum::<f64>()
+            / f64::from(s)
+    }
 
     fn cfg(scheme: Scheme) -> AbstractConfig {
         AbstractConfig::new(Params::paper_default(), scheme)
@@ -155,21 +132,5 @@ mod tests {
         // (finite s + integral rounding).
         let g = average_incident_gain(&cfg(Scheme::SmtPredictive), 0.5);
         assert!((g - 1.38).abs() < 0.06, "measured {g}");
-    }
-
-    #[test]
-    fn throughput_gain_helper() {
-        use crate::RunReport;
-        let smt = RunReport {
-            total_time: 10.0,
-            committed_rounds: 100,
-            ..Default::default()
-        };
-        let conv = RunReport {
-            total_time: 20.0,
-            committed_rounds: 100,
-            ..Default::default()
-        };
-        assert!((throughput_gain(&smt, &conv) - 2.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,6 @@
 //! Run accounting.
 
+use vds_analytic::schemes::PhaseTimes;
 use vds_obs::SpanRecord;
 
 /// Everything a VDS run reports.
@@ -103,6 +104,17 @@ impl RunReport {
             0.0
         } else {
             self.time_recovery / self.total_time
+        }
+    }
+
+    /// The run's phase times, the input of the closed-form
+    /// [`vds_analytic::schemes::predicted_gain`].
+    pub fn phase_times(&self) -> PhaseTimes {
+        PhaseTimes {
+            normal: self.time_normal,
+            recovery: self.time_recovery,
+            checkpoint: self.time_checkpoint,
+            total: self.total_time,
         }
     }
 

@@ -176,19 +176,13 @@ impl SchemeModel {
         })
     }
 
-    /// Model for a journal header: scheme and `s` from the header,
-    /// α / β from the `alpha` / `beta` meta keys when present, paper
-    /// defaults otherwise.
-    pub fn for_header(header: &JournalHeader) -> Result<SchemeModel, String> {
-        Self::for_header_with_alpha(header, None)
-    }
-
-    /// [`SchemeModel::for_header`] with an explicit α override — the
-    /// measured-α pricing rule behind `vds conformance --alpha
-    /// measured`. Scheme, `s` and β still come from the header; the
-    /// override replaces the parametric α and is clamped into the
-    /// model's valid `[0.5, 1]` range.
-    pub fn for_header_with_alpha(
+    /// Model for a journal header: scheme, `s` and β from the header
+    /// (β from the `beta` meta key, paper default otherwise). α is
+    /// `alpha_override` when given — the measured-α pricing rule behind
+    /// `vds conformance --alpha measured`, clamped into the model's
+    /// valid `[0.5, 1]` range — else the `alpha` meta key, else the
+    /// paper default.
+    pub fn for_header(
         header: &JournalHeader,
         alpha_override: Option<f64>,
     ) -> Result<SchemeModel, String> {
@@ -362,7 +356,7 @@ impl ConformanceTracker {
         let header = journal
             .header()
             .ok_or_else(|| "journal has no header".to_string())?;
-        let model = SchemeModel::for_header_with_alpha(header, measured_alpha)?;
+        let model = SchemeModel::for_header(header, measured_alpha)?;
         let mut t = ConformanceTracker::new(model, window, tolerance);
         if measured_alpha.is_some() {
             t.alpha_source = "measured";
@@ -729,7 +723,7 @@ mod tests {
     /// residuals of exactly zero.
     fn model_timed_journal(faulty_round: Option<u64>) -> Journal {
         let header = JournalHeader::new("abstract", "smt-det", 1, 20, 12);
-        let model = SchemeModel::for_header(&header).unwrap();
+        let model = SchemeModel::for_header(&header, None).unwrap();
         let mut j = Journal::enabled(header);
         let mut clock = 0.0;
         let mut round = 1u64;
@@ -787,7 +781,7 @@ mod tests {
         // time every round 25% slower than the model predicts, but leave
         // the cheapest round at model speed so κ calibrates to 1
         let header = JournalHeader::new("micro", "smt-det", 1, 20, 9);
-        let model = SchemeModel::for_header(&header).unwrap();
+        let model = SchemeModel::for_header(&header, None).unwrap();
         let mut j = Journal::enabled(header);
         let mut clock = model.round_pred(); // entry 0 at model speed
         j.push(entry(
@@ -907,7 +901,7 @@ mod tests {
         let h = JournalHeader::new("abstract", "smt-prob", 7, 10, 50)
             .with_meta("alpha", "0.8")
             .with_meta("beta", "0.05");
-        let m = SchemeModel::for_header(&h).unwrap();
+        let m = SchemeModel::for_header(&h, None).unwrap();
         assert_eq!(m.params.alpha, 0.8);
         assert!((m.params.t_cmp - 0.05).abs() < 1e-12);
         assert_eq!(m.params.s, 10);
@@ -919,7 +913,7 @@ mod tests {
     #[test]
     fn unknown_scheme_in_header_is_an_error() {
         let h = JournalHeader::new("abstract", "adaptive-v2", 7, 10, 50);
-        let err = SchemeModel::for_header(&h).unwrap_err();
+        let err = SchemeModel::for_header(&h, None).unwrap_err();
         assert!(err.contains("adaptive-v2"), "{err}");
         assert!(err.contains("smt-det"), "lists valid names: {err}");
     }

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use vds_analytic::Params;
+use vds_analytic::{schemes, Params};
 use vds_core::abstract_vds::{self, AbstractConfig};
 use vds_core::micro_vds::{run_micro, MicroConfig, MicroFault};
 use vds_core::vm_vds::{run_vm_duplex, VmConfig, VmFault};
@@ -72,8 +72,9 @@ pub struct CellResult {
     /// Whether the cell ended in a fail-safe shutdown.
     pub shutdown: bool,
     /// Closed-form phase-blend prediction of `g_round` at this cell's
-    /// coordinates: normal time at Eq. 4's `G_round`, recovery time at
-    /// the scheme's steady-state `ḡ`, checkpoint time at parity.
+    /// coordinates ([`vds_analytic::schemes::predicted_gain`]): normal
+    /// time at Eq. 4's `G_round`, recovery time at the scheme's
+    /// steady-state `ḡ`, checkpoint time at parity; 0 for an empty run.
     pub predicted_g: f64,
     /// `g_round − predicted_g`: the cell's model-conformance residual
     /// (what the E15/E16 heatmaps plot as model error).
@@ -102,7 +103,20 @@ impl CellResult {
         } else {
             0.0
         };
-        let predicted_g = predicted_gain(&cell, r);
+        let (params, p_correct) = match cell.backend {
+            Backend::Abstract => {
+                let cfg = abstract_config(&cell);
+                (cfg.params, cfg.p_correct)
+            }
+            // The micro and VM engines take no closed-form parameters:
+            // price them at the cell's α and s, the figures' β and the
+            // paper's p = 0.5. The blend uses phase-time ratios only, so
+            // cycle- or step-denominated reports price unchanged.
+            Backend::Micro | Backend::Vm => (Params::with_beta(cell.alpha, BETA, cell.s), 0.5),
+        };
+        let predicted_g =
+            schemes::predicted_gain(cell.scheme.name(), &params, p_correct, &r.phase_times())
+                .unwrap_or(0.0);
         CellResult {
             cell,
             committed_rounds: r.committed_rounds,
@@ -148,27 +162,6 @@ fn measured_alpha_stamp() -> (f64, String) {
     (ledger.alpha, ledger.dominant_stall().to_string())
 }
 
-/// Closed-form phase-blend prediction of a cell's measured `g_round`:
-/// the run's normal time valued at Eq. 4's `G_round`, recovery time at
-/// the scheme's steady-state `ḡ` (Eqs. 7/8/13, boosted averages, with
-/// the abstract engine's default `p = 0.5`), checkpoint time at parity.
-/// The phase fractions are ratios, so the blend applies to the micro
-/// backend's cycle-denominated report unchanged.
-fn predicted_gain(cell: &Cell, r: &RunReport) -> f64 {
-    if r.total_time <= 0.0 {
-        return 0.0;
-    }
-    let p = Params::with_beta(cell.alpha, BETA, cell.s);
-    let name = cell.scheme.name();
-    let g_round = if vds_analytic::schemes::is_smt(name) {
-        vds_analytic::timing::g_round_exact(&p)
-    } else {
-        1.0
-    };
-    let gbar = vds_analytic::schemes::gbar(name, &p, 0.5).unwrap_or(1.0);
-    (r.time_normal * g_round + r.time_recovery * gbar + r.time_checkpoint) / r.total_time
-}
-
 /// Completed sweep: every cell's result in index order plus the canonical
 /// `sweep.*` metrics registry (both byte-stable across worker counts).
 #[derive(Debug, Clone, PartialEq)]
@@ -195,12 +188,16 @@ fn micro_workload_rounds(rounds: u64) -> u32 {
         .saturating_add(64)
 }
 
+/// The abstract engine's configuration for a cell.
+fn abstract_config(cell: &Cell) -> AbstractConfig {
+    AbstractConfig::new(Params::with_beta(cell.alpha, BETA, cell.s), cell.scheme)
+}
+
 /// Execute one cell on its backend.
 fn execute(cell: &Cell) -> RunReport {
     match cell.backend {
         Backend::Abstract => {
-            let params = Params::with_beta(cell.alpha, BETA, cell.s);
-            let cfg = AbstractConfig::new(params, cell.scheme);
+            let cfg = abstract_config(cell);
             let fm = if cell.q > 0.0 {
                 FaultModel::PerRound { q: cell.q }
             } else {
@@ -512,6 +509,27 @@ mod tests {
             .histogram("sweep.conformance.residual_abs")
             .unwrap();
         assert_eq!(h.count(), out.results.len() as u64);
+    }
+
+    #[test]
+    fn abstract_cells_are_priced_like_the_engines_own_conformance() {
+        let g = GridSpec::parse_inline("alpha=0.6,0.85;s=5,20;q=0.03;rounds=300").unwrap();
+        assert_eq!(g.schemes, Scheme::ALL.to_vec());
+        let out = run_sweep(&g, 2, None, &BTreeMap::new(), None);
+        for r in &out.results {
+            let report = execute(&r.cell);
+            let conf = vds_core::conformance::assess(&abstract_config(&r.cell), &report).unwrap();
+            assert_eq!(r.predicted_g, conf.predicted_g, "{}", r.cell.key());
+        }
+        assert!(out.results.iter().any(|r| r.detections > 0));
+    }
+
+    #[test]
+    fn default_pricing_constants_are_the_papers_operating_point() {
+        let p = Params::paper_default();
+        assert_eq!(BETA, p.beta_from_c());
+        assert_eq!(vds_obs::conformance::DEFAULT_ALPHA, p.alpha);
+        assert_eq!(vds_obs::conformance::DEFAULT_BETA, p.beta_from_c());
     }
 
     #[test]

@@ -283,11 +283,7 @@ pub fn parse_row(line: &str, cells: &[Cell]) -> Result<CellResult, String> {
         .get(usize::try_from(index).map_err(|_| "index overflow".to_string())?)
         .ok_or_else(|| format!("index {index} outside the grid"))?;
     let backend = Backend::parse(f[1])?;
-    let scheme = Scheme::ALL
-        .iter()
-        .copied()
-        .find(|s| s.name() == f[2])
-        .ok_or_else(|| format!("unknown scheme `{}`", f[2]))?;
+    let scheme = Scheme::from_name(f[2]).ok_or_else(|| format!("unknown scheme `{}`", f[2]))?;
     let row_cell = Cell {
         index,
         alpha: num(f[3], "alpha")?,

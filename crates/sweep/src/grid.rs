@@ -362,13 +362,7 @@ impl GridSpec {
             "scheme" => {
                 self.schemes = vals
                     .iter()
-                    .map(|v| {
-                        Scheme::ALL
-                            .iter()
-                            .copied()
-                            .find(|s| s.name() == *v)
-                            .ok_or_else(|| format!("unknown scheme `{v}`"))
-                    })
+                    .map(|v| Scheme::from_name(v).ok_or_else(|| format!("unknown scheme `{v}`")))
                     .collect::<Result<_, _>>()?;
             }
             "backend" => self.backend = Backend::parse(one()?)?,
