@@ -19,12 +19,6 @@ pub fn harmonic(n: u32) -> f64 {
     harmonic_between(1, n)
 }
 
-/// The paper's tail approximation: `Σ_{i=n+1}^{m} 1/i ≈ ln(m/n)`.
-pub fn harmonic_tail_approx(n: u32, m: u32) -> f64 {
-    assert!(n >= 1 && m >= n, "need 1 <= n <= m");
-    (f64::from(m) / f64::from(n)).ln()
-}
-
 /// ln 2, ln(3/2), ln(5/4) — the three constants appearing in Eqs. (7), (8),
 /// (13). Exposed so gain formulas read like the paper.
 pub mod consts {

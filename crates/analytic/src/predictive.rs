@@ -64,17 +64,6 @@ pub fn g_corr_exact(p: &Params, i: u32, p_correct: f64) -> f64 {
     p_correct * g_hit_exact(p, i) + (1.0 - p_correct) * l_miss_exact(p, i)
 }
 
-/// Eq. (12), approximate: `(2p+1)/(2α)` for `i ≤ s/2`,
-/// `(2p(s/i − 1) + 1)/(2α)` beyond.
-pub fn g_corr_approx(p: &Params, i: u32, p_correct: f64) -> f64 {
-    let (i_f, s_f) = (f64::from(i), f64::from(p.s));
-    if i_f <= s_f / 2.0 {
-        (2.0 * p_correct + 1.0) / (2.0 * p.alpha)
-    } else {
-        (2.0 * p_correct * (s_f / i_f - 1.0) + 1.0) / (2.0 * p.alpha)
-    }
-}
-
 /// Eq. (13), exact: `Ḡ_corr = (1/s) Σ_{i=1}^{s} G_corr(i)` using the exact
 /// per-round gains. **This is the quantity plotted in Figures 4 and 5**
 /// ("we obtain the figures not by using the approximated values … but by

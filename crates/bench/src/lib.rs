@@ -47,7 +47,10 @@ pub mod e15_alpha_sweep;
 pub mod e16_heatmap;
 pub mod e17_alpha_ledger;
 pub mod e18_vm_duplex;
-pub mod live;
+/// The recorded runs and campaign trials, under the path `benchmark/`
+/// imports them by. This re-export goes away in the next change that may
+/// edit `benchmark/`.
+pub use vds_core::recording as live;
 pub mod perf;
 pub mod registry;
 

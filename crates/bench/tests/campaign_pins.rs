@@ -13,7 +13,7 @@
 //! On a deliberate behaviour change, the failure message lists every
 //! case's current values in table form for regeneration.
 
-use vds_bench::live::{
+use vds_core::recording::{
     campaign_journal_header_for, campaign_trial_for, vm_campaign_journal_header_for,
     vm_campaign_trial_for,
 };

@@ -10,7 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use vds_bench::live::{
+use vds_core::recording::{
     campaign_journal_header_for, campaign_trial_for, vm_campaign_journal_header_for,
     vm_campaign_trial_for,
 };

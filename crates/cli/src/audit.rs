@@ -10,7 +10,7 @@
 //! it exits 0 when they are identical and 1 with the report otherwise.
 
 use crate::{read_journal_tolerant, CliError};
-use vds_bench::live::Recording;
+use vds_core::recording::Recording;
 use vds_obs::Recorder;
 
 /// `vds replay <journal>` — re-execute and verify a recording.
@@ -350,6 +350,37 @@ mod tests {
         let e = run(&["replay", p.to_str().unwrap()]).unwrap_err();
         assert_eq!(e.code, 1);
         assert!(e.msg.contains("replay DIVERGED"), "{}", e.msg);
+    }
+
+    #[test]
+    fn abstract_journals_replay_and_reject_tampering() {
+        use vds_core::abstract_vds::AbstractConfig;
+        use vds_core::{FaultModel, Scheme};
+        let mut cfg = AbstractConfig::new(
+            vds_analytic::Params::with_beta(0.7, 0.2, 12),
+            Scheme::SmtBoosted5,
+        );
+        cfg.max_consecutive_rollbacks = 4;
+        let fm = FaultModel::Mission {
+            q: 0.05,
+            crash_fraction: 0.2,
+            stop_fraction: 0.3,
+        };
+        let recording = Recording::abstract_run(&cfg, fm, 11, 300).unwrap();
+        let (_, rec) = recording.record(Recorder::new(), 1);
+        let p = tmp("abstract.journal.jsonl");
+        let ps = p.to_str().unwrap();
+        std::fs::write(&p, rec.journal().to_jsonl()).unwrap();
+        let ok = run(&["replay", ps]).unwrap();
+        assert!(ok.contains("replay OK"), "{ok}");
+        assert!(ok.contains("backend abstract, scheme smt-boost5"), "{ok}");
+        let text = std::fs::read_to_string(&p).unwrap();
+        let (bad, round) = corrupt_one_digest_bit(&text, 1);
+        std::fs::write(&p, bad).unwrap();
+        let e = run(&["replay", ps]).unwrap_err();
+        assert_eq!(e.code, 1);
+        assert!(e.msg.contains("replay DIVERGED"), "{}", e.msg);
+        assert!(e.msg.contains(&format!("round {round})")), "{}", e.msg);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `vds campaign` — a fault campaign that writes its recordings to files.
 //!
-//! Runs the instrumented campaign ([`vds_bench::live::campaign_trial_for`],
-//! or [`vds_bench::live::vm_campaign_trial_for`] under `--workload
+//! Runs the instrumented campaign ([`vds_core::recording::campaign_trial_for`],
+//! or [`vds_core::recording::vm_campaign_trial_for`] under `--workload
 //! vm:<program>`) and prints the campaign report followed by the
 //! conformance and forensics reports of its journal. `--journal` writes
 //! the flight-recorder journal and `--metrics` the merged registry CSV
@@ -10,7 +10,7 @@
 //! `vds faults` and `vds conformance` read the journal afterwards.
 
 use crate::{write_metrics, CliError, Flags};
-use vds_bench::live::{Outcome, Recording};
+use vds_core::recording::{Outcome, Recording};
 use vds_obs::log_info;
 
 pub(crate) fn cmd_campaign(args: &[String]) -> Result<String, CliError> {

@@ -112,9 +112,14 @@ mod tests {
         // a valid journal whose run recorded no rounds: header line only.
         // zero complete windows is a report, not an error (exit 0).
         let p = tmp("header-only.jsonl");
-        let header =
-            vds_obs::Journal::enabled(vds_obs::JournalHeader::new("micro", "smt-det", 7, 10, 0))
-                .to_jsonl();
+        let params = vds_core::recording::RunParams {
+            scheme: vds_core::Scheme::SmtDeterministic,
+            seed: 7,
+            s: 10,
+            rounds: 0,
+        };
+        let recording = vds_core::recording::Recording::Micro(params, None);
+        let header = vds_obs::Journal::enabled(recording.header()).to_jsonl();
         assert_eq!(header.lines().count(), 1);
         std::fs::write(&p, &header).unwrap();
         let ps = p.to_str().unwrap();

@@ -49,7 +49,7 @@
 //! `main.rs` only forwards `std::env::args`.
 
 use std::fmt::Write as _;
-use vds_bench::live::{Outcome, Recording, RunParams};
+use vds_core::recording::{Outcome, Recording, RunParams};
 
 mod args;
 mod audit;

@@ -18,7 +18,7 @@ use crate::{
     args, finish_recorded, parse_num, rounds_and_fault_round, run_duplex, CliError, Flags,
 };
 use std::fmt::Write as _;
-use vds_bench::live::{Recording, RunParams};
+use vds_core::recording::{Recording, RunParams};
 use vds_core::vm_vds::{VmConfig, VmFault};
 use vds_core::Victim;
 use vds_fault::vm::VmFaultSite;

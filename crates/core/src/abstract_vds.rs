@@ -660,6 +660,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recording::{recorded, Recording};
     use vds_analytic::schemes;
     use vds_obs::journal::Action as JournalAction;
     use vds_obs::journal::Verdict as JournalVerdict;
@@ -1087,19 +1088,11 @@ mod tests {
         assert_eq!(rec.registry().to_csv(), rec2.registry().to_csv());
         assert_eq!(rec.spans().to_chrome_json(), rec2.spans().to_chrome_json());
         // one detected fault: the journal carries it and its recovery
-        let mut rec = Recorder::new();
-        rec.enable_journal(vds_obs::JournalHeader::new(
-            "abstract",
-            c.scheme.name(),
-            5,
-            c.params.s,
-            30,
-        ));
         let one = FaultModel::OneShot {
             round: 4,
             victim: Victim::V2,
         };
-        let (r, rec) = run_with_recorder(&c, one, 30, 5, rec);
+        let (r, rec) = recorded(&Recording::abstract_run(&c, one, 5, 30).unwrap());
         crate::duplex::assert_recovered_once(&r, rec.journal());
     }
 
@@ -1115,20 +1108,9 @@ mod tests {
 
     #[test]
     fn journaled_run_records_every_executed_round() {
-        use vds_obs::journal::JournalHeader;
         let c = cfg(Scheme::SmtProbabilistic);
         let fm = FaultModel::PerRound { q: 0.05 };
-        let journaled = || {
-            let mut rec = Recorder::new();
-            rec.enable_journal(JournalHeader::new(
-                "abstract",
-                Scheme::SmtProbabilistic.name(),
-                5,
-                c.params.s,
-                200,
-            ));
-            run_with_recorder(&c, fm, 200, 5, rec)
-        };
+        let journaled = || recorded(&Recording::abstract_run(&c, fm, 5, 200).unwrap());
         let (r, rec) = journaled();
         let j = rec.journal();
         assert!(r.detections > 0, "fixture must exercise recovery: {r}");

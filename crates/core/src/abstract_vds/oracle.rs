@@ -185,8 +185,8 @@ impl Backend for PerRound<'_, '_> {
 
 mod tests {
     use super::*;
+    use crate::recording::Recording;
     use proptest::prelude::*;
-    use vds_obs::journal::JournalHeader;
     use vds_obs::Recorder;
     use vds_predictor::predictors::LastOutcome;
 
@@ -286,15 +286,11 @@ mod tests {
         ]
     }
 
+    /// A recorder journaling under the header of `c`'s run.
     fn journaled(c: &Case) -> Recorder {
+        let run = Recording::abstract_run(&c.cfg, c.fm, c.seed, c.target).unwrap();
         let mut rec = Recorder::new();
-        rec.enable_journal(JournalHeader::new(
-            "abstract",
-            c.cfg.scheme.name(),
-            c.seed,
-            c.cfg.params.s,
-            c.target,
-        ));
+        rec.enable_journal(run.header());
         rec
     }
 

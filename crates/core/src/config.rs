@@ -169,6 +169,59 @@ pub enum FaultModel {
     },
 }
 
+impl FaultModel {
+    /// Canonical spec string, written as an abstract journal header's
+    /// `fault_model` meta and understood by [`FaultModel::parse_spec`]:
+    /// `none`, `one-shot:<round>:<v1|v2>`, `per-round:<q>`,
+    /// `per-round-crashes:<q>:<crash_fraction>` or
+    /// `mission:<q>:<crash_fraction>:<stop_fraction>`, each number in
+    /// its shortest round-trip form.
+    pub fn spec_string(&self) -> String {
+        match *self {
+            FaultModel::None => "none".to_string(),
+            FaultModel::OneShot { round, victim } => {
+                format!("one-shot:{round}:v{}", victim.index() + 1)
+            }
+            FaultModel::PerRound { q } => format!("per-round:{q}"),
+            FaultModel::PerRoundWithCrashes { q, crash_fraction } => {
+                format!("per-round-crashes:{q}:{crash_fraction}")
+            }
+            FaultModel::Mission {
+                q,
+                crash_fraction,
+                stop_fraction,
+            } => format!("mission:{q}:{crash_fraction}:{stop_fraction}"),
+        }
+    }
+
+    /// Inverse of [`FaultModel::spec_string`].
+    pub fn parse_spec(spec: &str) -> Option<FaultModel> {
+        let parts: Vec<&str> = spec.split(':').collect();
+        Some(match parts.as_slice() {
+            ["none"] => FaultModel::None,
+            ["one-shot", round, victim] => FaultModel::OneShot {
+                round: round.parse().ok()?,
+                victim: match *victim {
+                    "v1" => Victim::V1,
+                    "v2" => Victim::V2,
+                    _ => return None,
+                },
+            },
+            ["per-round", q] => FaultModel::PerRound { q: q.parse().ok()? },
+            ["per-round-crashes", q, crash] => FaultModel::PerRoundWithCrashes {
+                q: q.parse().ok()?,
+                crash_fraction: crash.parse().ok()?,
+            },
+            ["mission", q, crash, stop] => FaultModel::Mission {
+                q: q.parse().ok()?,
+                crash_fraction: crash.parse().ok()?,
+                stop_fraction: stop.parse().ok()?,
+            },
+            _ => return None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +254,54 @@ mod tests {
         assert_eq!(Scheme::SmtProbabilistic.rollforward_intent(8), 4.0);
         assert_eq!(Scheme::SmtPredictive.rollforward_intent(8), 8.0);
         assert_eq!(Scheme::Conventional.rollforward_intent(8), 0.0);
+    }
+
+    #[test]
+    fn fault_model_specs_round_trip() {
+        let models = [
+            FaultModel::None,
+            FaultModel::OneShot {
+                round: 7,
+                victim: Victim::V2,
+            },
+            FaultModel::PerRound { q: 0.05 },
+            FaultModel::PerRoundWithCrashes {
+                q: 1e-7,
+                crash_fraction: 0.2,
+            },
+            FaultModel::Mission {
+                q: 0.95,
+                crash_fraction: 0.0,
+                stop_fraction: 1.0,
+            },
+        ];
+        let specs = models.map(|m| m.spec_string());
+        assert_eq!(
+            specs,
+            [
+                "none",
+                "one-shot:7:v2",
+                "per-round:0.05",
+                "per-round-crashes:0.0000001:0.2",
+                "mission:0.95:0:1",
+            ]
+        );
+        for (m, spec) in models.into_iter().zip(&specs) {
+            assert_eq!(FaultModel::parse_spec(spec), Some(m), "{spec}");
+        }
+        for bad in [
+            "",
+            "None",
+            "one-shot:7",
+            "one-shot:7:v3",
+            "one-shot:-1:v1",
+            "per-round:x",
+            "per-round:0.1:0.2",
+            "mission:0.1:0.2",
+            "per-round-crashes:0.1",
+        ] {
+            assert_eq!(FaultModel::parse_spec(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

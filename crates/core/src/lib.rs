@@ -39,6 +39,9 @@
 //! [`gain`] (measured-vs-analytic comparison helpers), [`conformance`]
 //! (run-level predicted-vs-measured gain residuals) and [`flowchart`]
 //! (DOT export of the Figures 2–3 recovery state machines).
+//! [`recording`] is the one writer and reader of journal headers: a
+//! [`recording::Recording`] is a run of any backend, or a fault campaign,
+//! as its header describes it.
 
 pub mod abstract_vds;
 pub mod config;
@@ -47,6 +50,7 @@ mod duplex;
 pub mod flowchart;
 pub mod gain;
 pub mod micro_vds;
+pub mod recording;
 pub mod report;
 pub mod vm_vds;
 pub mod workload;

@@ -751,6 +751,7 @@ pub fn run_micro_with_recorder<R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recording::{recorded, Recording, RunParams};
     use vds_fault::model::FaultSite;
     use vds_obs::journal::Action as JournalAction;
     use vds_obs::journal::Verdict as JournalVerdict;
@@ -1059,24 +1060,25 @@ mod tests {
         assert_eq!(r.coverage(), 0.0);
     }
 
+    /// The recording of a 15-round run at `s = 10` under `scheme`.
+    fn recording(scheme: Scheme, fault: MicroFault) -> Recording {
+        let p = RunParams {
+            scheme,
+            seed: crate::DEFAULT_SEED,
+            s: 10,
+            rounds: 15,
+        };
+        Recording::Micro(p, Some(fault))
+    }
+
     #[test]
     fn masked_fault_outcome_is_stamped_on_the_journal_entry() {
-        use vds_obs::JournalHeader;
-        let cfg = MicroConfig::new(Scheme::SmtProbabilistic, 10);
         let f = MicroFault {
             at_round: 4,
             victim: Victim::V1,
             kind: FaultKind::Transient(FaultSite::Register { reg: 5, bit: 3 }),
         };
-        let mut rec = Recorder::new();
-        rec.enable_journal(JournalHeader::new(
-            "micro",
-            cfg.scheme.name(),
-            cfg.seed,
-            cfg.s,
-            15,
-        ));
-        let (r, _, rec) = run_micro_with_recorder(&cfg, Some(f), 15, rec);
+        let (r, rec) = recorded(&recording(Scheme::SmtProbabilistic, f));
         assert_eq!(r.faults_masked, 1);
         let entry = rec
             .journal()
@@ -1098,11 +1100,7 @@ mod tests {
     #[test]
     fn recorded_micro_run_exports_metrics_and_journals_the_recovery() {
         let cfg = MicroConfig::new(Scheme::SmtDeterministic, 10);
-        let mut rec = Recorder::new();
-        rec.enable_journal(vds_obs::JournalHeader::new(
-            "micro", "smt-det", cfg.seed, 10, 15,
-        ));
-        let (r, _, rec) = run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, rec);
+        let (r, rec) = recorded(&recording(cfg.scheme, fault_mem(4, Victim::V2)));
         crate::duplex::assert_recovered_once(&r, rec.journal());
         let reg = rec.registry();
         assert_eq!(reg.counter("vds.committed_rounds"), r.committed_rounds);
@@ -1135,17 +1133,10 @@ mod tests {
 
     #[test]
     fn journaled_micro_run_records_every_round() {
-        use vds_obs::{Journal, JournalHeader};
+        use vds_obs::Journal;
         let cfg = MicroConfig::new(Scheme::SmtProbabilistic, 10);
-        let run = || {
-            let mut rec = Recorder::new();
-            rec.enable_journal(
-                JournalHeader::new("micro", cfg.scheme.name(), cfg.seed, cfg.s, 15)
-                    .with_meta("fault", "transient:mem:4:7@v2"),
-            );
-            run_micro_with_recorder(&cfg, Some(fault_mem(4, Victim::V2)), 15, rec)
-        };
-        let (r, _, rec) = run();
+        let run = || recorded(&recording(cfg.scheme, fault_mem(4, Victim::V2)));
+        let (r, rec) = run();
         let j = rec.journal();
         assert!(j.is_enabled());
         // one entry per executed round; a successful recovery commits
@@ -1178,7 +1169,7 @@ mod tests {
             .iter()
             .any(|e| e.action == JournalAction::Checkpoint));
         // byte-identical journals for a fixed seed, lossless round trip
-        let (_, _, rec2) = run();
+        let (_, rec2) = run();
         assert_eq!(j.to_jsonl(), rec2.journal().to_jsonl());
         let back = Journal::from_jsonl(&j.to_jsonl()).expect("parse");
         assert_eq!(back.entries(), j.entries());

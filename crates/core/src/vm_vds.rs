@@ -373,10 +373,23 @@ pub fn run_vm_duplex_with_recorder<R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vds_obs::Recorder;
+    use crate::recording::{recorded, Recording, RunParams};
 
     fn cfg(program: &str) -> VmConfig {
         VmConfig::new(program)
+    }
+
+    /// The recording of an smt-det run of `program` at its default
+    /// seed and interval.
+    fn recording(program: &str, fault: VmFault, rounds: u64) -> Recording {
+        let c = cfg(program);
+        let p = RunParams {
+            scheme: Scheme::SmtDeterministic,
+            seed: c.seed,
+            s: c.s,
+            rounds,
+        };
+        Recording::Vm(p, program.to_string(), Some(fault))
     }
 
     /// Report and final image of a run (no recording).
@@ -632,9 +645,7 @@ mod tests {
             victim: Victim::V2,
             site: VmFaultSite::Reg { index: 1, bit: 5 },
         };
-        let mut rec = Recorder::new();
-        rec.enable_journal(vds_obs::JournalHeader::new("vm", "smt-det", 2024, 8, 10));
-        let (r, _, rec) = run_vm_duplex_with_recorder(&cfg("strhash"), Some(f), 10, rec);
+        let (r, rec) = recorded(&recording("strhash", f, 10));
         assert_eq!(r.committed_rounds, 10);
         let j = rec.journal();
         assert!(!j.entries().is_empty());
@@ -665,9 +676,7 @@ mod tests {
             victim: Victim::V2,
             site: VmFaultSite::Pc { bit: 9 },
         };
-        let mut rec = Recorder::new();
-        rec.enable_journal(vds_obs::JournalHeader::new("vm", "smt-det", 2024, 8, 15));
-        let (r, _, rec) = run_vm_duplex_with_recorder(&cfg("matmul"), Some(f), 15, rec);
+        let (r, rec) = recorded(&recording("matmul", f, 15));
         crate::duplex::assert_recovered_once(&r, rec.journal());
     }
 

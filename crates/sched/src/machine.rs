@@ -107,6 +107,7 @@ impl Machine {
     }
 
     /// Number of hardware contexts.
+    #[cfg(test)]
     pub fn hw_threads(&self) -> usize {
         self.resident.len()
     }
@@ -153,6 +154,7 @@ impl Machine {
     }
 
     /// Which process is resident on a hardware thread.
+    #[cfg(test)]
     pub fn resident_on(&self, hw: ThreadId) -> Option<ProcId> {
         self.resident[hw.0]
     }
@@ -209,6 +211,7 @@ impl Machine {
     }
 
     /// Take a process's saved context (it must be switched out).
+    #[cfg(test)]
     pub fn clone_context(&self, pid: ProcId) -> SavedContext {
         match self.procs[pid.0].state {
             ProcState::Resident(hw) => {

@@ -441,14 +441,6 @@ impl Instr {
             _ => vec![],
         }
     }
-
-    /// `true` for control-flow instructions.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. }
-        )
-    }
 }
 
 /// Smallest signed 16-bit immediate (arithmetic forms, loads, stores,
@@ -576,10 +568,5 @@ mod tests {
             imm: 2,
         };
         assert_eq!(ld.dest(), Some(Reg(4)));
-        assert!(Instr::Jal {
-            rd: Reg(0),
-            target: 7
-        }
-        .is_control_flow());
     }
 }

@@ -81,11 +81,6 @@ impl Program {
         self.symbols.get(name).copied()
     }
 
-    /// Replace instruction `idx` (used by diversity transforms).
-    pub fn set_instr(&mut self, idx: usize, i: &Instr) {
-        self.text[idx] = encode(i);
-    }
-
     /// 64-bit FNV-1a digest of the text section — used to tell diverse
     /// versions apart and to detect program-memory corruption.
     pub fn text_digest(&self) -> u64 {
@@ -121,14 +116,6 @@ mod tests {
         assert_eq!(prog.instr(0).unwrap(), addi(1, 0, 5));
         assert_eq!(prog.instr(1).unwrap(), Instr::Halt);
         assert_eq!(prog.decode_all().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn set_instr_changes_digest() {
-        let mut prog = Program::from_instrs(&[addi(1, 0, 5), Instr::Halt]);
-        let d0 = prog.text_digest();
-        prog.set_instr(0, &addi(1, 0, 6));
-        assert_ne!(prog.text_digest(), d0);
     }
 
     #[test]

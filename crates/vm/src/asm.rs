@@ -36,12 +36,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Canonical 32-bit encoding of the instruction stream.
-    #[must_use]
-    pub fn encode_words(&self) -> Vec<u32> {
-        self.code.iter().map(|i| i.encode()).collect()
-    }
-
     /// Human-readable listing with pc, encoded word, and mnemonic —
     /// the body of `vds vm asm`.
     #[must_use]
@@ -398,7 +392,6 @@ mod tests {
         let a = assemble("sort", src).unwrap();
         let b = assemble("sort", src).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.encode_words(), b.encode_words());
     }
 
     #[test]
