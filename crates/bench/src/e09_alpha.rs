@@ -7,7 +7,7 @@
 
 use crate::Report;
 use std::fmt::Write as _;
-use vds_smtsim::alpha::measure_matrix;
+use vds_smtsim::alpha::measure_ledger;
 use vds_smtsim::core::CoreConfig;
 use vds_smtsim::kernels;
 
@@ -15,28 +15,26 @@ use vds_smtsim::kernels;
 pub fn report(rounds: u32) -> Report {
     let cfg = CoreConfig::default();
     let ks = kernels::suite(rounds);
-    let rows = measure_matrix(&cfg, &ks).expect("suite kernels complete");
-    let names: Vec<&str> = ks.iter().map(|k| k.name.as_str()).collect();
-
     let mut text = String::new();
     let mut csv = String::from("kernel_a,kernel_b,t_a,t_b,t_pair,alpha\n");
     let _ = write!(text, "{:>8} |", "α");
-    for n in &names {
-        let _ = write!(text, " {n:>7}");
+    for k in &ks {
+        let _ = write!(text, " {:>7}", k.name);
     }
     let _ = writeln!(text);
     let mut stats = vds_obs::Summary::new();
-    for a in &names {
-        let _ = write!(text, "{a:>8} |");
-        for b in &names {
-            let m = rows
-                .iter()
-                .find(|(ra, rb, _)| ra == a && rb == b)
-                .map(|(_, _, m)| m)
-                .expect("matrix complete");
+    for a in &ks {
+        let _ = write!(text, "{:>8} |", a.name);
+        for b in &ks {
+            let m = measure_ledger(&cfg, a, b).expect("suite kernels complete");
             let _ = write!(text, " {:>7.3}", m.alpha);
             stats.observe(m.alpha);
-            let _ = writeln!(csv, "{a},{b},{},{},{},{}", m.t_a, m.t_b, m.t_pair, m.alpha);
+            let (ka, kb) = (&m.kernel_a, &m.kernel_b);
+            let _ = writeln!(
+                csv,
+                "{ka},{kb},{},{},{},{}",
+                m.t_a, m.t_b, m.t_pair, m.alpha
+            );
         }
         let _ = writeln!(text);
     }
@@ -66,7 +64,7 @@ pub fn report(rounds: u32) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use vds_smtsim::alpha::measure;
+    use vds_smtsim::alpha::measure_ledger;
     use vds_smtsim::core::CoreConfig;
     use vds_smtsim::kernels;
 
@@ -78,7 +76,7 @@ mod tests {
         let ks = [kernels::crc(32, 1), kernels::control(32, 1)];
         for a in &ks {
             for b in &ks {
-                let m = measure(&cfg, a, b).unwrap();
+                let m = measure_ledger(&cfg, a, b).unwrap();
                 assert!(
                     (0.45..=1.05).contains(&m.alpha),
                     "{}×{}: alpha={}",
@@ -94,7 +92,7 @@ mod tests {
     fn matmul_pair_near_papers_alpha() {
         let cfg = CoreConfig::default();
         let k = kernels::matmul(6, 1);
-        let m = measure(&cfg, &k, &k).unwrap();
+        let m = measure_ledger(&cfg, &k, &k).unwrap();
         assert!((0.5..=0.85).contains(&m.alpha), "α = {}", m.alpha);
     }
 }

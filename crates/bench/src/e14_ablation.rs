@@ -43,10 +43,10 @@ pub fn fetch_policy_ablation(rounds: u32) -> Vec<(String, f64, f64)> {
             };
             (
                 format!("{}+{}", a.name, b.name),
-                alpha::measure(&rr, a, b)
+                alpha::measure_ledger(&rr, a, b)
                     .expect("ablation kernels complete")
                     .alpha,
-                alpha::measure(&ic, a, b)
+                alpha::measure_ledger(&ic, a, b)
                     .expect("ablation kernels complete")
                     .alpha,
             )
@@ -88,7 +88,7 @@ pub fn cache_ablation(rounds: u32) -> Vec<(usize, f64)> {
         let k = kernels::pchase(512, 256, rounds);
         (
             dcache.capacity_words(),
-            alpha::measure(&cfg, &k, &k)
+            alpha::measure_ledger(&cfg, &k, &k)
                 .expect("ablation kernels complete")
                 .alpha,
         )

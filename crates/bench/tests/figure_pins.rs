@@ -1,6 +1,7 @@
 //! Byte pins for the figure reports: E2 (Figure 1 timelines), E6/E7
-//! (Figures 4 and 5 gain surfaces), E9 (measured α) and E10 (the micro
-//! platform's fault-injection coverage).
+//! (Figures 4 and 5 gain surfaces), E9 (measured α), E10 (the micro
+//! platform's fault-injection coverage) and E14 (the fetch-policy, cache
+//! and diversity ablations).
 //!
 //! Each entry is the Digest128 of one rendered output at a small size:
 //! the report text, every named data block, and for E2 the Chrome JSON
@@ -13,7 +14,7 @@
 //! On a deliberate change, the failure message lists every current value
 //! in table form for regeneration.
 
-use vds_bench::{e02_timelines, e06_fig4, e07_fig5, e09_alpha, e10_coverage, Report};
+use vds_bench::{e02_timelines, e06_fig4, e07_fig5, e09_alpha, e10_coverage, e14_ablation, Report};
 use vds_obs::Digester128;
 
 fn digest(text: &str) -> String {
@@ -84,11 +85,24 @@ fn gain_surfaces_match_their_pins() {
 }
 
 #[test]
-fn measured_alpha_text_matches_its_pin() {
-    let r = e09_alpha::report(1);
+fn measured_alpha_matches_its_pins() {
     check(
-        &[("E9 text", "ad4a66b09f822bafdf06b91d53a3105e")],
-        &outputs(&r)[..1],
+        &[
+            ("E9 text", "ad4a66b09f822bafdf06b91d53a3105e"),
+            ("E9 alpha_matrix.csv", "068f72a8641f30eb3ff188b78f457917"),
+        ],
+        &outputs(&e09_alpha::report(1)),
+    );
+}
+
+#[test]
+fn ablations_match_their_pins() {
+    check(
+        &[
+            ("E14 text", "63e9aa6873ba9918ab4503975aaa0ff1"),
+            ("E14 ablation.csv", "d188397b7f9aaa386a76491ed269e86f"),
+        ],
+        &outputs(&e14_ablation::report(4)),
     );
 }
 

@@ -1171,7 +1171,7 @@ mod tests {
         let parsed = vds_obs::Journal::from_jsonl(&j.to_jsonl()).unwrap();
         assert_eq!(&parsed, j);
         assert!(parsed.first_divergence(rec2.journal()).is_none());
-        // disabled journal stays empty
+        // a recorder without a journal header stays journal-free
         let (_, plain) = run_with_recorder(&c, fm, 200, 5, Recorder::new());
         assert!(plain.journal().is_empty());
     }

@@ -540,10 +540,8 @@ impl Recording {
                     ..MicroConfig::new(p.scheme, p.s)
                 };
                 let (report, img, rec) = run_micro_with_recorder(&cfg, *fault, p.rounds, rec);
-                let (_, want) = workload::oracle(report.committed_rounds as u32);
-                let state = workload::ADDR_STATE as usize
-                    ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize;
-                (report, img[state] == want[..], rec)
+                let correct = workload::output_correct(&img, report.committed_rounds as u32);
+                (report, correct, rec)
             }
             Recording::Vm(p, program, fault) => {
                 let cfg = VmConfig {
@@ -553,8 +551,9 @@ impl Recording {
                     ..VmConfig::new(program)
                 };
                 let (report, img, rec) = run_vm_duplex_with_recorder(&cfg, *fault, p.rounds, rec);
-                let correct = vds_vm::seed_program(program)
-                    .is_some_and(|sp| img == sp.oracle(p.seed, report.committed_rounds as u32));
+                let correct = vds_vm::seed_program(program).is_some_and(|sp| {
+                    sp.output_correct(p.seed, &img, report.committed_rounds as u32)
+                });
                 (report, correct, rec)
             }
             Recording::Campaign(..) => panic!("a campaign runs only through Recording::record"),

@@ -173,6 +173,15 @@ pub fn oracle(rounds: u32) -> (u32, Vec<u32>) {
     (rounds, state)
 }
 
+/// Whether a data-memory image holds the workload's correct output after
+/// `rounds` rounds: both the round counter and the state window equal
+/// the [`oracle`]'s. The one output check of the micro workload.
+pub fn output_correct(img: &[u32], rounds: u32) -> bool {
+    let (k, state) = oracle(rounds);
+    let window = ADDR_STATE as usize..(ADDR_STATE + STATE_WORDS) as usize;
+    img[ADDR_ROUND as usize] == k && img[window] == state[..]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +222,19 @@ mod tests {
                 "state after {check} rounds"
             );
         }
+    }
+
+    #[test]
+    fn output_check_reads_the_round_word_and_the_state_window() {
+        let rounds = 10;
+        let dmem = run_rounds(&build(rounds), rounds);
+        assert!(output_correct(&dmem, rounds));
+        let mut wrong_round = dmem.clone();
+        wrong_round[ADDR_ROUND as usize] ^= 1;
+        assert!(!output_correct(&wrong_round, rounds));
+        let mut wrong_state = dmem;
+        wrong_state[(ADDR_STATE + STATE_WORDS - 1) as usize] ^= 1;
+        assert!(!output_correct(&wrong_state, rounds));
     }
 
     #[test]

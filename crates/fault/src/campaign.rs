@@ -186,7 +186,6 @@ fn run_campaign_impl<F>(
     component: &'static str,
     n: u64,
     workers: usize,
-    record: bool,
     monitor: Option<&dyn CampaignMonitor>,
     journal: Option<&JournalHeader>,
     trial: F,
@@ -208,14 +207,10 @@ where
                 }
                 let (lo, hi) = shard_bounds(n, shards, s);
                 let mut local = CampaignReport::default();
-                let mut rec = if record {
-                    // Span merging is shard-ordered, so a shard keeps
-                    // exactly its own spans (one per shard plus one per
-                    // trial) on the trial-index time axis.
-                    Recorder::with_span_capacity((hi - lo) as usize + 1)
-                } else {
-                    Recorder::disabled()
-                };
+                // Span merging is shard-ordered, so a shard keeps exactly
+                // its own spans (one per shard plus one per trial) on the
+                // trial-index time axis.
+                let mut rec = Recorder::with_span_capacity((hi - lo) as usize + 1);
                 if let Some(h) = journal {
                     // trials record journal entries into the shard
                     // recorder; shard journals concatenate in shard (=
@@ -241,11 +236,7 @@ where
         }
     });
     let mut report = CampaignReport::default();
-    let mut rec = if record {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    };
+    let mut rec = Recorder::new();
     if let Some(h) = journal {
         rec.enable_journal(h.clone());
     }
@@ -257,36 +248,25 @@ where
         report.merge(&shard_report);
         rec.merge(shard_rec);
     }
-    if record {
-        report.export_metrics(&mut rec);
-        rec.gauge("campaign.shards", shards as f64);
-        if journal.is_some() {
-            // only here, after the shard merge — never inside the per-run
-            // engines — so the counters are not double counted
-            rec.export_journal_metrics();
-        }
-        rec.rollup_spans();
+    report.export_metrics(&mut rec);
+    rec.gauge("campaign.shards", shards as f64);
+    if journal.is_some() {
+        // only here, after the shard merge — never inside the per-run
+        // engines — so the counters are not double counted
+        rec.export_journal_metrics();
     }
+    rec.rollup_spans();
     (report, rec)
 }
 
 /// Run `n` trials of `trial` (given the trial index as a seed component)
-/// on `workers` threads. Deterministic: the result is bit-identical for
-/// any worker count.
-pub fn run_campaign<F>(n: u64, workers: usize, trial: F) -> CampaignReport
-where
-    F: Fn(u64) -> TrialResult + Sync,
-{
-    run_campaign_impl("campaign", n, workers, false, None, None, |i, _| trial(i)).0
-}
-
-/// [`run_campaign`] with metrics: each trial may record into a shard
-/// recorder; shard registries merge in shard order (bit-deterministic),
-/// and the campaign's own counters/summaries are added under
-/// `campaign.*`. Shard and trial spans (on the trial-index time axis)
-/// land under `component`, so callers running several campaigns into
-/// one recorder (e.g. experiment E10's diverse vs identical arms) keep
-/// their span lanes apart.
+/// on `workers` threads, with metrics: each trial may record into a shard
+/// recorder; shard registries merge in shard order (bit-deterministic:
+/// the result is bit-identical for any worker count), and the campaign's
+/// own counters/summaries are added under `campaign.*`. Shard and trial
+/// spans (on the trial-index time axis) land under `component`, so
+/// callers running several campaigns into one recorder (e.g. experiment
+/// E10's diverse vs identical arms) keep their span lanes apart.
 pub fn run_campaign_recorded_as<F>(
     component: &'static str,
     n: u64,
@@ -296,7 +276,7 @@ pub fn run_campaign_recorded_as<F>(
 where
     F: Fn(u64, &mut Recorder) -> TrialResult + Sync,
 {
-    run_campaign_impl(component, n, workers, true, None, None, trial)
+    run_campaign_impl(component, n, workers, None, None, trial)
 }
 
 /// [`run_campaign_recorded_as`] with the flight-recorder journal
@@ -325,7 +305,7 @@ pub fn run_campaign_journaled<F>(
 where
     F: Fn(u64, &mut Recorder) -> TrialResult + Sync,
 {
-    run_campaign_impl(component, n, workers, true, monitor, Some(header), trial)
+    run_campaign_impl(component, n, workers, monitor, Some(header), trial)
 }
 
 #[cfg(test)]
@@ -334,7 +314,7 @@ mod tests {
 
     #[test]
     fn all_trials_counted() {
-        let r = run_campaign(1000, 4, |i| {
+        let (r, _) = run_campaign_recorded_as("campaign", 1000, 4, |i, _| {
             TrialResult::labelled(if i % 3 == 0 { "a" } else { "b" })
         });
         assert_eq!(r.trials, 1000);
@@ -345,7 +325,9 @@ mod tests {
 
     #[test]
     fn observations_aggregate() {
-        let r = run_campaign(100, 3, |i| TrialResult::with_value("lat", i as f64));
+        let (r, _) = run_campaign_recorded_as("campaign", 100, 3, |i, _| {
+            TrialResult::with_value("lat", i as f64)
+        });
         assert_eq!(r.count("lat"), 100);
         assert!((r.mean_value("lat").unwrap() - 49.5).abs() < 1e-9);
         assert_eq!(r.mean_value("nope"), None);
@@ -357,7 +339,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_worker_counts() {
-        let f = |i: u64| {
+        let f = |i: u64, _: &mut Recorder| {
             TrialResult::with_value(
                 if i.wrapping_mul(0x9E3779B9).is_multiple_of(7) {
                     "x"
@@ -367,8 +349,8 @@ mod tests {
                 (i % 13) as f64,
             )
         };
-        let a = run_campaign(500, 1, f);
-        let b = run_campaign(500, 8, f);
+        let (a, _) = run_campaign_recorded_as("campaign", 500, 1, f);
+        let (b, _) = run_campaign_recorded_as("campaign", 500, 8, f);
         // logical shards make the whole report bit-identical, not merely
         // equal within tolerance
         assert_eq!(a, b);
@@ -530,14 +512,17 @@ mod tests {
 
     #[test]
     fn zero_trials() {
-        let r = run_campaign(0, 4, |_| TrialResult::labelled("never"));
+        let (r, _) =
+            run_campaign_recorded_as("campaign", 0, 4, |_, _| TrialResult::labelled("never"));
         assert_eq!(r.trials, 0);
         assert_eq!(r.fraction("never"), 0.0);
     }
 
     #[test]
     fn display_renders() {
-        let r = run_campaign(10, 2, |i| TrialResult::with_value("d", i as f64));
+        let (r, _) = run_campaign_recorded_as("campaign", 10, 2, |i, _| {
+            TrialResult::with_value("d", i as f64)
+        });
         let s = format!("{r}");
         assert!(s.contains("trials: 10"));
         assert!(s.contains("mean="));

@@ -731,43 +731,38 @@ impl Divergence {
 
 /// The flight recorder: a header plus an append-only entry list.
 ///
-/// A disabled journal (the default) ignores pushes, so engines can thread
-/// journal recording unconditionally at the cost of one branch per round.
+/// A journal is on exactly when it has a header. One without (the
+/// default) ignores pushes, so engines can thread journal recording
+/// unconditionally at the cost of one branch per round.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
-    enabled: bool,
     header: Option<JournalHeader>,
     entries: Vec<RoundEntry>,
 }
 
 impl Journal {
-    /// A journal that ignores everything.
-    pub fn disabled() -> Self {
-        Journal::default()
-    }
-
-    /// An enabled, empty journal for the described run.
+    /// An empty journal for the described run.
     pub fn enabled(header: JournalHeader) -> Self {
         Journal {
-            enabled: true,
             header: Some(header),
             entries: Vec::new(),
         }
     }
 
-    /// Whether this journal keeps what it is given.
+    /// Whether this journal keeps what it is given: whether it has a
+    /// header.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.header.is_some()
     }
 
-    /// The header, if the journal was enabled with one.
+    /// The header, if the journal has one.
     pub fn header(&self) -> Option<&JournalHeader> {
         self.header.as_ref()
     }
 
     /// Append an entry; its `seq` is assigned (entries are gap-free).
     pub fn push(&mut self, mut entry: RoundEntry) {
-        if self.enabled {
+        if self.is_enabled() {
             entry.seq = self.entries.len() as u64;
             self.entries.push(entry);
         }
@@ -808,10 +803,8 @@ impl Journal {
     /// Move another journal's entries over (lanes preserved, `seq`
     /// reassigned). Merge shards in a fixed order for bit-reproducibility.
     pub fn extend_from(&mut self, other: Journal) {
-        if self.enabled {
-            for e in other.entries {
-                self.push(e);
-            }
+        for e in other.entries {
+            self.push(e);
         }
     }
 
@@ -833,11 +826,9 @@ impl Journal {
     /// Move another journal's entries over with every lane overridden (a
     /// campaign adopting a single-run journal as trial `lane`).
     pub fn adopt(&mut self, other: Journal, lane: u64) {
-        if self.enabled {
-            for mut e in other.entries {
-                e.lane = lane;
-                self.push(e);
-            }
+        for mut e in other.entries {
+            e.lane = lane;
+            self.push(e);
         }
     }
 
@@ -1027,7 +1018,7 @@ impl Journal {
     /// Export journal health into a metrics registry. Call once at the
     /// top level (after shard merging) so counters are not double counted.
     pub fn export_metrics(&self, reg: &mut Registry) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         reg.count("journal.rounds", self.len() as u64);
@@ -1111,7 +1102,6 @@ impl LineReader {
             None => None,
         };
         let j = Journal {
-            enabled: true,
             header: self.header,
             entries: self.entries,
         };
@@ -1222,8 +1212,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_journal_ignores_pushes() {
-        let mut j = Journal::disabled();
+    fn a_journal_without_header_ignores_pushes() {
+        let mut j = Journal::default();
         j.push(entry(1, Verdict::Match, Action::Commit));
         assert!(j.is_empty());
         assert!(!j.is_enabled());
@@ -1397,9 +1387,9 @@ mod tests {
         assert_eq!(reg.counter("journal.bytes"), j.to_jsonl().len() as u64);
         assert_eq!(reg.counter("journal.divergences"), 1);
         assert_eq!(reg.gauge_value("journal.last_divergence_round"), Some(3.0));
-        // disabled journals export nothing
+        // a journal without header exports nothing
         let mut reg2 = Registry::new();
-        Journal::disabled().export_metrics(&mut reg2);
+        Journal::default().export_metrics(&mut reg2);
         assert!(reg2.is_empty());
     }
 

@@ -159,11 +159,7 @@ pub(super) fn from_jsonl(text: &str) -> Result<Journal, String> {
             fault_outcome: json::get_str(obj, "fault_outcome").map(str::to_string),
         });
     }
-    Ok(Journal {
-        enabled: true,
-        header,
-        entries,
-    })
+    Ok(Journal { header, entries })
 }
 
 pub(super) fn from_jsonl_tolerant(text: &str) -> Result<(Journal, Option<String>), String> {

@@ -39,13 +39,12 @@
 //!   decision, recovery action, injected fault), with
 //!   a JSONL codec and a linear-scan first-divergence diff
 //!   ([`Journal::first_divergence`]) behind `vds replay` / `vds audit`.
-//! * [`Recorder`] — the concrete sink; a disabled recorder costs one
-//!   branch per call.
+//! * [`Recorder`] — the concrete sink; it keeps everything it is given.
 //! * [`Record`] + [`NoopRecorder`] — the statically-dispatched facade
 //!   ([`facade`]): engines are generic over `R: Record`, the `obs_*!`
 //!   macros guard argument construction behind `is_active()`, and the
 //!   zero-sized [`NoopRecorder`] monomorphizes instrumentation away
-//!   entirely on uninstrumented runs.
+//!   entirely on uninstrumented runs. It is the one way not to record.
 //!
 //! Every export is a file: the registry as CSV or JSON, the spans as
 //! Chrome trace JSON, the journal as JSONL.
@@ -54,7 +53,7 @@
 //!
 //! **Determinism contract:** for a fixed seed, the content of a
 //! recorder's registry, spans and journal — and therefore the
-//! bytes of [`Registry::to_csv`] / [`Registry::to_jsonl`] /
+//! bytes of [`Registry::to_csv`] / [`Registry::to_json_object`] /
 //! [`SpanSet::to_chrome_json`] /
 //! [`SpanSet::to_folded`] / [`Journal::to_jsonl`] — are identical
 //! across runs and across worker counts, provided parallel shards are

@@ -332,65 +332,6 @@ impl Registry {
         out
     }
 
-    /// JSON-lines export: one object per metric.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"counter\",\"name\":\"{}\",\"value\":{v}}}",
-                json_escape(k)
-            );
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-                json_escape(k),
-                json_number(*v)
-            );
-        }
-        for (k, s) in &self.summaries {
-            if s.count() == 0 {
-                let _ = writeln!(
-                    out,
-                    "{{\"kind\":\"summary\",\"name\":\"{}\",\"count\":0}}",
-                    json_escape(k)
-                );
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"summary\",\"name\":\"{}\",\"count\":{},\"mean\":{},\"variance\":{},\"min\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                json_escape(k),
-                s.count(),
-                json_number(s.mean()),
-                json_number(s.variance()),
-                json_number(s.min()),
-                json_number(s.quantile(0.5).unwrap_or(f64::NAN)),
-                json_number(s.quantile(0.99).unwrap_or(f64::NAN)),
-                json_number(s.max()),
-            );
-        }
-        for (k, h) in &self.histograms {
-            if h.count() == 0 {
-                let _ = writeln!(
-                    out,
-                    "{{\"kind\":\"histogram\",\"name\":\"{}\",\"count\":0}}",
-                    json_escape(k)
-                );
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"histogram\",\"name\":\"{}\",{}}}",
-                json_escape(k),
-                histogram_json_body(h)
-            );
-        }
-        out
-    }
-
     /// One JSON object covering every metric:
     /// `{"counters":{…},"gauges":{…},"summaries":{…},"histograms":{…}}`.
     /// This is the shared serializer behind every `--json` report that
@@ -542,12 +483,9 @@ mod tests {
         let csv = r.to_csv();
         assert!(csv.contains("summary,empty,count,0"), "csv: {csv}");
         assert!(!csv.to_lowercase().contains("nan"), "csv: {csv}");
-        let jsonl = r.to_jsonl();
-        assert!(
-            jsonl.contains("{\"kind\":\"summary\",\"name\":\"empty\",\"count\":0}"),
-            "jsonl: {jsonl}"
-        );
-        assert!(!jsonl.to_lowercase().contains("nan"), "jsonl: {jsonl}");
+        let j = r.to_json_object();
+        assert!(j.contains("\"empty\":{\"count\":0}"), "json: {j}");
+        assert!(!j.to_lowercase().contains("nan"), "json: {j}");
     }
 
     #[test]
@@ -591,19 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_renders_valid_shapes() {
-        let mut r = Registry::new();
-        r.count("c", 1);
-        r.gauge("g", 1.5);
-        r.observe("s", 2.0);
-        let j = r.to_jsonl();
-        assert!(j.contains("\"kind\":\"counter\""));
-        assert!(j.contains("\"kind\":\"gauge\""));
-        assert!(j.contains("\"kind\":\"summary\""));
-        assert_eq!(j.lines().count(), 3);
-    }
-
-    #[test]
     fn histogram_kind_round_trips_through_every_exporter() {
         let mut r = Registry::new();
         r.observe_hist("resid", 0.5);
@@ -619,24 +544,14 @@ mod tests {
         assert!(csv.contains("histogram,resid,le_inf,3"), "csv: {csv}");
         assert!(csv.contains("histogram,empty,count,0"), "csv: {csv}");
         assert!(!csv.to_lowercase().contains("nan"), "csv: {csv}");
-        let jsonl = r.to_jsonl();
-        assert!(
-            jsonl.contains("{\"kind\":\"histogram\",\"name\":\"resid\",\"count\":3,\"sum\":1.25"),
-            "jsonl: {jsonl}"
-        );
-        assert!(
-            jsonl.contains("\"buckets\":[[0,1],[0.5,2],[1,3]]"),
-            "jsonl: {jsonl}"
-        );
-        assert!(
-            jsonl.contains("{\"kind\":\"histogram\",\"name\":\"empty\",\"count\":0}"),
-            "jsonl: {jsonl}"
-        );
         let j = r.to_json_object();
         assert!(
-            j.contains("\"histograms\":{\"empty\":{\"count\":0},\"resid\":{"),
+            j.contains(
+                "\"histograms\":{\"empty\":{\"count\":0},\"resid\":{\"count\":3,\"sum\":1.25"
+            ),
             "{j}"
         );
+        assert!(j.contains("\"buckets\":[[0,1],[0.5,2],[1,3]]"), "{j}");
         assert!(j.ends_with("]}}}"), "{j}");
     }
 

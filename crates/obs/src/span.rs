@@ -142,9 +142,9 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// An inert guard: closing it is a no-op. This is what a disabled
-    /// recorder hands out, and what the `obs_span!` / `obs_span_on!`
-    /// macros evaluate to when the recorder is inactive.
+    /// An inert guard: closing it is a no-op. This is what
+    /// [`crate::NoopRecorder`] hands out, and what the `obs_span!` /
+    /// `obs_span_on!` macros evaluate to when the recorder is inactive.
     pub const fn inert() -> SpanGuard {
         SpanGuard { id: u64::MAX }
     }

@@ -12,29 +12,16 @@
 //! α = ½ means the pair finished in the time one program needs alone
 //! (perfect overlap); α = 1 means co-scheduling bought nothing.
 //!
-//! Beyond the scalar ratio, [`measure_ledger`] *explains* α: it snapshots
-//! each run's per-thread cycle accounting and hands the solo/co-run
-//! counter deltas to [`vds_obs::alpha::PairLedger`], which attributes the
-//! pair's excess cycles to icache/dcache/FU/width/branch interference
-//! under the conservation invariant.
+//! [`measure_ledger`] measures α and *explains* it: it snapshots each
+//! run's per-thread cycle accounting and hands the solo/co-run counters
+//! to [`vds_obs::alpha::PairLedger`], which carries the three times and
+//! α and attributes the pair's excess cycles to icache/dcache/FU/width/
+//! branch interference under the conservation invariant.
 
 use crate::core::{Core, CoreConfig, RunOutcome, ThreadId, Trap};
 use crate::kernels::Kernel;
 use crate::program::Program;
 use vds_obs::alpha::{AlphaReport, CycleSnapshot, PairLedger};
-
-/// Result of one α measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlphaMeasurement {
-    /// Cycles for the first program alone.
-    pub t_a: u64,
-    /// Cycles for the second program alone.
-    pub t_b: u64,
-    /// Cycles for the co-scheduled pair (both complete).
-    pub t_pair: u64,
-    /// The contention factor.
-    pub alpha: f64,
-}
 
 /// Why a measurement run could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,21 +123,6 @@ fn run_pair_core(
     }
 }
 
-/// Measure α for a pair of kernels on the given core configuration.
-pub fn measure(cfg: &CoreConfig, a: &Kernel, b: &Kernel) -> Result<AlphaMeasurement, RunError> {
-    let pa = a.program();
-    let pb = b.program();
-    let t_a = run_to_completion(cfg, &pa, a.dmem_words)?;
-    let t_b = run_to_completion(cfg, &pb, b.dmem_words)?;
-    let t_pair = run_pair(cfg, (&pa, a.dmem_words), (&pb, b.dmem_words))?;
-    Ok(AlphaMeasurement {
-        t_a,
-        t_b,
-        t_pair,
-        alpha: t_pair as f64 / (t_a + t_b) as f64,
-    })
-}
-
 /// Measure the full attribution ledger for a pair of programs: solo
 /// snapshots of each, a co-run snapshot of both, and the differential
 /// cycle accounting between them.
@@ -169,7 +141,8 @@ pub fn measure_ledger_programs(
     ))
 }
 
-/// Measure the attribution ledger for a pair of kernels.
+/// Measure α and its attribution ledger for a pair of kernels on the
+/// given core configuration.
 pub fn measure_ledger(cfg: &CoreConfig, a: &Kernel, b: &Kernel) -> Result<PairLedger, RunError> {
     let pa = a.program();
     let pb = b.program();
@@ -180,21 +153,6 @@ pub fn measure_ledger(cfg: &CoreConfig, a: &Kernel, b: &Kernel) -> Result<PairLe
         &b.name,
         (&pb, b.dmem_words),
     )
-}
-
-/// Measure α for every ordered pair in a kernel set; returns
-/// `(name_a, name_b, measurement)` rows.
-pub fn measure_matrix(
-    cfg: &CoreConfig,
-    kernels: &[Kernel],
-) -> Result<Vec<(String, String, AlphaMeasurement)>, RunError> {
-    let mut rows = Vec::new();
-    for a in kernels {
-        for b in kernels {
-            rows.push((a.name.clone(), b.name.clone(), measure(cfg, a, b)?));
-        }
-    }
-    Ok(rows)
 }
 
 /// Measure the attribution ledger for every unordered pair (`i ≤ j`) in
@@ -231,7 +189,7 @@ mod tests {
     #[test]
     fn alpha_is_in_model_range_for_homogeneous_pairs() {
         for k in kernels::suite(2) {
-            let m = measure(&cfg(), &k, &k).unwrap();
+            let m = measure_ledger(&cfg(), &k, &k).unwrap();
             assert!(
                 m.alpha >= 0.5 - 1e-9 && m.alpha <= 1.05,
                 "kernel {}: alpha={}",
@@ -248,8 +206,8 @@ mod tests {
         // compute pair whose stall slots the sibling can fill.
         let p = kernels::pchase(512, 256, 2);
         let c = kernels::control(128, 2);
-        let chase_self = measure(&cfg(), &p, &p).unwrap().alpha;
-        let ctl_self = measure(&cfg(), &c, &c).unwrap().alpha;
+        let chase_self = measure_ledger(&cfg(), &p, &p).unwrap().alpha;
+        let ctl_self = measure_ledger(&cfg(), &c, &c).unwrap().alpha;
         assert!(
             chase_self > ctl_self + 0.1,
             "pchase self {chase_self} vs control self {ctl_self}"
@@ -264,7 +222,7 @@ mod tests {
         // most "application-like" kernel (mul + loads + branches) — pairs
         // with itself in that regime on the default core.
         let k = kernels::matmul(8, 2);
-        let m = measure(&cfg(), &k, &k).unwrap();
+        let m = measure_ledger(&cfg(), &k, &k).unwrap();
         assert!(
             (0.55..=0.8).contains(&m.alpha),
             "matmul self alpha={}",
@@ -276,7 +234,7 @@ mod tests {
     fn pair_time_bounded_by_serial_and_longest() {
         let a = kernels::vecsum(128, 2);
         let b = kernels::control(64, 2);
-        let m = measure(&cfg(), &a, &b).unwrap();
+        let m = measure_ledger(&cfg(), &a, &b).unwrap();
         assert!(m.t_pair <= m.t_a + m.t_b, "{m:?}");
         assert!(m.t_pair >= m.t_a.max(m.t_b), "{m:?}");
     }
@@ -286,8 +244,8 @@ mod tests {
         let a = kernels::bsort(16, 1);
         let b = kernels::crc(64, 1);
         assert_eq!(
-            measure(&cfg(), &a, &b).unwrap(),
-            measure(&cfg(), &a, &b).unwrap()
+            measure_ledger(&cfg(), &a, &b).unwrap(),
+            measure_ledger(&cfg(), &a, &b).unwrap()
         );
     }
 
@@ -313,13 +271,16 @@ mod tests {
     }
 
     #[test]
-    fn ledger_agrees_with_scalar_measurement_and_is_exact() {
+    fn ledger_times_are_the_runs_and_attribution_is_exact() {
         let a = kernels::vecsum(128, 1);
         let b = kernels::crc(64, 1);
-        let m = measure(&cfg(), &a, &b).unwrap();
+        let (pa, pb) = (a.program(), b.program());
         let l = measure_ledger(&cfg(), &a, &b).unwrap();
-        assert_eq!((l.t_a, l.t_b, l.t_pair), (m.t_a, m.t_b, m.t_pair));
-        assert!((l.alpha - m.alpha).abs() < 1e-12);
+        assert_eq!(l.t_a, run_to_completion(&cfg(), &pa, a.dmem_words).unwrap());
+        assert_eq!(l.t_b, run_to_completion(&cfg(), &pb, b.dmem_words).unwrap());
+        let t_pair = run_pair(&cfg(), (&pa, a.dmem_words), (&pb, b.dmem_words)).unwrap();
+        assert_eq!(l.t_pair, t_pair);
+        assert_eq!(l.alpha, t_pair as f64 / (l.t_a + l.t_b) as f64);
         assert!(l.is_exact());
         assert_eq!(l.excess, l.t_pair as i64 - l.t_a.max(l.t_b) as i64);
     }

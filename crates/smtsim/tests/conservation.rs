@@ -93,11 +93,15 @@ proptest! {
         let cfg = cfg_for(width, latency);
         let a = kernel_for(ka, size, 1);
         let b = kernel_for(kb, size.wrapping_add(29), 1);
-        let m = alpha::measure(&cfg, &a, &b).expect("suite kernels complete");
         let l = alpha::measure_ledger(&cfg, &a, &b).expect("suite kernels complete");
+        let (pa, pb) = (a.program(), b.program());
+        let t_a = alpha::run_to_completion(&cfg, &pa, a.dmem_words).expect("suite kernels complete");
+        let t_b = alpha::run_to_completion(&cfg, &pb, b.dmem_words).expect("suite kernels complete");
+        let t_pair = alpha::run_pair(&cfg, (&pa, a.dmem_words), (&pb, b.dmem_words))
+            .expect("suite kernels complete");
 
-        // The ledger's times agree with the scalar measurement…
-        prop_assert_eq!((l.t_a, l.t_b, l.t_pair), (m.t_a, m.t_b, m.t_pair));
+        // The ledger's times are those of the solo and paired runs…
+        prop_assert_eq!((l.t_a, l.t_b, l.t_pair), (t_a, t_b, t_pair));
         // …the excess is the definition…
         prop_assert_eq!(l.excess, l.t_pair as i64 - l.t_a.max(l.t_b) as i64);
         // …and attributed deltas + parked + residual equal it exactly.

@@ -110,6 +110,14 @@ impl SeedProgram {
         }
         mem
     }
+
+    /// Whether a data-memory image holds the program's correct output:
+    /// it equals the [`SeedProgram::oracle`] image after `rounds` rounds,
+    /// round word included. The one output check of a VM workload.
+    #[must_use]
+    pub fn output_correct(&self, seed: u64, img: &[u32], rounds: u32) -> bool {
+        *img == self.oracle(seed, rounds)[..]
+    }
 }
 
 /// Look up a seed program by name.

@@ -64,7 +64,7 @@ fn main() {
     for a in &ks {
         print!("{:>8} |", a.name);
         for b in &ks {
-            let m = alpha::measure(&cfg, a, b).expect("suite kernels complete");
+            let m = alpha::measure_ledger(&cfg, a, b).expect("suite kernels complete");
             print!(" {:>7.3}", m.alpha);
         }
         println!();
