@@ -35,7 +35,7 @@ pub const SUITE: &[(&str, u64)] = &[
     ("E10", 64),
     ("E12", 400),
     // sweep-backed experiments: exercise the parallel sweep engine and
-    // its memoized baselines; extra entries are ignored by `check`
+    // its shared baselines; extra entries are ignored by `check`
     // against older baselines, so adding them here is not a break
     ("E15", 400),
     ("E16", 400),

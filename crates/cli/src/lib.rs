@@ -40,10 +40,10 @@
 //! recorded to files: `--journal` (the flight-recorder journal that
 //! `vds replay`, `vds conformance` and `vds faults` read) and `--metrics`
 //! (the registry CSV plus the `PATH.trace.json` Chrome trace), all
-//! byte-identical for a fixed seed at any `--workers`. `vds stats
-//! --json` / `vds bench --json` emit the machine-readable forms of their
-//! reports; `--log-level` (or `VDS_LOG`) tunes the structured JSONL
-//! logging on stderr.
+//! byte-identical for a fixed seed at any `--workers`. `vds duplex`,
+//! `stats`, `report`, `vm duplex` and `bench` take `--json` for the
+//! machine-readable forms of their reports; `--log-level` (or
+//! `VDS_LOG`) tunes the structured JSONL logging on stderr.
 //!
 //! The command dispatch lives in this library crate so it is unit-testable;
 //! `main.rs` only forwards `std::env::args`.
@@ -120,7 +120,7 @@ FLAGS (alpha / duplex / stats / report / experiment / bench / campaign; `--flag 
     --out PATH           bench: write BENCH json to PATH (default BENCH_<n>.json)
     --check PATH         bench: compare against a baseline; exit 1 on drift
     --threshold FRAC     bench: allowed relative throughput drop for --check (default 0.5)
-    --json               stats / bench: machine-readable JSON on stdout
+    --json               duplex / stats / report / vm / bench: machine-readable JSON on stdout
     --log-level LEVEL    off|error|warn|info|debug (default info; also VDS_LOG)
     --trials N           campaign: trials (default 200)
     --journal PATH       duplex / stats / report / campaign: write the flight-recorder
@@ -214,42 +214,6 @@ fn write_metrics(
     Ok(note)
 }
 
-/// The shared tail of the recorded single-run commands (`duplex`,
-/// `stats`, `report`, `vm duplex`): price the journal, write `--journal`,
-/// let `render` print the command's own report into `out` from the
-/// journal summary and the recorder's parts, write `--metrics`, and
-/// append the "written to" notes — to the log instead under `--json`, so
-/// stdout stays pure JSON.
-fn finish_recorded(
-    mut rec: vds_obs::Recorder,
-    f: &Flags,
-    out: &mut String,
-    render: impl FnOnce(&mut String, &str, &vds_obs::Registry, &vds_obs::SpanSet),
-) -> Result<(), CliError> {
-    rec.export_journal_metrics();
-    let journal_note = f
-        .journal
-        .as_deref()
-        .map(|path| write_journal(path, rec.journal()))
-        .transpose()?;
-    let journal_summary = rec.journal().summary_json();
-    let (registry, spans) = rec.into_parts();
-    render(out, &journal_summary, &registry, &spans);
-    let metrics_note = f
-        .metrics
-        .as_deref()
-        .map(|path| write_metrics(path, &registry, Some(&spans)))
-        .transpose()?;
-    for note in [metrics_note, journal_note].into_iter().flatten() {
-        if f.json {
-            vds_obs::log_info!("cli", "{}", note.trim_end());
-        } else {
-            out.push_str(&note);
-        }
-    }
-    Ok(())
-}
-
 /// The `[rounds] [fault-round]` positionals of `duplex`, `stats`,
 /// `report` and `vm duplex`: the target rounds (from `--rounds` when
 /// given, which leaves its slot to the fault round, else 30) and the
@@ -275,26 +239,112 @@ fn rounds_and_fault_round<'a>(
     Ok((rounds, at))
 }
 
-/// Run a single-run recording (`duplex`, `stats`, `report`, `vm
-/// duplex`) once [`Recording::check`] passes it: journaled
-/// into a live recorder, its span ring sized by `--trace-capacity`, when
-/// `record`, else on the zero-sized `NoopRecorder`. Returns the report,
-/// the oracle verdict and a recorded run's recorder.
-fn run_duplex(
+/// Run and render a single-run recording (`duplex`, `stats`, `report`,
+/// `vm duplex`) once [`Recording::check`] passes it. The text is the run
+/// report and the oracle verdict, a VM run's program and scheme first;
+/// `stats` appends the metrics and `report` the folded span stacks.
+/// Under `--json` stdout is the `vds.report.v1` envelope of `kind`
+/// instead, and the "written to" notes go to the log.
+///
+/// The run is journaled into a live recorder, its span ring sized by
+/// `--trace-capacity`, when `mode` or any flag needs what it records,
+/// else it runs on the zero-sized `NoopRecorder`. A recorded run's
+/// journal is priced and written to `--journal`, and its metrics and
+/// trace to `--metrics`.
+fn run_and_render(
     recording: &Recording,
-    record: bool,
+    kind: &str,
+    mode: DuplexMode,
     f: &Flags,
-) -> Result<(vds_core::RunReport, bool, Option<vds_obs::Recorder>), CliError> {
+) -> Result<String, CliError> {
     recording.check().map_err(CliError::usage)?;
-    if !record {
+    let program = match recording {
+        Recording::Vm(_, program, _) => Some(program.as_str()),
+        _ => None,
+    };
+    let mut out = match program {
+        Some(program) => format!("{program} on {}\n", recording.params().scheme.name()),
+        None => String::new(),
+    };
+    let record = mode != DuplexMode::Plain
+        || f.metrics.is_some()
+        || f.trace_capacity.is_some()
+        || f.journal.is_some()
+        || f.json;
+    let (r, correct, rec) = if record {
+        let capacity = f.trace_capacity.unwrap_or(vds_obs::DEFAULT_SPAN_CAPACITY);
+        match recording.record(vds_obs::Recorder::with_span_capacity(capacity), 1) {
+            (Outcome::Run(r, correct), rec) => (r, correct, Some(rec)),
+            (Outcome::Campaign(_), _) => unreachable!("a single run records a run report"),
+        }
+    } else {
         let (r, correct, _) = recording.run_single(vds_obs::NoopRecorder);
-        return Ok((r, correct, None));
+        (r, correct, None)
+    };
+    let verdict = if correct { "correct" } else { "wrong" };
+    let _ = writeln!(
+        out,
+        "{r}\noutput {} versus the oracle",
+        verdict.to_uppercase()
+    );
+    let Some(mut rec) = rec else {
+        return Ok(out);
+    };
+    rec.export_journal_metrics();
+    let journal_note = f
+        .journal
+        .as_deref()
+        .map(|path| write_journal(path, rec.journal()))
+        .transpose()?;
+    let journal_summary = rec.journal().summary_json();
+    let (registry, spans) = rec.into_parts();
+    if mode == DuplexMode::Stats && spans.dropped() > 0 {
+        // overflow reporting goes through the structured-logging facade
+        // (stderr JSONL), keeping stdout clean for --json
+        vds_obs::logging::log_with(
+            vds_obs::Level::Warn,
+            "cli",
+            "span records dropped — raise --trace-capacity",
+            &[
+                ("dropped", spans.dropped().into()),
+                ("capacity", (spans.capacity() as u64).into()),
+            ],
+        );
     }
-    let capacity = f.trace_capacity.unwrap_or(vds_obs::DEFAULT_SPAN_CAPACITY);
-    match recording.record(vds_obs::Recorder::with_span_capacity(capacity), 1) {
-        (Outcome::Run(report, correct), rec) => Ok((report, correct, Some(rec))),
-        (Outcome::Campaign(_), _) => unreachable!("a single run records a run report"),
+    if f.json {
+        // one serializer with every other `--json` report
+        let mut json = vds_obs::JsonObj::report(kind);
+        if let Some(program) = program {
+            json = json.str("program", program);
+        }
+        out = json
+            .str("verdict", verdict)
+            .raw("journal", &journal_summary)
+            .raw("metrics", &registry.to_json_object())
+            .finish();
+        out.push('\n');
+    } else if mode == DuplexMode::Stats {
+        let _ = write!(out, "\n---- metrics ----\n{registry}");
+    } else if mode == DuplexMode::Report {
+        let _ = write!(
+            out,
+            "\n---- folded span stacks (self sim-time; feed to inferno/flamegraph.pl) ----\n{}",
+            spans.to_folded()
+        );
     }
+    let metrics_note = f
+        .metrics
+        .as_deref()
+        .map(|path| write_metrics(path, &registry, Some(&spans)))
+        .transpose()?;
+    for note in [metrics_note, journal_note].into_iter().flatten() {
+        if f.json {
+            vds_obs::log_info!("cli", "{}", note.trim_end());
+        } else {
+            out.push_str(&note);
+        }
+    }
+    Ok(out)
 }
 
 fn parse_scheme(s: &str) -> Result<vds_core::Scheme, CliError> {
@@ -542,8 +592,6 @@ enum DuplexMode {
 /// (the same run with folded profiler stacks printed).
 fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
     use vds_core::micro_vds::MicroFault;
-    use vds_core::Victim;
-    use vds_fault::model::{FaultKind, FaultSite};
     let (spec, what) = match mode {
         DuplexMode::Plain => (&args::DUPLEX, "duplex"),
         DuplexMode::Stats => (&args::STATS, "stats"),
@@ -566,8 +614,8 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
     let (rounds, at) = rounds_and_fault_round(f.positional.iter().skip(1), &f, what)?;
     let fault = at.map(|at_round| MicroFault {
         at_round,
-        victim: Victim::V2,
-        kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
+        victim: vds_core::Victim::V2,
+        kind: MicroFault::CANONICAL_KIND,
     });
     let params = RunParams {
         scheme,
@@ -575,57 +623,7 @@ fn cmd_duplex(args: &[String], mode: DuplexMode) -> Result<String, CliError> {
         s: 10,
         rounds,
     };
-    let recording = Recording::Micro(params, fault);
-    // recording costs a little time, so the plain path stays unrecorded
-    let record = mode != DuplexMode::Plain
-        || f.metrics.is_some()
-        || f.trace_capacity.is_some()
-        || f.journal.is_some();
-    let (r, correct, rec) = run_duplex(&recording, record, &f)?;
-    let verdict = if correct {
-        "output CORRECT"
-    } else {
-        "output WRONG"
-    };
-    let mut out = format!("{r}\n{verdict} versus the oracle\n");
-    if let Some(rec) = rec {
-        finish_recorded(rec, &f, &mut out, |out, journal, registry, spans| {
-            if mode == DuplexMode::Stats {
-                // overflow reporting goes through the structured-logging
-                // facade (stderr JSONL), keeping stdout clean for --json
-                if spans.dropped() > 0 {
-                    vds_obs::logging::log_with(
-                        vds_obs::Level::Warn,
-                        "cli",
-                        "span records dropped — raise --trace-capacity",
-                        &[
-                            ("dropped", spans.dropped().into()),
-                            ("capacity", (spans.capacity() as u64).into()),
-                        ],
-                    );
-                }
-                if f.json {
-                    // one serializer with every other `--json` report
-                    *out = vds_obs::JsonObj::report("stats")
-                        .str("verdict", if correct { "correct" } else { "wrong" })
-                        .raw("journal", journal)
-                        .raw("metrics", &registry.to_json_object())
-                        .finish();
-                    out.push('\n');
-                } else {
-                    let _ = write!(out, "\n---- metrics ----\n{registry}");
-                }
-            }
-            if mode == DuplexMode::Report {
-                let _ = write!(
-                    out,
-                    "\n---- folded span stacks (self sim-time; feed to inferno/flamegraph.pl) ----\n{}",
-                    spans.to_folded()
-                );
-            }
-        })?;
-    }
-    Ok(out)
+    run_and_render(&Recording::Micro(params, fault), what, mode, &f)
 }
 
 fn cmd_experiment(args: &[String]) -> Result<String, CliError> {
@@ -1046,6 +1044,41 @@ mod tests {
         // byte-stable for the fixed seed
         let again = run(&["stats", "smt-det", "12", "4", "--json"]).unwrap();
         assert_eq!(out, again);
+    }
+
+    #[test]
+    fn duplex_json_is_the_report_envelope_on_both_workloads() {
+        // the micro run `stats --json` records, under its own kind
+        let duplex = run(&["duplex", "smt-det", "12", "4", "--json"]).unwrap();
+        let stats = run(&["stats", "smt-det", "12", "4", "--json"]).unwrap();
+        assert_eq!(
+            duplex,
+            stats.replacen("\"kind\":\"stats\"", "\"kind\":\"duplex\"", 1)
+        );
+        assert!(duplex.ends_with("}\n") && !duplex.contains("output CORRECT"));
+        let report = run(&["report", "smt-det", "12", "4", "--json"]).unwrap();
+        assert!(!report.contains("folded span stacks"), "{report}");
+        // and the VM workload through `duplex` is `vm duplex`'s envelope
+        let vm = run(&[
+            "duplex",
+            "smt-det",
+            "12",
+            "4",
+            "--workload",
+            "vm:checksum",
+            "--json",
+        ])
+        .unwrap();
+        assert_eq!(
+            vm,
+            run(&["vm", "duplex", "checksum", "12", "4", "--json"]).unwrap()
+        );
+        assert!(
+            vm.starts_with(
+                "{\"schema\":\"vds.report.v1\",\"kind\":\"vm-duplex\",\"program\":\"checksum\""
+            ),
+            "{vm}"
+        );
     }
 
     #[test]

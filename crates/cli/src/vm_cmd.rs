@@ -14,9 +14,7 @@
 //! `vds duplex --workload vm:<program>` routes here too, so the micro
 //! and VM workloads share one flag vocabulary.
 
-use crate::{
-    args, finish_recorded, parse_num, rounds_and_fault_round, run_duplex, CliError, Flags,
-};
+use crate::{args, parse_num, rounds_and_fault_round, run_and_render, CliError, DuplexMode, Flags};
 use std::fmt::Write as _;
 use vds_core::recording::{Recording, RunParams};
 use vds_core::vm_vds::{VmConfig, VmFault};
@@ -193,9 +191,8 @@ pub(crate) fn duplex_via_workload(f: &Flags, workload: &str) -> Result<String, C
 }
 
 /// The shared VM duplex runner: read the `[rounds] [fault-round]`
-/// positionals in `rest`, build the recording, run it (recorded when any
-/// recording surface is requested), price the journal, and render the
-/// same report shape as `vds duplex`.
+/// positionals in `rest`, build the recording, and run and render it as
+/// `vds duplex` does, under the JSON kind `vm-duplex`.
 fn run_vm_duplex_cli<'a>(
     sp: &SeedProgram,
     scheme: vds_core::Scheme,
@@ -212,7 +209,7 @@ fn run_vm_duplex_cli<'a>(
             // round to 3 when no positional was given)
             let (site, victim) = match spec {
                 Some(s) => parse_vm_fault_spec(s)?,
-                None => (VmFaultSite::Reg { index: 1, bit: 5 }, Victim::V2),
+                None => (VmFault::CANONICAL_SITE, Victim::V2),
             };
             Some(VmFault {
                 at_round: at.unwrap_or(3),
@@ -228,32 +225,7 @@ fn run_vm_duplex_cli<'a>(
         rounds,
     };
     let recording = Recording::Vm(params, sp.name.to_string(), fault);
-    let record = f.metrics.is_some() || f.trace_capacity.is_some() || f.journal.is_some() || f.json;
-    let (r, correct, rec) = run_duplex(&recording, record, f)?;
-    let verdict = if correct {
-        "output CORRECT"
-    } else {
-        "output WRONG"
-    };
-    let mut out = format!(
-        "{} on {}\n{r}\n{verdict} versus the oracle\n",
-        sp.name,
-        scheme.name()
-    );
-    if let Some(rec) = rec {
-        finish_recorded(rec, f, &mut out, |out, journal, registry, _| {
-            if f.json {
-                *out = vds_obs::JsonObj::report("vm-duplex")
-                    .str("program", sp.name)
-                    .str("verdict", if correct { "correct" } else { "wrong" })
-                    .raw("journal", journal)
-                    .raw("metrics", &registry.to_json_object())
-                    .finish();
-                out.push('\n');
-            }
-        })?;
-    }
-    Ok(out)
+    run_and_render(&recording, "vm-duplex", DuplexMode::Plain, f)
 }
 
 #[cfg(test)]

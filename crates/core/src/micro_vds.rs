@@ -36,7 +36,7 @@ use crate::workload;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_checkpoint::digest::{digest_words, StateDigest};
-use vds_fault::model::FaultKind;
+use vds_fault::model::{FaultKind, FaultSite};
 use vds_obs::journal::Verdict;
 use vds_obs::{obs_end_span, obs_span, obs_span_on};
 use vds_obs::{NoopRecorder, Record};
@@ -66,9 +66,6 @@ pub struct MicroConfig {
     pub seed: u64,
     /// Core configuration (derived from the scheme by [`MicroConfig::new`]).
     pub core: CoreConfig,
-    /// Round budget baked into the workload program (must comfortably
-    /// exceed the target plus replays).
-    pub workload_rounds: u32,
     /// Run *diverse* versions (the VDS design). Disable to run three
     /// identical copies — the ablation that shows why diversity matters
     /// for permanent faults (they then corrupt all versions alike and
@@ -104,7 +101,6 @@ impl MicroConfig {
             p_correct: 0.5,
             seed: crate::DEFAULT_SEED,
             core,
-            workload_rounds: 1_000_000,
             diversity: true,
         }
     }
@@ -122,8 +118,30 @@ pub struct MicroFault {
     pub kind: FaultKind,
 }
 
+impl MicroFault {
+    /// The fault `vds duplex` places at its fault round and a faulty
+    /// micro sweep cell places once per mission: a transient flip of bit
+    /// 9 of data word 4 (state word S[2]), which every scheme detects in
+    /// the round it strikes.
+    pub const CANONICAL_KIND: FaultKind =
+        FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 });
+}
+
 /// Per-round cycle budget guard.
 const ROUND_BUDGET: u64 = 5_000_000;
+
+/// Rounds baked into the workload program of a run to `target_rounds`:
+/// twice the target plus 64, so the budget stays ahead of the target plus
+/// recovery replays, and never less than 1,000,000. The budget is the
+/// initial value of a compared state word, so the floor keeps every run
+/// to 499,968 rounds byte-identical. Saturates at `u32::MAX`.
+fn workload_rounds(target_rounds: u64) -> u32 {
+    u32::try_from(target_rounds)
+        .unwrap_or(u32::MAX)
+        .saturating_mul(2)
+        .saturating_add(64)
+        .max(1_000_000)
+}
 
 /// The cycle-level SMT platform as a duplex backend.
 struct Micro {
@@ -151,8 +169,13 @@ struct Seg {
 }
 
 impl Micro {
-    fn new(cfg: MicroConfig, fault: Option<MicroFault>, record_windows: bool) -> Self {
-        let base = workload::build(cfg.workload_rounds);
+    fn new(
+        cfg: MicroConfig,
+        fault: Option<MicroFault>,
+        target_rounds: u64,
+        record_windows: bool,
+    ) -> Self {
+        let base = workload::build(workload_rounds(target_rounds));
         let progs = [1, 2, 3].map(|k| {
             if cfg.diversity {
                 vds_diversity::diversify(&base, k, cfg.seed)
@@ -741,7 +764,7 @@ pub fn run_micro_with_recorder<R: Record>(
     target_rounds: u64,
     rec: R,
 ) -> (RunReport, Vec<u32>, R) {
-    let backend = Micro::new(cfg.clone(), fault, rec.is_active());
+    let backend = Micro::new(cfg.clone(), fault, target_rounds, rec.is_active());
     Duplex::new(backend, rec).run(target_rounds)
 }
 
@@ -749,7 +772,6 @@ pub fn run_micro_with_recorder<R: Record>(
 mod tests {
     use super::*;
     use crate::recording::{recorded, Recording, RunParams};
-    use vds_fault::model::FaultSite;
     use vds_obs::journal::Action as JournalAction;
     use vds_obs::journal::Verdict as JournalVerdict;
     use vds_obs::Recorder;
@@ -802,7 +824,7 @@ mod tests {
     fn steady_rounds_replay_in_the_smt_core() {
         for scheme in [Scheme::SmtProbabilistic, Scheme::SmtBoosted3] {
             let cfg = MicroConfig::new(scheme, 8);
-            let mut d = Duplex::new(Micro::new(cfg, None, true), NoopRecorder);
+            let mut d = Duplex::new(Micro::new(cfg, None, 40, true), NoopRecorder);
             for _ in 0..40 {
                 d.step(1);
             }
@@ -952,6 +974,30 @@ mod tests {
                 ..(workload::ADDR_STATE + workload::STATE_WORDS) as usize],
             &want[..]
         );
+    }
+
+    #[test]
+    fn workload_budget_keeps_the_pinned_floor_and_saturates() {
+        for target in [0, 1, 40, 30_000, 499_968] {
+            assert_eq!(workload_rounds(target), 1_000_000, "{target}");
+        }
+        assert_eq!(workload_rounds(499_969), 1_000_002);
+        // `vds duplex smt-det 1000010` once ran out of a fixed 1,000,000
+        assert_eq!(workload_rounds(1_000_010), 2_000_084);
+        // the largest target whose budget is still exact, and past it
+        assert_eq!(workload_rounds(2_147_483_615), u32::MAX - 1);
+        assert_eq!(workload_rounds(2_147_483_616), u32::MAX);
+        assert_eq!(workload_rounds(u64::MAX), u32::MAX);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn workload_budget_covers_twice_the_target(target in 0u64..=2_147_483_615) {
+            proptest::prop_assert!(u64::from(workload_rounds(target)) >= 2 * target + 64);
+            if target <= 499_968 {
+                proptest::prop_assert_eq!(workload_rounds(target), 1_000_000);
+            }
+        }
     }
 
     // Every micro fault spec `vds replay` accepts from a journal header

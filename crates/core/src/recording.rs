@@ -726,7 +726,7 @@ mod tests {
     fn every_recording_survives_its_header() {
         // fault specs round-trip in vds-fault; here every variant under
         // every scheme, single runs with no fault and with one per victim
-        let mem = FaultKind::Transient(vds_fault::model::FaultSite::Memory { addr: 4, bit: 9 });
+        let mem = MicroFault::CANONICAL_KIND;
         let pc = VmFaultSite::Pc { bit: 9 };
         for (i, scheme) in Scheme::ALL.into_iter().enumerate() {
             let (seed, rounds) = (i as u64 * 7, 10 + i as u64);

@@ -91,6 +91,14 @@ pub struct VmFault {
     pub site: VmFaultSite,
 }
 
+impl VmFault {
+    /// The site `vds vm duplex` flips at its fault round when no
+    /// `--fault` names one, and a faulty VM sweep cell flips once per
+    /// mission: bit 5 of register 1, a live register every seed program
+    /// either detects or masks, never lets escape.
+    pub const CANONICAL_SITE: VmFaultSite = VmFaultSite::Reg { index: 1, bit: 5 };
+}
+
 /// What [`VmDuplex::maybe_inject`] hands back for one round: an
 /// in-flight flip as (victim slot, plan), and/or a literal-pool flip
 /// as (victim slot, lit index, bit) that the caller reverts after the
@@ -458,7 +466,7 @@ mod tests {
         let f = VmFault {
             at_round: 3,
             victim: Victim::V2,
-            site: VmFaultSite::Reg { index: 1, bit: 5 },
+            site: VmFault::CANONICAL_SITE,
         };
         for sp in vds_vm::SEED_PROGRAMS {
             let c = cfg(sp.name);
@@ -643,7 +651,7 @@ mod tests {
         let f = VmFault {
             at_round: 3,
             victim: Victim::V2,
-            site: VmFaultSite::Reg { index: 1, bit: 5 },
+            site: VmFault::CANONICAL_SITE,
         };
         let (r, rec) = recorded(&recording("strhash", f, 10));
         assert_eq!(r.committed_rounds, 10);

@@ -13,10 +13,11 @@
 //! trial index (independent of `workers`), each shard accumulates its
 //! trials in index order, and shards merge in shard order. Worker threads
 //! only decide *who* computes a shard, never what it contains or when it
-//! is merged.
+//! is merged. The shards run on [`ordered_map`], the one parallel loop
+//! the workspace has; `vds_sweep` runs its grid cells on it too.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use vds_obs::{JournalHeader, Recorder, Registry, Summary};
 
@@ -182,6 +183,39 @@ fn shard_bounds(n: u64, shards: u64, s: u64) -> (u64, u64) {
     (s * n / shards, (s + 1) * n / shards)
 }
 
+/// Map `f` over `0..n` on up to `workers` threads and return the results
+/// in index order. A shared cursor hands each worker the next unclaimed
+/// index, so a slow item never holds up the rest; threads decide only
+/// *who* computes an item, never what it holds or where it lands, so the
+/// result is the same for any worker count.
+pub fn ordered_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(i);
+                *slots[i].lock().expect("no worker panics holding a slot") = Some(value);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let value = slot.into_inner().expect("no worker panics holding a slot");
+            value.expect("every index is mapped")
+        })
+        .collect()
+}
+
 fn run_campaign_impl<F>(
     component: &'static str,
     n: u64,
@@ -193,58 +227,43 @@ fn run_campaign_impl<F>(
 where
     F: Fn(u64, &mut Recorder) -> TrialResult + Sync,
 {
-    let workers = workers.max(1);
     let shards = n.clamp(1, LOGICAL_SHARDS);
-    let slots: Vec<Mutex<Option<(CampaignReport, Recorder)>>> =
-        (0..shards).map(|_| Mutex::new(None)).collect();
-    let next = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(shards as usize) {
-            scope.spawn(|| loop {
-                let s = next.fetch_add(1, Ordering::Relaxed);
-                if s >= shards {
-                    break;
-                }
-                let (lo, hi) = shard_bounds(n, shards, s);
-                let mut local = CampaignReport::default();
-                // Span merging is shard-ordered, so a shard keeps exactly
-                // its own spans (one per shard plus one per trial) on the
-                // trial-index time axis.
-                let mut rec = Recorder::with_span_capacity((hi - lo) as usize + 1);
-                if let Some(h) = journal {
-                    // trials record journal entries into the shard
-                    // recorder; shard journals concatenate in shard (=
-                    // trial) order below, so the merged journal is
-                    // worker-count invariant like everything else.
-                    rec.enable_journal(h.clone());
-                }
-                let shard_g = rec.span(component, "shard", lo as f64);
-                for i in lo..hi {
-                    let trial_g = rec.span(component, "trial", i as f64);
-                    local.absorb(trial(i, &mut rec));
-                    rec.end_span(trial_g, (i + 1) as f64);
-                    if let Some(m) = monitor {
-                        m.trial_done();
-                    }
-                }
-                rec.end_span_with(shard_g, hi as f64, vec![("shard", s.into())]);
-                if let Some(m) = monitor {
-                    m.shard_done(rec.registry());
-                }
-                *slots[s as usize].lock().unwrap() = Some((local, rec));
-            });
+    let shard_runs = ordered_map(shards as usize, workers, |s| {
+        let s = s as u64;
+        let (lo, hi) = shard_bounds(n, shards, s);
+        let mut local = CampaignReport::default();
+        // Span merging is shard-ordered, so a shard keeps exactly its own
+        // spans (one per shard plus one per trial) on the trial-index
+        // time axis.
+        let mut rec = Recorder::with_span_capacity((hi - lo) as usize + 1);
+        if let Some(h) = journal {
+            // trials record journal entries into the shard recorder;
+            // shard journals concatenate in shard (= trial) order below,
+            // so the merged journal is worker-count invariant like
+            // everything else.
+            rec.enable_journal(h.clone());
         }
+        let shard_g = rec.span(component, "shard", lo as f64);
+        for i in lo..hi {
+            let trial_g = rec.span(component, "trial", i as f64);
+            local.absorb(trial(i, &mut rec));
+            rec.end_span(trial_g, (i + 1) as f64);
+            if let Some(m) = monitor {
+                m.trial_done();
+            }
+        }
+        rec.end_span_with(shard_g, hi as f64, vec![("shard", s.into())]);
+        if let Some(m) = monitor {
+            m.shard_done(rec.registry());
+        }
+        (local, rec)
     });
     let mut report = CampaignReport::default();
     let mut rec = Recorder::new();
     if let Some(h) = journal {
         rec.enable_journal(h.clone());
     }
-    for slot in slots {
-        let (shard_report, shard_rec) = slot
-            .into_inner()
-            .unwrap()
-            .expect("every logical shard completes");
+    for (shard_report, shard_rec) in shard_runs {
         report.merge(&shard_report);
         rec.merge(shard_rec);
     }
@@ -311,6 +330,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn ordered_map_returns_every_index_in_order_at_any_worker_count() {
+        let square = |i: usize| i * i;
+        let want: Vec<usize> = (0..100).map(square).collect();
+        for workers in [0, 1, 3, 8] {
+            assert_eq!(ordered_map(100, workers, square), want, "{workers} workers");
+        }
+        // more workers than items, and no items at all
+        assert_eq!(ordered_map(3, 8, square), [0, 1, 4]);
+        assert!(ordered_map(0, 4, square).is_empty());
+    }
 
     #[test]
     fn all_trials_counted() {

@@ -1,35 +1,31 @@
-//! The work-stealing sweep executor.
+//! The sweep executor.
 //!
-//! Cells are the work units: a shared atomic cursor hands each worker the
-//! next unclaimed cell (work stealing — a slow cell never blocks the
-//! rest), results land in per-cell slots and merge **in cell-index
-//! order**, so every export is byte-identical for any `--workers` count.
-//! The determinism contract is the same one `vds_fault::campaign` and the
-//! flight-recorder journal pin: threads decide *who* computes a cell,
+//! Every grid cell is a [`Recording`] run through
+//! [`Recording::run_single`] on the zero-sized [`NoopRecorder`], the same
+//! run `vds duplex`, `vds vm duplex` and `vds replay` make from the same
+//! coordinates. The cells run on [`vds_fault::campaign::ordered_map`],
+//! the campaign executor's parallel loop: a shared cursor hands each
+//! worker the next cell (a slow cell never blocks the rest) and results
+//! come back **in cell-index order**, so every export is byte-identical
+//! for any `--workers` count. Threads decide *who* computes a cell,
 //! never what it contains or where it lands.
 //!
-//! Two hot-path economies ride along:
-//!
-//! * the conventional reference run behind every cell's `G_round` is
-//!   **memoized** per `(backend, s, q, rounds)` — all α values and all
-//!   schemes at one grid point share a single baseline execution;
-//! * the engines' window digests use the batched
-//!   [`vds_obs::Digester128::push_words`] loop (state stays in registers
-//!   across the slice) and hash in place instead of copying data memory.
+//! The conventional reference run behind every cell's `G_round` is shared
+//! per [`Cell::baseline_key`] (`backend`, `s`, `q`, `rounds`): all α
+//! values and all schemes at one grid point divide by a single baseline
+//! run. The distinct baselines run first, on the same map, and the cells
+//! second.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use vds_analytic::{schemes, Params};
-use vds_core::abstract_vds::{self, AbstractConfig};
-use vds_core::micro_vds::{run_micro, MicroConfig, MicroFault};
-use vds_core::vm_vds::{run_vm_duplex, VmConfig, VmFault};
+use vds_core::abstract_vds::AbstractConfig;
+use vds_core::micro_vds::MicroFault;
+use vds_core::recording::{Recording, RunParams};
+use vds_core::vm_vds::VmFault;
 use vds_core::{FaultModel, RunReport, Scheme, Victim};
 use vds_desim::rng::child_seed;
-use vds_fault::campaign::CampaignMonitor;
-use vds_fault::model::{FaultKind, FaultSite};
-use vds_fault::vm::VmFaultSite;
-use vds_obs::Registry;
+use vds_fault::campaign::{ordered_map, CampaignMonitor};
+use vds_obs::{NoopRecorder, Registry};
 
 use crate::grid::{Backend, Cell, GridSpec};
 
@@ -50,7 +46,7 @@ pub struct CellResult {
     pub total_time: f64,
     /// Committed rounds per simulated time unit.
     pub throughput: f64,
-    /// Throughput relative to the memoized conventional reference at the
+    /// Throughput relative to the shared conventional reference at the
     /// same `(backend, s, q, rounds)` — the measured counterpart of
     /// Eq. (4)'s `G_round ≈ 1/α`.
     pub g_round: f64,
@@ -103,19 +99,14 @@ impl CellResult {
         } else {
             0.0
         };
-        let (params, p_correct) = match cell.backend {
-            Backend::Abstract => {
-                let cfg = abstract_config(&cell);
-                (cfg.params, cfg.p_correct)
-            }
-            // The micro and VM engines take no closed-form parameters:
-            // price them at the cell's α and s, the figures' β and the
-            // paper's p = 0.5. The blend uses phase-time ratios only, so
-            // cycle- or step-denominated reports price unchanged.
-            Backend::Micro | Backend::Vm => (Params::with_beta(cell.alpha, BETA, cell.s), 0.5),
-        };
+        // Every backend is priced at the cell's α and s, the figures' β
+        // and the paper's p = 0.5, which are exactly an abstract cell's
+        // engine inputs. The micro and VM engines take no closed-form
+        // parameters; the blend uses phase-time ratios only, so cycle- or
+        // step-denominated reports price unchanged.
+        let params = Params::with_beta(cell.alpha, BETA, cell.s);
         let predicted_g =
-            schemes::predicted_gain(cell.scheme.name(), &params, p_correct, &r.phase_times())
+            schemes::predicted_gain(cell.scheme.name(), &params, 0.5, &r.phase_times())
                 .unwrap_or(0.0);
         CellResult {
             cell,
@@ -173,131 +164,75 @@ pub struct SweepOutcome {
     pub registry: Registry,
     /// Cells reused from a resume journal.
     pub resumed: u64,
-    /// Baseline lookups served from the memo instead of re-executing the
-    /// conventional reference.
+    /// Computed cells that reuse a baseline run made for an earlier cell:
+    /// computed cells minus their distinct baseline keys.
     pub baseline_memo_hits: u64,
 }
 
-/// Rounds to bake into a micro cell's workload: twice the target plus
-/// 64, so the budget stays ahead of the target plus recovery replays.
-/// Saturates at `u32::MAX` for huge targets.
-fn micro_workload_rounds(rounds: u64) -> u32 {
-    u32::try_from(rounds)
-        .unwrap_or(u32::MAX)
-        .saturating_mul(2)
-        .saturating_add(64)
-}
-
-/// The abstract engine's configuration for a cell.
-fn abstract_config(cell: &Cell) -> AbstractConfig {
-    AbstractConfig::new(Params::with_beta(cell.alpha, BETA, cell.s), cell.scheme)
-}
-
-/// Execute one cell on its backend.
-fn execute(cell: &Cell) -> RunReport {
+/// The run a cell makes. The micro and VM platforms inject placed
+/// one-shot faults rather than a per-round Bernoulli draw, so q > 0
+/// places one seed-derived canonical fault per mission there
+/// ([`MicroFault::CANONICAL_KIND`], [`VmFault::CANONICAL_SITE`]).
+fn recording(cell: &Cell) -> Recording {
+    let p = RunParams {
+        scheme: cell.scheme,
+        seed: cell.seed,
+        s: cell.s,
+        rounds: cell.rounds,
+    };
+    let faulty = cell.q > 0.0;
+    let at_round = 1 + (cell.seed % u64::from(cell.s)) as u32;
+    let victim = if cell.seed & 1 == 0 {
+        Victim::V1
+    } else {
+        Victim::V2
+    };
     match cell.backend {
         Backend::Abstract => {
-            let cfg = abstract_config(cell);
-            let fm = if cell.q > 0.0 {
+            let cfg = AbstractConfig::new(Params::with_beta(cell.alpha, BETA, cell.s), cell.scheme);
+            let fault_model = if faulty {
                 FaultModel::PerRound { q: cell.q }
             } else {
                 FaultModel::None
             };
-            abstract_vds::run(&cfg, fm, cell.rounds, cell.seed)
+            Recording::abstract_run(&cfg, fault_model, cell.seed, cell.rounds)
+                .expect("with_beta params make a recording")
         }
-        Backend::Micro => {
-            let mut cfg = MicroConfig::new(cell.scheme, cell.s);
-            cfg.seed = cell.seed;
-            cfg.workload_rounds = cfg.workload_rounds.max(micro_workload_rounds(cell.rounds));
-            // The micro platform injects placed one-shot faults rather
-            // than a per-round Bernoulli draw; q > 0 selects one
-            // seed-derived transient memory fault per mission.
-            let fault = if cell.q > 0.0 {
-                let at = 1 + (cell.seed % u64::from(cell.s)) as u32;
-                let victim = if cell.seed & 1 == 0 {
-                    Victim::V1
-                } else {
-                    Victim::V2
-                };
-                Some(MicroFault {
-                    at_round: at,
-                    victim,
-                    kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
-                })
-            } else {
-                None
-            };
-            run_micro(&cfg, fault, cell.rounds)
-        }
-        Backend::Vm => {
-            let mut cfg = VmConfig::new(&cell.program);
-            cfg.scheme = cell.scheme;
-            cfg.s = cell.s;
-            cfg.seed = cell.seed;
-            // Like the micro platform: q > 0 selects one seed-derived
-            // placed fault per mission — a live-register flip, the site
-            // class every seed program detects or masks (never escapes).
-            let fault = if cell.q > 0.0 {
-                Some(VmFault {
-                    at_round: 1 + (cell.seed % u64::from(cell.s)) as u32,
-                    victim: if cell.seed & 1 == 0 {
-                        Victim::V1
-                    } else {
-                        Victim::V2
-                    },
-                    site: VmFaultSite::Reg { index: 1, bit: 5 },
-                })
-            } else {
-                None
-            };
-            run_vm_duplex(&cfg, fault, cell.rounds)
-        }
+        Backend::Micro => Recording::Micro(
+            p,
+            faulty.then_some(MicroFault {
+                at_round,
+                victim,
+                kind: MicroFault::CANONICAL_KIND,
+            }),
+        ),
+        Backend::Vm => Recording::Vm(
+            p,
+            cell.program.clone(),
+            faulty.then_some(VmFault {
+                at_round,
+                victim,
+                site: VmFault::CANONICAL_SITE,
+            }),
+        ),
     }
 }
 
-/// Memoized conventional reference throughputs, keyed by
-/// [`Cell::baseline_key`]. The first worker to need a key computes it
-/// (under a per-key [`OnceLock`], so others block on that key only);
-/// everyone else reuses the value. The computed number depends only on
-/// the key and the base seed — never on which worker got there first.
-struct BaselineCache {
-    map: Mutex<BTreeMap<String, Arc<OnceLock<f64>>>>,
-    hits: AtomicU64,
+/// The run report of a cell.
+fn run(cell: &Cell) -> RunReport {
+    recording(cell).run_single(NoopRecorder).0
 }
 
-impl BaselineCache {
-    fn new() -> Self {
-        BaselineCache {
-            map: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    fn conventional_throughput(&self, cell: &Cell, base_seed: u64) -> f64 {
-        let key = cell.baseline_key();
-        let slot = {
-            let mut m = self.map.lock().unwrap();
-            match m.get(&key) {
-                Some(s) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(s)
-                }
-                None => {
-                    let s = Arc::new(OnceLock::new());
-                    m.insert(key, Arc::clone(&s));
-                    s
-                }
-            }
-        };
-        *slot.get_or_init(|| {
-            let mut b = cell.clone();
-            b.scheme = Scheme::Conventional;
-            // α does not enter conventional timing; pin it so the
-            // reference is literally the same run for every α row
-            b.alpha = 0.65;
-            b.seed = child_seed(base_seed, &format!("baseline|{}", b.baseline_key()));
-            execute(&b).throughput()
-        })
+/// The conventional reference run behind `cell`'s `G_round`. α does not
+/// enter conventional timing, so it is pinned and the reference is
+/// literally the same run for every α row; its seed derives from the
+/// baseline key alone.
+fn baseline(cell: &Cell, base_seed: u64) -> Cell {
+    Cell {
+        scheme: Scheme::Conventional,
+        alpha: 0.65,
+        seed: child_seed(base_seed, &format!("baseline|{}", cell.baseline_key())),
+        ..cell.clone()
     }
 }
 
@@ -363,55 +298,45 @@ pub fn run_sweep(
 ) -> SweepOutcome {
     spec.validate().expect("validated grid");
     let cells = spec.cells();
-    let workers = workers.max(1).min(cells.len().max(1));
-    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicU64::new(0);
-    let resumed = AtomicU64::new(0);
-    let baseline = BaselineCache::new();
     // one α-attribution measurement per sweep, taken up front on this
     // thread so the stamp never depends on worker scheduling
     let (measured_alpha, dominant_stall) = measured_alpha_stamp();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if k >= cells.len() {
-                    break;
-                }
-                let cell = &cells[k];
-                let (res, was_resumed) = match resume.get(&cell.index) {
-                    Some(prev) => {
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        (prev.clone(), true)
-                    }
-                    None => {
-                        let conv = baseline.conventional_throughput(cell, spec.base_seed);
-                        let report = execute(cell);
-                        let mut res = CellResult::from_report(cell.clone(), &report, conv);
-                        res.measured_alpha = measured_alpha;
-                        res.dominant_stall = dominant_stall.clone();
-                        (res, false)
-                    }
-                };
-                if !was_resumed {
-                    if let Some(cb) = on_cell {
-                        cb(&res);
-                    }
-                }
-                if let Some(m) = monitor {
-                    m.trial_done();
-                    m.shard_done(&cell_registry(&res, was_resumed));
-                }
-                *slots[k].lock().unwrap() = Some(res);
-            });
-        }
+    // the distinct baselines of the cells still to compute, run first
+    let mut firsts: BTreeMap<String, &Cell> = BTreeMap::new();
+    let mut computed = 0;
+    for cell in cells.iter().filter(|c| !resume.contains_key(&c.index)) {
+        firsts.entry(cell.baseline_key()).or_insert(cell);
+        computed += 1;
+    }
+    let refs: Vec<&Cell> = firsts.values().copied().collect();
+    let throughputs = ordered_map(refs.len(), workers, |k| {
+        run(&baseline(refs[k], spec.base_seed)).throughput()
     });
-    let results: Vec<CellResult> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every cell completes"))
-        .collect();
-    let resumed = resumed.into_inner();
-    let baseline_memo_hits = baseline.hits.into_inner();
+    let baselines: BTreeMap<String, f64> = firsts.into_keys().zip(throughputs).collect();
+    let results = ordered_map(cells.len(), workers, |k| {
+        let cell = &cells[k];
+        let (res, was_resumed) = match resume.get(&cell.index) {
+            Some(prev) => (prev.clone(), true),
+            None => {
+                let conv = baselines[&cell.baseline_key()];
+                let mut res = CellResult::from_report(cell.clone(), &run(cell), conv);
+                res.measured_alpha = measured_alpha;
+                res.dominant_stall = dominant_stall.clone();
+                if let Some(cb) = on_cell {
+                    cb(&res);
+                }
+                (res, false)
+            }
+        };
+        if let Some(m) = monitor {
+            m.trial_done();
+            m.shard_done(&cell_registry(&res, was_resumed));
+        }
+        res
+    });
+    let resumed = (cells.len() - computed) as u64;
+    // every computed cell after the first at its baseline key reuses it
+    let baseline_memo_hits = (computed - baselines.len()) as u64;
     // canonical registry, rebuilt single-threaded in index order
     let mut registry = Registry::new();
     registry.count("sweep.cells_total", cells.len() as u64);
@@ -432,6 +357,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn small_grid() -> GridSpec {
         GridSpec::parse_inline(
@@ -517,8 +443,9 @@ mod tests {
         assert_eq!(g.schemes, Scheme::ALL.to_vec());
         let out = run_sweep(&g, 2, None, &BTreeMap::new(), None);
         for r in &out.results {
-            let report = execute(&r.cell);
-            let conf = vds_core::conformance::assess(&abstract_config(&r.cell), &report).unwrap();
+            let p = Params::with_beta(r.cell.alpha, BETA, r.cell.s);
+            let cfg = AbstractConfig::new(p, r.cell.scheme);
+            let conf = vds_core::conformance::assess(&cfg, &run(&r.cell)).unwrap();
             assert_eq!(r.predicted_g, conf.predicted_g, "{}", r.cell.key());
         }
         assert!(out.results.iter().any(|r| r.detections > 0));
@@ -586,17 +513,6 @@ mod tests {
             resumed_run.registry.counter("sweep.cells_resumed"),
             half.len() as u64
         );
-    }
-
-    #[test]
-    fn micro_workload_sizing_saturates_instead_of_overflowing() {
-        assert_eq!(micro_workload_rounds(0), 64);
-        assert_eq!(micro_workload_rounds(500), 1064);
-        // the largest target whose budget is still exact, and the next
-        assert_eq!(micro_workload_rounds(2_147_483_615), u32::MAX - 1);
-        assert_eq!(micro_workload_rounds(2_147_483_616), u32::MAX);
-        assert_eq!(micro_workload_rounds(1 << 31), u32::MAX);
-        assert_eq!(micro_workload_rounds(u64::MAX), u32::MAX);
     }
 
     #[test]

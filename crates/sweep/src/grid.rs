@@ -143,8 +143,8 @@ impl Cell {
     }
 
     /// Coordinates shared by every cell that differs only in scheme/α —
-    /// the memoization key for the conventional reference run (G_round's
-    /// denominator), which none of those axes affect.
+    /// the key of the one conventional reference run (G_round's
+    /// denominator) they share, since none of those axes affect it.
     pub fn baseline_key(&self) -> String {
         let mut k = format!(
             "s{}|q{}|{}|r{}",

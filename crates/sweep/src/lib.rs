@@ -11,9 +11,10 @@
 //!    syntax or a minimal TOML file) expands into row-major [`Cell`]s,
 //!    each with an RNG seed derived from its *coordinates* via
 //!    `vds_desim::rng::child_seed`, never from position or scheduling.
-//! 2. [`engine`] — [`run_sweep`] executes the cells across worker
-//!    threads with a work-stealing cursor; results merge in index order,
-//!    the conventional reference behind every `G_round` is memoized per
+//! 2. [`engine`] — [`run_sweep`] runs each cell as the
+//!    `vds_core::recording::Recording` of its backend on the campaign
+//!    executor's ordered parallel map; results come back in index order,
+//!    the conventional reference behind every `G_round` runs once per
 //!    `(backend, s, q, rounds)`, and a canonical `sweep.*`
 //!    [`vds_obs::Registry`] is rebuilt single-threaded at the end.
 //! 3. [`export`] — CSV / JSONL heatmap exports of the index-ordered

@@ -8,7 +8,6 @@ use vds::analytic::{predictive, rollforward, timing, Params};
 use vds::core::abstract_vds::{run, AbstractConfig};
 use vds::core::micro_vds::{run_micro_with_recorder, MicroConfig, MicroFault};
 use vds::core::{FaultModel, Scheme, Victim};
-use vds::fault::model::{FaultKind, FaultSite};
 
 fn main() {
     // The paper's operating point: α = 0.65 (Pentium 4), β = 0.1, s = 20.
@@ -64,7 +63,7 @@ fn main() {
     let fault = MicroFault {
         at_round: 4,
         victim: Victim::V2,
-        kind: FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 }),
+        kind: MicroFault::CANONICAL_KIND,
     };
     let (report, _, rec) =
         run_micro_with_recorder(&cfg, Some(fault), 15, vds::obs::Recorder::new());
