@@ -43,6 +43,9 @@
 //!   grid evaluations.
 //! * [`multithread`] — §5 outlook: ≥3 hardware threads and the
 //!   clock-frequency-reduction trade.
+//! * [`schemes`] — the six recovery schemes as one [`Scheme`] enum: each
+//!   scheme's roll-forward length, round and recovery times, steady-state
+//!   gain ḡ, and the whole-run gain blend.
 //! * [`checkpointing`] — the §2.2 interval trade-off as a closed form
 //!   (Young-style square-root law), validated against experiment E12.
 //! * [`math`] — harmonic sums and the logarithmic tail approximations the
@@ -74,3 +77,4 @@ pub mod schemes;
 pub mod timing;
 
 pub use params::Params;
+pub use schemes::Scheme;

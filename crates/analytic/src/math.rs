@@ -34,16 +34,6 @@ pub mod consts {
     }
 }
 
-/// Clamp the roll-forward length at the checkpoint horizon: when the scheme
-/// intends to advance `x` rounds after a fault at round `i` with checkpoint
-/// interval `s`, it really advances `min(x, s − i)` rounds (real-valued,
-/// following the paper's "we do not consider the detail that i/2 may not be
-/// an integer").
-pub fn clamp_rollforward(x: f64, s: u32, i: u32) -> f64 {
-    debug_assert!(i >= 1 && i <= s);
-    x.min(f64::from(s) - f64::from(i)).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,15 +75,5 @@ mod tests {
         assert!((consts::ln_5_4() - 0.2231).abs() < 5e-4);
         assert!((consts::ln_3_2() - 0.4055).abs() < 5e-4);
         assert!((consts::LN_2 - 0.6931).abs() < 5e-4);
-    }
-
-    #[test]
-    fn clamp_behaviour() {
-        // fault early: full roll-forward
-        assert_eq!(clamp_rollforward(5.0, 20, 4), 5.0);
-        // fault late: clipped to the checkpoint horizon
-        assert_eq!(clamp_rollforward(5.0, 20, 18), 2.0);
-        // fault at the checkpoint: nothing to gain
-        assert_eq!(clamp_rollforward(5.0, 20, 20), 0.0);
     }
 }

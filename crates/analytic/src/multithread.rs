@@ -29,8 +29,9 @@
 //! machine saturates faster (shared issue width); callers can override
 //! `alpha_k` with measurements from `vds-smtsim`.
 
-use crate::math::{clamp_rollforward, consts::LN_2};
+use crate::math::consts::LN_2;
 use crate::params::Params;
+use crate::schemes::Scheme;
 use crate::timing::{t1_corr, t1_round};
 
 /// Generalised contention factor `α_k` interpolated from the 2-way `α₂`.
@@ -61,14 +62,14 @@ pub fn boosted_corr_time(p: &Params, k: u32, i: u32) -> f64 {
 /// roll-forward is retained, so a wrong pick is discovered but useless).
 pub fn g_boost3_exact(p: &Params, i: u32, p_correct: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p_correct));
-    let progress = clamp_rollforward(f64::from(i), p.s, i);
+    let progress = Scheme::SmtBoosted3.progress(p, i);
     (t1_corr(p, i) + p_correct * progress * t1_round(p)) / boosted_corr_time(p, 3, i)
 }
 
 /// Exact gain of the 5-thread boosted deterministic scheme at round `i`:
 /// guaranteed progress `min(i, s−i)`.
 pub fn g_boost5_exact(p: &Params, i: u32) -> f64 {
-    let progress = clamp_rollforward(f64::from(i), p.s, i);
+    let progress = Scheme::SmtBoosted5.progress(p, i);
     (t1_corr(p, i) + progress * t1_round(p)) / boosted_corr_time(p, 5, i)
 }
 

@@ -1,5 +1,16 @@
 //! Model parameters.
 
+/// The paper's headline contention factor α: two co-scheduled rounds on
+/// the Pentium 4 with Hyper-Threading take `2·0.65·t`.
+pub const PAPER_ALPHA: f64 = 0.65;
+
+/// The overhead ratio `β = c/t = t'/t` (Eq. 14) of the paper's figures
+/// and headline gain.
+pub const PAPER_BETA: f64 = 0.1;
+
+/// The checkpoint interval of the paper's figures, in rounds.
+pub const PAPER_S: u32 = 20;
+
 /// Parameters of the VDS performance model.
 ///
 /// All times are in the same (arbitrary) unit; only ratios matter for the
@@ -28,7 +39,9 @@ impl Params {
     /// free `α`, given `s`.
     ///
     /// # Panics
-    /// Panics if `alpha ∉ [0.5, 1]`, `beta ∉ [0, 1]` or `s == 0`.
+    /// Panics if `alpha ∉ [0.5, 1]`, `beta` is negative or NaN, or
+    /// `s == 0`. A β above 1 is accepted: the paper calls it unrealistic,
+    /// not undefined.
     pub fn with_beta(alpha: f64, beta: f64, s: u32) -> Self {
         let p = Params {
             t: 1.0,
@@ -41,10 +54,10 @@ impl Params {
         p
     }
 
-    /// The paper's headline operating point: α = 0.65 (Pentium 4),
-    /// β = 0.1, s = 20.
+    /// The paper's headline operating point: [`PAPER_ALPHA`],
+    /// [`PAPER_BETA`], [`PAPER_S`] (α = 0.65, β = 0.1, s = 20).
     pub fn paper_default() -> Self {
-        Self::with_beta(0.65, 0.1, 20)
+        Self::with_beta(PAPER_ALPHA, PAPER_BETA, PAPER_S)
     }
 
     /// Check invariants; called by constructors, public for custom builds.
@@ -65,11 +78,6 @@ impl Params {
             self.alpha
         );
         assert!(self.s >= 1, "checkpoint interval s must be >= 1");
-    }
-
-    /// The β implied by the current `c` (paper normalisation `c = βt`).
-    pub fn beta_from_c(&self) -> f64 {
-        self.c / self.t
     }
 }
 
@@ -98,7 +106,6 @@ mod tests {
         let p = Params::with_beta(0.7, 0.25, 10);
         assert_eq!(p.c, 0.25);
         assert_eq!(p.t_cmp, 0.25);
-        assert_eq!(p.beta_from_c(), 0.25);
     }
 
     #[test]

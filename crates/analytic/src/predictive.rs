@@ -12,15 +12,9 @@
 //! * wrong guess → the roll-forward is worthless and the SMT system merely
 //!   matches a conventional retry (Eq. 11).
 
-use crate::math::clamp_rollforward;
 use crate::params::Params;
+use crate::schemes::Scheme;
 use crate::timing::{t1_corr, t1_round, tht2_corr};
-
-/// Roll-forward progress of the predictive scheme when the guess is
-/// correct: `min(i, s − i)` rounds.
-pub fn hit_progress(p: &Params, i: u32) -> f64 {
-    clamp_rollforward(f64::from(i), p.s, i)
-}
 
 /// Eqs. (9)–(10), exact: gain when the fault-free version was predicted
 /// correctly.
@@ -29,7 +23,7 @@ pub fn hit_progress(p: &Params, i: u32) -> f64 {
 /// `(3it + (2+i)t' + 2ic) / (2iαt + 2t')`, and for `i > s/2` to
 /// `((2s−i)t + (2+s−i)t' + 2(s−i)c) / (2iαt + 2t')`.
 pub fn g_hit_exact(p: &Params, i: u32) -> f64 {
-    (t1_corr(p, i) + hit_progress(p, i) * t1_round(p)) / tht2_corr(p, i)
+    (t1_corr(p, i) + Scheme::SmtPredictive.progress(p, i) * t1_round(p)) / tht2_corr(p, i)
 }
 
 /// Eq. (10), approximate: `3/(2α)` for `i ≤ s/2`, `(2s/i − 1)/(2α)` beyond.

@@ -16,32 +16,21 @@
 //!   rounds, otherwise zero.
 //!
 //! Roll-forward never crosses the checkpoint horizon: intended progress `x`
-//! becomes `min(x, s − i)`.
+//! becomes `min(x, s − i)` ([`Scheme::progress`]).
 //!
 //! The gain compares conventional correction time *plus* the conventional
 //! cost of the rounds the SMT system is now ahead by, against the SMT
 //! correction time:
 //! `G(i) = (T1_corr + progress·T1_round) / THT2_corr`.
 
-use crate::math::clamp_rollforward;
 use crate::params::Params;
+use crate::schemes::Scheme;
 use crate::timing::{t1_corr, t1_round, tht2_corr};
-
-/// Deterministic roll-forward progress after a fault at round `i`
-/// (real-valued, per the paper's integrality simplification).
-pub fn det_progress(p: &Params, i: u32) -> f64 {
-    clamp_rollforward(f64::from(i) / 4.0, p.s, i)
-}
-
-/// Probabilistic roll-forward progress, *conditional on a correct pick*.
-pub fn prob_progress(p: &Params, i: u32) -> f64 {
-    clamp_rollforward(f64::from(i) / 2.0, p.s, i)
-}
 
 /// Eq. (6), exact: gain of the deterministic scheme for a fault at round
 /// `i`.
 pub fn g_det_exact(p: &Params, i: u32) -> f64 {
-    (t1_corr(p, i) + det_progress(p, i) * t1_round(p)) / tht2_corr(p, i)
+    (t1_corr(p, i) + Scheme::SmtDeterministic.progress(p, i) * t1_round(p)) / tht2_corr(p, i)
 }
 
 /// Eq. (6), approximate (`c, t' ≪ t`):
@@ -81,7 +70,8 @@ pub fn det_alpha_threshold() -> f64 {
 /// expected catch-up value scales by `p_correct`.
 pub fn g_prob_exact(p: &Params, i: u32, p_correct: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p_correct));
-    (t1_corr(p, i) + p_correct * prob_progress(p, i) * t1_round(p)) / tht2_corr(p, i)
+    let progress = Scheme::SmtProbabilistic.progress(p, i);
+    (t1_corr(p, i) + p_correct * progress * t1_round(p)) / tht2_corr(p, i)
 }
 
 /// Average probabilistic gain over `i = 1..s`, exact.
@@ -104,20 +94,6 @@ mod tests {
 
     fn paper() -> Params {
         Params::paper_default()
-    }
-
-    #[test]
-    fn progress_clamps_at_checkpoint_horizon() {
-        let p = paper(); // s = 20
-                         // deterministic: x = i/4; clamp kicks in for i > 4s/5 = 16
-        assert_eq!(det_progress(&p, 8), 2.0);
-        assert_eq!(det_progress(&p, 16), 4.0);
-        assert_eq!(det_progress(&p, 18), 2.0); // s - i = 2 < 18/4
-        assert_eq!(det_progress(&p, 20), 0.0);
-        // probabilistic: x = i/2; clamp for i > 2s/3 ≈ 13.3
-        assert_eq!(prob_progress(&p, 10), 5.0);
-        assert_eq!(prob_progress(&p, 14), 6.0); // s - i = 6 < 7
-        assert_eq!(prob_progress(&p, 20), 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::Report;
 use std::fmt::Write as _;
 use vds_analytic::multithread::{alpha_k, dynamic_power_ratio, equal_performance_clock_ratio};
-use vds_analytic::{schemes, Params};
+use vds_analytic::Params;
 use vds_core::abstract_vds::AbstractConfig;
 use vds_core::gain::average_incident_gain;
 use vds_core::Scheme;
@@ -37,7 +37,7 @@ pub fn report() -> Report {
             (Scheme::SmtBoosted3, 1.0),
             (Scheme::SmtBoosted5, 1.0), // p irrelevant: guaranteed
         ] {
-            let analytic = schemes::gbar(scheme.name(), &params, p).expect("known scheme");
+            let analytic = scheme.gbar(&params, p);
             let cfg = AbstractConfig::new(params, scheme);
             let measured = average_incident_gain(&cfg, p);
             let _ = writeln!(
@@ -111,8 +111,8 @@ mod tests {
     fn boost3_with_perfect_pick_beats_two_thread_predictive() {
         // more parallel roll-forward at modest extra contention
         let params = Params::with_beta(0.65, 0.1, 20);
-        let b3 = schemes::gbar("smt-boost3", &params, 1.0).unwrap();
-        let p2 = schemes::gbar("smt-pred", &params, 1.0).unwrap();
+        let b3 = Scheme::SmtBoosted3.gbar(&params, 1.0);
+        let p2 = Scheme::SmtPredictive.gbar(&params, 1.0);
         // the 3-thread scheme retains detection during roll-forward yet
         // approaches the predictive scheme's progress
         assert!(b3 > 0.8 * p2, "b3={b3} p2={p2}");

@@ -151,6 +151,21 @@ mod tests {
     }
 
     #[test]
+    fn conformance_refuses_out_of_range_header_parameters() {
+        let p = tmp("edited-meta.journal.jsonl");
+        let ps = p.to_str().unwrap();
+        run(&["duplex", "smt-det", "15", "4", "--journal", ps]).unwrap();
+        let text = std::fs::read_to_string(&p).unwrap();
+        for meta in [r#""alpha":"0.4","#, r#""alpha":"NaN","#, r#""beta":"-1","#] {
+            let edited = text.replacen(r#""meta":{"#, &format!(r#""meta":{{{meta}"#), 1);
+            std::fs::write(&p, edited).unwrap();
+            let e = run(&["conformance", ps]).unwrap_err();
+            assert_eq!(e.code, 1, "{meta}: {}", e.msg);
+            assert!(e.msg.contains("needs alpha in [0.5, 1]"), "{}", e.msg);
+        }
+    }
+
+    #[test]
     fn conformance_rejects_headerless_and_missing_inputs() {
         let bare = tmp("no-header.jsonl");
         std::fs::write(&bare, "").unwrap();

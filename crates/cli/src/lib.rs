@@ -769,18 +769,19 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_gains(alpha: Option<&str>, beta: Option<&str>, p: Option<&str>) -> Result<String, CliError> {
+    use vds_analytic::params::{PAPER_ALPHA, PAPER_BETA, PAPER_S};
     use vds_analytic::{predictive, rollforward, timing, Params};
-    let alpha: f64 = alpha.map_or(Ok(0.65), |s| parse_num(s, "alpha"))?;
-    let beta: f64 = beta.map_or(Ok(0.1), |s| parse_num(s, "beta"))?;
+    let alpha: f64 = alpha.map_or(Ok(PAPER_ALPHA), |s| parse_num(s, "alpha"))?;
+    let beta: f64 = beta.map_or(Ok(PAPER_BETA), |s| parse_num(s, "beta"))?;
     let p: f64 = p.map_or(Ok(0.5), |s| parse_num(s, "p"))?;
     if !(0.5..=1.0).contains(&alpha) || !(0.0..=1.0).contains(&beta) || !(0.0..=1.0).contains(&p) {
         return Err(CliError::usage(
             "need alpha in [0.5,1], beta in [0,1], p in [0,1]",
         ));
     }
-    let params = Params::with_beta(alpha, beta, 20);
+    let params = Params::with_beta(alpha, beta, PAPER_S);
     let mut out = String::new();
-    let _ = writeln!(out, "α={alpha} β={beta} p={p} s=20");
+    let _ = writeln!(out, "α={alpha} β={beta} p={p} s={PAPER_S}");
     let _ = writeln!(
         out,
         "  G_round      = {:.4}   (Eq. 4)",

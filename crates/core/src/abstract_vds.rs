@@ -19,7 +19,7 @@ use crate::report::RunReport;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 use vds_analytic::multithread::alpha_k;
-use vds_analytic::{timing, Params};
+use vds_analytic::Params;
 use vds_desim::trace::SpanKind;
 use vds_obs::journal::Verdict;
 use vds_obs::{digest_words128, Digest128, NoopRecorder, Record, SpanRecord, Value};
@@ -145,10 +145,6 @@ impl<'a, 'p> Abstract<'a, 'p> {
         }
     }
 
-    fn is_smt(&self) -> bool {
-        self.cfg.scheme != Scheme::Conventional
-    }
-
     /// The Figure 1 spans of normal round `i` starting at `begin`: the
     /// versions' executions (and, conventionally, the context switches),
     /// then the comparison. Cold: runs only when a timeline is kept.
@@ -156,7 +152,7 @@ impl<'a, 'p> Abstract<'a, 'p> {
     fn round_spans(&mut self, i: u32, begin: f64) {
         let p = self.cfg.params;
         let mut clock = begin;
-        if self.is_smt() {
+        if self.cfg.scheme.is_smt() {
             let dur = 2.0 * p.alpha * p.t;
             self.span(0, clock, dur, SpanKind::Round, || format!("V1 R{i}"));
             self.span(1, clock, dur, SpanKind::Round, || format!("V2 R{i}"));
@@ -240,16 +236,13 @@ impl<'a, 'p> Abstract<'a, 'p> {
         let p = &self.cfg.params;
         let i_f = f64::from(i);
         match self.cfg.scheme {
-            Scheme::Conventional => timing::t1_corr(p, i),
-            Scheme::SmtDeterministic | Scheme::SmtProbabilistic | Scheme::SmtPredictive => {
-                timing::tht2_corr(p, i)
-            }
             // `multithread::boosted_corr_time` groups the product as
             // `i·((k·α_k)·t)` and differs from this `((i·k)·α_k)·t` in
             // the last ulp at some (α, k, i). Both are pinned: this one
             // by the engine's clock, the closed form by `predicted_g`.
             Scheme::SmtBoosted3 => i_f * 3.0 * alpha_k(p.alpha, 3) * p.t + 2.0 * p.t_cmp,
             Scheme::SmtBoosted5 => i_f * 5.0 * alpha_k(p.alpha, 5) * p.t + 2.0 * p.t_cmp,
+            scheme => scheme.corr_time(p, i),
         }
     }
 
@@ -366,7 +359,7 @@ impl Backend for Abstract<'_, '_> {
         // round is a detection exactly when it draws a fault
         debug_assert!(self.corrupt == [false, false] && self.crash.is_none());
         let p = self.cfg.params;
-        let smt = self.is_smt();
+        let smt = self.cfg.scheme.is_smt();
         let dur = 2.0 * p.alpha * p.t;
         let mut clock = self.clock;
         let mut time_normal = l.report.time_normal;
@@ -472,7 +465,7 @@ impl Backend for Abstract<'_, '_> {
     }
 
     fn sched(&self) -> String {
-        let kind = if self.is_smt() {
+        let kind = if self.cfg.scheme.is_smt() {
             "coschedule"
         } else {
             "alternate"
@@ -661,7 +654,7 @@ mod oracle;
 mod tests {
     use super::*;
     use crate::recording::{recorded, Recording};
-    use vds_analytic::schemes;
+    use vds_analytic::timing;
     use vds_obs::journal::Action as JournalAction;
     use vds_obs::journal::Verdict as JournalVerdict;
     use vds_obs::Recorder;
@@ -727,7 +720,7 @@ mod tests {
                 let engine = Abstract::new(&c, FaultModel::None, 0, None);
                 for i in 1..=40 {
                     let (got, name) = (engine.recovery_time(i), scheme.name());
-                    let want = schemes::corr_time(name, &params, i).unwrap();
+                    let want = scheme.corr_time(&params, i);
                     if scheme.threads_needed() <= 2 {
                         assert_eq!(got, want, "{name} α={alpha} i={i}");
                     }

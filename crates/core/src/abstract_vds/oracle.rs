@@ -63,7 +63,7 @@ impl PerRound<'_, '_> {
     fn execute<R: Record>(&mut self, l: &mut Ledger<R>, i: u32) -> Round {
         let p = self.0.cfg.params;
         let start = self.0.clock;
-        if self.0.is_smt() {
+        if self.0.cfg.scheme.is_smt() {
             let dur = 2.0 * p.alpha * p.t;
             self.span(0, dur, SpanKind::Round, || format!("V1 R{i}"));
             self.span(1, dur, SpanKind::Round, || format!("V2 R{i}"));

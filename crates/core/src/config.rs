@@ -1,101 +1,12 @@
-//! VDS scheme selection and fault plans.
+//! Fault plans, and the recovery [`Scheme`] every backend runs (defined
+//! with its closed forms in [`vds_analytic::schemes`], re-exported here).
+
+pub use vds_analytic::Scheme;
 
 /// Root seed of a micro or VM run unless `--seed` (or the caller) says
 /// otherwise: [`crate::micro_vds::MicroConfig::new`] and
 /// [`crate::vm_vds::VmConfig::new`] start from it.
 pub const DEFAULT_SEED: u64 = 2024;
-
-/// Which recovery scheme (and hence which processor architecture and
-/// execution model) the VDS uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scheme {
-    /// §3.1 — conventional processor, versions alternate with context
-    /// switches; recovery is plain stop-and-retry.
-    Conventional,
-    /// §3.2 — 2-way SMT, deterministic roll-forward: `i/4` rounds of each
-    /// version from each candidate state (guaranteed progress, fault
-    /// detection retained).
-    SmtDeterministic,
-    /// §3.2 — 2-way SMT, probabilistic roll-forward: pick one candidate
-    /// state, run both versions `i/2` rounds from it (progress with
-    /// probability of a correct pick; fault detection retained).
-    SmtProbabilistic,
-    /// §4 — 2-way SMT, prediction-guided roll-forward: continue one
-    /// version a full `i` rounds with **no comparisons** (maximal
-    /// progress on a hit, nothing on a miss, and faults during the
-    /// roll-forward go undetected).
-    SmtPredictive,
-    /// §5 — 3-thread boosted probabilistic: versions 1 and 2 each roll
-    /// forward `i` rounds in their own threads (from the picked state)
-    /// while version 3 retries; detection retained.
-    SmtBoosted3,
-    /// §5 — 5-thread boosted deterministic: both versions from both
-    /// states, `i` rounds each; guaranteed progress with detection.
-    SmtBoosted5,
-}
-
-impl Scheme {
-    /// Hardware threads the scheme needs during recovery.
-    pub fn threads_needed(self) -> u32 {
-        match self {
-            Scheme::Conventional => 1,
-            Scheme::SmtDeterministic | Scheme::SmtProbabilistic | Scheme::SmtPredictive => 2,
-            Scheme::SmtBoosted3 => 3,
-            Scheme::SmtBoosted5 => 5,
-        }
-    }
-
-    /// `true` if state comparisons run during roll-forward (a fault there
-    /// is detected and the roll-forward discarded).
-    pub fn detects_during_rollforward(self) -> bool {
-        !matches!(self, Scheme::SmtPredictive | Scheme::Conventional)
-    }
-
-    /// Intended roll-forward length for a fault at round `i` (before the
-    /// checkpoint-horizon clamp). Zero for the conventional scheme.
-    pub fn rollforward_intent(self, i: u32) -> f64 {
-        let i = f64::from(i);
-        match self {
-            Scheme::Conventional => 0.0,
-            Scheme::SmtDeterministic => i / 4.0,
-            Scheme::SmtProbabilistic => i / 2.0,
-            Scheme::SmtPredictive | Scheme::SmtBoosted3 | Scheme::SmtBoosted5 => i,
-        }
-    }
-
-    /// Whether the roll-forward progress is guaranteed (deterministic
-    /// variants) rather than conditional on a correct pick.
-    pub fn progress_guaranteed(self) -> bool {
-        matches!(self, Scheme::SmtDeterministic | Scheme::SmtBoosted5)
-    }
-
-    /// All schemes, for sweep experiments.
-    pub const ALL: [Scheme; 6] = [
-        Scheme::Conventional,
-        Scheme::SmtDeterministic,
-        Scheme::SmtProbabilistic,
-        Scheme::SmtPredictive,
-        Scheme::SmtBoosted3,
-        Scheme::SmtBoosted5,
-    ];
-
-    /// Short identifier for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Conventional => "conventional",
-            Scheme::SmtDeterministic => "smt-det",
-            Scheme::SmtProbabilistic => "smt-prob",
-            Scheme::SmtPredictive => "smt-pred",
-            Scheme::SmtBoosted3 => "smt-boost3",
-            Scheme::SmtBoosted5 => "smt-boost5",
-        }
-    }
-
-    /// The scheme whose [`Scheme::name`] is `name`, if any.
-    pub fn from_name(name: &str) -> Option<Scheme> {
-        Scheme::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
 
 /// Which active version a fault corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,36 +136,6 @@ impl FaultModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scheme_properties() {
-        assert_eq!(Scheme::Conventional.threads_needed(), 1);
-        assert_eq!(Scheme::SmtBoosted5.threads_needed(), 5);
-        assert!(Scheme::SmtDeterministic.detects_during_rollforward());
-        assert!(!Scheme::SmtPredictive.detects_during_rollforward());
-        assert!(Scheme::SmtDeterministic.progress_guaranteed());
-        assert!(!Scheme::SmtProbabilistic.progress_guaranteed());
-        assert!(Scheme::SmtBoosted5.progress_guaranteed());
-    }
-
-    #[test]
-    fn names_are_the_analytic_labels_and_round_trip() {
-        let names = Scheme::ALL.map(Scheme::name);
-        assert_eq!(names, vds_analytic::schemes::SCHEME_NAMES);
-        for scheme in Scheme::ALL {
-            assert_eq!(Scheme::from_name(scheme.name()), Some(scheme));
-        }
-        assert_eq!(Scheme::from_name("SMT-DET"), None);
-        assert_eq!(Scheme::from_name(""), None);
-    }
-
-    #[test]
-    fn rollforward_intents_match_paper() {
-        assert_eq!(Scheme::SmtDeterministic.rollforward_intent(8), 2.0);
-        assert_eq!(Scheme::SmtProbabilistic.rollforward_intent(8), 4.0);
-        assert_eq!(Scheme::SmtPredictive.rollforward_intent(8), 8.0);
-        assert_eq!(Scheme::Conventional.rollforward_intent(8), 0.0);
-    }
 
     #[test]
     fn fault_model_specs_round_trip() {

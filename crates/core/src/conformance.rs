@@ -49,8 +49,7 @@ pub struct RunConformance {
 /// Returns `None` for an empty run (no simulated time elapsed).
 pub fn assess(cfg: &AbstractConfig, report: &RunReport) -> Option<RunConformance> {
     let p = &cfg.params;
-    let predicted_g =
-        schemes::predicted_gain(cfg.scheme.name(), p, cfg.p_correct, &report.phase_times())?;
+    let predicted_g = schemes::predicted_gain(cfg.scheme, p, cfg.p_correct, &report.phase_times())?;
     let conv_equiv = report.committed_rounds as f64 * timing::t1_round(p) + report.time_checkpoint;
     let measured_g = conv_equiv / report.total_time;
     Some(RunConformance {

@@ -545,7 +545,22 @@ pub(crate) fn assert_recovered_once(r: &RunReport, journal: &vds_obs::Journal) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vds_analytic::Params;
     use vds_obs::{digest_words128, NoopRecorder};
+
+    #[test]
+    fn engines_and_closed_forms_share_one_rollforward_rule() {
+        for scheme in Scheme::ALL {
+            for s in 1..=64 {
+                let p = Params::with_beta(0.65, 0.1, s);
+                for i in 1..=s {
+                    let window = f64::from(rollforward_window(scheme, i, s));
+                    let progress = scheme.progress(&p, i).floor();
+                    assert_eq!(window, progress, "{scheme:?} s={s} i={i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn the_livelock_guard_saturates() {

@@ -36,7 +36,7 @@ pub fn average_incident_gain(cfg: &AbstractConfig, p_correct: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::duplex::rollforward_window;
-    use vds_analytic::{schemes, Params};
+    use vds_analytic::Params;
 
     /// The analytic average the engine should match, evaluated with the
     /// same integral roll-forward progress the engine performs (the
@@ -46,7 +46,7 @@ mod tests {
         (1..=s)
             .map(|i| {
                 let x = f64::from(rollforward_window(scheme, i, s));
-                let corr = schemes::corr_time(scheme.name(), params, i).unwrap();
+                let corr = scheme.corr_time(params, i);
                 let hit = (timing::t1_corr(params, i) + x * timing::t1_round(params)) / corr;
                 let miss = timing::t1_corr(params, i) / corr;
                 if scheme == Scheme::Conventional {

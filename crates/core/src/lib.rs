@@ -34,7 +34,8 @@
 //!   (`vds_fault::vm`) and stop-and-retry recovery from data-memory
 //!   checkpoints. Time is counted in interpreted instructions.
 //!
-//! Support modules: [`config`] (schemes and fault plans), [`report`]
+//! Support modules: [`config`] (fault plans, and the [`Scheme`] that
+//! `vds_analytic::schemes` defines with its closed forms), [`report`]
 //! (accounting), [`workload`] (the memory-resident VDS application),
 //! [`gain`] (measured-vs-analytic comparison helpers), [`conformance`]
 //! (run-level predicted-vs-measured gain residuals) and [`flowchart`]

@@ -44,6 +44,15 @@ use vds_sched::{Machine, ProcId, ProcOutcome};
 use vds_smtsim::core::{CoreConfig, SavedContext, ThreadId, ThreadState};
 use vds_smtsim::program::Program;
 
+/// OS context-switch cost in cycles (the paper's `c`).
+pub const CTX_SWITCH_CYCLES: u32 = 40;
+
+/// State-comparison cost in cycles (the paper's `t'`).
+pub const CMP_CYCLES: u32 = 30;
+
+/// Checkpoint-write cost in cycles.
+pub const CKPT_CYCLES: u32 = 120;
+
 /// Configuration of a micro VDS run.
 #[derive(Debug, Clone)]
 pub struct MicroConfig {
@@ -53,12 +62,6 @@ pub struct MicroConfig {
     pub scheme: Scheme,
     /// Checkpoint interval in rounds.
     pub s: u32,
-    /// OS context-switch cost in cycles (the paper's `c`).
-    pub ctx_switch_cycles: u32,
-    /// State-comparison cost in cycles (the paper's `t'`).
-    pub cmp_cycles: u32,
-    /// Checkpoint-write cost in cycles.
-    pub ckpt_cycles: u32,
     /// Pick accuracy for the probabilistic/predictive schemes when no
     /// trap evidence exists.
     pub p_correct: f64,
@@ -76,31 +79,17 @@ pub struct MicroConfig {
 impl MicroConfig {
     /// Sensible defaults for a scheme.
     pub fn new(scheme: Scheme, s: u32) -> Self {
+        let threads = scheme.threads_needed();
         assert!(
-            matches!(
-                scheme,
-                Scheme::Conventional
-                    | Scheme::SmtDeterministic
-                    | Scheme::SmtProbabilistic
-                    | Scheme::SmtPredictive
-                    | Scheme::SmtBoosted3
-            ),
+            threads <= 3,
             "micro backend supports the 1–3-thread schemes, got {scheme:?}"
         );
-        let core = match scheme {
-            Scheme::Conventional => CoreConfig::single_threaded(),
-            Scheme::SmtBoosted3 => CoreConfig::with_threads(3),
-            _ => CoreConfig::default(),
-        };
         MicroConfig {
             scheme,
             s,
-            ctx_switch_cycles: 40,
-            cmp_cycles: 30,
-            ckpt_cycles: 120,
             p_correct: 0.5,
             seed: crate::DEFAULT_SEED,
-            core,
+            core: CoreConfig::with_threads(threads as usize),
             diversity: true,
         }
     }
@@ -121,7 +110,7 @@ pub struct MicroFault {
 impl MicroFault {
     /// The fault `vds duplex` places at its fault round and a faulty
     /// micro sweep cell places once per mission: a transient flip of bit
-    /// 9 of data word 4 (state word S[2]), which every scheme detects in
+    /// 9 of data word 4 (state word `S[2]`), which every scheme detects in
     /// the round it strikes.
     pub const CANONICAL_KIND: FaultKind =
         FaultKind::Transient(FaultSite::Memory { addr: 4, bit: 9 });
@@ -184,7 +173,7 @@ impl Micro {
             }
         });
         let entries = progs.each_ref().map(workload::round_entry);
-        let mut m = Machine::new(cfg.core.clone(), cfg.ctx_switch_cycles);
+        let mut m = Machine::new(cfg.core.clone(), CTX_SWITCH_CYCLES);
         m.core_mut().set_window_recording(record_windows);
         let procs =
             [0, 1, 2].map(|k| m.spawn(format!("v{}", k + 1), &progs[k], workload::DMEM_WORDS));
@@ -554,7 +543,7 @@ impl Backend for Micro {
         // yielding (a corrupted branch ran off its round loop) is trap
         // evidence too.
         let mut hung: Vec<usize> = Vec::new();
-        if self.cfg.scheme == Scheme::Conventional {
+        if !self.cfg.scheme.is_smt() {
             // both versions complete their round even if the other
             // trapped, so the vote compares states at a common round
             for (slot, v) in [(0usize, a), (1usize, b)] {
@@ -587,8 +576,8 @@ impl Backend for Micro {
 
         // comparison
         let cmp_g = obs_span!(l.rec, "micro", "compare", self.m.cycles() as f64);
-        self.burn(self.cfg.cmp_cycles);
-        l.report.time_normal += f64::from(self.cfg.cmp_cycles);
+        self.burn(CMP_CYCLES);
+        l.report.time_normal += f64::from(CMP_CYCLES);
         let t = self.m.cycles() as f64;
         obs_end_span!(l.rec, cmp_g, t);
         let (verdict, digests) = if self.trap_evidence.is_some() || !hung.is_empty() {
@@ -630,19 +619,19 @@ impl Backend for Micro {
     }
 
     fn sched(&self) -> String {
-        let kind = if self.cfg.scheme == Scheme::Conventional {
-            "alternate"
-        } else {
+        let kind = if self.cfg.scheme.is_smt() {
             "coschedule"
+        } else {
+            "alternate"
         };
         format!("{kind}[v{},v{}]", self.active[0] + 1, self.active[1] + 1)
     }
 
     fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
         let g = obs_span!(l.rec, "micro", "checkpoint", self.m.cycles() as f64);
-        self.burn(self.cfg.ckpt_cycles);
+        self.burn(CKPT_CYCLES);
         obs_end_span!(l.rec, g, self.m.cycles() as f64);
-        l.report.time_checkpoint += f64::from(self.cfg.ckpt_cycles);
+        l.report.time_checkpoint += f64::from(CKPT_CYCLES);
         self.ckpt_img = self.dmem_of(self.active[0]);
     }
 
@@ -659,11 +648,7 @@ impl Backend for Micro {
         // not consume scheme bookkeeping — not even an RNG draw, or the
         // fault-seed stream would diverge between cells that differ only
         // in checkpoint distance.
-        let needs_pick = x > 0
-            && matches!(
-                self.cfg.scheme,
-                Scheme::SmtProbabilistic | Scheme::SmtPredictive | Scheme::SmtBoosted3
-            );
+        let needs_pick = x > 0 && !self.cfg.scheme.progress_guaranteed();
         let guess_slot = if needs_pick {
             self.guess_good_slot()
         } else {
@@ -684,7 +669,7 @@ impl Backend for Micro {
 
         // majority vote
         let vote_g = obs_span!(l.rec, "micro", "vote", self.m.cycles() as f64);
-        self.burn(2 * self.cfg.cmp_cycles);
+        self.burn(2 * CMP_CYCLES);
         obs_end_span!(l.rec, vote_g, self.m.cycles() as f64);
         let vote = retry_result.ok().and_then(|images| {
             let s_img = images.into_iter().last().expect("retry end image");

@@ -37,6 +37,12 @@ use vds_obs::{obs_end_span, obs_span};
 use vds_obs::{Digest128, Digester128, NoopRecorder, Record};
 use vds_vm::{run_round, FaultPlan, Outcome, Program, SeedProgram, StateFlip, Vm};
 
+/// State-comparison cost in VM steps.
+pub const CMP_STEPS: u64 = 30;
+
+/// Checkpoint-write cost in VM steps.
+pub const CKPT_STEPS: u64 = 120;
+
 /// Configuration of a VM duplex run.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
@@ -50,10 +56,6 @@ pub struct VmConfig {
     pub scheme: Scheme,
     /// Checkpoint interval in rounds.
     pub s: u32,
-    /// State-comparison cost in VM steps.
-    pub cmp_cycles: u64,
-    /// Checkpoint-write cost in VM steps.
-    pub ckpt_cycles: u64,
     /// Seed for diversification, initial data memory and fault timing.
     pub seed: u64,
     /// Run *diverse* variants (the VDS design). Disable to run two
@@ -71,8 +73,6 @@ impl VmConfig {
             program: program.to_string(),
             scheme: Scheme::SmtDeterministic,
             s: 8,
-            cmp_cycles: 30,
-            ckpt_cycles: 120,
             seed: crate::DEFAULT_SEED,
             diversity: true,
         }
@@ -185,10 +185,10 @@ impl VmDuplex {
         // hardware thread (cost = sum); every SMT scheme co-schedules
         // them (cost = max). This is what gives the VM backend a
         // measured per-round gain against the conventional baseline.
-        let cost = if self.cfg.scheme == Scheme::Conventional {
-            steps[0] + steps[1]
-        } else {
+        let cost = if self.cfg.scheme.is_smt() {
             steps[0].max(steps[1])
+        } else {
+            steps[0] + steps[1]
         };
         (outcomes, cost, fired)
     }
@@ -268,8 +268,8 @@ impl Backend for VmDuplex {
             // scheduled step): no live state changed
             l.track_fault(self.sim_time, fault_scheduled && !fired);
         }
-        self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
-        l.report.time_normal += cost as f64 + self.cfg.cmp_cycles as f64;
+        self.sim_time += cost as f64 + CMP_STEPS as f64;
+        l.report.time_normal += cost as f64 + CMP_STEPS as f64;
 
         // trap/hang evidence, by slot (the later slot wins)
         let trapped = [1usize, 0]
@@ -308,8 +308,8 @@ impl Backend for VmDuplex {
     }
 
     fn checkpoint<R: Record>(&mut self, l: &mut Ledger<R>) {
-        self.sim_time += self.cfg.ckpt_cycles as f64;
-        l.report.time_checkpoint += self.cfg.ckpt_cycles as f64;
+        self.sim_time += CKPT_STEPS as f64;
+        l.report.time_checkpoint += CKPT_STEPS as f64;
         self.ckpt_img = self.vms[0].mem.clone();
         self.ckpt_round += u64::from(l.rounds_since);
     }
@@ -334,7 +334,7 @@ impl Backend for VmDuplex {
                 break;
             }
         }
-        self.sim_time += cost as f64 + self.cfg.cmp_cycles as f64;
+        self.sim_time += cost as f64 + CMP_STEPS as f64;
         if !clean || self.digest_of(0) != self.digest_of(1) {
             return Recovery::Rollback;
         }

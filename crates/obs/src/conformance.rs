@@ -57,7 +57,8 @@ use crate::json::JsonObj;
 use crate::registry::Registry;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use vds_analytic::{schemes, Params};
+use vds_analytic::params::{PAPER_ALPHA, PAPER_BETA};
+use vds_analytic::{Params, Scheme};
 
 /// Default conformance window: residuals are aggregated over this many
 /// consecutive journal entries per lane.
@@ -70,11 +71,12 @@ pub const DEFAULT_TOLERANCE: f64 = 0.25;
 pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
 
 /// Fallback contention factor when a journal header carries no `alpha`
-/// meta key (the paper's measured α₂ for SPEC-like pairs).
-pub const DEFAULT_ALPHA: f64 = 0.65;
+/// meta key: the paper's measured α₂ ([`PAPER_ALPHA`]).
+pub const DEFAULT_ALPHA: f64 = PAPER_ALPHA;
 
-/// Fallback β = c/t = t'/t when the header carries no `beta` meta key.
-pub const DEFAULT_BETA: f64 = 0.1;
+/// Fallback β = c/t = t'/t when the header carries no `beta` meta key
+/// ([`PAPER_BETA`]).
+pub const DEFAULT_BETA: f64 = PAPER_BETA;
 
 /// One conformance window: predicted and measured G over `W` consecutive
 /// rounds of a single lane.
@@ -151,41 +153,35 @@ impl ResidualSeries {
     }
 }
 
-/// The closed-form cost model for one scheme: a scheme label plus the
+/// The closed-form cost model for one scheme: the scheme plus the
 /// paper's parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeModel {
-    /// Scheme label as recorded in journal headers (e.g. `smt-det`).
-    pub scheme: String,
+    /// The scheme a journal header names (e.g. `smt-det`).
+    pub scheme: Scheme,
     /// Model parameters (t, c, t', α, s).
     pub params: Params,
 }
 
 impl SchemeModel {
-    /// Build a model for a known scheme label; errors on an unknown one.
-    pub fn new(scheme: &str, params: Params) -> Result<SchemeModel, String> {
-        if !schemes::is_scheme_name(scheme) {
-            return Err(format!(
-                "unknown scheme `{scheme}` (expected one of: {})",
-                schemes::SCHEME_NAMES.join(", ")
-            ));
-        }
-        Ok(SchemeModel {
-            scheme: scheme.to_string(),
-            params,
-        })
-    }
-
     /// Model for a journal header: scheme, `s` and β from the header
     /// (β from the `beta` meta key, paper default otherwise). α is
     /// `alpha_override` when given — the measured-α pricing rule behind
     /// `vds conformance --alpha measured`, clamped into the model's
     /// valid `[0.5, 1]` range — else the `alpha` meta key, else the
-    /// paper default.
+    /// paper default. Refuses, with a one-line message, an unknown
+    /// scheme, an α outside `[0.5, 1]` and a negative or non-finite β.
     pub fn for_header(
         header: &JournalHeader,
         alpha_override: Option<f64>,
     ) -> Result<SchemeModel, String> {
+        let scheme = Scheme::from_name(&header.scheme).ok_or_else(|| {
+            let names = Scheme::ALL.map(Scheme::name).join(", ");
+            format!(
+                "unknown scheme `{}` (expected one of: {names})",
+                header.scheme
+            )
+        })?;
         let alpha = match alpha_override {
             Some(a) => a.clamp(0.5, 1.0),
             None => header
@@ -197,28 +193,24 @@ impl SchemeModel {
             .meta("beta")
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or(DEFAULT_BETA);
-        let s = header.s.max(1);
-        Self::new(&header.scheme, Params::with_beta(alpha, beta, s))
+        if !((0.5..=1.0).contains(&alpha) && beta.is_finite() && beta >= 0.0) {
+            return Err(format!(
+                "conformance needs alpha in [0.5, 1] and a finite beta >= 0 \
+                 (header prices alpha = {alpha}, beta = {beta})"
+            ));
+        }
+        let params = Params::with_beta(alpha, beta, header.s.max(1));
+        Ok(SchemeModel { scheme, params })
     }
 
     /// Predicted duration of one normal round on this scheme.
     pub fn round_pred(&self) -> f64 {
-        schemes::round_time(&self.scheme, &self.params).expect("validated at construction")
-    }
-
-    /// Conventional-duplex-equivalent duration of one normal round.
-    pub fn round_conv(&self) -> f64 {
-        vds_analytic::timing::t1_round(&self.params)
+        self.scheme.round_time(&self.params)
     }
 
     /// Predicted recovery time for a detection at in-interval round `i`.
     pub fn corr_pred(&self, i: u32) -> f64 {
-        schemes::corr_time(&self.scheme, &self.params, i).expect("validated at construction")
-    }
-
-    /// Conventional-duplex-equivalent recovery time (Eq. 2).
-    pub fn corr_conv(&self, i: u32) -> f64 {
-        vds_analytic::timing::t1_corr(&self.params, i)
+        self.scheme.corr_time(&self.params, i)
     }
 }
 
@@ -433,7 +425,10 @@ impl ConformanceTracker {
 
     fn ingest_lane(&mut self, lane: u64, entries: &[&RoundEntry]) {
         let (kappa, ckpt_units) = self.calibrate_kappa(entries);
-        let round_conv = self.model.round_conv();
+        // the conventional duplex's time for the same work (Eqs. 1, 2)
+        let params = self.model.params;
+        let corr_conv = |i| Scheme::Conventional.corr_time(&params, i);
+        let round_conv = Scheme::Conventional.round_time(&params);
         let round_pred = self.model.round_pred();
         let mut prev: Option<&RoundEntry> = None;
         let mut prev_time = 0.0;
@@ -460,12 +455,12 @@ impl ConformanceTracker {
                         // Roll-forward credit: salvaged rounds never
                         // re-execute, so the conventional duplex would
                         // have spent a full round on each of them.
-                        conv += self.model.corr_conv(i) + f64::from(p.rollforward) * round_conv;
+                        conv += corr_conv(i) + f64::from(p.rollforward) * round_conv;
                         pred += self.model.corr_pred(i);
                     }
                     Action::Rollback => {
                         if p.verdict != Verdict::Hang {
-                            conv += self.model.corr_conv(i);
+                            conv += corr_conv(i);
                             pred += self.model.corr_pred(i);
                         }
                         // A processor stop spends no retry time on either
@@ -541,7 +536,7 @@ impl ConformanceTracker {
     pub fn report(&self) -> ConformanceReport {
         let n = self.windows.max(1) as f64;
         ConformanceReport {
-            scheme: self.model.scheme.clone(),
+            scheme: self.model.scheme.name().to_string(),
             alpha: self.model.params.alpha,
             alpha_source: self.alpha_source.to_string(),
             window: self.window,
@@ -907,7 +902,6 @@ mod tests {
         assert_eq!(m.params.s, 10);
         // round prediction follows Eq. 3 with those params
         assert_eq!(m.round_pred(), timing::tht2_round(&m.params));
-        assert!(SchemeModel::new("bogus", Params::paper_default()).is_err());
     }
 
     #[test]
@@ -916,5 +910,24 @@ mod tests {
         let err = SchemeModel::for_header(&h, None).unwrap_err();
         assert!(err.contains("adaptive-v2"), "{err}");
         assert!(err.contains("smt-det"), "lists valid names: {err}");
+    }
+
+    #[test]
+    fn out_of_range_header_parameters_are_errors_not_panics() {
+        let h = || JournalHeader::new("micro", "smt-det", 2024, 10, 15);
+        let bad = [
+            ("alpha", "0.4"),
+            ("alpha", "NaN"),
+            ("beta", "-1"),
+            ("beta", "inf"),
+        ];
+        for (key, value) in bad {
+            let err = SchemeModel::for_header(&h().with_meta(key, value), None).unwrap_err();
+            assert!(err.starts_with("conformance needs alpha in"), "{err}");
+        }
+        // a NaN measured α is refused too; an out-of-range one is clamped
+        assert!(SchemeModel::for_header(&h(), Some(f64::NAN)).is_err());
+        let m = SchemeModel::for_header(&h().with_meta("beta", "2"), Some(0.2)).unwrap();
+        assert_eq!((m.params.alpha, m.params.c), (0.5, 2.0));
     }
 }

@@ -17,6 +17,7 @@
 //! second.
 
 use std::collections::BTreeMap;
+use vds_analytic::params::{PAPER_ALPHA, PAPER_BETA};
 use vds_analytic::{schemes, Params};
 use vds_core::abstract_vds::AbstractConfig;
 use vds_core::micro_vds::MicroFault;
@@ -29,10 +30,10 @@ use vds_obs::{NoopRecorder, Registry};
 
 use crate::grid::{Backend, Cell, GridSpec};
 
-/// The paper's figure overhead ratio `β = c/t = t'/t` used for every
-/// abstract-backend cell (the grid varies α, s, scheme and q; β stays at
-/// the figures' value).
-pub const BETA: f64 = 0.1;
+/// The paper's figure overhead ratio `β = c/t = t'/t` ([`PAPER_BETA`])
+/// used for every abstract-backend cell (the grid varies α, s, scheme and
+/// q; β stays at the figures' value).
+pub const BETA: f64 = PAPER_BETA;
 
 /// Measured outcome of one grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,8 +107,7 @@ impl CellResult {
         // step-denominated reports price unchanged.
         let params = Params::with_beta(cell.alpha, BETA, cell.s);
         let predicted_g =
-            schemes::predicted_gain(cell.scheme.name(), &params, 0.5, &r.phase_times())
-                .unwrap_or(0.0);
+            schemes::predicted_gain(cell.scheme, &params, 0.5, &r.phase_times()).unwrap_or(0.0);
         CellResult {
             cell,
             committed_rounds: r.committed_rounds,
@@ -230,7 +230,7 @@ fn run(cell: &Cell) -> RunReport {
 fn baseline(cell: &Cell, base_seed: u64) -> Cell {
     Cell {
         scheme: Scheme::Conventional,
-        alpha: 0.65,
+        alpha: PAPER_ALPHA,
         seed: child_seed(base_seed, &format!("baseline|{}", cell.baseline_key())),
         ..cell.clone()
     }
@@ -449,14 +449,6 @@ mod tests {
             assert_eq!(r.predicted_g, conf.predicted_g, "{}", r.cell.key());
         }
         assert!(out.results.iter().any(|r| r.detections > 0));
-    }
-
-    #[test]
-    fn default_pricing_constants_are_the_papers_operating_point() {
-        let p = Params::paper_default();
-        assert_eq!(BETA, p.beta_from_c());
-        assert_eq!(vds_obs::conformance::DEFAULT_ALPHA, p.alpha);
-        assert_eq!(vds_obs::conformance::DEFAULT_BETA, p.beta_from_c());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   quoted strings) — hand-rolled here because the build environment has
 //!   no crates.io access.
 
+use vds_analytic::params::{PAPER_ALPHA, PAPER_S};
 use vds_core::Scheme;
 use vds_desim::rng::child_seed;
 
@@ -83,8 +84,8 @@ pub struct GridSpec {
 impl Default for GridSpec {
     fn default() -> Self {
         GridSpec {
-            alphas: vec![0.65],
-            s_values: vec![20],
+            alphas: vec![PAPER_ALPHA],
+            s_values: vec![PAPER_S],
             schemes: Scheme::ALL.to_vec(),
             qs: vec![0.01],
             backend: Backend::Abstract,

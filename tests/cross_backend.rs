@@ -4,7 +4,7 @@
 //! the closed forms.
 
 use vds::analytic::{timing, Params};
-use vds::core::micro_vds::{run_micro, MicroConfig};
+use vds::core::micro_vds::{run_micro, MicroConfig, CMP_CYCLES, CTX_SWITCH_CYCLES};
 use vds::core::{workload, Scheme};
 use vds::smtsim::core::{Core, CoreConfig, RunOutcome, ThreadState};
 
@@ -62,8 +62,8 @@ fn micro_round_times_obey_the_papers_model() {
     let cfg = MicroConfig::new(Scheme::SmtProbabilistic, 1_000); // no ckpt in range
     let params = Params {
         t,
-        c: f64::from(cfg.ctx_switch_cycles),
-        t_cmp: f64::from(cfg.cmp_cycles),
+        c: f64::from(CTX_SWITCH_CYCLES),
+        t_cmp: f64::from(CMP_CYCLES),
         alpha,
         s: 1_000,
     };
